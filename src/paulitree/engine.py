@@ -1,11 +1,13 @@
 """Analytical engine: evolve error maps through an elaborated program.
 
 The machine state is a partition of the physical qubits into QubitSets,
-each owning one error map.  Error events branch maps, gate steps
-transform keys, readout tasks apply the code kernels, and merge/split
-steps restructure the partition.  At the end the crash probability is
-read off the surviving/total mass split, with lossy-merge discards
-accounted separately so survival + crash + discarded = 1.
+each owning one error map.  Error events branch maps and merge/split
+steps restructure the partition; every other step applies its key-array
+kernel from :data:`~paulitree.program.STEP_KINDS` to the map of the set
+holding its operands, the same kernel the Monte Carlo engine applies to
+its samples.  At the end the crash probability is read off the
+surviving/total mass split, with lossy-merge discards accounted
+separately so survival + crash + discarded = 1.
 """
 
 from __future__ import annotations
@@ -28,20 +30,13 @@ from .errormap import (
     two_qubit_patterns,
 )
 from .program import (
-    CNot,
-    Correct,
-    CosetReduce,
-    Hadamard,
-    Measure,
     MergeSets,
     OneQubitEvent,
     Program,
     ProgramError,
-    Reset,
     SplitOff,
-    SyndromeMeasure,
     TwoQubitEvent,
-    VerifyReadout,
+    step_kind,
 )
 
 
@@ -63,23 +58,28 @@ class FidelityReport:
 
 
 class _Machine:
-    """Mutable partition of qubits into (members, ErrorMap) sets."""
+    """Mutable partition of the qubits into QubitSets, with the (set ID,
+    local position) of every qubit."""
 
     def __init__(self, partition: tuple[tuple[int, ...], ...],
                  initial_errors: dict | None = None):
         initial_errors = initial_errors or {}
-        self.members: dict[int, list[int]] = {}
-        self.maps: dict[int, ErrorMap] = {}
+        self.sets: dict[int, QubitSet] = {}
         self.loc: dict[int, tuple[int, int]] = {}
-        for sid, group in enumerate(partition):
-            self.members[sid] = list(group)
+        self.next_id = 0
+        for group in partition:
             labels = [Pauli(initial_errors.get(q, Pauli.I)) for q in group]
-            self.maps[sid] = ErrorMap.from_dict(
-                {PauliString.from_labels(labels): 1.0}
-            )
-            for i, q in enumerate(group):
-                self.loc[q] = (sid, i)
-        self.next_id = len(self.members)
+            emap = ErrorMap.from_dict({PauliString.from_labels(labels): 1.0})
+            self.place(QubitSet(tuple(group), emap))
+
+    def place(self, qs: QubitSet, sid: int | None = None) -> int:
+        """Store a set under ``sid`` (default: a fresh ID) and locate its qubits."""
+        if sid is None:
+            sid, self.next_id = self.next_id, self.next_id + 1
+        self.sets[sid] = qs
+        for i, q in enumerate(qs.members):
+            self.loc[q] = (sid, i)
+        return sid
 
     def require_same_set(self, qubits: tuple[int, ...]) -> tuple[int, list[int]]:
         sids = {self.loc[q][0] for q in qubits}
@@ -93,35 +93,16 @@ class _Machine:
     def merge(self, qa: int, qb: int, th: Thresholds) -> int:
         sa = self.loc[qa][0]
         sb = self.loc[qb][0]
-        if sa == sb:
-            return sa
-        merged = merge(
-            QubitSet(tuple(self.members[sa]), self.maps[sa]),
-            QubitSet(tuple(self.members[sb]), self.maps[sb]),
-            th,
-        )
-        del self.members[sb], self.maps[sb]
-        self.members[sa] = list(merged.members)
-        self.maps[sa] = merged.map
-        for i, q in enumerate(merged.members):
-            self.loc[q] = (sa, i)
+        if sa != sb:
+            self.place(merge(self.sets[sa], self.sets.pop(sb), th), sa)
         return sa
 
     def split_off(self, qubits: tuple[int, ...]) -> None:
         sid, locals_ = self.require_same_set(qubits)
-        if len(qubits) == len(self.members[sid]):
-            return
-        part, rest = split(QubitSet(tuple(self.members[sid]), self.maps[sid]), locals_)
-        self.members[sid] = list(rest.members)
-        self.maps[sid] = rest.map
-        for i, q in enumerate(rest.members):
-            self.loc[q] = (sid, i)
-        nid = self.next_id
-        self.next_id += 1
-        self.members[nid] = list(part.members)
-        self.maps[nid] = part.map
-        for i, q in enumerate(part.members):
-            self.loc[q] = (nid, i)
+        if len(qubits) < len(self.sets[sid].members):
+            part, rest = split(self.sets[sid], locals_)
+            self.place(rest, sid)
+            self.place(part)
 
 
 def run_analytical(prog: Program, th: Thresholds,
@@ -135,72 +116,46 @@ def run_analytical(prog: Program, th: Thresholds,
         raise ProgramError("program must be elaborated before execution")
     start = time.perf_counter()
     mach = _Machine(prog.initial_partition, initial_errors)
-    peak = max(len(m) for m in mach.maps.values())
-    executed = 0
+    peak = max(len(qs.map) for qs in mach.sets.values())
 
     for step in prog.steps:
-        if isinstance(step, OneQubitEvent):
+        kind = type(step)
+        if kind is OneQubitEvent:
             sid, (lq,) = mach.require_same_set((step.qubit,))
-            m = mach.maps[sid]
+            m = mach.sets[sid].map
             m.event_kernel(one_qubit_patterns(m.width, lq), step.f, th.event_branch)
             peak = max(peak, len(m))
-        elif isinstance(step, TwoQubitEvent):
+        elif kind is TwoQubitEvent:
             sid, (la, lb) = mach.require_same_set((step.qubit_a, step.qubit_b))
-            m = mach.maps[sid]
+            m = mach.sets[sid].map
             m.event_kernel(
                 two_qubit_patterns(m.width, la, lb), step.f, th.event_branch
             )
             peak = max(peak, len(m))
-        elif isinstance(step, Hadamard):
-            sid, (lq,) = mach.require_same_set((step.qubit,))
-            mach.maps[sid].gate_hadamard(lq)
-        elif isinstance(step, CNot):
-            sid, (lc, lt) = mach.require_same_set((step.control, step.target))
-            mach.maps[sid].gate_cnot(lc, lt)
-        elif isinstance(step, MergeSets):
+        elif kind is MergeSets:
             sid = mach.merge(step.qubit_a, step.qubit_b, th)
-            peak = max(peak, len(mach.maps[sid]))
-        elif isinstance(step, SplitOff):
+            peak = max(peak, len(mach.sets[sid].map))
+        elif kind is SplitOff:
             mach.split_off(step.qubits)
-        elif isinstance(step, Reset):
-            sid, locals_ = mach.require_same_set(step.qubits)
-            mach.maps[sid].clear_positions(locals_)
-        elif isinstance(step, Measure):
-            pass  # classical record; the error events around it did the work
-        elif isinstance(step, VerifyReadout):
-            sid, locals_ = mach.require_same_set(step.block + (step.verifier,))
-            qecc.verify_kernel(mach.maps[sid], locals_[:7], locals_[7])
-        elif isinstance(step, SyndromeMeasure):
-            sid, locals_ = mach.require_same_set(step.block)
-            qecc.syndrome_kernel(mach.maps[sid], locals_)
-        elif isinstance(step, CosetReduce):
-            sid, locals_ = mach.require_same_set(step.block)
-            qecc.coset_reduce_kernel(mach.maps[sid], locals_, step.basis)
-        elif isinstance(step, Correct):
-            flat = step.data + tuple(q for b in step.ancilla_blocks for q in b)
-            sid, locals_ = mach.require_same_set(flat)
-            qecc.correct_kernel(
-                mach.maps[sid],
-                locals_[:7],
-                [locals_[7 + 7 * k : 14 + 7 * k] for k in range(len(step.ancilla_blocks))],
-                step.phase,
-            )
-        else:  # pragma: no cover
-            raise ProgramError("unknown step %r" % (step,))
-        executed += 1
+        else:
+            spec = step_kind(step)
+            if spec.kernel is not None:
+                sid, locals_ = mach.require_same_set(spec.operands(step))
+                mach.sets[sid].map.apply(spec.function, *spec.args(step, locals_),
+                                         collide=spec.collide)
 
     # total mass that survived pruning, as a product over independent sets
-    totals = {sid: m.total() for sid, m in mach.maps.items()}
+    totals = {sid: qs.map.total() for sid, qs in mach.sets.items()}
     retained = float(np.prod(list(totals.values())))
     survival = 1.0
-    for sid, m in mach.maps.items():
+    for sid, qs in mach.sets.items():
         block_locals = [
             [mach.loc[q][1] for q in block]
             for block in prog.crash_blocks
             if mach.loc[block[0]][0] == sid
         ]
         if block_locals:
-            survival *= qecc.surviving_mass(m, block_locals)
+            survival *= qecc.surviving_mass(qs.map, block_locals)
         else:
             survival *= totals[sid]
     if th.merge_mode is MergeMode.PRESERVATION:
@@ -213,7 +168,7 @@ def run_analytical(prog: Program, th: Thresholds,
         crash_probability=crash,
         discarded_mass=discarded,
         peak_error_map_entries=peak,
-        steps_executed=executed,
+        steps_executed=len(prog.steps),
         wall_time_s=time.perf_counter() - start,
     )
 

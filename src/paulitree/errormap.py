@@ -9,9 +9,17 @@ Local qubit index i of a set lives in word i // 32 at bit offset
 2 * (i % 32); this matches the integer packing used by
 :class:`~paulitree.pauli.PauliString`.
 
+The ``*_kernel`` functions rewrite a packed key array in place: the gate
+conjugations and ``clear_kernel`` here, the code readouts in
+:mod:`~paulitree.qecc`.  They are the only implementation of the
+deterministic steps and are shared by both engines: the analytical
+engine runs them on a map's keys through :meth:`ErrorMap.apply`, the
+Monte Carlo engine on its sampled rows.  Only this module touches a
+map's arrays.
+
 The module-level operations (``apply_one_qubit_event``, ``merge``,
 ``split``, ...) are pure: they validate, copy, and return fresh
-QubitSets.  The engine uses the in-place ``ErrorMap`` kernels directly
+QubitSets.  The engine uses the in-place ``ErrorMap`` methods directly
 to avoid copies; both paths share the same code.
 
 Iteration order over entries is unspecified.  All operations accumulate
@@ -68,6 +76,15 @@ def _slot(q: int) -> tuple[int, int]:
     return q // 32, 2 * (q % 32)
 
 
+def _clear_mask(nwords: int, positions: Iterable[int]) -> np.ndarray:
+    """Word mask that is 0 at the 2 label bits of every listed position."""
+    mask = np.full(nwords, ~_U64(0), dtype=_U64)
+    for q in positions:
+        w, s = _slot(q)
+        mask[w] &= ~(_U64(3) << _U64(s))
+    return mask
+
+
 def _row_from_int(bits: int, nwords: int) -> np.ndarray:
     row = np.zeros(nwords, dtype=_U64)
     for w in range(nwords):
@@ -119,7 +136,7 @@ class ErrorMap:
     probability underflows to zero are dropped.
     """
 
-    __slots__ = ("width", "_keys", "_probs", "_v", "_tail", "_dirty")
+    __slots__ = ("width", "_keys", "_probs", "_v", "_dirty")
 
     def __init__(self, width: int, keys: np.ndarray | None = None,
                  probs: np.ndarray | None = None):
@@ -133,16 +150,13 @@ class ErrorMap:
         self._keys = keys
         self._probs = probs
         self._v: np.ndarray | None = None
-        self._tail: dict[int, float] = {}
         self._dirty = True
 
     # -- construction / inspection ------------------------------------
 
     @classmethod
     def identity(cls, width: int, prob: float = 1.0) -> "ErrorMap":
-        m = cls(width)
-        m._tail[0] = prob
-        return m
+        return cls.from_dict({PauliString.identity(width): prob})
 
     @classmethod
     def from_dict(cls, entries: Mapping, width: int | None = None) -> "ErrorMap":
@@ -160,40 +174,34 @@ class ErrorMap:
             converted[key.bits] = converted.get(key.bits, 0.0) + p
         if width is None:
             raise ValueError("cannot infer width from empty entries")
-        m = cls(width)
-        m._tail = {k: v for k, v in converted.items() if v > 0.0}
-        return m
+        nw = _nwords(width)
+        kept = {k: v for k, v in converted.items() if v > 0.0}
+        keys = np.zeros((len(kept), nw), dtype=_U64)
+        for i, bits in enumerate(kept):
+            keys[i] = _row_from_int(bits, nw)
+        return cls(width, keys, np.fromiter(kept.values(), dtype=np.float64, count=len(kept)))
 
     def copy(self) -> "ErrorMap":
         m = ErrorMap(self.width, self._keys.copy(), self._probs.copy())
-        m._tail = dict(self._tail)
         m._dirty = self._dirty
         return m
 
     def __len__(self) -> int:
-        return self._keys.shape[0] + len(self._tail)
+        return self._keys.shape[0]
 
     def total(self) -> float:
-        return float(self._probs.sum()) + sum(self._tail.values())
+        return float(self._probs.sum())
 
     def items(self) -> Iterator[tuple[PauliString, float]]:
         self._ensure_ready()
         for row, p in zip(self._keys, self._probs):
             yield PauliString(_int_from_row(row), self.width), float(p)
 
-    def to_dict(self) -> dict[PauliString, float]:
-        return dict(self.items())
-
-    def get(self, key: PauliString | str, default: float = 0.0) -> float:
-        if isinstance(key, str):
-            key = PauliString.from_str(key)
+    def mass_where(self, mask_kernel: Callable[..., np.ndarray], *args) -> float:
+        """Probability of the entries selected by the per-key boolean
+        ``mask_kernel(keys, *args)``."""
         self._ensure_ready()
-        row = _row_from_int(key.bits, self._keys.shape[1])
-        v = _void_view(row[None, :])
-        pos = int(np.searchsorted(self._view(), v[0]))
-        if pos < self._keys.shape[0] and self._view()[pos] == v[0]:
-            return float(self._probs[pos])
-        return default
+        return float(self._probs[mask_kernel(self._keys, *args)].sum())
 
     def dump(self) -> str:
         """One line per entry: ``<string>\\t<probability>``, sorted by string.
@@ -214,34 +222,19 @@ class ErrorMap:
             self._v = _void_view(self._keys)
         return self._v
 
+    def _ensure_ready(self) -> None:
+        if self._dirty:
+            self._canonicalize()
+
     def _canonicalize(self) -> None:
-        if self._tail:
-            nw = self._keys.shape[1]
-            tk = np.vstack([_row_from_int(b, nw) for b in self._tail]) \
-                if self._tail else np.zeros((0, nw), dtype=_U64)
-            tp = np.fromiter(self._tail.values(), dtype=np.float64, count=len(self._tail))
-            self._keys = np.vstack([self._keys, tk]) if self._keys.size else tk
-            self._probs = np.concatenate([self._probs, tp])
-            self._tail = {}
         self._keys, self._probs = _aggregate(self._keys, self._probs)
         self._v = None
         self._dirty = False
-
-    def _ensure_ready(self) -> None:
-        if self._dirty or self._tail:
-            self._canonicalize()
-
-    def _ensure_tail_merged(self) -> None:
-        # gate transforms need all entries in the arrays but tolerate an
-        # unsorted base; only canonicalize when a tail is pending
-        if self._tail:
-            self._canonicalize()
 
     def _replace(self, keys: np.ndarray, probs: np.ndarray, sorted_unique: bool) -> None:
         self._keys = keys
         self._probs = probs
         self._v = None
-        self._tail = {}
         self._dirty = not sorted_unique
 
     def _insert(self, keys: np.ndarray, probs: np.ndarray) -> None:
@@ -264,7 +257,7 @@ class ErrorMap:
             self._probs = np.insert(self._probs, where, probs[miss])
             self._v = np.insert(base_v, where, v[miss])
 
-    # -- evolution kernels (in place) ---------------------------------
+    # -- evolution (in place) -----------------------------------------
 
     def event_kernel(self, patterns: np.ndarray, f: float, event_branch: float) -> None:
         """Stochastic event: each entry at or above the branch threshold
@@ -293,61 +286,67 @@ class ErrorMap:
         probs[idx] *= 1.0 - f
         self._insert(branch_keys, branch_probs)
 
-    def gate_hadamard(self, q: int) -> None:
-        self._check_local(q)
-        self._ensure_tail_merged()
-        w, s = _slot(q)
-        col = self._keys[:, w]
-        x = (col >> _U64(s)) & _U64(1)
-        z = (col >> _U64(s + 1)) & _U64(1)
-        d = x ^ z
-        self._keys[:, w] = col ^ ((d << _U64(s)) | (d << _U64(s + 1)))
+    def apply(self, kernel: Callable[..., None], *args, collide: bool = True) -> None:
+        """Rewrite every key in place with ``kernel(keys, *args)``.
+
+        A kernel that can map two keys onto one (``collide``) runs on the
+        sorted map and is followed by summing the collided entries.  A
+        permutation of keys (a gate) only leaves them unsorted until the
+        next operation that needs the order.
+        """
+        if collide:
+            self._ensure_ready()
+        kernel(self._keys, *args)
         self._v = None
-        self._dirty = True
+        if collide:
+            self._canonicalize()
+        else:
+            self._dirty = True
 
-    def gate_cnot(self, control: int, target: int) -> None:
-        self._check_local(control)
-        self._check_local(target)
-        if control == target:
-            raise ValueError("CNOT control and target must differ")
-        self._ensure_tail_merged()
-        wc, sc = _slot(control)
-        wt, st = _slot(target)
-        xc = (self._keys[:, wc] >> _U64(sc)) & _U64(1)
-        self._keys[:, wt] ^= xc << _U64(st)
-        zt = (self._keys[:, wt] >> _U64(st + 1)) & _U64(1)
-        self._keys[:, wc] ^= zt << _U64(sc + 1)
-        self._v = None
-        self._dirty = True
 
-    def clear_positions(self, positions: Iterable[int]) -> None:
-        """Project the given positions to I (measurement/reset bookkeeping)."""
-        self._ensure_tail_merged()
-        mask = np.full(self._keys.shape[1], ~_U64(0), dtype=_U64)
-        for q in positions:
-            self._check_local(q)
-            w, s = _slot(q)
-            mask[w] &= ~(_U64(3) << _U64(s))
-        self._keys &= mask
-        self._keys, self._probs = _aggregate(self._keys, self._probs)
-        self._v = None
-        self._dirty = False
+# -- key-array kernels -------------------------------------------------
+#
+# Each takes a (rows, words) packed key array and rewrites it in place.
+# Positions are the key positions of the qubits involved: local indices
+# in an error map, global qubit IDs in a Monte Carlo sample.
 
-    def label_bits(self, q: int) -> np.ndarray:
-        """Per-entry 2-bit label at position q (call on a ready map)."""
-        self._check_local(q)
-        w, s = _slot(q)
-        return (self._keys[:, w] >> _U64(s)) & _U64(3)
 
-    def _check_local(self, q: int) -> None:
-        if not 0 <= q < self.width:
-            raise IndexError("local qubit %d out of range for width %d" % (q, self.width))
+def hadamard_kernel(keys: np.ndarray, q: int) -> None:
+    """Conjugate by a Hadamard: X and Z swap, I and Y (HYH = -Y, phase
+    discarded) are fixed, by flipping both component bits where they differ."""
+    w, s = _slot(q)
+    col = keys[:, w]
+    x = (col >> _U64(s)) & _U64(1)
+    z = (col >> _U64(s + 1)) & _U64(1)
+    d = x ^ z
+    keys[:, w] = col ^ ((d << _U64(s)) | (d << _U64(s + 1)))
+
+
+def cnot_kernel(keys: np.ndarray, control: int, target: int) -> None:
+    """Conjugate by a CNOT: the control's X component composes onto the
+    target and the target's Z component onto the control."""
+    wc, sc = _slot(control)
+    wt, st = _slot(target)
+    xc = (keys[:, wc] >> _U64(sc)) & _U64(1)
+    keys[:, wt] ^= xc << _U64(st)
+    zt = (keys[:, wt] >> _U64(st + 1)) & _U64(1)
+    keys[:, wc] ^= zt << _U64(sc + 1)
+
+
+def clear_kernel(keys: np.ndarray, positions: Iterable[int]) -> None:
+    """Project the given positions to I (measurement/reset bookkeeping)."""
+    keys &= _clear_mask(keys.shape[1], positions)
+
+
+def _check_positions(width: int, *qubits: int) -> None:
+    for q in qubits:
+        if not 0 <= q < width:
+            raise IndexError("qubit %d out of range for width %d" % (q, width))
 
 
 def one_qubit_patterns(width: int, q: int) -> np.ndarray:
     """XOR patterns for the three equally likely X, Y, Z branch outcomes."""
-    if not 0 <= q < width:
-        raise IndexError("qubit %d out of range for width %d" % (q, width))
+    _check_positions(width, q)
     nw = _nwords(width)
     pats = np.zeros((3, nw), dtype=_U64)
     w, s = _slot(q)
@@ -358,9 +357,7 @@ def one_qubit_patterns(width: int, q: int) -> np.ndarray:
 
 def two_qubit_patterns(width: int, q1: int, q2: int) -> np.ndarray:
     """XOR patterns for the fifteen non-identity two-qubit outcomes."""
-    for q in (q1, q2):
-        if not 0 <= q < width:
-            raise IndexError("qubit %d out of range for width %d" % (q, width))
+    _check_positions(width, q1, q2)
     nw = _nwords(width)
     pats = np.zeros((15, nw), dtype=_U64)
     w1, s1 = _slot(q1)
@@ -402,12 +399,6 @@ class QubitSet:
         members = tuple(members)
         return cls(members, ErrorMap.identity(len(members)))
 
-    def local_index(self, qubit_id: int) -> int:
-        try:
-            return self.members.index(qubit_id)
-        except ValueError:
-            raise KeyError("qubit %d not in this QubitSet" % qubit_id)
-
 
 # -- pure operations ---------------------------------------------------
 
@@ -435,14 +426,18 @@ def apply_two_qubit_event(qs: QubitSet, q1: int, q2: int, f: float,
 
 
 def apply_hadamard(qs: QubitSet, q: int) -> QubitSet:
+    _check_positions(qs.map.width, q)
     m = qs.map.copy()
-    m.gate_hadamard(q)
+    m.apply(hadamard_kernel, q, collide=False)
     return QubitSet(qs.members, m)
 
 
 def apply_cnot(qs: QubitSet, control: int, target: int) -> QubitSet:
+    _check_positions(qs.map.width, control, target)
+    if control == target:
+        raise ValueError("CNOT control and target must differ")
     m = qs.map.copy()
-    m.gate_cnot(control, target)
+    m.apply(cnot_kernel, control, target, collide=False)
     return QubitSet(qs.members, m)
 
 
@@ -499,7 +494,6 @@ def merge(a: QubitSet, b: QubitSet, th: Thresholds) -> QubitSet:
 
     out = ErrorMap(width)
     if pa.shape[0] == 0 or pb.shape[0] == 0:
-        out._replace(np.zeros((0, nw), dtype=_U64), np.zeros(0), True)
         return QubitSet(a.members + b.members, out)
 
     th_m = th.merge

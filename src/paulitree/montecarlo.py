@@ -1,10 +1,14 @@
 """Monte Carlo baseline: sample concrete error strings through a program.
 
-Each iteration carries one packed Pauli string over the whole machine.
-Error events flip labels with the step's probability, choosing among the
-3 (or 15) non-identity outcomes uniformly; gates and readout tasks apply
-the same deterministic transformations as the analytical engine.  Merge
-and split steps are no-ops here since a sample is always global.
+Each iteration carries one packed Pauli string over the whole machine,
+one row of a (rows, words) key array.  This module holds only what is
+specific to sampling: error events flip labels with the step's
+probability, choosing among the 3 (or 15) non-identity outcomes
+uniformly, and iterations are chunked and sharded.  Every other step
+applies the key-array kernel the analytical engine applies (see
+:data:`~paulitree.program.STEP_KINDS`), with global qubit IDs as key
+positions, and the crash count uses the same ``correctable`` mask.
+Merge and split steps have no kernel since a sample is always global.
 
 Iterations are vectorized in fixed-size chunks, so results for a given
 (program, iterations, seed, shards) tuple are bit-for-bit reproducible.
@@ -20,25 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import qecc
 from .errormap import _nwords, _slot
-from .pauli import Pauli
-from .program import (
-    CNot,
-    Correct,
-    CosetReduce,
-    Hadamard,
-    Measure,
-    MergeSets,
-    OneQubitEvent,
-    Program,
-    ProgramError,
-    Reset,
-    SplitOff,
-    SyndromeMeasure,
-    TwoQubitEvent,
-    VerifyReadout,
-)
-from .qecc import CHECK_MATRIX
+from .program import OneQubitEvent, Program, ProgramError, TwoQubitEvent, step_kind
 
 _U64 = np.uint64
 _CHUNK = 1 << 16
@@ -60,22 +48,6 @@ class MCReport:
 def _xor_label(keys: np.ndarray, rows: np.ndarray, q: int, labels: np.ndarray) -> None:
     w, s = _slot(q)
     keys[rows, w] ^= labels.astype(_U64) << _U64(s)
-
-
-def _get_labels(keys: np.ndarray, q: int) -> np.ndarray:
-    w, s = _slot(q)
-    return (keys[:, w] >> _U64(s)) & _U64(3)
-
-
-def _clear(keys: np.ndarray, qubits, rows=None) -> None:
-    mask = np.full(keys.shape[1], ~_U64(0), dtype=_U64)
-    for q in qubits:
-        w, s = _slot(q)
-        mask[w] &= ~(_U64(3) << _U64(s))
-    if rows is None:
-        keys &= mask
-    else:
-        keys[rows] &= mask
 
 
 def _one_qubit_event(keys: np.ndarray, q: int, f: float, rng) -> None:
@@ -102,117 +74,22 @@ def _two_qubit_event(keys: np.ndarray, qa: int, qb: int, f: float, rng) -> None:
     _xor_label(keys, rows, qb, pick & 3)
 
 
-def _hadamard(keys: np.ndarray, q: int) -> None:
-    w, s = _slot(q)
-    col = keys[:, w]
-    x = (col >> _U64(s)) & _U64(1)
-    z = (col >> _U64(s + 1)) & _U64(1)
-    d = x ^ z
-    keys[:, w] = col ^ ((d << _U64(s)) | (d << _U64(s + 1)))
-
-
-def _cnot(keys: np.ndarray, control: int, target: int) -> None:
-    wc, sc = _slot(control)
-    wt, st = _slot(target)
-    xc = (keys[:, wc] >> _U64(sc)) & _U64(1)
-    keys[:, wt] ^= xc << _U64(st)
-    zt = (keys[:, wt] >> _U64(st + 1)) & _U64(1)
-    keys[:, wc] ^= zt << _U64(sc + 1)
-
-
-def _verify(keys: np.ndarray, block, verifier: int) -> None:
-    detected = (_get_labels(keys, verifier) & _U64(1)) != 0
-    if detected.any():
-        _clear(keys, block, detected)
-    _clear(keys, [verifier])
-
-
-def _syndrome(keys: np.ndarray, block) -> None:
-    bits = [_get_labels(keys, q) & _U64(1) for q in block]
-    syndrome = [
-        np.bitwise_xor.reduce([bits[j] for j in range(7) if CHECK_MATRIX[r, j]])
-        for r in range(3)
-    ]
-    _clear(keys, block)
-    for r in range(3):
-        w, s = _slot(block[r])
-        keys[:, w] |= syndrome[r] << _U64(s)
-
-
-def _coset_reduce(keys: np.ndarray, block, basis: str) -> None:
-    shift = 1 if basis == "z" else 0
-    bits = []
-    for q in block:
-        w, s = _slot(q)
-        bits.append((keys[:, w] >> _U64(s + shift)) & _U64(1))
-    syndrome = [
-        np.bitwise_xor.reduce([bits[j] for j in range(7) if CHECK_MATRIX[r, j]])
-        for r in range(3)
-    ]
-    value = (4 * syndrome[0] + 2 * syndrome[1] + syndrome[2]).astype(np.int64)
-    for j, q in enumerate(block):
-        w, s = _slot(q)
-        keys[:, w] &= ~(_U64(1) << _U64(s + shift))
-        hit = value == j + 1
-        if hit.any():
-            keys[hit, w] |= _U64(1) << _U64(s + shift)
-
-
-def _correct(keys: np.ndarray, data, ancilla_blocks, phase: str) -> None:
-    vals = []
-    for block in ancilla_blocks:
-        v = (
-            4 * (_get_labels(keys, block[0]) & _U64(1))
-            + 2 * (_get_labels(keys, block[1]) & _U64(1))
-            + (_get_labels(keys, block[2]) & _U64(1))
-        )
-        vals.append(v.astype(np.int64))
-    v0, v1, v2 = vals
-    maj = np.where((v0 == v1) | (v0 == v2), v0, np.where(v1 == v2, v1, 0))
-    label = int(Pauli.X) if phase == "bit" else int(Pauli.Z)
-    for pos in range(7):
-        rows = np.nonzero(maj == pos + 1)[0]
-        if rows.size:
-            _xor_label(keys, rows, data[pos],
-                       np.full(rows.size, label, dtype=np.int64))
-    _clear(keys, [q for b in ancilla_blocks for q in b])
-
-
 def _run_chunk(prog: Program, n: int, rng, initial_errors=None) -> int:
     keys = np.zeros((n, _nwords(prog.num_qubits)), dtype=_U64)
     for q, label in (initial_errors or {}).items():
         w, sh = _slot(q)
         keys[:, w] |= _U64(int(label)) << _U64(sh)
     for step in prog.steps:
-        if isinstance(step, OneQubitEvent):
+        kind = type(step)
+        if kind is OneQubitEvent:
             _one_qubit_event(keys, step.qubit, step.f, rng)
-        elif isinstance(step, TwoQubitEvent):
+        elif kind is TwoQubitEvent:
             _two_qubit_event(keys, step.qubit_a, step.qubit_b, step.f, rng)
-        elif isinstance(step, Hadamard):
-            _hadamard(keys, step.qubit)
-        elif isinstance(step, CNot):
-            _cnot(keys, step.control, step.target)
-        elif isinstance(step, (MergeSets, SplitOff, Measure)):
-            pass
-        elif isinstance(step, Reset):
-            _clear(keys, step.qubits)
-        elif isinstance(step, VerifyReadout):
-            _verify(keys, step.block, step.verifier)
-        elif isinstance(step, SyndromeMeasure):
-            _syndrome(keys, step.block)
-        elif isinstance(step, CosetReduce):
-            _coset_reduce(keys, step.block, step.basis)
-        elif isinstance(step, Correct):
-            _correct(keys, step.data, step.ancilla_blocks, step.phase)
-        else:  # pragma: no cover
-            raise ProgramError("unknown step %r" % (step,))
-    crashed = np.zeros(n, dtype=bool)
-    for block in prog.crash_blocks:
-        weight = np.zeros(n, dtype=np.int64)
-        for q in block:
-            weight += _get_labels(keys, q) != 0
-        crashed |= weight > 1
-    return int(crashed.sum())
+        else:
+            spec = step_kind(step)
+            if spec.kernel is not None:
+                spec.function(keys, *spec.args(step, spec.operands(step)))
+    return n - int(np.count_nonzero(qecc.correctable(keys, prog.crash_blocks)))
 
 
 def _run_shard(prog: Program, iterations: int, rng, initial_errors=None) -> int:

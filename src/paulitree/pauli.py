@@ -105,49 +105,3 @@ class PauliString:
     def __repr__(self) -> str:
         return "PauliString(%r)" % str(self)
 
-
-def weight(s: PauliString) -> int:
-    """Number of positions carrying a non-identity label."""
-    count = 0
-    bits = s.bits
-    while bits:
-        if bits & 3:
-            count += 1
-        bits >>= 2
-    return count
-
-
-def compose_at(s: PauliString, q: int, label: Pauli) -> PauliString:
-    """Compose ``label`` onto position q, leaving other positions alone."""
-    s._check_index(q)
-    return PauliString(s.bits ^ (int(label) << (2 * q)), s.n)
-
-
-def apply_hadamard(s: PauliString, q: int) -> PauliString:
-    """Conjugate position q by a Hadamard: X and Z swap, I and Y are fixed.
-
-    HYH = -Y, and phases are discarded, so Y maps to itself.
-    """
-    s._check_index(q)
-    x = (s.bits >> (2 * q)) & 1
-    z = (s.bits >> (2 * q + 1)) & 1
-    d = x ^ z
-    # flipping both component bits swaps X and Z and fixes I and Y
-    return PauliString(s.bits ^ ((d << (2 * q)) | (d << (2 * q + 1))), s.n)
-
-
-def apply_cnot(s: PauliString, control: int, target: int) -> PauliString:
-    """Conjugate by a CNOT: the X component of the control copies onto the
-    target and the Z component of the target copies onto the control.
-
-    Copying means composing with the label already at the destination;
-    Y is treated as simultaneous X and Z components.
-    """
-    s._check_index(control)
-    s._check_index(target)
-    if control == target:
-        raise ValueError("CNOT control and target must differ")
-    xc = (s.bits >> (2 * control)) & 1
-    zt = (s.bits >> (2 * target + 1)) & 1
-    bits = s.bits ^ (xc << (2 * target)) ^ (zt << (2 * control + 1))
-    return PauliString(bits, s.n)

@@ -14,6 +14,12 @@ operated on and the memory decay constant if it idled.  Gate
 imprecision, measurement, and reset errors are separate events attached
 to the operations themselves.
 
+Every step kind has one entry in :data:`STEP_KINDS`: its text form, the
+qubits that must share a QubitSet, the qubit groups it releases, and for
+a deterministic kind the key-array kernel both engines apply.  The
+engines branch only on the structural kinds (the two events,
+``MergeSets`` and ``SplitOff``); everything else is read from the table.
+
 The text serialization (see :func:`serialize_program`) is line oriented,
 one step per line, and round-trips exactly; its SHA-256 hash identifies
 an elaborated program in experiment reports.
@@ -23,8 +29,10 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from types import ModuleType
+from typing import Any, Callable, Iterable, Sequence, Union
 
+from . import errormap, qecc
 from .noise import NoiseParams, decoherence_prob
 
 
@@ -137,6 +145,123 @@ Step = Union[
     OneQubitEvent, TwoQubitEvent, Hadamard, CNot, MergeSets, SplitOff,
     Reset, Measure, VerifyReadout, SyndromeMeasure, CosetReduce, Correct,
 ]
+
+
+def _ids(qubits: Iterable[int]) -> str:
+    return ",".join(str(q) for q in qubits)
+
+
+def _parse_ids(text: str) -> tuple[int, ...]:
+    return tuple(int(tok) for tok in text.split(",") if tok != "")
+
+
+def _none(step) -> tuple:
+    return ()
+
+
+def _positions(step, q: Sequence[int]) -> Sequence[int]:
+    return q
+
+
+@dataclass(frozen=True)
+class StepKind:
+    """What the engines, :func:`elaborate` and the text format know about
+    one step kind.
+
+    ``text`` is the line format, keyword first, filled from
+    ``fields(step)``; ``parse`` rebuilds the step from the line's operand
+    tokens.  ``operands`` lists the qubits that must share a QubitSet
+    when the step runs, and ``releases`` the qubit groups split off right
+    after it.  A deterministic kind names its key-array kernel as
+    (module, function); ``args(step, q)`` gives the kernel's arguments
+    after the keys, where ``q`` holds the key positions of the operands
+    in order.  ``collide`` says the kernel can map two keys onto one.
+    """
+
+    text: str
+    fields: Callable[[Any], Any]
+    parse: Callable[..., Any]
+    operands: Callable[[Any], tuple[int, ...]] = _none
+    releases: Callable[[Any], tuple[tuple[int, ...], ...]] = _none
+    kernel: tuple[ModuleType, str] | None = None
+    args: Callable[[Any, Sequence[int]], tuple] = _positions
+    collide: bool = True
+
+    @property
+    def function(self) -> Callable[..., None]:
+        """The kernel, read from its module at each use, so that a wrapper
+        put in the module's place (a profiler's) sees every call."""
+        module, name = self.kernel
+        return getattr(module, name)
+
+
+STEP_KINDS: dict[type, StepKind] = {
+    OneQubitEvent: StepKind(
+        "e1 %d %r", lambda s: (s.qubit, s.f),
+        lambda q, f: OneQubitEvent(int(q), float(f)),
+        operands=lambda s: (s.qubit,)),
+    TwoQubitEvent: StepKind(
+        "e2 %d %d %r", lambda s: (s.qubit_a, s.qubit_b, s.f),
+        lambda a, b, f: TwoQubitEvent(int(a), int(b), float(f)),
+        operands=lambda s: (s.qubit_a, s.qubit_b)),
+    Hadamard: StepKind(
+        "h %d", lambda s: s.qubit, lambda q: Hadamard(int(q)),
+        operands=lambda s: (s.qubit,),
+        kernel=(errormap, "hadamard_kernel"), collide=False),
+    CNot: StepKind(
+        "cx %d %d", lambda s: (s.control, s.target),
+        lambda c, t: CNot(int(c), int(t)),
+        operands=lambda s: (s.control, s.target),
+        kernel=(errormap, "cnot_kernel"), collide=False),
+    MergeSets: StepKind(
+        "merge %d %d", lambda s: (s.qubit_a, s.qubit_b),
+        lambda a, b: MergeSets(int(a), int(b))),
+    SplitOff: StepKind(
+        "split %s", lambda s: _ids(s.qubits), lambda ids: SplitOff(_parse_ids(ids))),
+    Reset: StepKind(
+        "reset %s", lambda s: _ids(s.qubits), lambda ids: Reset(_parse_ids(ids)),
+        operands=lambda s: s.qubits,
+        kernel=(errormap, "clear_kernel"), args=lambda s, q: (q,)),
+    # a classical record: the measurement-error events before it did the work
+    Measure: StepKind(
+        "measure %s", lambda s: _ids(s.qubits), lambda ids: Measure(_parse_ids(ids))),
+    VerifyReadout: StepKind(
+        "verify %d %s", lambda s: (s.verifier, _ids(s.block)),
+        lambda v, ids: VerifyReadout(_parse_ids(ids), int(v)),
+        operands=lambda s: s.block + (s.verifier,),
+        releases=lambda s: ((s.verifier,),),
+        kernel=(qecc, "verify_kernel"), args=lambda s, q: (q[:-1], q[-1])),
+    SyndromeMeasure: StepKind(
+        "synd %d %s", lambda s: (s.slot, _ids(s.block)),
+        lambda slot, ids: SyndromeMeasure(_parse_ids(ids), int(slot)),
+        operands=lambda s: s.block,
+        kernel=(qecc, "syndrome_kernel"), args=lambda s, q: (q,)),
+    CosetReduce: StepKind(
+        "coset %s %s", lambda s: (s.basis, _ids(s.block)),
+        lambda basis, ids: CosetReduce(_parse_ids(ids), basis),
+        operands=lambda s: s.block,
+        kernel=(qecc, "coset_reduce_kernel"), args=lambda s, q: (q, s.basis)),
+    Correct: StepKind(
+        "correct %s %s %s",
+        lambda s: (s.phase, _ids(s.data), ";".join(_ids(b) for b in s.ancilla_blocks)),
+        lambda phase, data, anc: Correct(
+            _parse_ids(data), tuple(_parse_ids(b) for b in anc.split(";")), phase),
+        operands=lambda s: s.data + tuple(q for b in s.ancilla_blocks for q in b),
+        releases=lambda s: s.ancilla_blocks,
+        kernel=(qecc, "correct_kernel"),
+        args=lambda s, q: (q[:7], [q[7 + 7 * k:14 + 7 * k]
+                                   for k in range(len(s.ancilla_blocks))], s.phase)),
+}
+
+_KIND_BY_KEYWORD = {kind.text.split(" ", 1)[0]: kind for kind in STEP_KINDS.values()}
+
+
+def step_kind(step) -> StepKind:
+    """The table entry of a step; ProgramError for an unknown kind."""
+    try:
+        return STEP_KINDS[type(step)]
+    except KeyError:
+        raise ProgramError("unknown step kind %r" % (step,)) from None
 
 
 @dataclass(frozen=True)
@@ -264,15 +389,13 @@ def _logical_cnot(sched: Schedule, block_a: tuple[int, ...], block_b: tuple[int,
 def build_basic_program(params: NoiseParams, transport_um: float = 0.0) -> Program:
     """The two-logical-qubit benchmark: logical CNOT, recovery of both
     blocks, a second logical CNOT, recovery, and final measurement."""
-    from . import qecc
-
     n_logical = 2
     data, ancilla, verifier = _machine_layout(n_logical)
     sched = Schedule(7 * n_logical + 22, params)
     for _ in range(2):
         _logical_cnot(sched, data[0], data[1], transport_um)
         for block in data:
-            qecc.build_recovery(sched, block, ancilla, verifier, transport_um)
+            qecc.build_recovery(sched, block, ancilla, verifier)
     sched.cycle(measures=[q for block in data for q in block])
     return Program(
         name="basic",
@@ -308,8 +431,6 @@ def build_scaling_program(n_logical: int, params: NoiseParams,
     """Scalability benchmark: N-1 logical CNOTs over ceil(log2 N) phases,
     recovery of both operand blocks after each CNOT, seven extra cycles
     of idle time per phase, and final measurement of every block."""
-    from . import qecc
-
     if n_logical < 2:
         raise ValueError("scaling program needs at least 2 logical qubits")
     data, ancilla, verifier = _machine_layout(n_logical)
@@ -318,7 +439,7 @@ def build_scaling_program(n_logical: int, params: NoiseParams,
         for src, dst in pairs:
             _logical_cnot(sched, data[src], data[dst], transport_um)
             for b in (src, dst):
-                qecc.build_recovery(sched, data[b], ancilla, verifier, transport_um)
+                qecc.build_recovery(sched, data[b], ancilla, verifier)
         for _ in range(7):
             sched.cycle()
     sched.cycle(measures=[q for block in data for q in block])
@@ -334,30 +455,6 @@ def build_scaling_program(n_logical: int, params: NoiseParams,
 
 
 # -- elaboration ---------------------------------------------------------
-
-
-def _coresident_groups(step: Step) -> list[tuple[int, ...]]:
-    if isinstance(step, TwoQubitEvent):
-        return [(step.qubit_a, step.qubit_b)]
-    if isinstance(step, CNot):
-        return [(step.control, step.target)]
-    if isinstance(step, VerifyReadout):
-        return [step.block + (step.verifier,)]
-    if isinstance(step, SyndromeMeasure):
-        return [step.block]
-    if isinstance(step, CosetReduce):
-        return [step.block]
-    if isinstance(step, Correct):
-        return [step.data + tuple(q for blk in step.ancilla_blocks for q in blk)]
-    return []
-
-
-def _splits_after(step: Step) -> list[SplitOff]:
-    if isinstance(step, VerifyReadout):
-        return [SplitOff((step.verifier,))]
-    if isinstance(step, Correct):
-        return [SplitOff(tuple(blk)) for blk in step.ancilla_blocks]
-    return []
 
 
 class _Partition:
@@ -416,18 +513,19 @@ def elaborate(prog: Program) -> Program:
             out.append(step)
             i += 1
             continue
-        for group in _coresident_groups(step):
-            for q in group:
-                if q not in part.set_of:
-                    raise ProgramError("step references undeclared qubit %d" % q)
-            anchor = group[0]
-            for q in group[1:]:
-                if part.set_of[q] != part.set_of[anchor]:
-                    out.append(MergeSets(anchor, q))
-                    part.union(anchor, q)
+        kind = step_kind(step)
+        group = kind.operands(step)
+        for q in group:
+            if q not in part.set_of:
+                raise ProgramError("step references undeclared qubit %d" % q)
+        for q in group[1:]:
+            if part.set_of[q] != part.set_of[group[0]]:
+                out.append(MergeSets(group[0], q))
+                part.union(group[0], q)
         out.append(step)
         j = i + 1  # walk past splits already present from a prior elaboration
-        for split_step in _splits_after(step):
+        for released in kind.releases(step):
+            split_step = SplitOff(tuple(released))
             if j < len(steps) and steps[j] == split_step:
                 j += 1
                 continue
@@ -449,14 +547,6 @@ def elaborate(prog: Program) -> Program:
 # -- text serialization --------------------------------------------------
 
 
-def _ids(qubits: Iterable[int]) -> str:
-    return ",".join(str(q) for q in qubits)
-
-
-def _parse_ids(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split(",") if tok != "")
-
-
 def serialize_program(prog: Program) -> str:
     """Line-oriented text form; one step per line, keyword plus operands."""
     lines = [
@@ -470,37 +560,10 @@ def serialize_program(prog: Program) -> str:
         lines.append("set %s" % _ids(group))
     for block in prog.crash_blocks:
         lines.append("block %s" % _ids(block))
+    kinds = STEP_KINDS
     for step in prog.steps:
-        if isinstance(step, OneQubitEvent):
-            lines.append("e1 %d %r" % (step.qubit, step.f))
-        elif isinstance(step, TwoQubitEvent):
-            lines.append("e2 %d %d %r" % (step.qubit_a, step.qubit_b, step.f))
-        elif isinstance(step, Hadamard):
-            lines.append("h %d" % step.qubit)
-        elif isinstance(step, CNot):
-            lines.append("cx %d %d" % (step.control, step.target))
-        elif isinstance(step, MergeSets):
-            lines.append("merge %d %d" % (step.qubit_a, step.qubit_b))
-        elif isinstance(step, SplitOff):
-            lines.append("split %s" % _ids(step.qubits))
-        elif isinstance(step, Reset):
-            lines.append("reset %s" % _ids(step.qubits))
-        elif isinstance(step, Measure):
-            lines.append("measure %s" % _ids(step.qubits))
-        elif isinstance(step, VerifyReadout):
-            lines.append("verify %d %s" % (step.verifier, _ids(step.block)))
-        elif isinstance(step, SyndromeMeasure):
-            lines.append("synd %d %s" % (step.slot, _ids(step.block)))
-        elif isinstance(step, CosetReduce):
-            lines.append("coset %s %s" % (step.basis, _ids(step.block)))
-        elif isinstance(step, Correct):
-            lines.append(
-                "correct %s %s %s"
-                % (step.phase, _ids(step.data),
-                   ";".join(_ids(blk) for blk in step.ancilla_blocks))
-            )
-        else:  # pragma: no cover
-            raise ProgramError("unserializable step %r" % (step,))
+        kind = kinds.get(type(step)) or step_kind(step)
+        lines.append(kind.text % kind.fields(step))
     return "\n".join(lines) + "\n"
 
 
@@ -521,44 +584,13 @@ def parse_program(text: str) -> Program:
                 partition.append(_parse_ids(rest))
             elif kw == "block":
                 blocks.append(_parse_ids(rest))
-            elif kw == "e1":
-                q, f = rest.split()
-                steps.append(OneQubitEvent(int(q), float(f)))
-            elif kw == "e2":
-                a, b, f = rest.split()
-                steps.append(TwoQubitEvent(int(a), int(b), float(f)))
-            elif kw == "h":
-                steps.append(Hadamard(int(rest)))
-            elif kw == "cx":
-                c, t = rest.split()
-                steps.append(CNot(int(c), int(t)))
-            elif kw == "merge":
-                a, b = rest.split()
-                steps.append(MergeSets(int(a), int(b)))
-            elif kw == "split":
-                steps.append(SplitOff(_parse_ids(rest)))
-            elif kw == "reset":
-                steps.append(Reset(_parse_ids(rest)))
-            elif kw == "measure":
-                steps.append(Measure(_parse_ids(rest)))
-            elif kw == "verify":
-                v, ids = rest.split()
-                steps.append(VerifyReadout(_parse_ids(ids), int(v)))
-            elif kw == "synd":
-                slot, ids = rest.split()
-                steps.append(SyndromeMeasure(_parse_ids(ids), int(slot)))
-            elif kw == "coset":
-                basis, ids = rest.split()
-                steps.append(CosetReduce(_parse_ids(ids), basis))
-            elif kw == "correct":
-                phase, data, anc = rest.split()
-                steps.append(
-                    Correct(
-                        _parse_ids(data),
-                        tuple(_parse_ids(blk) for blk in anc.split(";")),
-                        phase,
-                    )
-                )
+            elif kw in _KIND_BY_KEYWORD:
+                kind = _KIND_BY_KEYWORD[kw]
+                tokens = rest.split()
+                arity = kind.text.count("%")
+                if len(tokens) != arity:
+                    raise ValueError("%s takes %d operands, got %d" % (kw, arity, len(tokens)))
+                steps.append(kind.parse(*tokens))
             else:
                 raise ValueError("unknown keyword %r" % kw)
         except (ValueError, IndexError) as exc:

@@ -10,9 +10,12 @@ faulty ancilla or measurement cannot outvote two good extractions.
 
 ``build_recovery`` emits the full cycle-level circuit onto a
 :class:`~paulitree.program.Schedule`.  The ``*_kernel`` functions are
-the deterministic error-map transformations behind the readout tasks;
-the analytical engine applies them to probability vectors, the Monte
-Carlo engine applies the same logic to sampled strings.
+the deterministic transformations behind the readout tasks, written on
+packed (rows, words) key arrays like the gate kernels of
+:mod:`~paulitree.errormap`; ``correctable`` is the per-row crash
+observable.  Both engines share them: the analytical engine applies
+them to an error map's keys, the Monte Carlo engine to its sampled
+strings.
 """
 
 from __future__ import annotations
@@ -21,9 +24,9 @@ import math
 
 import numpy as np
 
-from .errormap import ErrorMap, _aggregate, _slot
+from . import program
+from .errormap import ErrorMap, _clear_mask, _nwords, _row_from_int, _slot
 from .pauli import Pauli, PauliString
-from .program import Correct, CosetReduce, Schedule, SyndromeMeasure, VerifyReadout
 
 _U64 = np.uint64
 
@@ -99,7 +102,7 @@ def count_nonfailing_states(code, max_weight: int | None = None) -> int:
 # -- circuit emission ----------------------------------------------------
 
 
-def prepare_ancilla(sched: Schedule, block: tuple[int, ...], basis: str) -> None:
+def prepare_ancilla(sched: program.Schedule, block: tuple[int, ...], basis: str) -> None:
     """Encode a fresh logical ancilla in ``block``.
 
     ``basis`` "z" leaves the logical zero; "x" appends a transversal
@@ -115,7 +118,7 @@ def prepare_ancilla(sched: Schedule, block: tuple[int, ...], basis: str) -> None
         raise ValueError("basis must be 'z' or 'x', got %r" % (basis,))
 
 
-def verify_ancilla(sched: Schedule, block: tuple[int, ...], verifier: int,
+def verify_ancilla(sched: program.Schedule, block: tuple[int, ...], verifier: int,
                    basis: str) -> None:
     """Check the ancilla block for the error type that would propagate
     into the data during extraction, reusing one verifier qubit to
@@ -147,10 +150,10 @@ def verify_ancilla(sched: Schedule, block: tuple[int, ...], verifier: int,
             for q in checked:
                 sched.cycle(cnots=[(q, verifier)])
         sched.cycle(measures=[verifier])
-        sched.task(VerifyReadout(tuple(block), verifier))
+        sched.task(program.VerifyReadout(tuple(block), verifier))
 
 
-def extract_syndrome(sched: Schedule, data: tuple[int, ...],
+def extract_syndrome(sched: program.Schedule, data: tuple[int, ...],
                      block: tuple[int, ...], phase: str, slot: int) -> None:
     """Copy the data block's errors of one kind onto the ancilla and
     measure it, leaving the 3-bit syndrome stored in the block.
@@ -162,19 +165,19 @@ def extract_syndrome(sched: Schedule, data: tuple[int, ...],
     block by the extraction CNOTs.
     """
     if phase == "bit":
-        sched.task(CosetReduce(tuple(block), "z"))
+        sched.task(program.CosetReduce(tuple(block), "z"))
         sched.cycle(cnots=list(zip(data, block)))
     elif phase == "phase":
-        sched.task(CosetReduce(tuple(block), "x"))
+        sched.task(program.CosetReduce(tuple(block), "x"))
         sched.cycle(cnots=list(zip(block, data)))
         sched.cycle(hadamards=block)
     else:
         raise ValueError("phase must be 'bit' or 'phase', got %r" % (phase,))
     sched.cycle(measures=block)
-    sched.task(SyndromeMeasure(tuple(block), slot))
+    sched.task(program.SyndromeMeasure(tuple(block), slot))
 
 
-def apply_correction(sched: Schedule, data: tuple[int, ...],
+def apply_correction(sched: program.Schedule, data: tuple[int, ...],
                      ancilla_blocks: tuple[tuple[int, ...], ...], phase: str) -> None:
     """Majority-vote the three stored syndromes and correct the data block.
 
@@ -183,15 +186,14 @@ def apply_correction(sched: Schedule, data: tuple[int, ...],
     is far below the decoherence accrued while decoding).
     """
     sched.cycle()
-    sched.task(Correct(tuple(data), tuple(tuple(b) for b in ancilla_blocks), phase))
+    sched.task(program.Correct(tuple(data), tuple(tuple(b) for b in ancilla_blocks), phase))
 
 
-def build_recovery(sched: Schedule, data: tuple[int, ...],
-                   ancilla_blocks: tuple[tuple[int, ...], ...], verifier: int,
-                   transport_um: float = 0.0) -> None:
+def build_recovery(sched: program.Schedule, data: tuple[int, ...],
+                   ancilla_blocks: tuple[tuple[int, ...], ...], verifier: int) -> None:
     """Full fault-tolerant recovery of one data block: bit phase then
-    phase phase, three verified syndrome extractions each."""
-    del transport_um  # recovery is local; transport shows up between blocks
+    phase phase, three verified syndrome extractions each.  Recovery is
+    local, so it carries no transport."""
     for phase, basis in (("bit", "z"), ("phase", "x")):
         for slot, block in enumerate(ancilla_blocks):
             prepare_ancilla(sched, block, basis)
@@ -200,68 +202,57 @@ def build_recovery(sched: Schedule, data: tuple[int, ...],
         apply_correction(sched, data, ancilla_blocks, phase)
 
 
-# -- analytical readout kernels -----------------------------------------
+# -- readout kernels ------------------------------------------------------
+#
+# Like the gate kernels these rewrite a (rows, words) packed key array in
+# place; block and qubit arguments are key positions.
 
 
-def _xbits(keys: np.ndarray, q: int) -> np.ndarray:
-    """Per-entry X component (bit 0 of the 2-bit label) at local position q."""
+def _xbits(keys: np.ndarray, q: int, shift: int = 0) -> np.ndarray:
+    """Per-entry X component (bit 0 of the 2-bit label) at position q, or
+    the Z component (bit 1) with ``shift`` 1."""
     w, s = _slot(q)
-    return (keys[:, w] >> _U64(s)) & _U64(1)
+    return (keys[:, w] >> _U64(s + shift)) & _U64(1)
 
 
-def _clear_mask(nwords: int, positions: list[int]) -> np.ndarray:
-    mask = np.full(nwords, ~_U64(0), dtype=_U64)
-    for q in positions:
-        w, s = _slot(q)
-        mask[w] &= ~(_U64(3) << _U64(s))
-    return mask
+def _parity_checks(keys: np.ndarray, block, shift: int = 0) -> list[np.ndarray]:
+    """Per-entry 3-bit syndrome of the block's X (or, shifted, Z) component."""
+    bits = [_xbits(keys, q, shift) for q in block]
+    return [
+        np.bitwise_xor.reduce([bits[j] for j in range(7) if CHECK_MATRIX[r, j]])
+        for r in range(3)
+    ]
 
 
-def _recanonicalize(emap: ErrorMap) -> None:
-    emap._keys, emap._probs = _aggregate(emap._keys, emap._probs)
-    emap._v = None
-    emap._dirty = False
-
-
-def verify_kernel(emap: ErrorMap, block: list[int], verifier: int) -> None:
-    """Apply the verification readout to an error map in place.
+def verify_kernel(keys: np.ndarray, block, verifier: int) -> None:
+    """Verification readout.
 
     Entries where the verifier carries an X component are the detected
     branch: their ancilla block is replaced by an error-free one (the
     retry-until-success model).  The verifier is cleared everywhere.
     """
-    emap._ensure_ready()
-    keys = emap._keys
     detected = _xbits(keys, verifier) != 0
     if detected.any():
         keys[detected] &= _clear_mask(keys.shape[1], block)
     keys &= _clear_mask(keys.shape[1], [verifier])
-    _recanonicalize(emap)
 
 
-def syndrome_kernel(emap: ErrorMap, block: list[int]) -> None:
-    """Apply the syndrome readout to an error map in place.
+def syndrome_kernel(keys: np.ndarray, block) -> None:
+    """Syndrome readout.
 
     The measured classical bits are the X components of the ancilla
     block; the three parity-check sums replace the block's state, stored
     as X labels at the block's first three positions.
     """
-    emap._ensure_ready()
-    keys = emap._keys
-    bits = [_xbits(keys, q) for q in block]
-    syndrome = [
-        np.bitwise_xor.reduce([bits[j] for j in range(7) if CHECK_MATRIX[r, j]])
-        for r in range(3)
-    ]
-    keys &= _clear_mask(keys.shape[1], list(block))
+    syndrome = _parity_checks(keys, block)
+    keys &= _clear_mask(keys.shape[1], block)
     for r in range(3):
         w, s = _slot(block[r])
         keys[:, w] |= syndrome[r] << _U64(s)
-    _recanonicalize(emap)
 
 
-def coset_reduce_kernel(emap: ErrorMap, block: list[int], basis: str) -> None:
-    """Reduce the block's trivially-acting error component in place.
+def coset_reduce_kernel(keys: np.ndarray, block, basis: str) -> None:
+    """Reduce the block's trivially-acting error component.
 
     For a logical-zero ancilla (basis "z") the Z patterns that act as
     the identity are exactly the kernel of the check matrix (Z
@@ -277,16 +268,7 @@ def coset_reduce_kernel(emap: ErrorMap, block: list[int], basis: str) -> None:
         shift = 0
     else:
         raise ValueError("basis must be 'z' or 'x', got %r" % (basis,))
-    emap._ensure_ready()
-    keys = emap._keys
-    bits = []
-    for q in block:
-        w, s = _slot(q)
-        bits.append((keys[:, w] >> _U64(s + shift)) & _U64(1))
-    syndrome = [
-        np.bitwise_xor.reduce([bits[j] for j in range(7) if CHECK_MATRIX[r, j]])
-        for r in range(3)
-    ]
+    syndrome = _parity_checks(keys, block, shift)
     value = (4 * syndrome[0] + 2 * syndrome[1] + syndrome[2]).astype(np.int64)
     for j, q in enumerate(block):
         w, s = _slot(q)
@@ -294,10 +276,9 @@ def coset_reduce_kernel(emap: ErrorMap, block: list[int], basis: str) -> None:
         hit = value == j + 1
         if hit.any():
             keys[hit, w] |= _U64(1) << _U64(s + shift)
-    _recanonicalize(emap)
 
 
-def _majority_syndrome(keys: np.ndarray, blocks: list[list[int]]) -> np.ndarray:
+def _majority_syndrome(keys: np.ndarray, blocks) -> np.ndarray:
     """Per-entry majority vote over the three stored 3-bit syndromes;
     entries with three-way disagreement vote 0 (no correction)."""
     vals = []
@@ -314,9 +295,8 @@ def _majority_syndrome(keys: np.ndarray, blocks: list[list[int]]) -> np.ndarray:
     )
 
 
-def correct_kernel(emap: ErrorMap, data: list[int],
-                   ancilla_blocks: list[list[int]], phase: str) -> None:
-    """Decode and apply the voted correction to an error map in place.
+def correct_kernel(keys: np.ndarray, data, ancilla_blocks, phase: str) -> None:
+    """Decode and apply the voted correction.
 
     The correction composes an X (bit phase) or Z (phase phase) onto the
     decoded data position of each entry; the spent ancilla blocks are
@@ -328,8 +308,6 @@ def correct_kernel(emap: ErrorMap, data: list[int],
         label = int(Pauli.Z)
     else:
         raise ValueError("phase must be 'bit' or 'phase', got %r" % (phase,))
-    emap._ensure_ready()
-    keys = emap._keys
     maj = _majority_syndrome(keys, ancilla_blocks)
     for pos in range(7):
         hit = maj == pos + 1
@@ -337,14 +315,11 @@ def correct_kernel(emap: ErrorMap, data: list[int],
             w, s = _slot(data[pos])
             keys[hit, w] ^= _U64(label) << _U64(s)
     keys &= _clear_mask(keys.shape[1], [q for b in ancilla_blocks for q in b])
-    _recanonicalize(emap)
 
 
-def surviving_mass(emap: ErrorMap, blocks: list[list[int]]) -> float:
-    """Probability mass of entries where every listed block carries at
-    most one errored qubit, i.e. remains correctable."""
-    emap._ensure_ready()
-    keys = emap._keys
+def correctable(keys: np.ndarray, blocks) -> np.ndarray:
+    """Per-entry mask: every listed block carries at most one errored
+    qubit, i.e. remains correctable.  Its complement is a crash."""
     ok = np.ones(keys.shape[0], dtype=bool)
     for block in blocks:
         weight = np.zeros(keys.shape[0], dtype=np.int64)
@@ -352,13 +327,15 @@ def surviving_mass(emap: ErrorMap, blocks: list[list[int]]) -> float:
             w, s = _slot(q)
             weight += ((keys[:, w] >> _U64(s)) & _U64(3)) != 0
         ok &= weight <= 1
-    return float(emap._probs[ok].sum())
+    return ok
+
+
+def surviving_mass(emap: ErrorMap, blocks) -> float:
+    """Probability mass of a map's correctable entries."""
+    return emap.mass_where(correctable, blocks)
 
 
 def classify_crash(state: PauliString, blocks: list[list[int]]) -> bool:
     """True when some block carries more than one errored qubit."""
-    labels = state.labels()
-    for block in blocks:
-        if sum(1 for q in block if labels[q] != Pauli.I) > 1:
-            return True
-    return False
+    keys = _row_from_int(state.bits, _nwords(state.n))[None, :]
+    return not correctable(keys, blocks)[0]

@@ -3,7 +3,9 @@
 Each criterion is a separate test so the pass/fail line names it.  The
 heavyweight threshold sweep over the basic benchmark is computed once
 (module-scoped fixture) and shared by the normalization, crash-band, and
-merge-mode-bracket criteria.
+merge-mode-bracket criteria.  The experiments are marked ``slow``
+(``pytest -m "not slow"`` leaves them out); criteria 1 and 6 take under
+a second and stay in the quick loop.
 
 Two criteria pin a configuration this implementation cannot reach on a
 desk-class machine, and their tests fail honestly rather than moving the
@@ -125,6 +127,7 @@ def test_criterion1_oracle_equivalence_on_random_toy_programs():
 # -- criterion 2: normalization across the sweep --------------------------
 
 
+@pytest.mark.slow
 def test_criterion2_normalization_at_every_sweep_point(basic_sweep):
     for (e, m, mode), rep in basic_sweep.items():
         total = (
@@ -159,6 +162,7 @@ def _recovery_only_program():
     )
 
 
+@pytest.mark.slow
 def test_criterion3_distance3_exhaustive_correction():
     prog = _recovery_only_program()
     labels = (Pauli.X, Pauli.Y, Pauli.Z)
@@ -198,6 +202,7 @@ def test_criterion3_distance3_exhaustive_correction():
 # -- criterion 4: cross-engine agreement ----------------------------------
 
 
+@pytest.mark.slow
 def test_criterion4_crash_rate_order_of_magnitude(basic_sweep):
     rep = basic_sweep[(1e-7, 1e-16, MergeMode.PRESERVATION)]
     assert 1e-6 <= rep.crash_probability <= 1e-4
@@ -231,6 +236,7 @@ print("CRASH %.17g" % rep.crash_probability)
 """
 
 
+@pytest.mark.slow
 def test_criterion4_cross_engine_agreement_at_100x_noise():
     prog = elaborate(build_basic_program(NoiseParams(global_scale=100.0)))
     mc = run_mc(prog, 1_000_000, seed=42)
@@ -271,6 +277,7 @@ def test_criterion4_cross_engine_agreement_at_100x_noise():
 # -- criterion 5: merge-mode bracket and convergence ------------------------
 
 
+@pytest.mark.slow
 def test_criterion5_merge_mode_bracket_and_convergence(basic_sweep):
     coarse_p = basic_sweep[(1e-6, 1e-10, MergeMode.PRESERVATION)]
     coarse_l = basic_sweep[(1e-6, 1e-10, MergeMode.LOSSY)]
@@ -297,6 +304,7 @@ def test_criterion6_nonfailing_state_counts():
 # -- criterion 7: scaling trends --------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion7_scaling_trends_are_monotone():
     th = Thresholds(1e-6, 1e-12, MergeMode.PRESERVATION)
     walls, peaks = [], []
@@ -328,6 +336,7 @@ ANALYTICAL_LADDER = (
 )
 
 
+@pytest.mark.slow
 def test_criterion8_tenfold_speedup_at_matched_accuracy_100x_noise():
     prog = elaborate(build_basic_program(NoiseParams(global_scale=100.0)))
     pilot = run_mc(prog, 20_000, seed=42)

@@ -14,12 +14,14 @@ from paulitree.errormap import (
     apply_hadamard,
     apply_one_qubit_event,
     apply_two_qubit_event,
+    cnot_kernel,
+    hadamard_kernel,
     merge,
     split,
     sum_matching,
     total_probability,
 )
-from paulitree.pauli import PauliString, weight
+from paulitree.pauli import Pauli, PauliString
 
 TH0 = Thresholds()
 
@@ -114,20 +116,68 @@ class TestTwoQubitEvent:
             apply_two_qubit_event(qset({"II": 1.0}), 1, 1, 0.1, TH0)
 
 
+# hand-enumerated two-qubit CNOT conjugation table (control = qubit 0)
+CNOT_TABLE = {
+    "II": "II", "IX": "IX", "IZ": "ZZ", "IY": "ZY",
+    "XI": "XX", "XX": "XI", "XZ": "YY", "XY": "YZ",
+    "ZI": "ZI", "ZX": "ZX", "ZZ": "IZ", "ZY": "IY",
+    "YI": "YX", "YX": "YI", "YZ": "XY", "YY": "XZ",
+}
+
+# conjugation by a Hadamard; HYH = -Y and the phase is discarded
+HADAMARD_TABLE = {"I": "I", "X": "Z", "Z": "X", "Y": "Y"}
+
+
+def packed(strings):
+    """One packed key row per string (at most 32 qubits)."""
+    return np.array([[PauliString.from_str(t).bits] for t in strings], dtype=np.uint64)
+
+
+def unpacked(keys, n):
+    return [str(PauliString(int(row[0]), n)) for row in keys]
+
+
 class TestGates:
     def test_hadamard_swaps_x_and_z(self):
         out = apply_hadamard(qset({"IXI": 0.5, "IZI": 0.3, "IYI": 0.2}), 1)
         assert_map_close(out, {"IZI": 0.5, "IXI": 0.3, "IYI": 0.2})
+        # the kernel on each label at each of three positions, the others
+        # at I: I stays I and an error stays an error, so weight is kept
+        for q in range(3):
+            src = ["I" * q + lab + "I" * (2 - q) for lab in HADAMARD_TABLE]
+            keys = packed(src)
+            hadamard_kernel(keys, q)
+            assert unpacked(keys, 3) == [
+                "I" * q + HADAMARD_TABLE[lab] + "I" * (2 - q) for lab in HADAMARD_TABLE
+            ]
+            hadamard_kernel(keys, q)
+            assert unpacked(keys, 3) == src
+        with pytest.raises(IndexError):
+            apply_hadamard(qset({"III": 1.0}), 3)
 
     def test_cnot_propagates(self):
         out = apply_cnot(qset({"XII": 0.5, "IIZ": 0.5}), 0, 2)
         assert_map_close(out, {"XIX": 0.5, "ZIZ": 0.5})
+        with pytest.raises(ValueError):
+            apply_cnot(qset({"II": 1.0}), 1, 1)
+        with pytest.raises(IndexError):
+            apply_cnot(qset({"II": 1.0}), 0, 5)
 
     def test_cnot_collisionless_bijection(self):
         entries = {"II": 0.4, "XI": 0.3, "IZ": 0.2, "YY": 0.1}
         out = apply_cnot(qset(entries), 0, 1)
         assert len(as_strs(out)) == 4
         assert total_probability(out) == pytest.approx(1.0, abs=1e-15)
+        # the full conjugation table, on the kernel and then on a map whose
+        # distinct probabilities trace every entry; twice is the identity
+        keys = packed(CNOT_TABLE)
+        cnot_kernel(keys, 0, 1)
+        assert unpacked(keys, 2) == list(CNOT_TABLE.values())
+        cnot_kernel(keys, 0, 1)
+        assert unpacked(keys, 2) == list(CNOT_TABLE)
+        src = {k: (i + 1) / 136.0 for i, k in enumerate(CNOT_TABLE)}
+        out = apply_cnot(qset(src), 0, 1)
+        assert_map_close(out, {CNOT_TABLE[k]: p for k, p in src.items()}, tol=0.0)
 
 
 class TestMerge:
@@ -220,6 +270,10 @@ class TestSummaries:
 
     def test_sum_matching(self):
         qs = qset({"III": 0.7, "IIX": 0.1, "XXI": 0.2})
+
+        def weight(s):
+            return sum(lab != Pauli.I for lab in s.labels())
+
         assert sum_matching(qs, lambda s: weight(s) <= 1) == pytest.approx(0.8)
         assert sum_matching(qs, lambda s: True) == pytest.approx(1.0)
         assert sum_matching(qs, lambda s: weight(s) == 0) == pytest.approx(0.7)

@@ -4,15 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from paulitree.pauli import (
-    Pauli,
-    PauliString,
-    apply_cnot,
-    apply_hadamard,
-    compose,
-    compose_at,
-    weight,
-)
+from paulitree.pauli import Pauli, PauliString, compose
 
 ALL = [Pauli.I, Pauli.X, Pauli.Z, Pauli.Y]
 
@@ -58,76 +50,11 @@ def test_string_validation():
         PauliString.from_str("II").label(2)
 
 
-def test_weight_examples():
-    assert weight(PauliString.from_str("III")) == 0
-    assert weight(PauliString.from_str("IXXYI")) == 3
-    assert weight(PauliString.from_str("XYZ")) == 3
-
-
-def test_hadamard_examples():
-    assert str(apply_hadamard(PauliString.from_str("IXI"), 1)) == "IZI"
-    assert str(apply_hadamard(PauliString.from_str("III"), 0)) == "III"
-    # HYH = -Y; phase discarded
-    assert str(apply_hadamard(PauliString.from_str("IYI"), 1)) == "IYI"
-    with pytest.raises(IndexError):
-        apply_hadamard(PauliString.from_str("III"), 3)
-
-
-def test_cnot_examples():
-    assert str(apply_cnot(PauliString.from_str("XII"), 0, 1)) == "XXI"
-    assert str(apply_cnot(PauliString.from_str("III"), 0, 1)) == "III"
-    assert str(apply_cnot(PauliString.from_str("IZ"), 0, 1)) == "ZZ"
-    with pytest.raises(ValueError):
-        apply_cnot(PauliString.from_str("II"), 1, 1)
-    with pytest.raises(IndexError):
-        apply_cnot(PauliString.from_str("II"), 0, 5)
-
-
-# hand-enumerated two-qubit CNOT conjugation table (control = qubit 0)
-CNOT_TABLE = {
-    "II": "II", "IX": "IX", "IZ": "ZZ", "IY": "ZY",
-    "XI": "XX", "XX": "XI", "XZ": "YY", "XY": "YZ",
-    "ZI": "ZI", "ZX": "ZX", "ZZ": "IZ", "ZY": "IY",
-    "YI": "YX", "YX": "YI", "YZ": "XY", "YY": "XZ",
-}
-
-
-def test_cnot_full_conjugation_table():
-    for src, dst in CNOT_TABLE.items():
-        assert str(apply_cnot(PauliString.from_str(src), 0, 1)) == dst
-
-
-def test_cnot_involution_exhaustive():
-    for src in CNOT_TABLE:
-        s = PauliString.from_str(src)
-        assert apply_cnot(apply_cnot(s, 0, 1), 0, 1) == s
-
-
-def test_hadamard_involution_exhaustive():
-    for lab in "IXYZ":
-        for q in range(3):
-            s = compose_at(PauliString.identity(3), q, Pauli[lab])
-            assert apply_hadamard(apply_hadamard(s, q), q) == s
-
-
 @st.composite
 def pauli_strings(draw, max_n=12):
     n = draw(st.integers(min_value=1, max_value=max_n))
     labels = draw(st.lists(st.sampled_from(ALL), min_size=n, max_size=n))
     return PauliString.from_labels(labels)
-
-
-@given(pauli_strings(), st.data())
-def test_hadamard_preserves_weight(s, data):
-    q = data.draw(st.integers(min_value=0, max_value=len(s) - 1))
-    assert weight(apply_hadamard(s, q)) == weight(s)
-
-
-@given(pauli_strings(), st.data())
-def test_compose_at_is_involution(s, data):
-    q = data.draw(st.integers(min_value=0, max_value=len(s) - 1))
-    lab = data.draw(st.sampled_from(ALL))
-    assert compose_at(compose_at(s, q, lab), q, lab) == s
 
 
 @given(pauli_strings())

@@ -1,7 +1,11 @@
 import math
+from dataclasses import dataclass
 
 import pytest
 
+from paulitree.engine import run_analytical
+from paulitree.errormap import Thresholds
+from paulitree.montecarlo import run_mc
 from paulitree.noise import NoiseParams, decoherence_prob
 from paulitree.program import (
     CNot,
@@ -176,6 +180,11 @@ class TestElaborate:
         with pytest.raises(ProgramError, match="undeclared"):
             elaborate(prog)
 
+    def test_reset_operands_share_a_set(self):
+        prog = elaborate(Program("t", 2, ((0,), (1,)), (Reset((0, 1)),), (), 0, 0))
+        assert prog.steps == (MergeSets(0, 1), Reset((0, 1)))
+        assert run_analytical(prog, Thresholds()).survival_probability == 1.0
+
     def test_correct_merges_data_with_all_ancilla_blocks(self):
         prog = elaborate(build_basic_program(QUIET))
         seen = set()
@@ -231,3 +240,22 @@ class TestSerialization:
         assert program_hash(a) == program_hash(b)
         assert program_hash(a) != program_hash(c)
         assert len(program_hash(a)) == 64
+
+
+@dataclass(frozen=True)
+class Teleport:
+    """A step kind no table entry describes."""
+
+    qubit: int
+
+
+def test_unknown_step_kind_is_a_program_error():
+    prog = Program("t", 1, ((0,),), (Teleport(0),), (), 0, 0, elaborated=True)
+    for call in (
+        lambda: run_analytical(prog, Thresholds()),
+        lambda: run_mc(prog, 8, seed=0),
+        lambda: serialize_program(prog),
+        lambda: elaborate(prog),
+    ):
+        with pytest.raises(ProgramError, match="unknown step kind"):
+            call()

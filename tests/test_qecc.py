@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from paulitree import pauli
-from paulitree.errormap import ErrorMap
+from paulitree.errormap import ErrorMap, cnot_kernel
 from paulitree.noise import NoiseParams
-from paulitree.pauli import PauliString
+from paulitree.pauli import Pauli, PauliString
 from paulitree.program import (
     CNot,
     CosetReduce,
@@ -21,6 +20,7 @@ from paulitree.qecc import (
     ENCODER_HADAMARDS,
     classify_crash,
     correct_kernel,
+    correctable,
     coset_reduce_kernel,
     count_nonfailing_states,
     decode_table,
@@ -78,15 +78,16 @@ class TestCodeTables:
         # whose support is the matching check-matrix row
         expected_rows = {3: 0, 1: 1, 0: 2}
         for gen in ENCODER_HADAMARDS:
-            s = pauli.PauliString.from_str("IIIIIII")
-            s = pauli.compose_at(s, gen, pauli.Pauli.X)
+            # one packed 7-qubit key: 2 bits per qubit in a single word
+            keys = np.array([[int(Pauli.X) << (2 * gen)]], dtype=np.uint64)
             for cycle in ENCODER_CNOT_CYCLES:
                 for c, t in cycle:
-                    s = pauli.apply_cnot(s, c, t)
-            support = tuple(q for q in range(7) if s.label(q) != pauli.Pauli.I)
+                    cnot_kernel(keys, c, t)
+            s = PauliString(int(keys[0, 0]), 7)
+            support = tuple(q for q in range(7) if s.label(q) != Pauli.I)
             row = CHECK_MATRIX[expected_rows[gen]]
             assert support == tuple(q for q in range(7) if row[q])
-            assert all(s.label(q) == pauli.Pauli.X for q in support)
+            assert all(s.label(q) == Pauli.X for q in support)
 
 
 class TestCircuitEmission:
@@ -133,7 +134,7 @@ class TestCircuitEmission:
 class TestVerifyKernel:
     def test_detection_discards_the_block(self):
         m = emap({"IIIIIIIX": 0.1, "XXIIIIII": 0.2, "IIIIIIII": 0.7})
-        verify_kernel(m, list(range(7)), 7)
+        m.apply(verify_kernel, list(range(7)), 7)
         got = as_strs(m)
         # detected entry replaced by a clean block; undetected one kept
         assert got["IIIIIIII"] == pytest.approx(0.8)
@@ -141,7 +142,7 @@ class TestVerifyKernel:
 
     def test_verifier_z_is_not_a_detection(self):
         m = emap({"XIIIIIIZ": 1.0})
-        verify_kernel(m, list(range(7)), 7)
+        m.apply(verify_kernel, list(range(7)), 7)
         assert as_strs(m) == {"XIIIIIII": pytest.approx(1.0)}
 
 
@@ -151,7 +152,7 @@ class TestSyndromeKernel:
             key = ["I"] * 7
             key[pos] = "X"
             m = emap({"".join(key): 1.0})
-            syndrome_kernel(m, list(range(7)))
+            m.apply(syndrome_kernel, list(range(7)))
             (out,) = as_strs(m)
             value = 4 * (out[0] == "X") + 2 * (out[1] == "X") + (out[2] == "X")
             assert value == pos + 1
@@ -159,7 +160,7 @@ class TestSyndromeKernel:
     def test_linearity_over_composition(self):
         def syndrome_of(key):
             m = emap({key: 1.0})
-            syndrome_kernel(m, list(range(7)))
+            m.apply(syndrome_kernel, list(range(7)))
             (out,) = as_strs(m)
             return tuple(c == "X" for c in out[:3])
 
@@ -170,7 +171,7 @@ class TestSyndromeKernel:
 
     def test_z_errors_do_not_register(self):
         m = emap({"ZZZIIII": 1.0})
-        syndrome_kernel(m, list(range(7)))
+        m.apply(syndrome_kernel, list(range(7)))
         assert as_strs(m) == {"IIIIIII": pytest.approx(1.0)}
 
 
@@ -180,35 +181,35 @@ class TestCosetReduceKernel:
         # identity on the encoded zero ancilla
         for key in ("IIIZZZZ", "IZZIIZZ", "ZIZIZIZ", "ZZZZZZZ"):
             m = emap({key: 1.0})
-            coset_reduce_kernel(m, list(range(7)), "z")
+            m.apply(coset_reduce_kernel, list(range(7)), "z")
             assert as_strs(m) == {"IIIIIII": pytest.approx(1.0)}
 
     def test_single_error_is_fixed_point(self):
         m = emap({"IIIIZII": 1.0})
-        coset_reduce_kernel(m, list(range(7)), "z")
+        m.apply(coset_reduce_kernel, list(range(7)), "z")
         assert as_strs(m) == {"IIIIZII": pytest.approx(1.0)}
 
     def test_coset_shift_recovers_representative(self):
         # stabilizer IIIZZZZ composed with Z at position 1
         m = emap({"IZIZZZZ": 1.0})
-        coset_reduce_kernel(m, list(range(7)), "z")
+        m.apply(coset_reduce_kernel, list(range(7)), "z")
         assert as_strs(m) == {"IZIIIII": pytest.approx(1.0)}
 
     def test_other_component_untouched(self):
         # z reduction: the Z part of YZ at {0,1} decodes to Z at 2,
         # the X part at 0 stays where it is
         m = emap({"YZIIIII": 1.0})
-        coset_reduce_kernel(m, list(range(7)), "z")
+        m.apply(coset_reduce_kernel, list(range(7)), "z")
         assert as_strs(m) == {"XIZIIII": pytest.approx(1.0)}
 
     def test_x_basis_mirrors_z_basis(self):
         m = emap({"IIIXXXX": 0.5, "XIIIIII": 0.5})
-        coset_reduce_kernel(m, list(range(7)), "x")
+        m.apply(coset_reduce_kernel, list(range(7)), "x")
         got = as_strs(m)
         assert got["IIIIIII"] == pytest.approx(0.5)
         assert got["XIIIIII"] == pytest.approx(0.5)
         with pytest.raises(ValueError):
-            coset_reduce_kernel(emap({"I": 1.0}), [0], "bit")
+            emap({"I": 1.0}).apply(coset_reduce_kernel, [0], "bit")
 
 
 def syndrome_block(value):
@@ -229,7 +230,7 @@ class TestCorrectKernel:
 
     def run(self, data, votes, phase="bit"):
         m = emap({correction_state(data, votes): 1.0})
-        correct_kernel(m, list(range(7)), self.BLOCKS, phase)
+        m.apply(correct_kernel, list(range(7)), self.BLOCKS, phase)
         (out,) = as_strs(m)
         assert out[7:] == "I" * 21  # ancillas cleared for reuse
         return out[:7]
@@ -257,16 +258,18 @@ class TestCorrectKernel:
 
 class TestObservables:
     def test_surviving_mass_weight_rule(self):
-        m = emap(
-            {
-                "I" * 14: 0.5,
-                "XIIIIII" + "IIIIIIZ": 0.3,  # one error in each block: fine
-                "XXIIIII" + "I" * 7: 0.15,  # two in block 0: failed
-                "I" * 7 + "YIIIIIZ": 0.05,  # two in block 1: failed
-            }
-        )
+        rows = {
+            "I" * 14: 0.5,
+            "XIIIIII" + "IIIIIIZ": 0.3,  # one error in each block: fine
+            "XXIIIII" + "I" * 7: 0.15,  # two in block 0: failed
+            "I" * 7 + "YIIIIIZ": 0.05,  # two in block 1: failed
+        }
         blocks = [list(range(7)), list(range(7, 14))]
-        assert surviving_mass(m, blocks) == pytest.approx(0.8)
+        assert surviving_mass(emap(rows), blocks) == pytest.approx(0.8)
+        # the per-row mask behind it, as Monte Carlo uses it
+        keys = np.array([[PauliString.from_str(r).bits] for r in rows], dtype=np.uint64)
+        assert correctable(keys, blocks).tolist() == [True, True, False, False]
+        assert correctable(keys, []).all()
 
     def test_classify_crash(self):
         blocks = [list(range(7)), list(range(7, 14))]
