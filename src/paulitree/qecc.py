@@ -24,6 +24,8 @@ import math
 
 import numpy as np
 
+# program's step table names the kernels below, so this module reads the
+# step classes as ``program.X`` when it emits them, not at import time
 from . import program
 from .errormap import ErrorMap, _clear_mask, _nwords, _row_from_int, _slot
 from .pauli import Pauli, PauliString
