@@ -9,6 +9,13 @@ Local qubit index i of a set lives in word i // 32 at bit offset
 2 * (i % 32); this matches the integer packing used by
 :class:`~paulitree.pauli.PauliString`.
 
+A map keeps its keys sorted in numeric order.  Sorting and lookup go
+through a 1-D sort view (``_sort_view``): a one-word key, a set of at
+most 32 qubits, sorts as its own ``uint64`` column; a wider key as a
+big-endian void view, most significant word first.  The event branch
+patterns (``one_qubit_patterns``, ``two_qubit_patterns``) are cached per
+width and positions and returned read-only.
+
 The ``*_kernel`` functions rewrite a packed key array in place: the gate
 conjugations and ``clear_kernel`` here, the code readouts in
 :mod:`~paulitree.qecc`.  They are the only implementation of the
@@ -31,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
@@ -41,6 +49,8 @@ _U64 = np.uint64
 # chunk bounds for merge cross products, in emitted rows
 _MERGE_CHUNK_ROWS = 1 << 22
 _MERGE_COMPACT_ROWS = 1 << 23
+# event pattern arrays kept, per (width, positions)
+_PATTERN_CACHE = 4096
 
 
 class MergeMode(Enum):
@@ -98,8 +108,15 @@ def _int_from_row(row: np.ndarray) -> int:
     return bits
 
 
-def _void_view(keys: np.ndarray) -> np.ndarray:
-    """1-D memcmp-comparable view whose ordering equals numeric key order."""
+def _sort_view(keys: np.ndarray) -> np.ndarray:
+    """1-D array, one element per key, whose ordering equals numeric key order.
+
+    A one-word key (a set of at most 32 qubits) is its own ``uint64``
+    column, a view of ``keys``.  Wider keys become a big-endian void view
+    (most significant word first) that compares like ``memcmp``.
+    """
+    if keys.shape[1] == 1:
+        return keys[:, 0]
     be = np.ascontiguousarray(keys[:, ::-1]).astype(">u8")
     return be.view(np.dtype((np.void, be.shape[1] * 8))).ravel()
 
@@ -108,8 +125,8 @@ def _aggregate(keys: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndar
     """Sum probabilities of duplicate keys; return sorted unique keys."""
     if keys.shape[0] == 0:
         return keys, probs
-    v = _void_view(keys)
-    order = np.argsort(v, kind="stable")
+    v = _sort_view(keys)
+    order = v.argsort(kind="stable")
     v = v[order]
     keys = keys[order]
     probs = probs[order]
@@ -117,7 +134,7 @@ def _aggregate(keys: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndar
         new_group = np.empty(keys.shape[0], dtype=bool)
         new_group[0] = True
         new_group[1:] = v[1:] != v[:-1]
-        starts = np.nonzero(new_group)[0]
+        starts = new_group.nonzero()[0]
         probs = np.add.reduceat(probs, starts)
         keys = keys[starts]
     keep = probs > 0.0
@@ -219,7 +236,7 @@ class ErrorMap:
 
     def _view(self) -> np.ndarray:
         if self._v is None:
-            self._v = _void_view(self._keys)
+            self._v = _sort_view(self._keys)
         return self._v
 
     def _ensure_ready(self) -> None:
@@ -242,12 +259,15 @@ class ErrorMap:
         keys, probs = _aggregate(keys, probs)
         if keys.shape[0] == 0:
             return
-        v = _void_view(keys)
+        v = _sort_view(keys)
         base_v = self._view()
-        pos = np.searchsorted(base_v, v)
-        hit = np.zeros(len(v), dtype=bool)
-        inb = pos < base_v.shape[0]
-        hit[inb] = base_v[pos[inb]] == v[inb]
+        pos = base_v.searchsorted(v)
+        if base_v.shape[0]:
+            # pos == len(base) means v is above every base key, so the
+            # clipped read (the last key) cannot equal it
+            hit = base_v.take(pos, mode="clip") == v
+        else:
+            hit = np.zeros(v.shape[0], dtype=bool)
         if hit.any():
             self._probs[pos[hit]] += probs[hit]
         miss = ~hit
@@ -255,7 +275,8 @@ class ErrorMap:
             where = pos[miss]
             self._keys = np.insert(self._keys, where, keys[miss], axis=0)
             self._probs = np.insert(self._probs, where, probs[miss])
-            self._v = np.insert(base_v, where, v[miss])
+            # a one-word map's view is its key column: nothing to keep
+            self._v = None if keys.shape[1] == 1 else np.insert(base_v, where, v[miss])
 
     # -- evolution (in place) -----------------------------------------
 
@@ -272,19 +293,19 @@ class ErrorMap:
         self._ensure_ready()
         probs = self._probs
         if event_branch > 0.0:
-            idx = np.nonzero(probs >= event_branch)[0]
+            idx = (probs >= event_branch).nonzero()[0]
         else:
             idx = np.arange(probs.shape[0])
         if idx.size == 0:
             return
         k = patterns.shape[0]
-        share = f / k
         src_keys = self._keys[idx]
-        src_probs = probs[idx] * share
-        branch_keys = np.vstack([src_keys ^ pat for pat in patterns])
-        branch_probs = np.tile(src_probs, k)
+        # pattern-major rows: every source XOR pattern 0, then pattern 1, ...
+        branch_keys = (src_keys[None] ^ patterns[:, None]).reshape(-1, src_keys.shape[1])
+        branch_probs = np.empty((k, idx.shape[0]))
+        np.multiply(probs[idx], f / k, out=branch_probs)
         probs[idx] *= 1.0 - f
-        self._insert(branch_keys, branch_probs)
+        self._insert(branch_keys, branch_probs.reshape(-1))
 
     def apply(self, kernel: Callable[..., None], *args, collide: bool = True) -> None:
         """Rewrite every key in place with ``kernel(keys, *args)``.
@@ -344,19 +365,26 @@ def _check_positions(width: int, *qubits: int) -> None:
             raise IndexError("qubit %d out of range for width %d" % (q, width))
 
 
+@lru_cache(maxsize=_PATTERN_CACHE)
 def one_qubit_patterns(width: int, q: int) -> np.ndarray:
-    """XOR patterns for the three equally likely X, Y, Z branch outcomes."""
+    """XOR patterns for the three equally likely X, Y, Z branch outcomes.
+
+    Cached per (width, q) and read-only, so no caller can corrupt the
+    patterns of a later event."""
     _check_positions(width, q)
     nw = _nwords(width)
     pats = np.zeros((3, nw), dtype=_U64)
     w, s = _slot(q)
     for i, lab in enumerate((Pauli.X, Pauli.Y, Pauli.Z)):
         pats[i, w] = _U64(int(lab)) << _U64(s)
+    pats.setflags(write=False)
     return pats
 
 
+@lru_cache(maxsize=_PATTERN_CACHE)
 def two_qubit_patterns(width: int, q1: int, q2: int) -> np.ndarray:
-    """XOR patterns for the fifteen non-identity two-qubit outcomes."""
+    """XOR patterns for the fifteen non-identity two-qubit outcomes
+    (cached and read-only, like :func:`one_qubit_patterns`)."""
     _check_positions(width, q1, q2)
     nw = _nwords(width)
     pats = np.zeros((15, nw), dtype=_U64)
@@ -370,6 +398,7 @@ def two_qubit_patterns(width: int, q1: int, q2: int) -> np.ndarray:
             pats[i, w1] |= _U64(l1) << _U64(s1)
             pats[i, w2] ^= _U64(l2) << _U64(s2)
             i += 1
+    pats.setflags(write=False)
     return pats
 
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import lru_cache
 from types import ModuleType
 from typing import Any, Callable, Iterable, Sequence, Union
 
@@ -155,6 +156,15 @@ def _parse_ids(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(",") if tok != "")
 
 
+_cached_repr = lru_cache(maxsize=64, typed=True)(repr)
+
+
+def _float_text(x: float) -> str:
+    """``repr(x)``, memoised: a program's events share a few probabilities.
+    Zero bypasses the cache, where 0.0 and -0.0 would share one entry."""
+    return _cached_repr(x) if x else repr(x)
+
+
 def _none(step) -> tuple:
     return ()
 
@@ -197,11 +207,11 @@ class StepKind:
 
 STEP_KINDS: dict[type, StepKind] = {
     OneQubitEvent: StepKind(
-        "e1 %d %r", lambda s: (s.qubit, s.f),
+        "e1 %d %s", lambda s: (s.qubit, _float_text(s.f)),
         lambda q, f: OneQubitEvent(int(q), float(f)),
         operands=lambda s: (s.qubit,)),
     TwoQubitEvent: StepKind(
-        "e2 %d %d %r", lambda s: (s.qubit_a, s.qubit_b, s.f),
+        "e2 %d %d %s", lambda s: (s.qubit_a, s.qubit_b, _float_text(s.f)),
         lambda a, b, f: TwoQubitEvent(int(a), int(b), float(f)),
         operands=lambda s: (s.qubit_a, s.qubit_b)),
     Hadamard: StepKind(

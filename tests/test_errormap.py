@@ -7,6 +7,10 @@ from hypothesis import strategies as st
 
 from paulitree.errormap import (
     ErrorMap,
+    _aggregate,
+    _int_from_row,
+    _row_from_int,
+    _sort_view,
     MergeMode,
     QubitSet,
     Thresholds,
@@ -17,9 +21,11 @@ from paulitree.errormap import (
     cnot_kernel,
     hadamard_kernel,
     merge,
+    one_qubit_patterns,
     split,
     sum_matching,
     total_probability,
+    two_qubit_patterns,
 )
 from paulitree.pauli import Pauli, PauliString
 
@@ -313,6 +319,122 @@ class TestWideSets:
         left, right = split(out, keep=range(20))
         assert_map_close(left, {"I" * 20: 0.7, "X" + "I" * 19: 0.3})
         assert_map_close(right, {"I" * 20: 0.6, "I" * 19 + "Z": 0.4})
+
+
+class TestPatternCache:
+    def test_cached_patterns_are_read_only(self):
+        for pats in (one_qubit_patterns(5, 2), two_qubit_patterns(5, 1, 3)):
+            with pytest.raises(ValueError):
+                pats[0, 0] = 0
+        # a second call returns the same, unchanged array
+        assert one_qubit_patterns(5, 2) is one_qubit_patterns(5, 2)
+        assert [int(r[0]) for r in one_qubit_patterns(5, 2)] == [
+            int(lab) << 4 for lab in (Pauli.X, Pauli.Y, Pauli.Z)]
+
+    def test_out_of_range_still_raises_once_cached(self):
+        one_qubit_patterns(3, 2)
+        two_qubit_patterns(3, 0, 2)
+        with pytest.raises(IndexError):
+            one_qubit_patterns(3, 3)
+        with pytest.raises(IndexError):
+            one_qubit_patterns(3, -1)
+        with pytest.raises(IndexError):
+            two_qubit_patterns(3, 0, 3)
+
+    def test_event_same_with_cold_and_warm_cache(self):
+        qs = qset({"II": 0.7, "XZ": 0.3})
+        one_qubit_patterns.cache_clear()
+        cold = apply_one_qubit_event(qs, 1, 0.3, TH0).map.dump()
+        warm = apply_one_qubit_event(qs, 1, 0.3, TH0).map.dump()
+        assert cold == warm
+        assert one_qubit_patterns.cache_info().hits >= 1
+
+
+# Keys on both sides of the 32-qubit word boundary, against dict oracles.
+# Probabilities are multiples of 2**-10 and the event probability is a
+# dyadic multiple of 3, so every sum and product is exact in any order.
+BOUNDARY_WIDTHS = (1, 31, 32, 33, 40, 64, 65)
+
+
+@st.composite
+def boundary_entries(draw, width, max_keys=8, max_entries=16):
+    """(key ints, dyadic probabilities) with repeated keys, many of them
+    carrying labels only on the qubits around the word boundary."""
+    lo = min(30, width - 1)
+    near = st.integers(0, 4 ** min(4, width - lo) - 1).map(lambda b: b << (2 * lo))
+    pool = draw(st.lists(st.one_of(st.integers(0, 4 ** width - 1), near),
+                         min_size=1, max_size=max_keys, unique=True))
+    n = draw(st.integers(1, max_entries))
+    keys = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    probs = draw(st.lists(st.integers(1, 1024), min_size=n, max_size=n))
+    return keys, [p * 2.0 ** -10 for p in probs]
+
+
+def pack(width, keys):
+    nw = (width + 31) // 32
+    return np.array([_row_from_int(k, nw) for k in keys], dtype=np.uint64).reshape(-1, nw)
+
+
+def oracle_sum(*batches):
+    out = {}
+    for keys, probs in batches:
+        for k, p in zip(keys, probs):
+            out[k] = out.get(k, 0.0) + p
+    return out
+
+
+def sorted_map(width, keys, probs):
+    """An ErrorMap in its sorted, duplicate-free form."""
+    m = ErrorMap(width, pack(width, keys), np.array(probs))
+    m._ensure_ready()
+    return m
+
+
+def assert_sorted_unique(keys, probs, expected):
+    got = [_int_from_row(r) for r in keys]
+    assert all(a < b for a, b in zip(got, got[1:]))
+    assert dict(zip(got, probs.tolist())) == expected
+
+
+@pytest.mark.parametrize("width", BOUNDARY_WIDTHS)
+@settings(deadline=None, max_examples=25)
+@given(data=st.data())
+def test_aggregate_orders_and_sums_across_word_boundary(width, data):
+    keys, probs = data.draw(boundary_entries(width))
+    out_keys, out_probs = _aggregate(pack(width, keys), np.array(probs))
+    assert_sorted_unique(out_keys, out_probs, oracle_sum((keys, probs)))
+
+
+@pytest.mark.parametrize("width", BOUNDARY_WIDTHS)
+@settings(deadline=None, max_examples=25)
+@given(data=st.data())
+def test_insert_matches_oracle_across_word_boundary(width, data):
+    base = data.draw(boundary_entries(width))
+    batch = data.draw(boundary_entries(width))
+    m = sorted_map(width, *base)
+    m._insert(pack(width, batch[0]), np.array(batch[1]))
+    assert_sorted_unique(m._keys, m._probs, oracle_sum(base, batch))
+    # the cached sort view still describes the keys
+    assert (m._view() == _sort_view(m._keys)).all()
+
+
+@pytest.mark.parametrize("width", BOUNDARY_WIDTHS)
+@settings(deadline=None, max_examples=25)
+@given(data=st.data(), f=st.sampled_from([0.75, 0.375, 0.1875]))
+def test_event_matches_oracle_across_word_boundary(width, data, f):
+    keys, probs = data.draw(boundary_entries(width))
+    start = oracle_sum((keys, probs))
+    # last qubit of word 0 and, when there is one, first qubit of word 1
+    for q in sorted({min(31, width - 1), min(32, width - 1)}):
+        qs = QubitSet(tuple(range(width)), sorted_map(width, keys, probs))
+        out = apply_one_qubit_event(qs, q, f, TH0)
+        expected = {}
+        for k, p in start.items():
+            expected[k] = expected.get(k, 0.0) + p * (1.0 - f)
+            for lab in (1, 2, 3):
+                b = k ^ (lab << (2 * q))
+                expected[b] = expected.get(b, 0.0) + p * (f / 3)
+        assert {s.bits: p for s, p in out.map.items()} == expected
 
 
 @st.composite

@@ -225,6 +225,16 @@ class TestSerialization:
         back = parse_program(serialize_program(prog))
         assert back.steps[0].f == prog.steps[0].f
 
+    def test_equal_floats_keep_their_own_text(self):
+        # the event text is memoised; 0.0 == -0.0 but they print differently
+        fs = (0.001, 0.0, -0.0, 0.001, -0.0, 0.0)
+        steps = tuple(OneQubitEvent(0, f) for f in fs) + tuple(
+            TwoQubitEvent(0, 1, f) for f in fs)
+        text = serialize_program(Program("toy", 2, ((0, 1),), steps, (), 0, 0))
+        rows = [line.split()[-1] for line in text.splitlines() if line[:2] in ("e1", "e2")]
+        assert rows == [repr(f) for f in fs] * 2
+        assert [repr(s.f) for s in parse_program(text).steps] == rows
+
     def test_parse_errors_carry_line_numbers(self):
         with pytest.raises(ProgramError, match="line 1"):
             parse_program("bogus 1 2\n")
