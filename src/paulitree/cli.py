@@ -220,9 +220,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    if args.mode == "analytical":
-        raise SystemExit("compare: requires both engines (--mode both)")
-    args.mode = "both"
     params = _load_noise(args)
     prog = _build_program(args, params)
     th = _thresholds(args.event_th, args.merge_th, args.merge_mode)
@@ -292,8 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare", help="accuracy/runtime comparison of "
                            "the two engines on the same event stream")
     _add_common(p_cmp)
-    p_cmp.add_argument("--mode", choices=["both", "analytical", "montecarlo"],
-                       default="both", help=argparse.SUPPRESS)
     _add_single_thresholds(p_cmp)
     _add_mc(p_cmp)
     p_cmp.set_defaults(func=cmd_compare)

@@ -1,11 +1,13 @@
 """Analytical engine: evolve error maps through an elaborated program.
 
 The machine state is a partition of the physical qubits into QubitSets,
-each owning one error map.  Error events branch maps and merge/split
-steps restructure the partition; every other step applies its key-array
-kernel from :data:`~paulitree.program.STEP_KINDS` to the map of the set
-holding its operands, the same kernel the Monte Carlo engine applies to
-its samples.  At the end the crash probability is read off the
+each owning one error map.  Merge/split steps restructure the partition;
+every other step reads its entry in :data:`~paulitree.program.STEP_KINDS`
+and acts on the map of the set holding its operands.  An error event
+branches each entry on the event's outcome patterns, the same rows the
+Monte Carlo engine draws from; a deterministic step applies its
+key-array kernel, the same kernel the Monte Carlo engine applies to its
+samples.  At the end the crash probability is read off the
 surviving/total mass split, with lossy-merge discards accounted
 separately so survival + crash + discarded = 1.
 """
@@ -19,25 +21,8 @@ import numpy as np
 
 from . import qecc
 from .pauli import Pauli, PauliString
-from .errormap import (
-    ErrorMap,
-    MergeMode,
-    QubitSet,
-    Thresholds,
-    merge,
-    one_qubit_patterns,
-    split,
-    two_qubit_patterns,
-)
-from .program import (
-    MergeSets,
-    OneQubitEvent,
-    Program,
-    ProgramError,
-    SplitOff,
-    TwoQubitEvent,
-    step_kind,
-)
+from .errormap import ErrorMap, MergeMode, QubitSet, Thresholds, merge, split
+from .program import MergeSets, Program, ProgramError, SplitOff, step_kind
 
 
 @dataclass(frozen=True)
@@ -120,29 +105,22 @@ def run_analytical(prog: Program, th: Thresholds,
 
     for step in prog.steps:
         kind = type(step)
-        if kind is OneQubitEvent:
-            sid, (lq,) = mach.require_same_set((step.qubit,))
-            m = mach.sets[sid].map
-            m.event_kernel(one_qubit_patterns(m.width, lq), step.f, th.event_branch)
-            peak = max(peak, len(m))
-        elif kind is TwoQubitEvent:
-            sid, (la, lb) = mach.require_same_set((step.qubit_a, step.qubit_b))
-            m = mach.sets[sid].map
-            m.event_kernel(
-                two_qubit_patterns(m.width, la, lb), step.f, th.event_branch
-            )
-            peak = max(peak, len(m))
-        elif kind is MergeSets:
+        if kind is MergeSets:
             sid = mach.merge(step.qubit_a, step.qubit_b, th)
             peak = max(peak, len(mach.sets[sid].map))
         elif kind is SplitOff:
             mach.split_off(step.qubits)
         else:
             spec = step_kind(step)
-            if spec.kernel is not None:
-                sid, locals_ = mach.require_same_set(spec.operands(step))
-                mach.sets[sid].map.apply(spec.function, *spec.args(step, locals_),
-                                         collide=spec.collide)
+            if spec.patterns is None and spec.kernel is None:
+                continue  # a classical record (Measure)
+            sid, locals_ = mach.require_same_set(spec.operands(step))
+            m = mach.sets[sid].map
+            if spec.patterns is not None:
+                m.event_kernel(spec.patterns(m.width, *locals_), step.f, th.event_branch)
+                peak = max(peak, len(m))
+            else:
+                m.apply(spec.function, *spec.args(step, locals_), collide=spec.collide)
 
     # total mass that survived pruning, as a product over independent sets
     totals = {sid: qs.map.total() for sid, qs in mach.sets.items()}

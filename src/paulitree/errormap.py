@@ -12,9 +12,12 @@ Local qubit index i of a set lives in word i // 32 at bit offset
 A map keeps its keys sorted in numeric order.  Sorting and lookup go
 through a 1-D sort view (``_sort_view``): a one-word key, a set of at
 most 32 qubits, sorts as its own ``uint64`` column; a wider key as a
-big-endian void view, most significant word first.  The event branch
-patterns (``one_qubit_patterns``, ``two_qubit_patterns``) are cached per
-width and positions and returned read-only.
+big-endian void view, most significant word first.  The event outcome
+patterns (``one_qubit_patterns``, ``two_qubit_patterns``) define each
+event's outcomes once for both engines: outcome i is label i + 1, the
+analytical engine branches on every row and Monte Carlo XORs in one row
+per faulted sample.  They are cached per width and positions and
+returned read-only.
 
 The ``*_kernel`` functions rewrite a packed key array in place: the gate
 conjugations and ``clear_kernel`` here, the code readouts in
@@ -43,12 +46,9 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .pauli import Pauli, PauliString
+from .pauli import PauliString
 
 _U64 = np.uint64
-# chunk bounds for merge cross products, in emitted rows
-_MERGE_CHUNK_ROWS = 1 << 22
-_MERGE_COMPACT_ROWS = 1 << 23
 # event pattern arrays kept, per (width, positions)
 _PATTERN_CACHE = 4096
 
@@ -282,9 +282,10 @@ class ErrorMap:
 
     def event_kernel(self, patterns: np.ndarray, f: float, event_branch: float) -> None:
         """Stochastic event: each entry at or above the branch threshold
-        contributes (s, p*(1-f)) plus (s ^ pattern, p*f/k) for the k
-        branch patterns; below-threshold entries pass through unchanged.
-        Total probability is conserved exactly.
+        contributes (s, p*(1-f)), dropped when f = 1, plus
+        (s ^ pattern, p*f/k) for the k branch patterns; below-threshold
+        entries pass through unchanged.  Total probability is conserved
+        exactly.
         """
         if not 0.0 <= f <= 1.0:
             raise ValueError("event probability must be in [0, 1], got %r" % (f,))
@@ -305,6 +306,10 @@ class ErrorMap:
         branch_probs = np.empty((k, idx.shape[0]))
         np.multiply(probs[idx], f / k, out=branch_probs)
         probs[idx] *= 1.0 - f
+        if f == 1.0:
+            # every branched source is left at zero: drop them
+            live = probs > 0.0
+            self._replace(self._keys[live], probs[live], True)
         self._insert(branch_keys, branch_probs.reshape(-1))
 
     def apply(self, kernel: Callable[..., None], *args, collide: bool = True) -> None:
@@ -367,37 +372,31 @@ def _check_positions(width: int, *qubits: int) -> None:
 
 @lru_cache(maxsize=_PATTERN_CACHE)
 def one_qubit_patterns(width: int, q: int) -> np.ndarray:
-    """XOR patterns for the three equally likely X, Y, Z branch outcomes.
+    """XOR patterns of the three equally likely outcomes X, Z, Y at q:
+    outcome i is label i + 1, as in :func:`two_qubit_patterns`.
 
     Cached per (width, q) and read-only, so no caller can corrupt the
     patterns of a later event."""
     _check_positions(width, q)
-    nw = _nwords(width)
-    pats = np.zeros((3, nw), dtype=_U64)
+    pats = np.zeros((3, _nwords(width)), dtype=_U64)
     w, s = _slot(q)
-    for i, lab in enumerate((Pauli.X, Pauli.Y, Pauli.Z)):
-        pats[i, w] = _U64(int(lab)) << _U64(s)
+    pats[:, w] = np.arange(1, 4, dtype=_U64) << _U64(s)
     pats.setflags(write=False)
     return pats
 
 
 @lru_cache(maxsize=_PATTERN_CACHE)
 def two_qubit_patterns(width: int, q1: int, q2: int) -> np.ndarray:
-    """XOR patterns for the fifteen non-identity two-qubit outcomes
-    (cached and read-only, like :func:`one_qubit_patterns`)."""
+    """XOR patterns of the fifteen non-identity two-qubit outcomes:
+    outcome i puts labels divmod(i + 1, 4) on (q1, q2).  Cached and
+    read-only, like :func:`one_qubit_patterns`."""
     _check_positions(width, q1, q2)
-    nw = _nwords(width)
-    pats = np.zeros((15, nw), dtype=_U64)
+    pats = np.zeros((15, _nwords(width)), dtype=_U64)
     w1, s1 = _slot(q1)
     w2, s2 = _slot(q2)
-    i = 0
-    for l1 in range(4):
-        for l2 in range(4):
-            if l1 == 0 and l2 == 0:
-                continue
-            pats[i, w1] |= _U64(l1) << _U64(s1)
-            pats[i, w2] ^= _U64(l2) << _U64(s2)
-            i += 1
+    labels = np.arange(1, 16, dtype=_U64)
+    pats[:, w1] |= (labels >> _U64(2)) << _U64(s1)
+    pats[:, w2] ^= (labels & _U64(3)) << _U64(s2)
     pats.setflags(write=False)
     return pats
 
@@ -505,6 +504,10 @@ def merge(a: QubitSet, b: QubitSet, th: Thresholds) -> QubitSet:
     (ties zero the state from b) and keeps the mass; lossy mode discards
     the pair.  Preservation conserves total probability; lossy mass loss
     is visible through the output's total.
+
+    Pairs at or above the threshold are emitted in one pass, and one
+    aggregation over [pairs, preserved a-states, preserved b-states] sums
+    the preserved states onto the pairs they coincide with.
     """
     if set(a.members) & set(b.members):
         raise ValueError("cannot merge overlapping QubitSets")
@@ -512,6 +515,8 @@ def merge(a: QubitSet, b: QubitSet, th: Thresholds) -> QubitSet:
     b.map._ensure_ready()
     na, nb = a.map.width, b.map.width
     width = na + nb
+    if len(a.map) == 0 or len(b.map) == 0:
+        return QubitSet(a.members + b.members, ErrorMap(width))
     nw = _nwords(width)
 
     order_a = np.argsort(-a.map._probs, kind="stable")
@@ -521,10 +526,6 @@ def merge(a: QubitSet, b: QubitSet, th: Thresholds) -> QubitSet:
     pb = b.map._probs[order_b]
     kb = _shift_rows(b.map._keys[order_b], 2 * na, nw)
 
-    out = ErrorMap(width)
-    if pa.shape[0] == 0 or pb.shape[0] == 0:
-        return QubitSet(a.members + b.members, out)
-
     th_m = th.merge
     pb_asc = pb[::-1]
     if th_m > 0.0:
@@ -533,41 +534,13 @@ def merge(a: QubitSet, b: QubitSet, th: Thresholds) -> QubitSet:
     else:
         k = np.full(pa.shape[0], pb.shape[0], dtype=np.int64)
 
-    buffers_k: list[np.ndarray] = []
-    buffers_p: list[np.ndarray] = []
-    buffered = 0
-
-    def compact(force: bool = False) -> None:
-        nonlocal buffered
-        if buffered == 0:
-            return
-        if not force and buffered < _MERGE_COMPACT_ROWS:
-            return
-        keys = np.vstack(buffers_k)
-        probs = np.concatenate(buffers_p)
-        keys, probs = _aggregate(keys, probs)
-        buffers_k.clear()
-        buffers_p.clear()
-        buffers_k.append(keys)
-        buffers_p.append(probs)
-        buffered = keys.shape[0]
-
-    csum = np.concatenate([[0], np.cumsum(k)])
-    i0 = 0
-    while i0 < pa.shape[0]:
-        i1 = int(np.searchsorted(csum, csum[i0] + _MERGE_CHUNK_ROWS, side="left"))
-        i1 = min(max(i1, i0 + 1), pa.shape[0])
-        counts = k[i0:i1]
-        total = int(counts.sum())
-        if total:
-            i_idx = np.repeat(np.arange(i0, i1), counts)
-            offsets = csum[i0:i1] - csum[i0]
-            j_idx = np.arange(total) - np.repeat(offsets, counts)
-            buffers_k.append(ka[i_idx] | kb[j_idx])
-            buffers_p.append(pa[i_idx] * pb[j_idx])
-            buffered += total
-            compact()
-        i0 = i1
+    # Each side's keys are unique and the sides own disjoint bits, so the
+    # emitted pairs are distinct: they are emitted in one pass, and only
+    # the preserved rows below can collide with them.
+    i_idx = np.repeat(np.arange(pa.shape[0]), k)
+    j_idx = np.arange(i_idx.shape[0]) - np.repeat(np.cumsum(k) - k, k)
+    parts_k = [ka[i_idx] | kb[j_idx]]
+    parts_p = [pa[i_idx] * pb[j_idx]]
 
     if th_m > 0.0:
         if th.merge_mode is MergeMode.PRESERVATION:
@@ -581,30 +554,23 @@ def merge(a: QubitSet, b: QubitSet, th: Thresholds) -> QubitSet:
             lo_a = np.maximum(k, t_a)
             val_a = pa * suff_b[lo_a]
             keep_a = val_a > 0.0
-            if keep_a.any():
-                buffers_k.append(ka[keep_a])
-                buffers_p.append(val_a[keep_a])
-                buffered += int(keep_a.sum())
+            parts_k.append(ka[keep_a])
+            parts_p.append(val_a[keep_a])
             pa_asc = pa[::-1]
             # transpose of k: #{i: k_i > j}; k is nonincreasing because pa
-            # is sorted descending, so this matches the emission loop's
+            # is sorted descending, so this matches the emission's
             # above/below classification bit for bit
             k_b = np.searchsorted(-k, -(np.arange(pb.shape[0]) + 1), side="right")
             t_b = pa.shape[0] - np.searchsorted(pa_asc, pb, side="left")
             lo_b = np.maximum(k_b, t_b)
             val_b = pb * suff_a[lo_b]
             keep_b = val_b > 0.0
-            if keep_b.any():
-                buffers_k.append(kb[keep_b])
-                buffers_p.append(val_b[keep_b])
-                buffered += int(keep_b.sum())
+            parts_k.append(kb[keep_b])
+            parts_p.append(val_b[keep_b])
         # lossy mode: below-threshold pairs are simply dropped
 
-    compact(force=True)
-    if buffers_k:
-        out._replace(buffers_k[0], buffers_p[0], True)
-    else:
-        out._replace(np.zeros((0, nw), dtype=_U64), np.zeros(0), True)
+    out = ErrorMap(width)
+    out._replace(*_aggregate(np.vstack(parts_k), np.concatenate(parts_p)), True)
     return QubitSet(a.members + b.members, out)
 
 

@@ -1,14 +1,15 @@
 """Monte Carlo baseline: sample concrete error strings through a program.
 
 Each iteration carries one packed Pauli string over the whole machine,
-one row of a (rows, words) key array.  This module holds only what is
-specific to sampling: error events flip labels with the step's
-probability, choosing among the 3 (or 15) non-identity outcomes
-uniformly, and iterations are chunked and sharded.  Every other step
-applies the key-array kernel the analytical engine applies (see
-:data:`~paulitree.program.STEP_KINDS`), with global qubit IDs as key
-positions, and the crash count uses the same ``correctable`` mask.
-Merge and split steps have no kernel since a sample is always global.
+one row of a (rows, words) key array.  Every step is read from
+:data:`~paulitree.program.STEP_KINDS`, with global qubit IDs as key
+positions: an error event XORs, with the step's probability, one of its
+outcome patterns into a row, chosen uniformly among the same 3 (or 15)
+rows the analytical engine branches on; every other step applies the
+key-array kernel the analytical engine applies; the crash count uses the
+same ``correctable`` mask.  Merge and split steps have neither, since a
+sample is always global.  This module holds only what is specific to
+sampling: drawing the events, chunking and sharding.
 
 Iterations are vectorized in fixed-size chunks, so results for a given
 (program, iterations, seed, shards) tuple are bit-for-bit reproducible.
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import qecc
 from .errormap import _nwords, _slot
-from .program import OneQubitEvent, Program, ProgramError, TwoQubitEvent, step_kind
+from .program import Program, ProgramError, step_kind
 
 _U64 = np.uint64
 _CHUNK = 1 << 16
@@ -45,50 +46,35 @@ class MCReport:
     wall_time_s: float
 
 
-def _xor_label(keys: np.ndarray, rows: np.ndarray, q: int, labels: np.ndarray) -> None:
-    w, s = _slot(q)
-    keys[rows, w] ^= labels.astype(_U64) << _U64(s)
-
-
-def _one_qubit_event(keys: np.ndarray, q: int, f: float, rng) -> None:
+def _event(keys: np.ndarray, patterns: np.ndarray, f: float, rng) -> None:
+    """Error event on every row: a row whose uniform u falls below f
+    XORs in pattern i = min(floor(u * k / f), k - 1) of the k outcome
+    patterns."""
     if f <= 0.0:
         return
     u = rng.random(keys.shape[0])
     rows = np.nonzero(u < f)[0]
     if rows.size == 0:
         return
-    # reuse the triggering uniform to pick among X, Y, Z uniformly
-    pick = np.minimum((u[rows] * (3.0 / f)).astype(np.int64), 2)
-    _xor_label(keys, rows, q, pick + 1)
-
-
-def _two_qubit_event(keys: np.ndarray, qa: int, qb: int, f: float, rng) -> None:
-    if f <= 0.0:
-        return
-    u = rng.random(keys.shape[0])
-    rows = np.nonzero(u < f)[0]
-    if rows.size == 0:
-        return
-    pick = np.minimum((u[rows] * (15.0 / f)).astype(np.int64), 14) + 1
-    _xor_label(keys, rows, qa, pick >> 2)
-    _xor_label(keys, rows, qb, pick & 3)
+    k = patterns.shape[0]
+    # reuse the triggering uniform to pick among the outcomes uniformly
+    pick = np.minimum((u[rows] * (k / f)).astype(np.int64), k - 1)
+    for w in range(keys.shape[1]):  # by column: a 2-D row scatter is slower
+        keys[rows, w] ^= patterns[pick, w]
 
 
 def _run_chunk(prog: Program, n: int, rng, initial_errors=None) -> int:
-    keys = np.zeros((n, _nwords(prog.num_qubits)), dtype=_U64)
+    width = prog.num_qubits
+    keys = np.zeros((n, _nwords(width)), dtype=_U64)
     for q, label in (initial_errors or {}).items():
         w, sh = _slot(q)
         keys[:, w] |= _U64(int(label)) << _U64(sh)
     for step in prog.steps:
-        kind = type(step)
-        if kind is OneQubitEvent:
-            _one_qubit_event(keys, step.qubit, step.f, rng)
-        elif kind is TwoQubitEvent:
-            _two_qubit_event(keys, step.qubit_a, step.qubit_b, step.f, rng)
-        else:
-            spec = step_kind(step)
-            if spec.kernel is not None:
-                spec.function(keys, *spec.args(step, spec.operands(step)))
+        spec = step_kind(step)
+        if spec.patterns is not None:
+            _event(keys, spec.patterns(width, *spec.operands(step)), step.f, rng)
+        elif spec.kernel is not None:
+            spec.function(keys, *spec.args(step, spec.operands(step)))
     return n - int(np.count_nonzero(qecc.correctable(keys, prog.crash_blocks)))
 
 

@@ -15,10 +15,12 @@ imprecision, measurement, and reset errors are separate events attached
 to the operations themselves.
 
 Every step kind has one entry in :data:`STEP_KINDS`: its text form, the
-qubits that must share a QubitSet, the qubit groups it releases, and for
-a deterministic kind the key-array kernel both engines apply.  The
-engines branch only on the structural kinds (the two events,
-``MergeSets`` and ``SplitOff``); everything else is read from the table.
+qubits that must share a QubitSet, the qubit groups it releases, for a
+deterministic kind the key-array kernel both engines apply, and for an
+event kind its outcome patterns, which both engines branch or sample
+on.  The analytical engine branches only on the structural kinds
+(``MergeSets`` and ``SplitOff``), the Monte Carlo engine on none;
+everything else is read from the table.
 
 The text serialization (see :func:`serialize_program`) is line oriented,
 one step per line, and round-trips exactly; its SHA-256 hash identifies
@@ -186,6 +188,10 @@ class StepKind:
     (module, function); ``args(step, q)`` gives the kernel's arguments
     after the keys, where ``q`` holds the key positions of the operands
     in order.  ``collide`` says the kernel can map two keys onto one.
+    An event kind instead names its outcomes: ``patterns(width, *q)`` is
+    the XOR pattern array of its equally likely outcomes, outcome i
+    being label i + 1 (see :func:`~paulitree.errormap.one_qubit_patterns`),
+    and both engines draw or branch on exactly these rows.
     """
 
     text: str
@@ -196,6 +202,7 @@ class StepKind:
     kernel: tuple[ModuleType, str] | None = None
     args: Callable[[Any, Sequence[int]], tuple] = _positions
     collide: bool = True
+    patterns: Callable[..., Any] | None = None
 
     @property
     def function(self) -> Callable[..., None]:
@@ -209,11 +216,11 @@ STEP_KINDS: dict[type, StepKind] = {
     OneQubitEvent: StepKind(
         "e1 %d %s", lambda s: (s.qubit, _float_text(s.f)),
         lambda q, f: OneQubitEvent(int(q), float(f)),
-        operands=lambda s: (s.qubit,)),
+        operands=lambda s: (s.qubit,), patterns=errormap.one_qubit_patterns),
     TwoQubitEvent: StepKind(
         "e2 %d %d %s", lambda s: (s.qubit_a, s.qubit_b, _float_text(s.f)),
         lambda a, b, f: TwoQubitEvent(int(a), int(b), float(f)),
-        operands=lambda s: (s.qubit_a, s.qubit_b)),
+        operands=lambda s: (s.qubit_a, s.qubit_b), patterns=errormap.two_qubit_patterns),
     Hadamard: StepKind(
         "h %d", lambda s: s.qubit, lambda q: Hadamard(int(q)),
         operands=lambda s: (s.qubit,),

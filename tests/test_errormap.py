@@ -84,6 +84,19 @@ class TestOneQubitEvent:
             out = apply_one_qubit_event(qs, 0, 0.25, Thresholds(event_branch=th))
             assert total_probability(out) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("width, q", [(1, 0), (40, 35)])
+    def test_certain_event_drops_the_emptied_source(self, width, q):
+        out = apply_one_qubit_event(QubitSet.error_free(range(width)), q, 1.0, TH0)
+        assert len(out.map) == 3
+        assert (out.map._probs > 0.0).all()
+        base = "I" * width
+        assert_map_close(out, {base[:q] + lab + base[q + 1:]: 1 / 3 for lab in "XYZ"})
+
+    def test_certain_event_can_land_on_an_emptied_source(self):
+        # the I source empties, then the X source's X branch lands on it
+        out = apply_one_qubit_event(qset({"I": 0.5, "X": 0.5}), 0, 1.0, TH0)
+        assert_map_close(out, {"I": 1 / 6, "X": 1 / 6, "Y": 1 / 3, "Z": 1 / 3})
+
     def test_errors(self):
         qs = qset({"II": 1.0})
         with pytest.raises(IndexError):
@@ -329,7 +342,7 @@ class TestPatternCache:
         # a second call returns the same, unchanged array
         assert one_qubit_patterns(5, 2) is one_qubit_patterns(5, 2)
         assert [int(r[0]) for r in one_qubit_patterns(5, 2)] == [
-            int(lab) << 4 for lab in (Pauli.X, Pauli.Y, Pauli.Z)]
+            int(lab) << 4 for lab in (Pauli.X, Pauli.Z, Pauli.Y)]
 
     def test_out_of_range_still_raises_once_cached(self):
         one_qubit_patterns(3, 2)
@@ -514,6 +527,52 @@ def test_preservation_merge_matches_brute_force(ma, mb, th):
     assert set(got) == {k for k, v in expected.items() if v > 0}
     for k in got:
         assert got[k] == pytest.approx(expected[k], rel=1e-9, abs=1e-15)
+
+
+@st.composite
+def dyadic_side(draw, width, max_keys=6):
+    """{key int: probability}, probabilities multiples of 2**-10."""
+    keys = draw(st.lists(st.integers(0, 4 ** width - 1), min_size=1,
+                         max_size=max_keys, unique=True))
+    probs = draw(st.lists(st.integers(1, 1024), min_size=len(keys), max_size=len(keys)))
+    return {k: p * 2.0 ** -10 for k, p in zip(keys, probs)}
+
+
+@pytest.mark.parametrize("mode", list(MergeMode), ids=lambda m: m.value)
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_merge_matches_brute_force_across_word_boundary(mode, data):
+    # merged widths 31-40: b's keys shift by 2 * na bits, mostly by a
+    # non-zero remainder within a word, and straddle the word boundary
+    width = data.draw(st.integers(31, 40))
+    na = data.draw(st.integers(1, width - 1))
+    nb = width - na
+    side_a = data.draw(dyadic_side(na))
+    side_b = data.draw(dyadic_side(nb))
+    # products are multiples of 2**-20; a threshold halfway between two
+    # of them is never met with equality, so p >= th has one answer
+    th = data.draw(st.sampled_from([0.0]) | st.integers(0, 2 ** 20).map(
+        lambda t: (t + 0.5) * 2.0 ** -20))
+    expected = {}
+    for ka, pa in side_a.items():
+        for kb, pb in side_b.items():
+            p = pa * pb
+            if p >= th:
+                key = ka | kb << (2 * na)
+            elif mode is MergeMode.LOSSY:
+                continue
+            elif pb <= pa:
+                key = ka
+            else:
+                key = kb << (2 * na)
+            expected[key] = expected.get(key, 0.0) + p
+    a = QubitSet(tuple(range(na)), sorted_map(na, list(side_a), list(side_a.values())))
+    b = QubitSet(tuple(range(na, width)),
+                 sorted_map(nb, list(side_b), list(side_b.values())))
+    out = merge(a, b, Thresholds(merge=th, merge_mode=mode))
+    assert out.map.width == width
+    # dyadic sums are exact in any order
+    assert {s.bits: p for s, p in out.map.items()} == expected
 
 
 def test_pruning_monotonicity():

@@ -4,8 +4,13 @@ import numpy as np
 import pytest
 
 from paulitree.engine import run_analytical
-from paulitree.errormap import Thresholds
-from paulitree.montecarlo import run_mc, run_mc_parallel
+from paulitree.errormap import (
+    Thresholds,
+    _int_from_row,
+    one_qubit_patterns,
+    two_qubit_patterns,
+)
+from paulitree.montecarlo import _event, run_mc, run_mc_parallel
 from paulitree.noise import NoiseParams
 from paulitree.pauli import Pauli
 from paulitree.program import (
@@ -99,3 +104,47 @@ class TestValidationAndInjection:
         crashed = run_mc(prog, 64, seed=1,
                          initial_errors={3: Pauli.X, 5: Pauli.X})
         assert crashed.crashes == 64  # a same-block pair never is
+
+
+class _FixedUniforms:
+    """Stands in for a generator: ``random(n)`` returns the given uniforms."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=np.float64)
+
+    def random(self, n):
+        assert n == self.u.shape[0]
+        return self.u.copy()
+
+
+class TestSharedOutcomes:
+    """Monte Carlo draws outcome i of an event as the i-th row of the
+    pattern array the analytical engine branches on."""
+
+    WIDTH = 36  # two key words, as in the basic program
+
+    @pytest.mark.parametrize("patterns, qubits", [
+        (one_qubit_patterns(WIDTH, 33), (33,)),
+        (two_qubit_patterns(WIDTH, 5, 34), (5, 34)),
+    ], ids=["one-qubit", "two-qubit"])
+    def test_mid_bin_uniform_draws_outcome_i(self, patterns, qubits):
+        f = 0.3
+        k = patterns.shape[0]
+        # row i's uniform sits mid-way in outcome i's bin; the last two
+        # rows draw f and above, so no fault
+        u = [(i + 0.5) * f / k for i in range(k)] + [f, 0.99]
+        rng = np.random.default_rng(4)
+        start = rng.integers(0, 2 ** 63, size=(k + 2, 2), dtype=np.uint64)
+        keys = start.copy()
+        _event(keys, patterns, f, _FixedUniforms(u))
+        for i in range(k):
+            assert (keys[i] == start[i] ^ patterns[i]).all()
+        assert (keys[k:] == start[k:]).all()
+        # outcome i is label i + 1: X, Z, Y on one qubit, divmod(i + 1, 4)
+        # on a pair
+        labels = [tuple((_int_from_row(row) >> (2 * q)) & 3 for q in qubits)
+                  for row in patterns]
+        if len(qubits) == 1:
+            assert labels == [(Pauli.X,), (Pauli.Z,), (Pauli.Y,)]
+        else:
+            assert labels == [divmod(i + 1, 4) for i in range(15)]
