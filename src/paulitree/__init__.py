@@ -3,8 +3,9 @@
 Two engines over the same cycle-level program IR: an analytical
 probability-tree model with configurable pruning thresholds
 (:mod:`~paulitree.engine`) and a Monte Carlo fault-injection baseline
-(:mod:`~paulitree.montecarlo`), with Steane-code recovery circuits and
-the corresponding readout kernels in :mod:`~paulitree.qecc`.
+(:mod:`~paulitree.montecarlo`).  The programs, the Steane-code recovery
+circuit among them, are built in :mod:`~paulitree.program`; the code's
+tables and readout kernels are in :mod:`~paulitree.qecc`.
 """
 
 from .engine import FidelityReport, run_analytical, sweep
@@ -30,6 +31,7 @@ from .program import (
     ProgramError,
     Schedule,
     build_basic_program,
+    build_recovery,
     build_scaling_program,
     elaborate,
     parse_program,
@@ -38,7 +40,6 @@ from .program import (
 )
 from .qecc import (
     CHECK_MATRIX,
-    build_recovery,
     classify_crash,
     count_nonfailing_states,
     decode_table,

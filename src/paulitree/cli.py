@@ -5,7 +5,10 @@ Subcommands::
 
     paulitree run      one program, one threshold setting, one or both engines
     paulitree sweep    Cartesian grid of thresholds, analytical engine
-    paulitree compare  both engines at matched accuracy, reports the speedup
+    paulitree compare  ``run --mode both``: both engines on the same program
+
+A run of both engines reports on the Monte Carlo row its speedup, the
+Monte Carlo wall time over the analytical one.
 
 Reports are CSV (RFC-4180, stable column set) or JSON (field-for-field
 mirror), one row per engine run.  Rows record every input needed to
@@ -172,6 +175,8 @@ def cmd_run(args) -> int:
         rows.append(_analytical_row(args, prog, th))
     if args.mode in ("montecarlo", "both"):
         rows.append(_mc_row(args, prog))
+    if len(rows) == 2 and all("error" not in r for r in rows) and rows[0]["wall_time_ms"] > 0:
+        rows[1]["speedup"] = rows[1]["wall_time_ms"] / rows[0]["wall_time_ms"]
     _write_rows(rows, args)
     return 0
 
@@ -216,18 +221,6 @@ def cmd_sweep(args) -> int:
             else:
                 row["inaccuracy"] = abs(row["crash"] - base)
     _write_rows(rows, args)
-    return 0
-
-
-def cmd_compare(args) -> int:
-    params = _load_noise(args)
-    prog = _build_program(args, params)
-    th = _thresholds(args.event_th, args.merge_th, args.merge_mode)
-    a_row = _analytical_row(args, prog, th)
-    m_row = _mc_row(args, prog)
-    if "error" not in a_row and "error" not in m_row and a_row["wall_time_ms"] > 0:
-        m_row["speedup"] = m_row["wall_time_ms"] / a_row["wall_time_ms"]
-    _write_rows([a_row, m_row], args)
     return 0
 
 
@@ -291,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_cmp)
     _add_single_thresholds(p_cmp)
     _add_mc(p_cmp)
-    p_cmp.set_defaults(func=cmd_compare)
+    p_cmp.set_defaults(func=cmd_run, mode="both")
     return parser
 
 

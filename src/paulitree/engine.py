@@ -22,7 +22,8 @@ import numpy as np
 from . import qecc
 from .pauli import Pauli, PauliString
 from .errormap import ErrorMap, MergeMode, QubitSet, Thresholds, merge, split
-from .program import MergeSets, Program, ProgramError, SplitOff, step_kind
+from .program import (MergeSets, Program, ProgramError, SplitOff, initial_labels,
+                      step_kind)
 
 
 @dataclass(frozen=True)
@@ -46,15 +47,13 @@ class _Machine:
     """Mutable partition of the qubits into QubitSets, with the (set ID,
     local position) of every qubit."""
 
-    def __init__(self, partition: tuple[tuple[int, ...], ...],
-                 initial_errors: dict | None = None):
-        initial_errors = initial_errors or {}
+    def __init__(self, partition: tuple[tuple[int, ...], ...], labels: dict[int, Pauli]):
         self.sets: dict[int, QubitSet] = {}
         self.loc: dict[int, tuple[int, int]] = {}
         self.next_id = 0
         for group in partition:
-            labels = [Pauli(initial_errors.get(q, Pauli.I)) for q in group]
-            emap = ErrorMap.from_dict({PauliString.from_labels(labels): 1.0})
+            state = PauliString.from_labels([labels.get(q, Pauli.I) for q in group])
+            emap = ErrorMap.from_dict({state: 1.0})
             self.place(QubitSet(tuple(group), emap))
 
     def place(self, qs: QubitSet, sid: int | None = None) -> int:
@@ -95,12 +94,13 @@ def run_analytical(prog: Program, th: Thresholds,
     """Run the probability-tree model over an elaborated program.
 
     ``initial_errors`` injects a deterministic Pauli fault (qubit -> label)
-    into the initial machine state, for exhaustive correction tests.
+    into the initial machine state, for exhaustive correction tests;
+    see :func:`~paulitree.program.initial_labels` for what it may hold.
     """
     if not prog.elaborated:
         raise ProgramError("program must be elaborated before execution")
     start = time.perf_counter()
-    mach = _Machine(prog.initial_partition, initial_errors)
+    mach = _Machine(prog.initial_partition, initial_labels(prog, initial_errors))
     peak = max(len(qs.map) for qs in mach.sets.values())
 
     for step in prog.steps:

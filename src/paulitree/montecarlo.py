@@ -27,7 +27,7 @@ import numpy as np
 
 from . import qecc
 from .errormap import _nwords, _slot
-from .program import Program, ProgramError, step_kind
+from .program import Program, ProgramError, initial_labels, step_kind
 
 _U64 = np.uint64
 _CHUNK = 1 << 16
@@ -63,10 +63,10 @@ def _event(keys: np.ndarray, patterns: np.ndarray, f: float, rng) -> None:
         keys[rows, w] ^= patterns[pick, w]
 
 
-def _run_chunk(prog: Program, n: int, rng, initial_errors=None) -> int:
+def _run_chunk(prog: Program, n: int, rng, labels: dict) -> int:
     width = prog.num_qubits
     keys = np.zeros((n, _nwords(width)), dtype=_U64)
-    for q, label in (initial_errors or {}).items():
+    for q, label in labels.items():
         w, sh = _slot(q)
         keys[:, w] |= _U64(int(label)) << _U64(sh)
     for step in prog.steps:
@@ -78,19 +78,15 @@ def _run_chunk(prog: Program, n: int, rng, initial_errors=None) -> int:
     return n - int(np.count_nonzero(qecc.correctable(keys, prog.crash_blocks)))
 
 
-def _run_shard(prog: Program, iterations: int, rng, initial_errors=None) -> int:
+def _run_shard(job: tuple) -> int:
+    """Crash count of one shard; ``job`` is (program, iterations, seed
+    sequence, initial labels)."""
+    prog, iterations, child, labels = job
+    rng = np.random.default_rng(child)
     crashes = 0
-    done = 0
-    while done < iterations:
-        n = min(_CHUNK, iterations - done)
-        crashes += _run_chunk(prog, n, rng, initial_errors)
-        done += n
+    for done in range(0, iterations, _CHUNK):
+        crashes += _run_chunk(prog, min(_CHUNK, iterations - done), rng, labels)
     return crashes
-
-
-def _shard_job(args: tuple) -> int:
-    prog, n, child, initial_errors = args
-    return _run_shard(prog, n, np.random.default_rng(child), initial_errors)
 
 
 def run_mc_parallel(prog: Program, iterations: int, seed: int,
@@ -102,6 +98,8 @@ def run_mc_parallel(prog: Program, iterations: int, seed: int,
     uses the i-th spawned child of the seed's sequence, so a run is
     reproducible for a fixed shard count regardless of ``jobs`` (the
     number of worker processes; tallies are a pure sum over shards).
+    ``initial_errors`` is checked as in :func:`run_analytical`, by
+    :func:`~paulitree.program.initial_labels`.
     """
     if not prog.elaborated:
         raise ProgramError("program must be elaborated before execution")
@@ -109,11 +107,12 @@ def run_mc_parallel(prog: Program, iterations: int, seed: int,
         raise ValueError("iterations must be at least 1")
     if shards < 1:
         raise ValueError("shards must be at least 1")
+    labels = initial_labels(prog, initial_errors)
     start = time.perf_counter()
     children = np.random.SeedSequence(seed).spawn(shards)
     base, extra = divmod(iterations, shards)
     work = [
-        (prog, base + (1 if i < extra else 0), child, initial_errors)
+        (prog, base + (1 if i < extra else 0), child, labels)
         for i, child in enumerate(children)
         if base + (1 if i < extra else 0)
     ]
@@ -121,9 +120,9 @@ def run_mc_parallel(prog: Program, iterations: int, seed: int,
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=min(jobs, len(work))) as pool:
-            crashes = sum(pool.map(_shard_job, work))
+            crashes = sum(pool.map(_run_shard, work))
     else:
-        crashes = sum(_shard_job(w) for w in work)
+        crashes = sum(_run_shard(w) for w in work)
     p = crashes / iterations
     ci = 1.96 * np.sqrt(p * (1.0 - p) / iterations)
     return MCReport(

@@ -61,7 +61,7 @@ class NoiseParams:
             "global_scale",
         ):
             v = getattr(self, name)
-            if v <= 0.0:
+            if not v > 0.0:  # written so that NaN fails too
                 raise ConfigError("%s must be positive, got %r" % (name, v))
 
     def scaled(self) -> "NoiseParams":

@@ -6,7 +6,10 @@ physical-qubit IDs.  Stochastic *events* branch error maps; *tasks*
 reset) transform them deterministically.  The analytical engine and the
 Monte Carlo engine both interpret the identical elaborated step stream.
 
-Programs are built cycle by cycle.  A cycle's duration is that of its
+Every program is built here, cycle by cycle: :class:`Schedule` emits
+the cycles, :func:`build_recovery` emits the recovery circuit from the
+Steane code tables of :mod:`~paulitree.qecc`, and both benchmark
+programs come from one builder loop.  A cycle's duration is that of its
 longest operation (the two-bit op time when any CNOT is present, else
 the one-bit op time); every qubit receives exactly one decoherence
 event per cycle, against the operation decay constant if it was
@@ -37,6 +40,7 @@ from typing import Any, Callable, Iterable, Sequence, Union
 
 from . import errormap, qecc
 from .noise import NoiseParams, decoherence_prob
+from .pauli import Pauli
 
 
 class ProgramError(RuntimeError):
@@ -310,6 +314,19 @@ class Program:
             raise ProgramError("initial partition must cover every qubit exactly once")
 
 
+def initial_labels(prog: Program, initial_errors: dict | None) -> dict[int, Pauli]:
+    """The injected faults (qubit -> label) both engines start from,
+    checked: ValueError for a qubit outside the program or a label that
+    is not a :class:`~paulitree.pauli.Pauli`."""
+    labels = {}
+    for q, label in (initial_errors or {}).items():
+        if q not in range(prog.num_qubits):
+            raise ValueError("initial error on qubit %r, outside the program's %d qubits"
+                             % (q, prog.num_qubits))
+        labels[q] = Pauli(label)
+    return labels
+
+
 class Schedule:
     """Cycle-oriented step emitter shared by the program builders."""
 
@@ -334,16 +351,7 @@ class Schedule:
         decoherence, then one decoherence event per machine qubit.
         """
         p = self.params
-        busy: set[int] = set()
-        for q in hadamards:
-            busy.add(q)
-        for c, t in cnots:
-            if c == t:
-                raise ProgramError("CNOT control equals target")
-            busy.add(c)
-            busy.add(t)
-        busy.update(measures)
-        busy.update(resets)
+        busy = set(hadamards).union(measures, resets, *cnots)  # both qubits of a CNOT
         if len(busy) != len(hadamards) + 2 * len(cnots) + len(measures) + len(resets):
             raise ProgramError("a qubit is operated twice in one cycle")
 
@@ -376,53 +384,140 @@ class Schedule:
             self.steps.append(OneQubitEvent(q, f_op if q in busy else f_mem))
         self.num_cycles += 1
 
-    def task(self, step: Step) -> None:
-        self.steps.append(step)
+
+# -- recovery circuit ----------------------------------------------------
+
+
+def prepare_ancilla(sched: Schedule, block: tuple[int, ...], basis: str) -> None:
+    """Encode a fresh logical ancilla in ``block``.
+
+    ``basis`` "z" leaves the logical zero; "x" appends a transversal
+    Hadamard for the logical plus state used by phase-error extraction.
+    """
+    sched.cycle(resets=block)
+    sched.cycle(hadamards=[block[i] for i in qecc.ENCODER_HADAMARDS])
+    for pairs in qecc.ENCODER_CNOT_CYCLES:
+        sched.cycle(cnots=[(block[c], block[t]) for c, t in pairs])
+    if basis == "x":
+        sched.cycle(hadamards=block)
+    elif basis != "z":
+        raise ValueError("basis must be 'z' or 'x', got %r" % (basis,))
+
+
+def verify_ancilla(sched: Schedule, block: tuple[int, ...], verifier: int,
+                   basis: str) -> None:
+    """Check the ancilla block for the error type that would propagate
+    into the data during extraction, reusing one verifier qubit to
+    measure the three parity checks of that type in sequence.
+
+    A "z" ancilla is the extraction CNOT's target, so its Z errors copy
+    back onto the data: per check row, the verifier starts in the plus
+    state, controls a CNOT onto each row qubit to collect their Z
+    parity, and is Hadamard-ed back for readout.  An "x" ancilla is the
+    control, so its X errors copy forward: row-to-verifier CNOTs collect
+    the X parity directly.  Measuring the full syndrome rather than one
+    overall parity keeps the check distance-3, so every weight-1 or -2
+    dangerous error from a single preparation fault is caught.  (Errors
+    of the other type only corrupt this block's measured syndrome, which
+    the three-way majority vote absorbs.)  A detected fault discards the
+    block for a fresh one.
+    """
+    if basis not in ("z", "x"):
+        raise ValueError("basis must be 'z' or 'x', got %r" % (basis,))
+    for row in qecc.CHECK_MATRIX:
+        checked = [block[j] for j in range(7) if row[j]]
+        sched.cycle(resets=[verifier])
+        if basis == "z":
+            sched.cycle(hadamards=[verifier])
+            for q in checked:
+                sched.cycle(cnots=[(verifier, q)])
+            sched.cycle(hadamards=[verifier])
+        else:
+            for q in checked:
+                sched.cycle(cnots=[(q, verifier)])
+        sched.cycle(measures=[verifier])
+        sched.steps.append(VerifyReadout(tuple(block), verifier))
+
+
+def extract_syndrome(sched: Schedule, data: tuple[int, ...],
+                     block: tuple[int, ...], phase: str, slot: int) -> None:
+    """Copy the data block's errors of one kind onto the ancilla and
+    measure it, leaving the 3-bit syndrome stored in the block.
+
+    The coset reduction beforehand removes accumulated ancilla error
+    patterns that act trivially on the encoded ancilla state (stabilizer
+    and trivial-logical combinations); physically those never existed,
+    and without the reduction they would be wrongly copied into the data
+    block by the extraction CNOTs.
+    """
+    if phase == "bit":
+        sched.steps.append(CosetReduce(tuple(block), "z"))
+        sched.cycle(cnots=list(zip(data, block)))
+    elif phase == "phase":
+        sched.steps.append(CosetReduce(tuple(block), "x"))
+        sched.cycle(cnots=list(zip(block, data)))
+        sched.cycle(hadamards=block)
+    else:
+        raise ValueError("phase must be 'bit' or 'phase', got %r" % (phase,))
+    sched.cycle(measures=block)
+    sched.steps.append(SyndromeMeasure(tuple(block), slot))
+
+
+def build_recovery(sched: Schedule, data: tuple[int, ...],
+                   ancilla_blocks: tuple[tuple[int, ...], ...], verifier: int) -> None:
+    """Full fault-tolerant recovery of one data block: bit phase then
+    phase phase, three verified syndrome extractions each, then the
+    majority vote and correction.  Recovery is local, so it carries no
+    transport."""
+    for phase, basis in (("bit", "z"), ("phase", "x")):
+        for slot, block in enumerate(ancilla_blocks):
+            prepare_ancilla(sched, block, basis)
+            verify_ancilla(sched, block, verifier, basis)
+            extract_syndrome(sched, data, block, phase, slot)
+        # the classical decode and the conditional corrective pulse take
+        # one cycle; the correction itself is modeled error-free (its
+        # imprecision is far below the decoherence accrued while decoding)
+        sched.cycle()
+        sched.steps.append(Correct(tuple(data), tuple(tuple(b) for b in ancilla_blocks), phase))
 
 
 # -- benchmark program builders -----------------------------------------
 
 
-def _machine_layout(n_logical: int) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]], int]:
-    """Data blocks, three reusable ancilla blocks, and the verifier qubit."""
+def _build(name: str, n_logical: int, phases: list[list[tuple[int, int]]],
+           idle_cycles: int, params: NoiseParams, transport_um: float) -> Program:
+    """Per phase, a transversal logical CNOT (seven physical CNOTs in one
+    cycle) on each pair of data blocks, each followed by recovery of both
+    operand blocks, then ``idle_cycles`` idle cycles; finally one
+    measurement of every data block.  The machine holds the data blocks,
+    three reusable ancilla blocks and the verifier qubit, in that order."""
     data = [tuple(range(7 * b, 7 * b + 7)) for b in range(n_logical)]
-    base = 7 * n_logical
-    ancilla = [tuple(range(base + 7 * k, base + 7 * k + 7)) for k in range(3)]
-    verifier = base + 21
-    return data, ancilla, verifier
-
-
-def _initial_partition(n_logical: int) -> tuple[tuple[int, ...], ...]:
-    data, ancilla, verifier = _machine_layout(n_logical)
-    return tuple(data) + tuple(ancilla) + ((verifier,),)
-
-
-def _logical_cnot(sched: Schedule, block_a: tuple[int, ...], block_b: tuple[int, ...],
-                  transport_um: float) -> None:
-    """Transversal logical CNOT: seven physical CNOTs in one cycle."""
-    sched.cycle(cnots=list(zip(block_a, block_b)), transport_um=transport_um)
-
-
-def build_basic_program(params: NoiseParams, transport_um: float = 0.0) -> Program:
-    """The two-logical-qubit benchmark: logical CNOT, recovery of both
-    blocks, a second logical CNOT, recovery, and final measurement."""
-    n_logical = 2
-    data, ancilla, verifier = _machine_layout(n_logical)
+    ancilla = [tuple(range(7 * (n_logical + k), 7 * (n_logical + k + 1))) for k in range(3)]
+    verifier = 7 * n_logical + 21
     sched = Schedule(7 * n_logical + 22, params)
-    for _ in range(2):
-        _logical_cnot(sched, data[0], data[1], transport_um)
-        for block in data:
-            qecc.build_recovery(sched, block, ancilla, verifier)
+    for pairs in phases:
+        for src, dst in pairs:
+            sched.cycle(cnots=list(zip(data[src], data[dst])), transport_um=transport_um)
+            for b in (src, dst):
+                build_recovery(sched, data[b], ancilla, verifier)
+        for _ in range(idle_cycles):
+            sched.cycle()
     sched.cycle(measures=[q for block in data for q in block])
     return Program(
-        name="basic",
+        name=name,
         num_qubits=sched.num_qubits,
-        initial_partition=_initial_partition(n_logical),
+        initial_partition=tuple(data) + tuple(ancilla) + ((verifier,),),
         steps=tuple(sched.steps),
         crash_blocks=tuple(data),
         num_logical=n_logical,
         num_cycles=sched.num_cycles,
     )
+
+
+def build_basic_program(params: NoiseParams, transport_um: float = 0.0) -> Program:
+    """The two-logical-qubit benchmark: logical CNOT, recovery of both
+    blocks, a second logical CNOT, recovery, and final measurement."""
+    return _build("basic", 2, [[(0, 1)], [(0, 1)]], 0, params, transport_um)
 
 
 def scaling_phase_pairs(n_logical: int) -> list[list[tuple[int, int]]]:
@@ -450,25 +545,8 @@ def build_scaling_program(n_logical: int, params: NoiseParams,
     of idle time per phase, and final measurement of every block."""
     if n_logical < 2:
         raise ValueError("scaling program needs at least 2 logical qubits")
-    data, ancilla, verifier = _machine_layout(n_logical)
-    sched = Schedule(7 * n_logical + 22, params)
-    for pairs in scaling_phase_pairs(n_logical):
-        for src, dst in pairs:
-            _logical_cnot(sched, data[src], data[dst], transport_um)
-            for b in (src, dst):
-                qecc.build_recovery(sched, data[b], ancilla, verifier)
-        for _ in range(7):
-            sched.cycle()
-    sched.cycle(measures=[q for block in data for q in block])
-    return Program(
-        name="scaling",
-        num_qubits=sched.num_qubits,
-        initial_partition=_initial_partition(n_logical),
-        steps=tuple(sched.steps),
-        crash_blocks=tuple(data),
-        num_logical=n_logical,
-        num_cycles=sched.num_cycles,
-    )
+    return _build("scaling", n_logical, scaling_phase_pairs(n_logical), 7, params,
+                  transport_um)
 
 
 # -- elaboration ---------------------------------------------------------
@@ -535,10 +613,13 @@ def elaborate(prog: Program) -> Program:
         for q in group:
             if q not in part.set_of:
                 raise ProgramError("step references undeclared qubit %d" % q)
-        for q in group[1:]:
-            if part.set_of[q] != part.set_of[group[0]]:
-                out.append(MergeSets(group[0], q))
-                part.union(group[0], q)
+        if len(group) > 1:
+            if len(set(group)) != len(group):
+                raise ProgramError("step %r repeats a qubit" % (step,))
+            for q in group[1:]:
+                if part.set_of[q] != part.set_of[group[0]]:
+                    out.append(MergeSets(group[0], q))
+                    part.union(group[0], q)
         out.append(step)
         j = i + 1  # walk past splits already present from a prior elaboration
         for released in kind.releases(step):
@@ -607,7 +688,11 @@ def parse_program(text: str) -> Program:
                 arity = kind.text.count("%")
                 if len(tokens) != arity:
                     raise ValueError("%s takes %d operands, got %d" % (kw, arity, len(tokens)))
-                steps.append(kind.parse(*tokens))
+                step = kind.parse(*tokens)
+                operands = kind.operands(step)
+                if len(set(operands)) != len(operands):
+                    raise ValueError("%s repeats a qubit" % kw)
+                steps.append(step)
             else:
                 raise ValueError("unknown keyword %r" % kw)
         except (ValueError, IndexError) as exc:

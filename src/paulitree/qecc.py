@@ -1,4 +1,4 @@
-"""Steane [[7,1,3]] code machinery: recovery circuits and readout kernels.
+"""Steane [[7,1,3]] code machinery: code tables and readout kernels.
 
 The code stores one logical qubit in a 7-qubit block and corrects any
 single-qubit error.  Recovery runs in two sequential phases: the *bit*
@@ -8,14 +8,15 @@ blocks, extracts the syndrome into each, majority-votes the three
 syndromes, and applies the decoded single-qubit correction, so that a
 faulty ancilla or measurement cannot outvote two good extractions.
 
-``build_recovery`` emits the full cycle-level circuit onto a
-:class:`~paulitree.program.Schedule`.  The ``*_kernel`` functions are
-the deterministic transformations behind the readout tasks, written on
-packed (rows, words) key arrays like the gate kernels of
-:mod:`~paulitree.errormap`; ``correctable`` is the per-row crash
-observable.  Both engines share them: the analytical engine applies
-them to an error map's keys, the Monte Carlo engine to its sampled
-strings.
+This module holds the code itself: the check matrix, the encoder
+tables, the decode table and the state counts.  The recovery circuit
+built from them is emitted by :func:`paulitree.program.build_recovery`.
+The ``*_kernel`` functions are the deterministic transformations behind
+the readout tasks, written on packed (rows, words) key arrays like the
+gate kernels of :mod:`~paulitree.errormap`; ``correctable`` is the
+per-row crash observable.  Both engines share them: the analytical
+engine applies them to an error map's keys, the Monte Carlo engine to
+its sampled strings.
 """
 
 from __future__ import annotations
@@ -24,9 +25,6 @@ import math
 
 import numpy as np
 
-# program's step table names the kernels below, so this module reads the
-# step classes as ``program.X`` when it emits them, not at import time
-from . import program
 from .errormap import ErrorMap, _clear_mask, _nwords, _row_from_int, _slot
 from .pauli import Pauli, PauliString
 
@@ -99,109 +97,6 @@ def count_nonfailing_states(code, max_weight: int | None = None) -> int:
         if max_weight is None:
             raise ValueError("max_weight is required with an explicit block length")
     return sum(math.comb(n_qubits, w) * 3**w for w in range(max_weight + 1))
-
-
-# -- circuit emission ----------------------------------------------------
-
-
-def prepare_ancilla(sched: program.Schedule, block: tuple[int, ...], basis: str) -> None:
-    """Encode a fresh logical ancilla in ``block``.
-
-    ``basis`` "z" leaves the logical zero; "x" appends a transversal
-    Hadamard for the logical plus state used by phase-error extraction.
-    """
-    sched.cycle(resets=block)
-    sched.cycle(hadamards=[block[i] for i in ENCODER_HADAMARDS])
-    for pairs in ENCODER_CNOT_CYCLES:
-        sched.cycle(cnots=[(block[c], block[t]) for c, t in pairs])
-    if basis == "x":
-        sched.cycle(hadamards=block)
-    elif basis != "z":
-        raise ValueError("basis must be 'z' or 'x', got %r" % (basis,))
-
-
-def verify_ancilla(sched: program.Schedule, block: tuple[int, ...], verifier: int,
-                   basis: str) -> None:
-    """Check the ancilla block for the error type that would propagate
-    into the data during extraction, reusing one verifier qubit to
-    measure the three parity checks of that type in sequence.
-
-    A "z" ancilla is the extraction CNOT's target, so its Z errors copy
-    back onto the data: per check row, the verifier starts in the plus
-    state, controls a CNOT onto each row qubit to collect their Z
-    parity, and is Hadamard-ed back for readout.  An "x" ancilla is the
-    control, so its X errors copy forward: row-to-verifier CNOTs collect
-    the X parity directly.  Measuring the full syndrome rather than one
-    overall parity keeps the check distance-3, so every weight-1 or -2
-    dangerous error from a single preparation fault is caught.  (Errors
-    of the other type only corrupt this block's measured syndrome, which
-    the three-way majority vote absorbs.)  A detected fault discards the
-    block for a fresh one.
-    """
-    if basis not in ("z", "x"):
-        raise ValueError("basis must be 'z' or 'x', got %r" % (basis,))
-    for row in CHECK_MATRIX:
-        checked = [block[j] for j in range(7) if row[j]]
-        sched.cycle(resets=[verifier])
-        if basis == "z":
-            sched.cycle(hadamards=[verifier])
-            for q in checked:
-                sched.cycle(cnots=[(verifier, q)])
-            sched.cycle(hadamards=[verifier])
-        else:
-            for q in checked:
-                sched.cycle(cnots=[(q, verifier)])
-        sched.cycle(measures=[verifier])
-        sched.task(program.VerifyReadout(tuple(block), verifier))
-
-
-def extract_syndrome(sched: program.Schedule, data: tuple[int, ...],
-                     block: tuple[int, ...], phase: str, slot: int) -> None:
-    """Copy the data block's errors of one kind onto the ancilla and
-    measure it, leaving the 3-bit syndrome stored in the block.
-
-    The coset reduction beforehand removes accumulated ancilla error
-    patterns that act trivially on the encoded ancilla state (stabilizer
-    and trivial-logical combinations); physically those never existed,
-    and without the reduction they would be wrongly copied into the data
-    block by the extraction CNOTs.
-    """
-    if phase == "bit":
-        sched.task(program.CosetReduce(tuple(block), "z"))
-        sched.cycle(cnots=list(zip(data, block)))
-    elif phase == "phase":
-        sched.task(program.CosetReduce(tuple(block), "x"))
-        sched.cycle(cnots=list(zip(block, data)))
-        sched.cycle(hadamards=block)
-    else:
-        raise ValueError("phase must be 'bit' or 'phase', got %r" % (phase,))
-    sched.cycle(measures=block)
-    sched.task(program.SyndromeMeasure(tuple(block), slot))
-
-
-def apply_correction(sched: program.Schedule, data: tuple[int, ...],
-                     ancilla_blocks: tuple[tuple[int, ...], ...], phase: str) -> None:
-    """Majority-vote the three stored syndromes and correct the data block.
-
-    The classical decode and the conditional corrective pulse occupy one
-    cycle; the correction itself is modeled error-free (its imprecision
-    is far below the decoherence accrued while decoding).
-    """
-    sched.cycle()
-    sched.task(program.Correct(tuple(data), tuple(tuple(b) for b in ancilla_blocks), phase))
-
-
-def build_recovery(sched: program.Schedule, data: tuple[int, ...],
-                   ancilla_blocks: tuple[tuple[int, ...], ...], verifier: int) -> None:
-    """Full fault-tolerant recovery of one data block: bit phase then
-    phase phase, three verified syndrome extractions each.  Recovery is
-    local, so it carries no transport."""
-    for phase, basis in (("bit", "z"), ("phase", "x")):
-        for slot, block in enumerate(ancilla_blocks):
-            prepare_ancilla(sched, block, basis)
-            verify_ancilla(sched, block, verifier, basis)
-            extract_syndrome(sched, data, block, phase, slot)
-        apply_correction(sched, data, ancilla_blocks, phase)
 
 
 # -- readout kernels ------------------------------------------------------

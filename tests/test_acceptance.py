@@ -35,10 +35,11 @@ from paulitree.program import (
     Schedule,
     TwoQubitEvent,
     build_basic_program,
+    build_recovery,
     build_scaling_program,
     elaborate,
 )
-from paulitree.qecc import build_recovery, count_nonfailing_states
+from paulitree.qecc import count_nonfailing_states
 from tests import oracle
 
 TH0 = Thresholds()

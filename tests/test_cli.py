@@ -52,6 +52,9 @@ class TestRun:
         assert m["mc_iterations"] == "500"
         assert m["seed"] == "3"
         assert m["shards"] == "1"
+        assert float(m["speedup"]) == pytest.approx(
+            float(m["wall_time_ms"]) / float(a["wall_time_ms"])
+        )
 
     def test_scaling_program_and_scale_knob(self, capsys):
         code, out, _ = run_cli(

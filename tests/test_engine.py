@@ -108,6 +108,15 @@ class TestRunValidation:
         with pytest.raises(ProgramError, match="elaborated"):
             run_analytical(prog, TH0)
 
+    @pytest.mark.parametrize("errors, message", [
+        ({0: 5}, "not a valid Pauli"),
+        ({2: Pauli.X}, "outside"),
+        ({-1: Pauli.X}, "outside"),
+    ])
+    def test_initial_errors_are_checked(self, errors, message):
+        with pytest.raises(ValueError, match=message):
+            run_analytical(toy([CNot(0, 1)]), TH0, initial_errors=errors)
+
     def test_unelaborated_cross_set_step_rejected(self):
         prog = toy([CNot(0, 1)], partition=((0,), (1,)))
         with pytest.raises(ProgramError, match="span"):

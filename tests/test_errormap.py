@@ -551,7 +551,7 @@ def test_merge_matches_brute_force_across_word_boundary(mode, data):
     side_b = data.draw(dyadic_side(nb))
     # products are multiples of 2**-20; a threshold halfway between two
     # of them is never met with equality, so p >= th has one answer
-    th = data.draw(st.sampled_from([0.0]) | st.integers(0, 2 ** 20).map(
+    th = data.draw(st.sampled_from([0.0]) | st.integers(0, 2 ** 20 - 1).map(
         lambda t: (t + 0.5) * 2.0 ** -20))
     expected = {}
     for ka, pa in side_a.items():

@@ -97,6 +97,15 @@ class TestValidationAndInjection:
         with pytest.raises(ProgramError):
             run_mc(build_basic_program(QUIET), 10, seed=0)
 
+    @pytest.mark.parametrize("errors, message", [
+        ({0: 5}, "not a valid Pauli"),
+        ({2: Pauli.X}, "outside"),
+        ({40: Pauli.X}, "outside"),
+    ])
+    def test_initial_errors_are_checked(self, errors, message):
+        with pytest.raises(ValueError, match=message):
+            run_mc(toy([CNot(0, 1)]), 16, seed=0, initial_errors=errors)
+
     def test_injected_faults_are_deterministic(self):
         prog = elaborate(build_basic_program(QUIET))
         clean = run_mc(prog, 64, seed=1, initial_errors={3: Pauli.Y})

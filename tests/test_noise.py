@@ -120,6 +120,14 @@ class TestConfigFormat:
         with pytest.raises(ConfigError, match="two_qubit_op_error"):
             load_params("two_qubit_op_error = 2.0")
 
+    @pytest.mark.parametrize("key", [
+        "memory_decay_s", "operation_decay_s", "transport_decay_s",
+        "one_bit_op_time_us", "global_scale", "reset_error",
+    ])
+    def test_nan_is_rejected_naming_the_key(self, key):
+        with pytest.raises(ConfigError, match=key):
+            load_params("%s = nan" % key)
+
     def test_serialize_covers_every_field(self):
         text = serialize_params(NoiseParams())
         for f in dataclasses.fields(NoiseParams):

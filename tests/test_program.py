@@ -180,6 +180,19 @@ class TestElaborate:
         with pytest.raises(ProgramError, match="undeclared"):
             elaborate(prog)
 
+    @pytest.mark.parametrize("line, step", [
+        ("cx 0 0", CNot(0, 0)),
+        ("e2 0 0 0.3", TwoQubitEvent(0, 0, 0.3)),
+        ("verify 3 0,1,2,3,4,5,6", VerifyReadout(tuple(range(7)), 3)),
+    ])
+    def test_rejects_repeated_operands(self, line, step):
+        text = "program t\nqubits 7\nset 0,1,2,3,4,5,6\n%s\n" % line
+        with pytest.raises(ProgramError, match="line 4: .* repeats a qubit"):
+            parse_program(text)
+        prog = Program("t", 7, (tuple(range(7)),), (step,), (), 0, 0)
+        with pytest.raises(ProgramError, match="repeats a qubit"):
+            elaborate(prog)
+
     def test_reset_operands_share_a_set(self):
         prog = elaborate(Program("t", 2, ((0,), (1,)), (Reset((0, 1)),), (), 0, 0))
         assert prog.steps == (MergeSets(0, 1), Reset((0, 1)))

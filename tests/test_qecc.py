@@ -13,6 +13,9 @@ from paulitree.program import (
     Schedule,
     SyndromeMeasure,
     VerifyReadout,
+    extract_syndrome,
+    prepare_ancilla,
+    verify_ancilla,
 )
 from paulitree.qecc import (
     CHECK_MATRIX,
@@ -25,11 +28,8 @@ from paulitree.qecc import (
     count_nonfailing_states,
     decode_table,
     decode_table_text,
-    extract_syndrome,
-    prepare_ancilla,
     surviving_mass,
     syndrome_kernel,
-    verify_ancilla,
     verify_kernel,
 )
 
