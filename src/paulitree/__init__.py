@@ -23,7 +23,7 @@ from .errormap import (
     sum_matching,
     total_probability,
 )
-from .montecarlo import MCReport, run_mc, run_mc_parallel
+from .montecarlo import MCReport, run_mc
 from .noise import ConfigError, NoiseParams, decoherence_prob, load_params, serialize_params
 from .pauli import Pauli, PauliString, compose
 from .program import (
@@ -79,7 +79,6 @@ __all__ = [
     "program_hash",
     "run_analytical",
     "run_mc",
-    "run_mc_parallel",
     "serialize_params",
     "serialize_program",
     "split",

@@ -30,7 +30,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from .engine import run_analytical
 from .errormap import MergeMode, Thresholds
-from .montecarlo import run_mc_parallel
+from .montecarlo import run_mc
 from .noise import ConfigError, NoiseParams, load_params
 from .program import (
     Program,
@@ -121,8 +121,7 @@ def _mc_row(args, prog: Program) -> dict:
     row = _base_row(args, prog)
     row["engine"] = "montecarlo"
     try:
-        rep = run_mc_parallel(prog, args.mc_iterations, args.seed, args.shards,
-                              jobs=args.jobs)
+        rep = run_mc(prog, args.mc_iterations, args.seed, args.shards, jobs=args.jobs)
     except MemoryError:
         row["error"] = "out of memory"
         return row

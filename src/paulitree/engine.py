@@ -1,15 +1,20 @@
 """Analytical engine: evolve error maps through an elaborated program.
 
-The machine state is a partition of the physical qubits into QubitSets,
-each owning one error map.  Merge/split steps restructure the partition;
-every other step reads its entry in :data:`~paulitree.program.STEP_KINDS`
-and acts on the map of the set holding its operands.  An error event
+The machine state is a :class:`~paulitree.program.Partition` of the
+physical qubits into QubitSets, the one :func:`~paulitree.program.elaborate`
+tracks, with one error map per set ID.  Merge/split steps restructure
+both: the maps through :func:`~paulitree.errormap.merge` and
+:func:`~paulitree.errormap.split`, which decide the key order, and the
+partition by placing the members of the QubitSets they return.  Every
+other step reads its entry in :data:`~paulitree.program.STEP_KINDS` and
+acts on the map of the set holding its operands.  An error event
 branches each entry on the event's outcome patterns, the same rows the
 Monte Carlo engine draws from; a deterministic step applies its
 key-array kernel, the same kernel the Monte Carlo engine applies to its
 samples.  At the end the crash probability is read off the
 surviving/total mass split, with lossy-merge discards accounted
-separately so survival + crash + discarded = 1.
+separately so survival + crash + discarded = 1; each crash block must
+by then lie in one set.
 """
 
 from __future__ import annotations
@@ -22,8 +27,8 @@ import numpy as np
 from . import qecc
 from .pauli import Pauli, PauliString
 from .errormap import ErrorMap, MergeMode, QubitSet, Thresholds, merge, split
-from .program import (MergeSets, Program, ProgramError, SplitOff, initial_labels,
-                      step_kind)
+from .program import (MergeSets, Partition, Program, ProgramError, SplitOff,
+                      initial_labels, step_kind, step_operands)
 
 
 @dataclass(frozen=True)
@@ -43,52 +48,6 @@ class FidelityReport:
     wall_time_s: float
 
 
-class _Machine:
-    """Mutable partition of the qubits into QubitSets, with the (set ID,
-    local position) of every qubit."""
-
-    def __init__(self, partition: tuple[tuple[int, ...], ...], labels: dict[int, Pauli]):
-        self.sets: dict[int, QubitSet] = {}
-        self.loc: dict[int, tuple[int, int]] = {}
-        self.next_id = 0
-        for group in partition:
-            state = PauliString.from_labels([labels.get(q, Pauli.I) for q in group])
-            emap = ErrorMap.from_dict({state: 1.0})
-            self.place(QubitSet(tuple(group), emap))
-
-    def place(self, qs: QubitSet, sid: int | None = None) -> int:
-        """Store a set under ``sid`` (default: a fresh ID) and locate its qubits."""
-        if sid is None:
-            sid, self.next_id = self.next_id, self.next_id + 1
-        self.sets[sid] = qs
-        for i, q in enumerate(qs.members):
-            self.loc[q] = (sid, i)
-        return sid
-
-    def require_same_set(self, qubits: tuple[int, ...]) -> tuple[int, list[int]]:
-        sids = {self.loc[q][0] for q in qubits}
-        if len(sids) != 1:
-            raise ProgramError(
-                "step operands %r span QubitSets; program not elaborated" % (qubits,)
-            )
-        sid = sids.pop()
-        return sid, [self.loc[q][1] for q in qubits]
-
-    def merge(self, qa: int, qb: int, th: Thresholds) -> int:
-        sa = self.loc[qa][0]
-        sb = self.loc[qb][0]
-        if sa != sb:
-            self.place(merge(self.sets[sa], self.sets.pop(sb), th), sa)
-        return sa
-
-    def split_off(self, qubits: tuple[int, ...]) -> None:
-        sid, locals_ = self.require_same_set(qubits)
-        if len(qubits) < len(self.sets[sid].members):
-            part, rest = split(self.sets[sid], locals_)
-            self.place(rest, sid)
-            self.place(part)
-
-
 def run_analytical(prog: Program, th: Thresholds,
                    initial_errors: dict | None = None) -> FidelityReport:
     """Run the probability-tree model over an elaborated program.
@@ -100,42 +59,50 @@ def run_analytical(prog: Program, th: Thresholds,
     if not prog.elaborated:
         raise ProgramError("program must be elaborated before execution")
     start = time.perf_counter()
-    mach = _Machine(prog.initial_partition, initial_labels(prog, initial_errors))
-    peak = max(len(qs.map) for qs in mach.sets.values())
+    labels = initial_labels(prog, initial_errors)
+    part = Partition(prog.initial_partition)
+    maps = {sid: ErrorMap.from_dict(
+                {PauliString.from_labels([labels.get(q, Pauli.I) for q in group]): 1.0})
+            for sid, group in part.members.items()}
+    peak = max(len(m) for m in maps.values())
 
     for step in prog.steps:
         kind = type(step)
         if kind is MergeSets:
-            sid = mach.merge(step.qubit_a, step.qubit_b, th)
-            peak = max(peak, len(mach.sets[sid].map))
-        elif kind is SplitOff:
-            mach.split_off(step.qubits)
+            sa, sb = part.loc[step.qubit_a][0], part.loc[step.qubit_b][0]
+            if sa != sb:
+                qs = merge(QubitSet(part.members[sa], maps[sa]),
+                           QubitSet(part.members.pop(sb), maps.pop(sb)), th)
+                maps[part.place(qs.members, sa)] = qs.map
+                peak = max(peak, len(qs.map))
+            continue
+        spec = step_kind(step)
+        qubits = step_operands(spec, step, prog.num_qubits)
+        if not qubits:
+            continue  # a classical record (Measure)
+        sid, locals_ = part.locate(qubits)
+        m = maps[sid]
+        if kind is SplitOff:
+            if len(qubits) < len(part.members[sid]):
+                keep, rest = split(QubitSet(part.members[sid], m), locals_)
+                maps[part.place(rest.members, sid)] = rest.map
+                maps[part.place(keep.members)] = keep.map
+        elif spec.patterns is not None:
+            m.event_kernel(spec.patterns(m.width, *locals_), step.f, th.event_branch)
+            peak = max(peak, len(m))
         else:
-            spec = step_kind(step)
-            if spec.patterns is None and spec.kernel is None:
-                continue  # a classical record (Measure)
-            sid, locals_ = mach.require_same_set(spec.operands(step))
-            m = mach.sets[sid].map
-            if spec.patterns is not None:
-                m.event_kernel(spec.patterns(m.width, *locals_), step.f, th.event_branch)
-                peak = max(peak, len(m))
-            else:
-                m.apply(spec.function, *spec.args(step, locals_), collide=spec.collide)
+            m.apply(spec.function, *spec.args(step, locals_))
 
     # total mass that survived pruning, as a product over independent sets
-    totals = {sid: qs.map.total() for sid, qs in mach.sets.items()}
+    totals = {sid: m.total() for sid, m in maps.items()}
     retained = float(np.prod(list(totals.values())))
+    blocks: dict[int, list[list[int]]] = {}
+    for block in prog.crash_blocks:
+        sid, locals_ = part.locate(block)
+        blocks.setdefault(sid, []).append(locals_)
     survival = 1.0
-    for sid, qs in mach.sets.items():
-        block_locals = [
-            [mach.loc[q][1] for q in block]
-            for block in prog.crash_blocks
-            if mach.loc[block[0]][0] == sid
-        ]
-        if block_locals:
-            survival *= qecc.surviving_mass(qs.map, block_locals)
-        else:
-            survival *= totals[sid]
+    for sid, m in maps.items():
+        survival *= qecc.surviving_mass(m, blocks[sid]) if sid in blocks else totals[sid]
     if th.merge_mode is MergeMode.PRESERVATION:
         discarded = 0.0
     else:

@@ -9,7 +9,10 @@ Local qubit index i of a set lives in word i // 32 at bit offset
 2 * (i % 32); this matches the integer packing used by
 :class:`~paulitree.pauli.PauliString`.
 
-A map keeps its keys sorted in numeric order.  Sorting and lookup go
+A map keeps its keys sorted in numeric order, except right after
+:meth:`ErrorMap.apply`, which leaves them as the kernel wrote them: the
+next operation that reads the map sorts them and sums any two the
+kernel mapped onto one.  Sorting and lookup go
 through a 1-D sort view (``_sort_view``): a one-word key, a set of at
 most 32 qubits, sorts as its own ``uint64`` column; a wider key as a
 big-endian void view, most significant word first.  The event outcome
@@ -204,9 +207,11 @@ class ErrorMap:
         return m
 
     def __len__(self) -> int:
+        self._ensure_ready()
         return self._keys.shape[0]
 
     def total(self) -> float:
+        self._ensure_ready()
         return float(self._probs.sum())
 
     def items(self) -> Iterator[tuple[PauliString, float]]:
@@ -240,19 +245,18 @@ class ErrorMap:
         return self._v
 
     def _ensure_ready(self) -> None:
+        """Sort the keys and sum duplicates, if :meth:`apply` left any."""
         if self._dirty:
-            self._canonicalize()
+            self._keys, self._probs = _aggregate(self._keys, self._probs)
+            self._v = None
+            self._dirty = False
 
-    def _canonicalize(self) -> None:
-        self._keys, self._probs = _aggregate(self._keys, self._probs)
-        self._v = None
-        self._dirty = False
-
-    def _replace(self, keys: np.ndarray, probs: np.ndarray, sorted_unique: bool) -> None:
+    def _replace(self, keys: np.ndarray, probs: np.ndarray) -> None:
+        """Take sorted unique keys and their probabilities."""
         self._keys = keys
         self._probs = probs
         self._v = None
-        self._dirty = not sorted_unique
+        self._dirty = False
 
     def _insert(self, keys: np.ndarray, probs: np.ndarray) -> None:
         """Accumulate a (possibly duplicated) batch of entries."""
@@ -309,25 +313,18 @@ class ErrorMap:
         if f == 1.0:
             # every branched source is left at zero: drop them
             live = probs > 0.0
-            self._replace(self._keys[live], probs[live], True)
+            self._replace(self._keys[live], probs[live])
         self._insert(branch_keys, branch_probs.reshape(-1))
 
-    def apply(self, kernel: Callable[..., None], *args, collide: bool = True) -> None:
+    def apply(self, kernel: Callable[..., None], *args) -> None:
         """Rewrite every key in place with ``kernel(keys, *args)``.
 
-        A kernel that can map two keys onto one (``collide``) runs on the
-        sorted map and is followed by summing the collided entries.  A
-        permutation of keys (a gate) only leaves them unsorted until the
-        next operation that needs the order.
+        The map is left unsorted; the next operation that reads it sorts
+        the keys and sums any two that the kernel mapped onto one.
         """
-        if collide:
-            self._ensure_ready()
         kernel(self._keys, *args)
         self._v = None
-        if collide:
-            self._canonicalize()
-        else:
-            self._dirty = True
+        self._dirty = True
 
 
 # -- key-array kernels -------------------------------------------------
@@ -456,7 +453,7 @@ def apply_two_qubit_event(qs: QubitSet, q1: int, q2: int, f: float,
 def apply_hadamard(qs: QubitSet, q: int) -> QubitSet:
     _check_positions(qs.map.width, q)
     m = qs.map.copy()
-    m.apply(hadamard_kernel, q, collide=False)
+    m.apply(hadamard_kernel, q)
     return QubitSet(qs.members, m)
 
 
@@ -465,7 +462,7 @@ def apply_cnot(qs: QubitSet, control: int, target: int) -> QubitSet:
     if control == target:
         raise ValueError("CNOT control and target must differ")
     m = qs.map.copy()
-    m.apply(cnot_kernel, control, target, collide=False)
+    m.apply(cnot_kernel, control, target)
     return QubitSet(qs.members, m)
 
 
@@ -570,7 +567,7 @@ def merge(a: QubitSet, b: QubitSet, th: Thresholds) -> QubitSet:
         # lossy mode: below-threshold pairs are simply dropped
 
     out = ErrorMap(width)
-    out._replace(*_aggregate(np.vstack(parts_k), np.concatenate(parts_p)), True)
+    out._replace(*_aggregate(np.vstack(parts_k), np.concatenate(parts_p)))
     return QubitSet(a.members + b.members, out)
 
 
@@ -617,7 +614,7 @@ def split(qs: QubitSet, keep: Iterable[int]) -> tuple[QubitSet, QubitSet]:
             _gather_positions(keys, positions, width), probs.copy()
         )
         m = ErrorMap(width)
-        m._replace(side_keys, side_probs, True)
+        m._replace(side_keys, side_probs)
         sides.append(QubitSet(tuple(qs.members[q] for q in positions), m))
     keep_total = sides[0].map._probs.sum()
     if keep_total > 0.0:

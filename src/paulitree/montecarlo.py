@@ -27,7 +27,7 @@ import numpy as np
 
 from . import qecc
 from .errormap import _nwords, _slot
-from .program import Program, ProgramError, initial_labels, step_kind
+from .program import Program, ProgramError, initial_labels, step_kind, step_operands
 
 _U64 = np.uint64
 _CHUNK = 1 << 16
@@ -49,8 +49,11 @@ class MCReport:
 def _event(keys: np.ndarray, patterns: np.ndarray, f: float, rng) -> None:
     """Error event on every row: a row whose uniform u falls below f
     XORs in pattern i = min(floor(u * k / f), k - 1) of the k outcome
-    patterns."""
-    if f <= 0.0:
+    patterns.  ValueError for f outside [0, 1], as in
+    :meth:`~paulitree.errormap.ErrorMap.event_kernel`."""
+    if not 0.0 <= f <= 1.0:
+        raise ValueError("event probability must be in [0, 1], got %r" % (f,))
+    if f == 0.0:
         return
     u = rng.random(keys.shape[0])
     rows = np.nonzero(u < f)[0]
@@ -72,9 +75,9 @@ def _run_chunk(prog: Program, n: int, rng, labels: dict) -> int:
     for step in prog.steps:
         spec = step_kind(step)
         if spec.patterns is not None:
-            _event(keys, spec.patterns(width, *spec.operands(step)), step.f, rng)
+            _event(keys, spec.patterns(width, *step_operands(spec, step, width)), step.f, rng)
         elif spec.kernel is not None:
-            spec.function(keys, *spec.args(step, spec.operands(step)))
+            spec.function(keys, *spec.args(step, step_operands(spec, step, width)))
     return n - int(np.count_nonzero(qecc.correctable(keys, prog.crash_blocks)))
 
 
@@ -89,10 +92,9 @@ def _run_shard(job: tuple) -> int:
     return crashes
 
 
-def run_mc_parallel(prog: Program, iterations: int, seed: int,
-                    shards: int, jobs: int = 1,
-                    initial_errors: dict | None = None) -> MCReport:
-    """Monte Carlo run split over independent random substreams.
+def run_mc(prog: Program, iterations: int, seed: int, shards: int = 1, jobs: int = 1,
+           initial_errors: dict | None = None) -> MCReport:
+    """Monte Carlo run split over ``shards`` independent random substreams.
 
     Iterations are divided as evenly as possible across shards; shard i
     uses the i-th spawned child of the seed's sequence, so a run is
@@ -134,10 +136,3 @@ def run_mc_parallel(prog: Program, iterations: int, seed: int,
         shards=shards,
         wall_time_s=time.perf_counter() - start,
     )
-
-
-def run_mc(prog: Program, iterations: int, seed: int,
-           initial_errors: dict | None = None) -> MCReport:
-    """Single-stream Monte Carlo run."""
-    return run_mc_parallel(prog, iterations, seed, shards=1,
-                           initial_errors=initial_errors)

@@ -21,9 +21,14 @@ Every step kind has one entry in :data:`STEP_KINDS`: its text form, the
 qubits that must share a QubitSet, the qubit groups it releases, for a
 deterministic kind the key-array kernel both engines apply, and for an
 event kind its outcome patterns, which both engines branch or sample
-on.  The analytical engine branches only on the structural kinds
-(``MergeSets`` and ``SplitOff``), the Monte Carlo engine on none;
-everything else is read from the table.
+on.  Both engines take a step's operands through :func:`step_operands`,
+which rejects a repeated or undeclared qubit.  The analytical engine
+branches only on the structural kinds (``MergeSets`` and ``SplitOff``),
+the Monte Carlo engine on none; everything else is read from the table.
+
+The QubitSets themselves are tracked by one :class:`Partition`, which
+:func:`elaborate` uses to place the merges and splits and the
+analytical engine uses to find each step's error map.
 
 The text serialization (see :func:`serialize_program`) is line oriented,
 one step per line, and round-trips exactly; its SHA-256 hash identifies
@@ -187,11 +192,14 @@ class StepKind:
     ``text`` is the line format, keyword first, filled from
     ``fields(step)``; ``parse`` rebuilds the step from the line's operand
     tokens.  ``operands`` lists the qubits that must share a QubitSet
-    when the step runs, and ``releases`` the qubit groups split off right
-    after it.  A deterministic kind names its key-array kernel as
-    (module, function); ``args(step, q)`` gives the kernel's arguments
-    after the keys, where ``q`` holds the key positions of the operands
-    in order.  ``collide`` says the kernel can map two keys onto one.
+    when the step runs (:func:`elaborate` merges their sets first, except
+    for a ``SplitOff``, whose qubits must already share one), and
+    ``releases`` the qubit groups split off right after it.  A
+    deterministic kind names its key-array kernel as (module, function);
+    ``args(step, q)`` gives the kernel's arguments after the keys, where
+    ``q`` holds the key positions of the operands in order.  A kernel may
+    map two keys onto one; the error map sums them (see
+    :meth:`~paulitree.errormap.ErrorMap.apply`).
     An event kind instead names its outcomes: ``patterns(width, *q)`` is
     the XOR pattern array of its equally likely outcomes, outcome i
     being label i + 1 (see :func:`~paulitree.errormap.one_qubit_patterns`),
@@ -205,7 +213,6 @@ class StepKind:
     releases: Callable[[Any], tuple[tuple[int, ...], ...]] = _none
     kernel: tuple[ModuleType, str] | None = None
     args: Callable[[Any, Sequence[int]], tuple] = _positions
-    collide: bool = True
     patterns: Callable[..., Any] | None = None
 
     @property
@@ -228,17 +235,18 @@ STEP_KINDS: dict[type, StepKind] = {
     Hadamard: StepKind(
         "h %d", lambda s: s.qubit, lambda q: Hadamard(int(q)),
         operands=lambda s: (s.qubit,),
-        kernel=(errormap, "hadamard_kernel"), collide=False),
+        kernel=(errormap, "hadamard_kernel")),
     CNot: StepKind(
         "cx %d %d", lambda s: (s.control, s.target),
         lambda c, t: CNot(int(c), int(t)),
         operands=lambda s: (s.control, s.target),
-        kernel=(errormap, "cnot_kernel"), collide=False),
+        kernel=(errormap, "cnot_kernel")),
     MergeSets: StepKind(
         "merge %d %d", lambda s: (s.qubit_a, s.qubit_b),
         lambda a, b: MergeSets(int(a), int(b))),
     SplitOff: StepKind(
-        "split %s", lambda s: _ids(s.qubits), lambda ids: SplitOff(_parse_ids(ids))),
+        "split %s", lambda s: _ids(s.qubits), lambda ids: SplitOff(_parse_ids(ids)),
+        operands=lambda s: s.qubits),
     Reset: StepKind(
         "reset %s", lambda s: _ids(s.qubits), lambda ids: Reset(_parse_ids(ids)),
         operands=lambda s: s.qubits,
@@ -285,6 +293,18 @@ def step_kind(step) -> StepKind:
         raise ProgramError("unknown step kind %r" % (step,)) from None
 
 
+def step_operands(kind: StepKind, step, num_qubits: int) -> tuple[int, ...]:
+    """The operands of a step, checked: ProgramError for a qubit outside
+    the program's ``num_qubits`` or one named twice."""
+    qubits = kind.operands(step)
+    for q in qubits:
+        if not 0 <= q < num_qubits:
+            raise ProgramError("step %r references undeclared qubit %d" % (step, q))
+    if len(qubits) > 1 and len(set(qubits)) < len(qubits):
+        raise ProgramError("step %r repeats a qubit" % (step,))
+    return qubits
+
+
 @dataclass(frozen=True)
 class Program:
     """An ordered step sequence plus the machine and observable layout.
@@ -292,7 +312,8 @@ class Program:
     ``initial_partition`` covers every qubit exactly once.  The crash
     observable is evaluated at the end of the run: the program survives
     iff every listed 7-qubit data block carries at most one errored
-    qubit.
+    qubit.  A block lists distinct qubits of the program, and by the end
+    of an elaborated program they share one QubitSet.
     """
 
     name: str
@@ -312,6 +333,10 @@ class Program:
             covered |= set(group)
         if covered != set(range(self.num_qubits)):
             raise ProgramError("initial partition must cover every qubit exactly once")
+        for block in self.crash_blocks:
+            if not block or len(set(block)) != len(block) or not covered.issuperset(block):
+                raise ProgramError("crash block %r must list distinct qubits of the program"
+                                   % (block,))
 
 
 def initial_labels(prog: Program, initial_errors: dict | None) -> dict[int, Pauli]:
@@ -552,84 +577,83 @@ def build_scaling_program(n_logical: int, params: NoiseParams,
 # -- elaboration ---------------------------------------------------------
 
 
-class _Partition:
-    """Lightweight QubitSet-membership tracker for elaboration."""
+class Partition:
+    """The machine's partition of qubits into QubitSets.
+
+    ``members[sid]`` lists set ``sid``'s qubits in key order and ``loc[q]``
+    is qubit q's (set ID, key position).  :func:`elaborate` tracks the
+    sets here, and so does the analytical engine, which keeps each set's
+    error map under the same ID and places the members of every QubitSet
+    that a merge or split returns.
+    """
 
     def __init__(self, groups: Iterable[Iterable[int]]):
-        self.set_of: dict[int, int] = {}
-        self.members: dict[int, set[int]] = {}
-        for sid, group in enumerate(groups):
-            self.members[sid] = set(group)
-            for q in group:
-                self.set_of[q] = sid
-        self.next_id = len(self.members)
+        self.members: dict[int, tuple[int, ...]] = {}
+        self.loc: dict[int, tuple[int, int]] = {}
+        self.next_id = 0
+        for group in groups:
+            self.place(group)
 
-    def union(self, a: int, b: int) -> None:
-        sa, sb = self.set_of[a], self.set_of[b]
-        if sa == sb:
-            return
-        self.members[sa] |= self.members[sb]
-        for q in self.members.pop(sb):
-            self.set_of[q] = sa
+    def place(self, members: Iterable[int], sid: int | None = None) -> int:
+        """Store ``members``, in key order, as set ``sid`` (default: a
+        fresh ID) and locate its qubits; returns the ID."""
+        if sid is None:
+            sid, self.next_id = self.next_id, self.next_id + 1
+        self.members[sid] = members = tuple(members)
+        for i, q in enumerate(members):
+            self.loc[q] = (sid, i)
+        return sid
 
-    def split_off(self, qubits: Iterable[int]) -> None:
-        qubits = set(qubits)
-        sids = {self.set_of[q] for q in qubits}
+    def locate(self, qubits: Sequence[int]) -> tuple[int, list[int]]:
+        """The set holding all of ``qubits`` and their key positions in
+        it; ProgramError if they span sets."""
+        sids = {self.loc[q][0] for q in qubits}
         if len(sids) != 1:
-            raise ProgramError("split operands span QubitSets")
-        sid = sids.pop()
-        if self.members[sid] == qubits:
-            return
-        self.members[sid] -= qubits
-        nid = self.next_id
-        self.next_id += 1
-        self.members[nid] = qubits
-        for q in qubits:
-            self.set_of[q] = nid
+            raise ProgramError("qubits %r span QubitSets" % (tuple(qubits),))
+        return sids.pop(), [self.loc[q][1] for q in qubits]
 
 
 def elaborate(prog: Program) -> Program:
     """Insert the MergeSets steps needed for co-residency and the SplitOff
-    steps that release measured qubits.  Idempotent; the subsequence of
-    non-merge/split steps is preserved exactly."""
-    part = _Partition(prog.initial_partition)
+    steps that release measured qubits, and end by merging the sets of
+    each crash block.  Idempotent; the subsequence of non-merge/split
+    steps is preserved exactly."""
+    part = Partition(prog.initial_partition)
     out: list[Step] = []
-    steps = list(prog.steps)
-    i = 0
-    while i < len(steps):
-        step = steps[i]
-        if isinstance(step, MergeSets):
-            part.union(step.qubit_a, step.qubit_b)
-            out.append(step)
-            i += 1
-            continue
-        if isinstance(step, SplitOff):
-            part.split_off(step.qubits)
-            out.append(step)
-            i += 1
-            continue
-        kind = step_kind(step)
-        group = kind.operands(step)
-        for q in group:
-            if q not in part.set_of:
-                raise ProgramError("step references undeclared qubit %d" % q)
-        if len(group) > 1:
-            if len(set(group)) != len(group):
-                raise ProgramError("step %r repeats a qubit" % (step,))
-            for q in group[1:]:
-                if part.set_of[q] != part.set_of[group[0]]:
-                    out.append(MergeSets(group[0], q))
-                    part.union(group[0], q)
+
+    def emit(step: Step) -> None:
+        if type(step) is MergeSets:
+            sa, sb = part.loc[step.qubit_a][0], part.loc[step.qubit_b][0]
+            if sa != sb:
+                part.place(part.members[sa] + part.members.pop(sb), sa)
+        elif type(step) is SplitOff:
+            sid, _ = part.locate(step.qubits)
+            if len(step.qubits) < len(part.members[sid]):
+                part.place([q for q in part.members[sid] if q not in step.qubits], sid)
+                part.place(step.qubits)
         out.append(step)
+
+    def join(qubits: Sequence[int]) -> None:
+        for q in qubits[1:]:
+            if part.loc[q][0] != part.loc[qubits[0]][0]:
+                emit(MergeSets(qubits[0], q))
+
+    steps = prog.steps
+    for i, step in enumerate(steps):
+        kind = step_kind(step)
+        qubits = step_operands(kind, step, prog.num_qubits)
+        if len(qubits) > 1 and type(step) is not SplitOff:
+            join(qubits)
+        emit(step)
         j = i + 1  # walk past splits already present from a prior elaboration
         for released in kind.releases(step):
             split_step = SplitOff(tuple(released))
             if j < len(steps) and steps[j] == split_step:
                 j += 1
-                continue
-            part.split_off(split_step.qubits)
-            out.append(split_step)
-        i += 1
+            else:
+                emit(split_step)
+    for block in prog.crash_blocks:
+        join(block)
     return Program(
         name=prog.name,
         num_qubits=prog.num_qubits,
@@ -692,6 +716,8 @@ def parse_program(text: str) -> Program:
                 operands = kind.operands(step)
                 if len(set(operands)) != len(operands):
                     raise ValueError("%s repeats a qubit" % kw)
+                if kind.patterns is not None and not 0.0 <= step.f <= 1.0:
+                    raise ValueError("event probability must be in [0, 1], got %r" % (step.f,))
                 steps.append(step)
             else:
                 raise ValueError("unknown keyword %r" % kw)

@@ -87,6 +87,7 @@ class TestToyPrograms:
                 CNot(0, 1),
                 SplitOff((1,)),
                 Hadamard(1),
+                MergeSets(0, 1),  # the crash block must end in one set
             ],
             partition=((0,), (1,)),
         )
@@ -121,6 +122,25 @@ class TestRunValidation:
         prog = toy([CNot(0, 1)], partition=((0,), (1,)))
         with pytest.raises(ProgramError, match="span"):
             run_analytical(prog, TH0)
+
+    @pytest.mark.parametrize("step, message", [
+        (CNot(0, 0), "repeats a qubit"),
+        (TwoQubitEvent(1, 1, 0.3), "repeats a qubit"),
+        (OneQubitEvent(2, 0.3), "undeclared"),
+        (Hadamard(-1), "undeclared"),
+    ])
+    def test_repeated_or_undeclared_operands_rejected(self, step, message):
+        # toy programs are built elaborated, so elaborate's checks never run
+        with pytest.raises(ProgramError, match=message):
+            run_analytical(toy([step]), TH0)
+
+    def test_crash_block_must_end_in_one_set(self):
+        events = (OneQubitEvent(0, 0.6), OneQubitEvent(1, 0.6))
+        with pytest.raises(ProgramError, match="span"):
+            run_analytical(toy(events, partition=((0,), (1,))), TH0)
+        # elaborate joins the block's sets: both qubits fail with 0.6 each
+        prog = elaborate(Program("t", 2, ((0,), (1,)), events, ((0, 1),), 0, 0))
+        assert run_analytical(prog, TH0).crash_probability == pytest.approx(0.36, abs=1e-15)
 
 
 class TestBasicProgram:

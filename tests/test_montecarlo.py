@@ -10,7 +10,7 @@ from paulitree.errormap import (
     one_qubit_patterns,
     two_qubit_patterns,
 )
-from paulitree.montecarlo import _event, run_mc, run_mc_parallel
+from paulitree.montecarlo import _event, run_mc
 from paulitree.noise import NoiseParams
 from paulitree.pauli import Pauli
 from paulitree.program import (
@@ -66,24 +66,24 @@ class TestReproducibility:
         assert len(counts) > 1
 
     def test_sharding_is_deterministic(self):
-        a = run_mc_parallel(self.PROG, 10000, seed=5, shards=4)
-        b = run_mc_parallel(self.PROG, 10000, seed=5, shards=4)
+        a = run_mc(self.PROG, 10000, seed=5, shards=4)
+        b = run_mc(self.PROG, 10000, seed=5, shards=4)
         assert a.crashes == b.crashes
         assert a.shards == 4
 
     def test_worker_count_does_not_change_the_tally(self):
-        serial = run_mc_parallel(self.PROG, 8000, seed=9, shards=4, jobs=1)
-        parallel = run_mc_parallel(self.PROG, 8000, seed=9, shards=4, jobs=2)
+        serial = run_mc(self.PROG, 8000, seed=9, shards=4, jobs=1)
+        parallel = run_mc(self.PROG, 8000, seed=9, shards=4, jobs=2)
         assert serial.crashes == parallel.crashes
 
     def test_uneven_iteration_split(self):
-        rep = run_mc_parallel(self.PROG, 10, seed=0, shards=3)
+        rep = run_mc(self.PROG, 10, seed=0, shards=3)
         assert rep.iterations == 10
         assert 0 <= rep.crashes <= 10
 
     def test_single_shard_equals_run_mc(self):
         a = run_mc(self.PROG, 4096, seed=11)
-        b = run_mc_parallel(self.PROG, 4096, seed=11, shards=1)
+        b = run_mc(self.PROG, 4096, seed=11, shards=1)
         assert a.crashes == b.crashes
 
 
@@ -93,7 +93,7 @@ class TestValidationAndInjection:
         with pytest.raises(ValueError):
             run_mc(prog, 0, seed=0)
         with pytest.raises(ValueError):
-            run_mc_parallel(prog, 10, seed=0, shards=0)
+            run_mc(prog, 10, seed=0, shards=0)
         with pytest.raises(ProgramError):
             run_mc(build_basic_program(QUIET), 10, seed=0)
 
@@ -105,6 +105,22 @@ class TestValidationAndInjection:
     def test_initial_errors_are_checked(self, errors, message):
         with pytest.raises(ValueError, match=message):
             run_mc(toy([CNot(0, 1)]), 16, seed=0, initial_errors=errors)
+
+    @pytest.mark.parametrize("step, message", [
+        (CNot(0, 0), "repeats a qubit"),
+        (OneQubitEvent(2, 0.3), "undeclared"),
+    ])
+    def test_repeated_or_undeclared_operands_rejected(self, step, message):
+        with pytest.raises(ProgramError, match=message):
+            run_mc(toy([step]), 16, seed=0)
+
+    @pytest.mark.parametrize("f", [math.nan, 1.5, -0.2])
+    def test_event_probability_outside_unit_interval_rejected(self, f):
+        prog = toy([OneQubitEvent(0, f)])
+        for run in (lambda: run_mc(prog, 16, seed=0),
+                    lambda: run_analytical(prog, Thresholds())):
+            with pytest.raises(ValueError, match=r"event probability must be in \[0, 1\]"):
+                run()
 
     def test_injected_faults_are_deterministic(self):
         prog = elaborate(build_basic_program(QUIET))

@@ -120,6 +120,11 @@ class TestProgramValidation:
         with pytest.raises(ProgramError, match="overlap"):
             Program("t", 3, ((0, 1), (1, 2)), (), (), 0, 0)
 
+    @pytest.mark.parametrize("block", [(0, 9), (1, 1), (-1,), ()])
+    def test_crash_blocks_list_distinct_program_qubits(self, block):
+        with pytest.raises(ProgramError, match="crash block"):
+            Program("t", 2, ((0, 1),), (), (block,), 0, 0)
+
 
 class TestBuilders:
     def test_basic_program_layout(self):
@@ -193,6 +198,12 @@ class TestElaborate:
         with pytest.raises(ProgramError, match="repeats a qubit"):
             elaborate(prog)
 
+    def test_joins_the_sets_of_each_crash_block(self):
+        raw = Program("t", 3, ((0,), (1,), (2,)), (OneQubitEvent(0, 0.6),), ((0, 1, 2),), 0, 0)
+        once = elaborate(raw)
+        assert once.steps == (OneQubitEvent(0, 0.6), MergeSets(0, 1), MergeSets(0, 2))
+        assert elaborate(once) == once
+
     def test_reset_operands_share_a_set(self):
         prog = elaborate(Program("t", 2, ((0,), (1,)), (Reset((0, 1)),), (), 0, 0))
         assert prog.steps == (MergeSets(0, 1), Reset((0, 1)))
@@ -255,6 +266,13 @@ class TestSerialization:
             parse_program("program t\ne1 0\n")
         with pytest.raises(ProgramError, match="qubits"):
             parse_program("program t\n")
+
+    @pytest.mark.parametrize("line", ["e1 0 %s", "e2 0 1 %s"])
+    @pytest.mark.parametrize("f", ["nan", "1.5", "-0.2"])
+    def test_parse_rejects_event_probability_outside_unit_interval(self, line, f):
+        text = "program t\nqubits 2\nset 0,1\n%s\n" % (line % f)
+        with pytest.raises(ProgramError, match=r"line 4: event probability must be in \[0, 1\]"):
+            parse_program(text)
 
     def test_hash_is_stable_and_sensitive(self):
         a = build_basic_program(NoiseParams())
