@@ -68,6 +68,8 @@ def run_analytical(prog: Program, th: Thresholds,
 
     for step in prog.steps:
         kind = type(step)
+        spec = step_kind(step)
+        qubits = step_operands(spec, step, prog.num_qubits)
         if kind is MergeSets:
             sa, sb = part.loc[step.qubit_a][0], part.loc[step.qubit_b][0]
             if sa != sb:
@@ -76,9 +78,7 @@ def run_analytical(prog: Program, th: Thresholds,
                 maps[part.place(qs.members, sa)] = qs.map
                 peak = max(peak, len(qs.map))
             continue
-        spec = step_kind(step)
-        qubits = step_operands(spec, step, prog.num_qubits)
-        if not qubits:
+        if not spec.acts_on_map and kind is not SplitOff:
             continue  # a classical record (Measure)
         sid, locals_ = part.locate(qubits)
         m = maps[sid]

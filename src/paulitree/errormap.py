@@ -30,6 +30,9 @@ engine runs them on a map's keys through :meth:`ErrorMap.apply`, the
 Monte Carlo engine on its sampled rows.  Only this module touches a
 map's arrays.
 
+The tree is pruned in two places, :meth:`ErrorMap.event_kernel` and
+:func:`merge`, each one code path; at threshold 0 it prunes nothing.
+
 The module-level operations (``apply_one_qubit_event``, ``merge``,
 ``split``, ...) are pure: they validate, copy, and return fresh
 QubitSets.  The engine uses the in-place ``ErrorMap`` methods directly
@@ -133,13 +136,12 @@ def _aggregate(keys: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndar
     v = v[order]
     keys = keys[order]
     probs = probs[order]
-    if keys.shape[0] > 1:
-        new_group = np.empty(keys.shape[0], dtype=bool)
-        new_group[0] = True
-        new_group[1:] = v[1:] != v[:-1]
-        starts = new_group.nonzero()[0]
-        probs = np.add.reduceat(probs, starts)
-        keys = keys[starts]
+    new_group = np.empty(keys.shape[0], dtype=bool)
+    new_group[0] = True
+    new_group[1:] = v[1:] != v[:-1]
+    starts = new_group.nonzero()[0]
+    probs = np.add.reduceat(probs, starts)
+    keys = keys[starts]
     keep = probs > 0.0
     if not keep.all():
         keys = keys[keep]
@@ -175,8 +177,8 @@ class ErrorMap:
     # -- construction / inspection ------------------------------------
 
     @classmethod
-    def identity(cls, width: int, prob: float = 1.0) -> "ErrorMap":
-        return cls.from_dict({PauliString.identity(width): prob})
+    def identity(cls, width: int) -> "ErrorMap":
+        return cls.from_dict({PauliString.identity(width): 1.0})
 
     @classmethod
     def from_dict(cls, entries: Mapping, width: int | None = None) -> "ErrorMap":
@@ -297,12 +299,7 @@ class ErrorMap:
             return
         self._ensure_ready()
         probs = self._probs
-        if event_branch > 0.0:
-            idx = (probs >= event_branch).nonzero()[0]
-        else:
-            idx = np.arange(probs.shape[0])
-        if idx.size == 0:
-            return
+        idx = (probs >= event_branch).nonzero()[0]
         k = patterns.shape[0]
         src_keys = self._keys[idx]
         # pattern-major rows: every source XOR pattern 0, then pattern 1, ...
@@ -491,6 +488,20 @@ def _shift_rows(keys: np.ndarray, shift_bits: int, nwords_out: int) -> np.ndarra
     return out
 
 
+def _preserved(keys: np.ndarray, p: np.ndarray, p_other: np.ndarray, cut: np.ndarray,
+               tie: str) -> tuple[np.ndarray, np.ndarray]:
+    """Rows one side keeps in a preservation merge.  ``keys``, ``p`` (this
+    side) and ``p_other`` are sorted by descending probability; state i
+    pairs at or above the threshold with the first ``cut[i]`` other
+    states, and below it keeps each pair where it is the more probable
+    state (``tie``, a ``searchsorted`` side: "right" keeps equal pairs)."""
+    suffix = np.concatenate([np.cumsum(p_other[::-1])[::-1], [0.0]])
+    tie_at = p_other.shape[0] - np.searchsorted(p_other[::-1], p, side=tie)
+    val = p * suffix[np.maximum(cut, tie_at)]
+    keep = val > 0.0
+    return keys[keep], val[keep]
+
+
 def merge(a: QubitSet, b: QubitSet, th: Thresholds) -> QubitSet:
     """Merge two disjoint QubitSets into one.
 
@@ -500,20 +511,21 @@ def merge(a: QubitSet, b: QubitSet, th: Thresholds) -> QubitSet:
     preservation mode zeroes the labels of the less probable input state
     (ties zero the state from b) and keeps the mass; lossy mode discards
     the pair.  Preservation conserves total probability; lossy mass loss
-    is visible through the output's total.
+    is visible through the output's total.  At threshold 0 every pair is
+    emitted, and an empty input (a lossy merge can leave one) gives an
+    empty map of the summed width.
 
-    Pairs at or above the threshold are emitted in one pass, and one
-    aggregation over [pairs, preserved a-states, preserved b-states] sums
-    the preserved states onto the pairs they coincide with.
+    Pairs at or above the threshold are emitted in one pass.  The
+    below-threshold pairs are collapsed per side without enumerating
+    them (:func:`_preserved`, once for each side), and one aggregation
+    over [pairs, preserved a-states, preserved b-states] sums the
+    preserved states onto the pairs they coincide with.
     """
     if set(a.members) & set(b.members):
         raise ValueError("cannot merge overlapping QubitSets")
     a.map._ensure_ready()
     b.map._ensure_ready()
-    na, nb = a.map.width, b.map.width
-    width = na + nb
-    if len(a.map) == 0 or len(b.map) == 0:
-        return QubitSet(a.members + b.members, ErrorMap(width))
+    width = a.map.width + b.map.width
     nw = _nwords(width)
 
     order_a = np.argsort(-a.map._probs, kind="stable")
@@ -521,53 +533,30 @@ def merge(a: QubitSet, b: QubitSet, th: Thresholds) -> QubitSet:
     ka = _shift_rows(a.map._keys[order_a], 0, nw)
     order_b = np.argsort(-b.map._probs, kind="stable")
     pb = b.map._probs[order_b]
-    kb = _shift_rows(b.map._keys[order_b], 2 * na, nw)
+    kb = _shift_rows(b.map._keys[order_b], 2 * a.map.width, nw)
 
-    th_m = th.merge
-    pb_asc = pb[::-1]
-    if th_m > 0.0:
-        # pairs (i, j < k[i]) are at or above the merge threshold
-        k = pb.shape[0] - np.searchsorted(pb_asc, th_m / pa, side="left")
-    else:
-        k = np.full(pa.shape[0], pb.shape[0], dtype=np.int64)
+    # pairs (i, j < k[i]) are at or above the merge threshold; at
+    # threshold 0 that is every pair
+    k = pb.shape[0] - np.searchsorted(pb[::-1], th.merge / pa, side="left")
 
     # Each side's keys are unique and the sides own disjoint bits, so the
     # emitted pairs are distinct: they are emitted in one pass, and only
     # the preserved rows below can collide with them.
     i_idx = np.repeat(np.arange(pa.shape[0]), k)
     j_idx = np.arange(i_idx.shape[0]) - np.repeat(np.cumsum(k) - k, k)
-    parts_k = [ka[i_idx] | kb[j_idx]]
-    parts_p = [pa[i_idx] * pb[j_idx]]
+    parts = [(ka[i_idx] | kb[j_idx], pa[i_idx] * pb[j_idx])]
 
-    if th_m > 0.0:
-        if th.merge_mode is MergeMode.PRESERVATION:
-            # Collapse below-threshold pairs without enumerating them.  A
-            # pair keeps the a-side state iff p_b <= p_a (ties zero b's
-            # state), else the b-side state; per-side masses reduce to
-            # suffix sums over the probability-sorted arrays.
-            suff_b = np.concatenate([np.cumsum(pb[::-1])[::-1], [0.0]])
-            suff_a = np.concatenate([np.cumsum(pa[::-1])[::-1], [0.0]])
-            t_a = pb.shape[0] - np.searchsorted(pb_asc, pa, side="right")
-            lo_a = np.maximum(k, t_a)
-            val_a = pa * suff_b[lo_a]
-            keep_a = val_a > 0.0
-            parts_k.append(ka[keep_a])
-            parts_p.append(val_a[keep_a])
-            pa_asc = pa[::-1]
-            # transpose of k: #{i: k_i > j}; k is nonincreasing because pa
-            # is sorted descending, so this matches the emission's
-            # above/below classification bit for bit
-            k_b = np.searchsorted(-k, -(np.arange(pb.shape[0]) + 1), side="right")
-            t_b = pa.shape[0] - np.searchsorted(pa_asc, pb, side="left")
-            lo_b = np.maximum(k_b, t_b)
-            val_b = pb * suff_a[lo_b]
-            keep_b = val_b > 0.0
-            parts_k.append(kb[keep_b])
-            parts_p.append(val_b[keep_b])
-        # lossy mode: below-threshold pairs are simply dropped
+    if th.merge_mode is MergeMode.PRESERVATION:
+        # transpose of k: #{i: k_i > j}; k is nonincreasing because pa
+        # is sorted descending, so this matches the emission's
+        # above/below classification bit for bit
+        k_b = np.searchsorted(-k, -(np.arange(pb.shape[0]) + 1), side="right")
+        parts += [_preserved(ka, pa, pb, k, "right"), _preserved(kb, pb, pa, k_b, "left")]
+    # lossy mode: below-threshold pairs are simply dropped
 
+    keys, probs = zip(*parts)
     out = ErrorMap(width)
-    out._replace(*_aggregate(np.vstack(parts_k), np.concatenate(parts_p)))
+    out._replace(*_aggregate(np.vstack(keys), np.concatenate(probs)))
     return QubitSet(a.members + b.members, out)
 
 

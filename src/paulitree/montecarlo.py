@@ -74,10 +74,11 @@ def _run_chunk(prog: Program, n: int, rng, labels: dict) -> int:
         keys[:, w] |= _U64(int(label)) << _U64(sh)
     for step in prog.steps:
         spec = step_kind(step)
+        qubits = step_operands(spec, step, width)
         if spec.patterns is not None:
-            _event(keys, spec.patterns(width, *step_operands(spec, step, width)), step.f, rng)
+            _event(keys, spec.patterns(width, *qubits), step.f, rng)
         elif spec.kernel is not None:
-            spec.function(keys, *spec.args(step, step_operands(spec, step, width)))
+            spec.function(keys, *spec.args(step, qubits))
     return n - int(np.count_nonzero(qecc.correctable(keys, prog.crash_blocks)))
 
 

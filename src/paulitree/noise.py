@@ -118,10 +118,7 @@ def load_params(source: str) -> NoiseParams:
             overrides[key] = float(value.strip())
         except ValueError:
             raise ConfigError("line %d: bad value for %r: %r" % (lineno, key, value.strip()))
-    try:
-        return NoiseParams(**overrides)
-    except ConfigError as exc:
-        raise ConfigError(str(exc))
+    return NoiseParams(**overrides)
 
 
 def serialize_params(params: NoiseParams) -> str:

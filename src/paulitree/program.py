@@ -17,11 +17,12 @@ operated on and the memory decay constant if it idled.  Gate
 imprecision, measurement, and reset errors are separate events attached
 to the operations themselves.
 
-Every step kind has one entry in :data:`STEP_KINDS`: its text form, the
-qubits that must share a QubitSet, the qubit groups it releases, for a
-deterministic kind the key-array kernel both engines apply, and for an
-event kind its outcome patterns, which both engines branch or sample
-on.  Both engines take a step's operands through :func:`step_operands`,
+Every step kind has one entry in :data:`STEP_KINDS`: its text form, its
+qubits, the qubit groups it releases, for a deterministic kind the
+key-array kernel both engines apply, and for an event kind its outcome
+patterns, which both engines branch or sample on.  Only a kind with a
+kernel or patterns needs its qubits in one QubitSet.  :func:`elaborate`
+and both engines take every step's qubits through :func:`step_operands`,
 which rejects a repeated or undeclared qubit.  The analytical engine
 branches only on the structural kinds (``MergeSets`` and ``SplitOff``),
 the Monte Carlo engine on none; everything else is read from the table.
@@ -38,7 +39,7 @@ an elaborated program in experiment reports.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from types import ModuleType
 from typing import Any, Callable, Iterable, Sequence, Union
@@ -191,10 +192,12 @@ class StepKind:
 
     ``text`` is the line format, keyword first, filled from
     ``fields(step)``; ``parse`` rebuilds the step from the line's operand
-    tokens.  ``operands`` lists the qubits that must share a QubitSet
-    when the step runs (:func:`elaborate` merges their sets first, except
-    for a ``SplitOff``, whose qubits must already share one), and
-    ``releases`` the qubit groups split off right after it.  A
+    tokens.  ``operands`` lists the step's qubits, which
+    :func:`step_operands` checks; those of a kind that acts on an error
+    map (:attr:`acts_on_map`) must share a QubitSet when the step runs,
+    and :func:`elaborate` merges their sets first; a ``SplitOff``'s must
+    already share one.  ``releases`` lists the qubit groups split off
+    right after the step.  A
     deterministic kind names its key-array kernel as (module, function);
     ``args(step, q)`` gives the kernel's arguments after the keys, where
     ``q`` holds the key positions of the operands in order.  A kernel may
@@ -222,6 +225,11 @@ class StepKind:
         module, name = self.kernel
         return getattr(module, name)
 
+    @property
+    def acts_on_map(self) -> bool:
+        """Whether the kind has a kernel or outcome patterns."""
+        return self.kernel is not None or self.patterns is not None
+
 
 STEP_KINDS: dict[type, StepKind] = {
     OneQubitEvent: StepKind(
@@ -243,7 +251,8 @@ STEP_KINDS: dict[type, StepKind] = {
         kernel=(errormap, "cnot_kernel")),
     MergeSets: StepKind(
         "merge %d %d", lambda s: (s.qubit_a, s.qubit_b),
-        lambda a, b: MergeSets(int(a), int(b))),
+        lambda a, b: MergeSets(int(a), int(b)),
+        operands=lambda s: (s.qubit_a, s.qubit_b)),
     SplitOff: StepKind(
         "split %s", lambda s: _ids(s.qubits), lambda ids: SplitOff(_parse_ids(ids)),
         operands=lambda s: s.qubits),
@@ -253,7 +262,8 @@ STEP_KINDS: dict[type, StepKind] = {
         kernel=(errormap, "clear_kernel"), args=lambda s, q: (q,)),
     # a classical record: the measurement-error events before it did the work
     Measure: StepKind(
-        "measure %s", lambda s: _ids(s.qubits), lambda ids: Measure(_parse_ids(ids))),
+        "measure %s", lambda s: _ids(s.qubits), lambda ids: Measure(_parse_ids(ids)),
+        operands=lambda s: s.qubits),
     VerifyReadout: StepKind(
         "verify %d %s", lambda s: (s.verifier, _ids(s.block)),
         lambda v, ids: VerifyReadout(_parse_ids(ids), int(v)),
@@ -642,7 +652,7 @@ def elaborate(prog: Program) -> Program:
     for i, step in enumerate(steps):
         kind = step_kind(step)
         qubits = step_operands(kind, step, prog.num_qubits)
-        if len(qubits) > 1 and type(step) is not SplitOff:
+        if len(qubits) > 1 and kind.acts_on_map:
             join(qubits)
         emit(step)
         j = i + 1  # walk past splits already present from a prior elaboration
@@ -654,16 +664,7 @@ def elaborate(prog: Program) -> Program:
                 emit(split_step)
     for block in prog.crash_blocks:
         join(block)
-    return Program(
-        name=prog.name,
-        num_qubits=prog.num_qubits,
-        initial_partition=prog.initial_partition,
-        steps=tuple(out),
-        crash_blocks=prog.crash_blocks,
-        num_logical=prog.num_logical,
-        num_cycles=prog.num_cycles,
-        elaborated=True,
-    )
+    return replace(prog, steps=tuple(out), elaborated=True)
 
 
 # -- text serialization --------------------------------------------------
@@ -690,7 +691,7 @@ def serialize_program(prog: Program) -> str:
 
 
 def parse_program(text: str) -> Program:
-    header: dict[str, str] = {}
+    header: dict[str, Any] = {}
     partition: list[tuple[int, ...]] = []
     blocks: list[tuple[int, ...]] = []
     steps: list[Step] = []
@@ -701,7 +702,7 @@ def parse_program(text: str) -> Program:
         kw, _, rest = line.partition(" ")
         try:
             if kw in ("program", "logical", "qubits", "cycles", "elaborated"):
-                header[kw] = rest
+                header[kw] = rest if kw == "program" else int(rest)
             elif kw == "set":
                 partition.append(_parse_ids(rest))
             elif kw == "block":
@@ -728,13 +729,13 @@ def parse_program(text: str) -> Program:
             raise ProgramError("missing %r header line" % key)
     return Program(
         name=header["program"],
-        num_qubits=int(header["qubits"]),
+        num_qubits=header["qubits"],
         initial_partition=tuple(partition),
         steps=tuple(steps),
         crash_blocks=tuple(blocks),
-        num_logical=int(header.get("logical", "0")),
-        num_cycles=int(header.get("cycles", "0")),
-        elaborated=bool(int(header.get("elaborated", "0"))),
+        num_logical=header.get("logical", 0),
+        num_cycles=header.get("cycles", 0),
+        elaborated=bool(header.get("elaborated", 0)),
     )
 
 

@@ -9,6 +9,7 @@ from paulitree.pauli import Pauli
 from paulitree.program import (
     CNot,
     Hadamard,
+    Measure,
     MergeSets,
     OneQubitEvent,
     Program,
@@ -128,6 +129,10 @@ class TestRunValidation:
         (TwoQubitEvent(1, 1, 0.3), "repeats a qubit"),
         (OneQubitEvent(2, 0.3), "undeclared"),
         (Hadamard(-1), "undeclared"),
+        (MergeSets(0, 9), "undeclared"),
+        (MergeSets(1, 1), "repeats a qubit"),
+        (Measure((0, 9)), "undeclared"),
+        (Measure((1, 1)), "repeats a qubit"),
     ])
     def test_repeated_or_undeclared_operands_rejected(self, step, message):
         # toy programs are built elaborated, so elaborate's checks never run

@@ -78,6 +78,12 @@ class TestOneQubitEvent:
             out, {"III": 0.63, "IIX": 0.09 + 0.05, "IIY": 0.09, "IIZ": 0.09}
         )
 
+    def test_no_entry_at_the_branch_threshold_leaves_the_map_unchanged(self):
+        qs = qset({"III": 0.9, "IIX": 0.1})
+        for f in (0.3, 1.0):
+            out = apply_one_qubit_event(qs, 2, f, Thresholds(event_branch=0.95))
+            assert out.map.dump() == qs.map.dump()
+
     def test_conserves_mass_for_any_threshold(self):
         for th in (0.0, 1e-3, 0.5, 1.0):
             qs = qset({"II": 0.6, "XI": 0.3, "YZ": 0.1})
@@ -246,6 +252,18 @@ class TestMerge:
     def test_overlap_rejected(self):
         with pytest.raises(ValueError):
             merge(QubitSet.error_free([0, 1]), QubitSet.error_free([1, 2]), TH0)
+
+    @pytest.mark.parametrize("mode", list(MergeMode))
+    @pytest.mark.parametrize("threshold", [0.0, 0.01])
+    def test_empty_map_merges_to_an_empty_map(self, mode, threshold):
+        # a lossy merge can leave an empty map; merging it keeps it empty
+        th = Thresholds(merge=threshold, merge_mode=mode)
+        empty = QubitSet((0, 1), ErrorMap(2))
+        other = qset({"III": 0.9, "XYZ": 0.1}, members=[2, 3, 4])
+        for a, b in ((empty, other), (other, empty)):
+            out = merge(a, b, th)
+            assert out.members == a.members + b.members
+            assert out.map.width == 5 and len(out.map) == 0
 
 
 class TestSplit:

@@ -15,6 +15,8 @@ from paulitree.noise import NoiseParams
 from paulitree.pauli import Pauli
 from paulitree.program import (
     CNot,
+    Measure,
+    MergeSets,
     OneQubitEvent,
     ProgramError,
     TwoQubitEvent,
@@ -109,6 +111,10 @@ class TestValidationAndInjection:
     @pytest.mark.parametrize("step, message", [
         (CNot(0, 0), "repeats a qubit"),
         (OneQubitEvent(2, 0.3), "undeclared"),
+        (MergeSets(0, 9), "undeclared"),
+        (MergeSets(1, 1), "repeats a qubit"),
+        (Measure((0, 9)), "undeclared"),
+        (Measure((1, 1)), "repeats a qubit"),
     ])
     def test_repeated_or_undeclared_operands_rejected(self, step, message):
         with pytest.raises(ProgramError, match=message):

@@ -181,14 +181,17 @@ class TestElaborate:
         assert program_hash(twice) == program_hash(once)
 
     def test_rejects_undeclared_qubits(self):
-        prog = Program("t", 2, ((0,), (1,)), (CNot(0, 5),), (), 0, 0)
-        with pytest.raises(ProgramError, match="undeclared"):
-            elaborate(prog)
+        for step in (CNot(0, 5), MergeSets(0, 9), Measure((0, 9))):
+            prog = Program("t", 2, ((0,), (1,)), (step,), (), 0, 0)
+            with pytest.raises(ProgramError, match="undeclared"):
+                elaborate(prog)
 
     @pytest.mark.parametrize("line, step", [
         ("cx 0 0", CNot(0, 0)),
         ("e2 0 0 0.3", TwoQubitEvent(0, 0, 0.3)),
         ("verify 3 0,1,2,3,4,5,6", VerifyReadout(tuple(range(7)), 3)),
+        ("merge 0 0", MergeSets(0, 0)),
+        ("measure 1,1", Measure((1, 1))),
     ])
     def test_rejects_repeated_operands(self, line, step):
         text = "program t\nqubits 7\nset 0,1,2,3,4,5,6\n%s\n" % line
@@ -266,6 +269,11 @@ class TestSerialization:
             parse_program("program t\ne1 0\n")
         with pytest.raises(ProgramError, match="qubits"):
             parse_program("program t\n")
+
+    @pytest.mark.parametrize("line", ["qubits abc", "elaborated yes", "cycles 1.5"])
+    def test_parse_rejects_bad_header_values(self, line):
+        with pytest.raises(ProgramError, match="line 3: invalid literal"):
+            parse_program("program t\nqubits 1\n%s\nset 0\n" % line)
 
     @pytest.mark.parametrize("line", ["e1 0 %s", "e2 0 1 %s"])
     @pytest.mark.parametrize("f", ["nan", "1.5", "-0.2"])
