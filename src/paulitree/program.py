@@ -121,7 +121,12 @@ class VerifyReadout:
 @dataclass(frozen=True)
 class SyndromeMeasure:
     """Compute the 3-bit syndrome from the measured ancilla block and store
-    it in the block's first three error-state slots (X encodes bit 1)."""
+    it in the block's first three error-state slots (X encodes bit 1).
+
+    The readout clears the whole block before it writes the syndrome, so
+    positions 3-6 are I in every entry afterwards and are released right
+    away; only the three stored slots stay with the data until
+    :class:`Correct`."""
 
     block: tuple[int, ...]
     slot: int
@@ -147,7 +152,11 @@ class CosetReduce:
 @dataclass(frozen=True)
 class Correct:
     """Majority-vote the three stored syndromes and apply the decoded
-    single-qubit correction; clears and releases the ancilla blocks."""
+    single-qubit correction.
+
+    ``ancilla_blocks`` lists, for each ancilla block, the three slots its
+    :class:`SyndromeMeasure` stored the syndrome in (``block[:3]``): the
+    step reads them, clears them and releases them."""
 
     data: tuple[int, ...]
     ancilla_blocks: tuple[tuple[int, ...], ...]
@@ -273,7 +282,7 @@ STEP_KINDS: dict[type, StepKind] = {
     SyndromeMeasure: StepKind(
         "synd %d %s", lambda s: (s.slot, _ids(s.block)),
         lambda slot, ids: SyndromeMeasure(_parse_ids(ids), int(slot)),
-        operands=lambda s: s.block,
+        operands=lambda s: s.block, releases=lambda s: (s.block[3:],),
         kernel=(qecc, "syndrome_kernel"), args=lambda s, q: (q,)),
     CosetReduce: StepKind(
         "coset %s %s", lambda s: (s.basis, _ids(s.block)),
@@ -288,7 +297,7 @@ STEP_KINDS: dict[type, StepKind] = {
         operands=lambda s: s.data + tuple(q for b in s.ancilla_blocks for q in b),
         releases=lambda s: s.ancilla_blocks,
         kernel=(qecc, "correct_kernel"),
-        args=lambda s, q: (q[:7], [q[7 + 7 * k:14 + 7 * k]
+        args=lambda s, q: (q[:7], [q[7 + 3 * k:10 + 3 * k]
                                    for k in range(len(s.ancilla_blocks))], s.phase)),
 }
 
@@ -513,7 +522,8 @@ def build_recovery(sched: Schedule, data: tuple[int, ...],
         # one cycle; the correction itself is modeled error-free (its
         # imprecision is far below the decoherence accrued while decoding)
         sched.cycle()
-        sched.steps.append(Correct(tuple(data), tuple(tuple(b) for b in ancilla_blocks), phase))
+        sched.steps.append(Correct(tuple(data), tuple(tuple(b[:3]) for b in ancilla_blocks),
+                                   phase))
 
 
 # -- benchmark program builders -----------------------------------------

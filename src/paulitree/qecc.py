@@ -139,7 +139,8 @@ def syndrome_kernel(keys: np.ndarray, block) -> None:
 
     The measured classical bits are the X components of the ancilla
     block; the three parity-check sums replace the block's state, stored
-    as X labels at the block's first three positions.
+    as X labels at the block's first three positions.  Positions 3-6 are
+    left at I in every row.
     """
     syndrome = _parity_checks(keys, block)
     keys &= _clear_mask(keys.shape[1], block)
@@ -196,8 +197,9 @@ def correct_kernel(keys: np.ndarray, data, ancilla_blocks, phase: str) -> None:
     """Decode and apply the voted correction.
 
     The correction composes an X (bit phase) or Z (phase phase) onto the
-    decoded data position of each entry; the spent ancilla blocks are
-    cleared for reuse.
+    decoded data position of each entry.  Each of ``ancilla_blocks``
+    starts with the three slots holding a stored syndrome; the listed
+    positions are cleared for reuse.
     """
     if phase == "bit":
         label = int(Pauli.X)

@@ -22,18 +22,18 @@ from paulitree import (
     run_mc,
 )
 
-HASH_1X = "7fca314b535353ed8b6e9f8092293cba342bc566f2017e8a71c48621996e48a0"
-HASH_100X = "7726cc9df4be3d2aea05e8295809efb8ca2aaf9272ca745493bb1c3e4d71036a"
+HASH_1X = "d609017f5c04d1fda3cbe7d26c22d7e1b584d92e775ade86e643d57b70115e66"
+HASH_100X = "0400fa7e5caf16aaca4ab9d9196d2258474efa76441292d5ea053a178c337dbc"
 
 # (scale, event threshold, merge threshold, merge mode) ->
 # (survival, crash, discarded, peak entries)
 ANALYTICAL = {
     (1.0, 1e-4, 1e-8, MergeMode.PRESERVATION):
-        (0.9999966927480133, 3.307252041340192e-06, 0.0, 5892),
+        (0.9999966927384583, 3.3072616234530727e-06, 0.0, 5004),
     (100.0, 1e-2, 1e-4, MergeMode.PRESERVATION):
-        (0.99072194097057, 0.009278059029870334, 0.0, 2940),
+        (0.9907216392243988, 0.009278360776057926, 0.0, 2532),
     (100.0, 1e-2, 1e-4, MergeMode.LOSSY):
-        (0.5164897725264599, 0.0, 0.4835102274735401, 1372),
+        (0.5154657948358157, 0.0, 0.48453420516418433, 1263),
 }
 
 # crash tallies at 100x noise, 4,096 samples, seeds 0-3

@@ -15,9 +15,11 @@ from paulitree.program import (
     Measure,
     MergeSets,
     OneQubitEvent,
+    Partition,
     Program,
     ProgramError,
     Reset,
+    STEP_KINDS,
     Schedule,
     SplitOff,
     SyndromeMeasure,
@@ -212,13 +214,40 @@ class TestElaborate:
         assert prog.steps == (MergeSets(0, 1), Reset((0, 1)))
         assert run_analytical(prog, Thresholds()).survival_probability == 1.0
 
-    def test_correct_merges_data_with_all_ancilla_blocks(self):
+    def test_correct_reads_the_data_and_three_slots_per_ancilla_block(self):
         prog = elaborate(build_basic_program(QUIET))
-        seen = set()
+        ancilla = [tuple(range(14 + 7 * k, 21 + 7 * k)) for k in range(3)]
+        corrects = [s for s in prog.steps if isinstance(s, Correct)]
+        assert len(corrects) == 8  # 2 logical CNOTs x 2 blocks x 2 phases
+        for step in corrects:
+            assert len(step.data) == 7
+            assert step.ancilla_blocks == tuple(b[:3] for b in ancilla)
+            assert len(STEP_KINDS[Correct].operands(step)) == 7 + 3 * 3
+
+    def test_syndrome_readout_releases_the_cleared_slots(self):
+        steps = elaborate(build_basic_program(QUIET)).steps
+        synds = [i for i, s in enumerate(steps) if isinstance(s, SyndromeMeasure)]
+        assert len(synds) == 24
+        for i in synds:
+            assert steps[i + 1] == SplitOff(steps[i].block[3:])
+
+    def test_basic_program_sets_fit_one_key_word(self):
+        # every set stays within one 32-qubit key word (27 at most today)
+        prog = elaborate(build_basic_program(NoiseParams()))
+        part = Partition(prog.initial_partition)
+        widest = 0
         for step in prog.steps:
-            if isinstance(step, Correct):
-                seen.add(len(step.ancilla_blocks))
-        assert seen == {3}
+            if type(step) is MergeSets:
+                sa, sb = part.loc[step.qubit_a][0], part.loc[step.qubit_b][0]
+                if sa != sb:
+                    part.place(part.members[sa] + part.members.pop(sb), sa)
+            elif type(step) is SplitOff:
+                sid, _ = part.locate(step.qubits)
+                if len(step.qubits) < len(part.members[sid]):
+                    part.place([q for q in part.members[sid] if q not in step.qubits], sid)
+                    part.place(step.qubits)
+            widest = max(widest, max(len(m) for m in part.members.values()))
+        assert 14 < widest <= 32
 
 
 class TestSerialization:

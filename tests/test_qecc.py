@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from paulitree.errormap import ErrorMap, cnot_kernel
+from paulitree.errormap import ErrorMap, _clear_mask, _slot, cnot_kernel
 from paulitree.noise import NoiseParams
 from paulitree.pauli import Pauli, PauliString
 from paulitree.program import (
@@ -173,6 +173,21 @@ class TestSyndromeKernel:
         m = emap({"ZZZIIII": 1.0})
         m.apply(syndrome_kernel, list(range(7)))
         assert as_strs(m) == {"IIIIIII": pytest.approx(1.0)}
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_clears_block_positions_3_to_6_in_every_row(self, seed):
+        # the premise of releasing block[3:] right after the readout
+        rng = np.random.default_rng(seed)
+        nwords = int(rng.integers(2, 4))
+        keys = rng.integers(0, 2 ** 64, size=(64, nwords), dtype=np.uint64)
+        block = [int(q) for q in rng.choice(32 * nwords, 7, replace=False)]
+        before = keys.copy()
+        syndrome_kernel(keys, block)
+        outside = _clear_mask(nwords, block)
+        assert np.array_equal(keys & outside, before & outside)
+        for q in block[3:]:
+            w, s = _slot(q)
+            assert not ((keys[:, w] >> np.uint64(s)) & np.uint64(3)).any()
 
 
 class TestCosetReduceKernel:
