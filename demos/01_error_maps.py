@@ -9,42 +9,36 @@ built out of these moves.
 Run:  python3 demos/01_error_maps.py
 """
 
-from paulitree import (
-    ErrorMap,
-    MergeMode,
-    QubitSet,
-    Thresholds,
-    apply_cnot,
-    apply_one_qubit_event,
-    merge,
-    split,
-    total_probability,
-)
+from paulitree import ErrorMap, MergeMode, QubitSet, Thresholds, merge, split
+from paulitree.errormap import cnot_kernel, one_qubit_patterns
 
 # Start from two error-free qubits and let a decoherence event with a
 # 10% trigger probability act on qubit 0.  The error-free entry splits
-# into a pass branch and three equally likely error branches.
-qs = QubitSet.error_free([0, 1])
-qs = apply_one_qubit_event(qs, 0, 0.10, Thresholds())
+# into a pass branch and three equally likely error branches.  A map
+# evolves in place; the last argument is the event branch threshold.
+m = ErrorMap.identity(2)
+m.event_kernel(one_qubit_patterns(2, 0), 0.10, 0.0)
 print("after a 10% event on qubit 0:")
-print(qs.map.dump())
+print(m.dump())
 
 # A CNOT does not create or destroy probability; it relabels.  The X
 # component of the control copies onto the target, so the XI branch
 # becomes XX — a two-qubit error made from a one-qubit fault.
-qs = apply_cnot(qs, 0, 1)
+m.apply(cnot_kernel, 0, 1)
 print("\nafter CNOT 0 -> 1 (X spreads, Z would flow the other way):")
-print(qs.map.dump())
-print("total probability:", total_probability(qs))
+print(m.dump())
+print("total probability:", m.total())
 
 # Pruning: with an event branch threshold of 5%, entries below 5% pass
 # through unexpanded.  The three 3.3% branches stay put; only the big
 # pass-through entry branches again.
-pruned = apply_one_qubit_event(qs, 1, 0.10, Thresholds(event_branch=0.05))
-exact = apply_one_qubit_event(qs, 1, 0.10, Thresholds())
+exact = ErrorMap.from_dict(dict(m.items()))
+pruned = ErrorMap.from_dict(dict(m.items()))
+exact.event_kernel(one_qubit_patterns(2, 1), 0.10, 0.0)
+pruned.event_kernel(one_qubit_patterns(2, 1), 0.10, 0.05)
 print("\nentries after another event  exact: %d   pruned at 5%%: %d"
-      % (len(exact.map), len(pruned.map)))
-print("both conserve mass:", total_probability(exact), total_probability(pruned))
+      % (len(exact), len(pruned)))
+print("both conserve mass:", exact.total(), pruned.total())
 
 # Merging two independent sets takes a cross product.  The merge
 # threshold bounds how small a joint probability is worth storing;
@@ -56,7 +50,7 @@ for mode in (MergeMode.PRESERVATION, MergeMode.LOSSY):
     out = merge(a, b, Thresholds(merge=0.02, merge_mode=mode))
     print("\nmerge at threshold 0.02, %s:" % mode.value)
     print(out.map.dump())
-    print("total:", total_probability(out))
+    print("total:", out.map.total())
 
 # Splitting is the inverse for independent sets: each side gets its
 # marginal back.  (Correlations, if any, are deliberately discarded —

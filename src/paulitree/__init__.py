@@ -3,26 +3,16 @@
 Two engines over the same cycle-level program IR: an analytical
 probability-tree model with configurable pruning thresholds
 (:mod:`~paulitree.engine`) and a Monte Carlo fault-injection baseline
-(:mod:`~paulitree.montecarlo`).  The programs, the Steane-code recovery
-circuit among them, are built in :mod:`~paulitree.program`; the code's
-tables and readout kernels are in :mod:`~paulitree.qecc`.
+(:mod:`~paulitree.montecarlo`).  The analytical engine evolves each
+:class:`ErrorMap` in place; a :class:`QubitSet` only carries a map and
+its qubit IDs into and out of :func:`merge` and :func:`split`.  The
+programs, the Steane-code recovery circuit among them, are built in
+:mod:`~paulitree.program`; the code's tables and readout kernels are in
+:mod:`~paulitree.qecc`.
 """
 
-from .engine import FidelityReport, run_analytical, sweep
-from .errormap import (
-    ErrorMap,
-    MergeMode,
-    QubitSet,
-    Thresholds,
-    apply_cnot,
-    apply_hadamard,
-    apply_one_qubit_event,
-    apply_two_qubit_event,
-    merge,
-    split,
-    sum_matching,
-    total_probability,
-)
+from .engine import FidelityReport, run_analytical
+from .errormap import ErrorMap, MergeMode, QubitSet, Thresholds, merge, split
 from .montecarlo import MCReport, run_mc
 from .noise import ConfigError, NoiseParams, decoherence_prob, load_params, serialize_params
 from .pauli import Pauli, PauliString, compose
@@ -38,12 +28,7 @@ from .program import (
     program_hash,
     serialize_program,
 )
-from .qecc import (
-    CHECK_MATRIX,
-    classify_crash,
-    count_nonfailing_states,
-    decode_table,
-)
+from .qecc import CHECK_MATRIX, count_nonfailing_states, decode_table
 
 __all__ = [
     "CHECK_MATRIX",
@@ -60,14 +45,9 @@ __all__ = [
     "QubitSet",
     "Schedule",
     "Thresholds",
-    "apply_cnot",
-    "apply_hadamard",
-    "apply_one_qubit_event",
-    "apply_two_qubit_event",
     "build_basic_program",
     "build_recovery",
     "build_scaling_program",
-    "classify_crash",
     "compose",
     "count_nonfailing_states",
     "decode_table",
@@ -82,9 +62,6 @@ __all__ = [
     "serialize_params",
     "serialize_program",
     "split",
-    "sum_matching",
-    "sweep",
-    "total_probability",
 ]
 
 __version__ = "0.1.0"

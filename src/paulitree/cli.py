@@ -197,8 +197,8 @@ def cmd_sweep(args) -> int:
     if not grid:
         raise SystemExit("sweep: empty threshold grid")
     jobs = [(args, prog, th) for th in grid]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    if args.jobs > 1 and len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(jobs))) as pool:
             rows = list(pool.map(_sweep_point, jobs))
     else:
         rows = [_sweep_point(job) for job in jobs]

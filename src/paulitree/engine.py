@@ -116,10 +116,3 @@ def run_analytical(prog: Program, th: Thresholds,
         steps_executed=len(prog.steps),
         wall_time_s=time.perf_counter() - start,
     )
-
-
-def sweep(prog: Program, grid: list[Thresholds]) -> list[tuple[Thresholds, FidelityReport]]:
-    """Run the same program once per threshold setting."""
-    if not grid:
-        raise ValueError("threshold grid must be non-empty")
-    return [(th, run_analytical(prog, th)) for th in grid]

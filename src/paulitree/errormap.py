@@ -1,7 +1,8 @@
-"""Error maps, QubitSets, and the threshold-pruned evolution operations.
+"""Error maps and the threshold-pruned evolution operations.
 
 An error map is the current level of the error probability tree for one
-QubitSet: an association from Pauli-string error states to probabilities.
+set of qubits: an association from Pauli-string error states to
+probabilities.
 Keys are stored packed, 2 bits per qubit and 32 qubits per 64-bit word,
 in a (entries, words) uint64 array alongside a float64 probability
 vector, so events, gate transforms, merges and splits are all vectorized.
@@ -30,13 +31,14 @@ engine runs them on a map's keys through :meth:`ErrorMap.apply`, the
 Monte Carlo engine on its sampled rows.  Only this module touches a
 map's arrays.
 
-The tree is pruned in two places, :meth:`ErrorMap.event_kernel` and
-:func:`merge`, each one code path; at threshold 0 it prunes nothing.
-
-The module-level operations (``apply_one_qubit_event``, ``merge``,
-``split``, ...) are pure: they validate, copy, and return fresh
-QubitSets.  The engine uses the in-place ``ErrorMap`` methods directly
-to avoid copies; both paths share the same code.
+The tree evolves by four moves, each one code path: events through
+:meth:`ErrorMap.event_kernel`, key-permuting steps through
+:meth:`ErrorMap.apply`, and the restructuring :func:`merge` and
+:func:`split`.  The first two rewrite a map in place; the last two take
+and return a :class:`QubitSet`, a map with the global IDs of its
+qubits, the only place that type appears.  The tree is pruned in two
+places, :meth:`ErrorMap.event_kernel` and :func:`merge`; at threshold 0
+it prunes nothing.
 
 Iteration order over entries is unspecified.  All operations accumulate
 colliding keys by summation and are order-insensitive to within float64
@@ -150,7 +152,8 @@ def _aggregate(keys: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 class ErrorMap:
-    """Association from packed Pauli strings to probabilities for one QubitSet.
+    """Association from packed Pauli strings to probabilities for one set
+    of qubits.
 
     Invariants: probabilities are non-negative; the total stays within
     1 + 1e-9 and equals 1 within that slack unless a lossy merge has
@@ -202,11 +205,6 @@ class ErrorMap:
         for i, bits in enumerate(kept):
             keys[i] = _row_from_int(bits, nw)
         return cls(width, keys, np.fromiter(kept.values(), dtype=np.float64, count=len(kept)))
-
-    def copy(self) -> "ErrorMap":
-        m = ErrorMap(self.width, self._keys.copy(), self._probs.copy())
-        m._dirty = self._dirty
-        return m
 
     def __len__(self) -> int:
         self._ensure_ready()
@@ -383,8 +381,11 @@ def one_qubit_patterns(width: int, q: int) -> np.ndarray:
 def two_qubit_patterns(width: int, q1: int, q2: int) -> np.ndarray:
     """XOR patterns of the fifteen non-identity two-qubit outcomes:
     outcome i puts labels divmod(i + 1, 4) on (q1, q2).  Cached and
-    read-only, like :func:`one_qubit_patterns`."""
+    read-only, like :func:`one_qubit_patterns`.  ValueError if q1 == q2,
+    where three outcomes would be the identity."""
     _check_positions(width, q1, q2)
+    if q1 == q2:
+        raise ValueError("two-qubit event operands must differ, got %d twice" % q1)
     pats = np.zeros((15, _nwords(width)), dtype=_U64)
     w1, s1 = _slot(q1)
     w2, s2 = _slot(q2)
@@ -397,11 +398,12 @@ def two_qubit_patterns(width: int, q1: int, q2: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QubitSet:
-    """A disjoint group of physical qubit IDs plus its error map.
+    """A group of physical qubit IDs plus its error map: what :func:`merge`
+    and :func:`split` take and return.
 
     ``members[i]`` is the global ID tracked at local key position i.
-    QubitSets partition the simulated machine; enforcing the partition
-    is the engine's job.
+    The engine's :class:`~paulitree.program.Partition` keeps the groups
+    disjoint.
     """
 
     members: tuple[int, ...]
@@ -415,61 +417,6 @@ class QubitSet:
                 "map width %d does not match %d members"
                 % (self.map.width, len(self.members))
             )
-
-    @classmethod
-    def error_free(cls, members: Iterable[int]) -> "QubitSet":
-        members = tuple(members)
-        return cls(members, ErrorMap.identity(len(members)))
-
-
-# -- pure operations ---------------------------------------------------
-
-
-def apply_one_qubit_event(qs: QubitSet, q: int, f: float, th: Thresholds) -> QubitSet:
-    """One-qubit error event at local position q.
-
-    Leaves each state unchanged with probability 1-f and adds an X, Y,
-    or Z at q with probability f/3 each, branching only entries at or
-    above the event branch threshold.
-    """
-    m = qs.map.copy()
-    m.event_kernel(one_qubit_patterns(m.width, q), f, th.event_branch)
-    return QubitSet(qs.members, m)
-
-
-def apply_two_qubit_event(qs: QubitSet, q1: int, q2: int, f: float,
-                          th: Thresholds) -> QubitSet:
-    """Correlated two-qubit error event: 15 outcomes at f/15 each."""
-    if q1 == q2:
-        raise ValueError("two-qubit event operands must differ")
-    m = qs.map.copy()
-    m.event_kernel(two_qubit_patterns(m.width, q1, q2), f, th.event_branch)
-    return QubitSet(qs.members, m)
-
-
-def apply_hadamard(qs: QubitSet, q: int) -> QubitSet:
-    _check_positions(qs.map.width, q)
-    m = qs.map.copy()
-    m.apply(hadamard_kernel, q)
-    return QubitSet(qs.members, m)
-
-
-def apply_cnot(qs: QubitSet, control: int, target: int) -> QubitSet:
-    _check_positions(qs.map.width, control, target)
-    if control == target:
-        raise ValueError("CNOT control and target must differ")
-    m = qs.map.copy()
-    m.apply(cnot_kernel, control, target)
-    return QubitSet(qs.members, m)
-
-
-def total_probability(qs: QubitSet) -> float:
-    return qs.map.total()
-
-
-def sum_matching(qs: QubitSet, predicate: Callable[[PauliString], bool]) -> float:
-    """Sum of probabilities over entries whose state satisfies the predicate."""
-    return float(sum(p for s, p in qs.map.items() if predicate(s)))
 
 
 def _shift_rows(keys: np.ndarray, shift_bits: int, nwords_out: int) -> np.ndarray:

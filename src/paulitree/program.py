@@ -118,6 +118,11 @@ class VerifyReadout:
     verifier: int
 
 
+def _check_block(block: tuple[int, ...], what: str) -> None:
+    if len(block) != 7:
+        raise ValueError("%s takes a 7-qubit block, got %d qubits" % (what, len(block)))
+
+
 @dataclass(frozen=True)
 class SyndromeMeasure:
     """Compute the 3-bit syndrome from the measured ancilla block and store
@@ -130,6 +135,9 @@ class SyndromeMeasure:
 
     block: tuple[int, ...]
     slot: int
+
+    def __post_init__(self):
+        _check_block(self.block, "a syndrome readout")
 
 
 @dataclass(frozen=True)
@@ -148,6 +156,11 @@ class CosetReduce:
     block: tuple[int, ...]
     basis: str
 
+    def __post_init__(self):
+        _check_block(self.block, "a coset reduction")
+        if self.basis not in ("z", "x"):
+            raise ValueError("basis must be 'z' or 'x', got %r" % (self.basis,))
+
 
 @dataclass(frozen=True)
 class Correct:
@@ -161,6 +174,14 @@ class Correct:
     data: tuple[int, ...]
     ancilla_blocks: tuple[tuple[int, ...], ...]
     phase: str  # "bit" corrects X errors, "phase" corrects Z errors
+
+    def __post_init__(self):
+        _check_block(self.data, "a correction")
+        if len(self.ancilla_blocks) != 3 or any(len(b) != 3 for b in self.ancilla_blocks):
+            raise ValueError("a correction reads three groups of 3 syndrome slots, got %r"
+                             % (self.ancilla_blocks,))
+        if self.phase not in ("bit", "phase"):
+            raise ValueError("phase must be 'bit' or 'phase', got %r" % (self.phase,))
 
 
 Step = Union[

@@ -25,8 +25,8 @@ import math
 
 import numpy as np
 
-from .errormap import ErrorMap, _clear_mask, _nwords, _row_from_int, _slot
-from .pauli import Pauli, PauliString
+from .errormap import ErrorMap, _clear_mask, _slot
+from .pauli import Pauli
 
 _U64 = np.uint64
 
@@ -232,9 +232,3 @@ def correctable(keys: np.ndarray, blocks) -> np.ndarray:
 def surviving_mass(emap: ErrorMap, blocks) -> float:
     """Probability mass of a map's correctable entries."""
     return emap.mass_where(correctable, blocks)
-
-
-def classify_crash(state: PauliString, blocks: list[list[int]]) -> bool:
-    """True when some block carries more than one errored qubit."""
-    keys = _row_from_int(state.bits, _nwords(state.n))[None, :]
-    return not correctable(keys, blocks)[0]

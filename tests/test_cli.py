@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from paulitree import cli
 from paulitree.cli import COLUMNS, build_parser, main
 
 
@@ -133,6 +134,38 @@ class TestSweep:
         assert code == 0
         rows = parse_csv(out)
         assert sorted(r["merge_mode"] for r in rows) == ["lossy", "preservation"]
+
+    def test_empty_grid_rejected(self):
+        with pytest.raises(SystemExit, match="empty threshold grid"):
+            main(["sweep", "--event-th", ""])
+
+    def test_jobs_capped_at_the_grid_size(self, capsys, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            """Records the pool size and maps in this process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        grid = ["--merge-th", "1e-8", "--merge-mode", "preservation"]
+        code, out, _ = run_cli(capsys, "sweep", "--jobs", "64", "--event-th", "1e-4,1e-5", *grid)
+        assert code == 0
+        assert sizes == [2]
+        assert [r["event_threshold"] for r in parse_csv(out)] == ["0.0001", "1e-05"]
+        # a one-point grid runs in this process
+        code, _, _ = run_cli(capsys, "sweep", "--jobs", "64", "--event-th", "1e-4", *grid)
+        assert code == 0 and sizes == [2]
 
 
 class TestCompare:

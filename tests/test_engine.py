@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from paulitree.engine import FidelityReport, run_analytical, sweep
+from paulitree.engine import run_analytical
 from paulitree.errormap import MergeMode, Thresholds
 from paulitree.noise import NoiseParams
 from paulitree.pauli import Pauli
@@ -187,15 +187,3 @@ class TestBasicProgram:
         # harder pruning can only miss crash mass, never invent it
         assert 0.0 < coarse.crash_probability <= fine.crash_probability
 
-
-class TestSweep:
-    def test_grid_order_and_shape(self):
-        prog = toy([TwoQubitEvent(0, 1, 0.3)])
-        grid = [Thresholds(0.0, 0.0), Thresholds(1e-3, 1e-6)]
-        results = sweep(prog, grid)
-        assert [th for th, _ in results] == grid
-        assert all(isinstance(rep, FidelityReport) for _, rep in results)
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError):
-            sweep(toy([]), [])

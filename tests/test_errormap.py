@@ -14,26 +14,22 @@ from paulitree.errormap import (
     MergeMode,
     QubitSet,
     Thresholds,
-    apply_cnot,
-    apply_hadamard,
-    apply_one_qubit_event,
-    apply_two_qubit_event,
     cnot_kernel,
     hadamard_kernel,
     merge,
     one_qubit_patterns,
     split,
-    sum_matching,
-    total_probability,
     two_qubit_patterns,
 )
 from paulitree.pauli import Pauli, PauliString
+from paulitree.qecc import correctable
 
 TH0 = Thresholds()
+emap = ErrorMap.from_dict
 
 
-def as_strs(qs):
-    return {str(s): p for s, p in qs.map.items()}
+def as_strs(m):
+    return {str(s): p for s, p in m.items()}
 
 
 def qset(entries, members=None):
@@ -42,8 +38,8 @@ def qset(entries, members=None):
     return QubitSet(members, m)
 
 
-def assert_map_close(qs, expected, tol=1e-12):
-    got = as_strs(qs)
+def assert_map_close(m, expected, tol=1e-12):
+    got = as_strs(m)
     assert set(got) == set(expected)
     for k, v in expected.items():
         assert got[k] == pytest.approx(v, abs=tol)
@@ -62,83 +58,86 @@ class TestThresholds:
 class TestOneQubitEvent:
     def test_expands_error_free_state(self):
         # event at the rightmost bit of a 3-qubit set, f = 0.3
-        qs = qset({"III": 1.0})
-        out = apply_one_qubit_event(qs, 2, 0.3, Thresholds(event_branch=0.1))
-        assert_map_close(out, {"III": 0.7, "IIX": 0.1, "IIY": 0.1, "IIZ": 0.1})
+        m = emap({"III": 1.0})
+        m.event_kernel(one_qubit_patterns(3, 2), 0.3, 0.1)
+        assert_map_close(m, {"III": 0.7, "IIX": 0.1, "IIY": 0.1, "IIZ": 0.1})
 
     def test_zero_probability_event(self):
-        qs = qset({"III": 1.0})
-        out = apply_one_qubit_event(qs, 1, 0.0, TH0)
-        assert_map_close(out, {"III": 1.0})
+        m = emap({"III": 1.0})
+        m.event_kernel(one_qubit_patterns(3, 1), 0.0, 0.0)
+        assert_map_close(m, {"III": 1.0})
 
     def test_below_threshold_passes_through_and_collides(self):
-        qs = qset({"III": 0.9, "IIX": 0.05})
-        out = apply_one_qubit_event(qs, 2, 0.3, Thresholds(event_branch=0.1))
+        m = emap({"III": 0.9, "IIX": 0.05})
+        m.event_kernel(one_qubit_patterns(3, 2), 0.3, 0.1)
         assert_map_close(
-            out, {"III": 0.63, "IIX": 0.09 + 0.05, "IIY": 0.09, "IIZ": 0.09}
+            m, {"III": 0.63, "IIX": 0.09 + 0.05, "IIY": 0.09, "IIZ": 0.09}
         )
 
     def test_no_entry_at_the_branch_threshold_leaves_the_map_unchanged(self):
-        qs = qset({"III": 0.9, "IIX": 0.1})
+        before = emap({"III": 0.9, "IIX": 0.1}).dump()
         for f in (0.3, 1.0):
-            out = apply_one_qubit_event(qs, 2, f, Thresholds(event_branch=0.95))
-            assert out.map.dump() == qs.map.dump()
+            m = emap({"III": 0.9, "IIX": 0.1})
+            m.event_kernel(one_qubit_patterns(3, 2), f, 0.95)
+            assert m.dump() == before
 
     def test_conserves_mass_for_any_threshold(self):
         for th in (0.0, 1e-3, 0.5, 1.0):
-            qs = qset({"II": 0.6, "XI": 0.3, "YZ": 0.1})
-            out = apply_one_qubit_event(qs, 0, 0.25, Thresholds(event_branch=th))
-            assert total_probability(out) == pytest.approx(1.0, abs=1e-12)
+            m = emap({"II": 0.6, "XI": 0.3, "YZ": 0.1})
+            m.event_kernel(one_qubit_patterns(2, 0), 0.25, th)
+            assert m.total() == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("width, q", [(1, 0), (40, 35)])
     def test_certain_event_drops_the_emptied_source(self, width, q):
-        out = apply_one_qubit_event(QubitSet.error_free(range(width)), q, 1.0, TH0)
-        assert len(out.map) == 3
-        assert (out.map._probs > 0.0).all()
+        m = ErrorMap.identity(width)
+        m.event_kernel(one_qubit_patterns(width, q), 1.0, 0.0)
+        assert len(m) == 3
+        assert (m._probs > 0.0).all()
         base = "I" * width
-        assert_map_close(out, {base[:q] + lab + base[q + 1:]: 1 / 3 for lab in "XYZ"})
+        assert_map_close(m, {base[:q] + lab + base[q + 1:]: 1 / 3 for lab in "XYZ"})
 
     def test_certain_event_can_land_on_an_emptied_source(self):
         # the I source empties, then the X source's X branch lands on it
-        out = apply_one_qubit_event(qset({"I": 0.5, "X": 0.5}), 0, 1.0, TH0)
-        assert_map_close(out, {"I": 1 / 6, "X": 1 / 6, "Y": 1 / 3, "Z": 1 / 3})
+        m = emap({"I": 0.5, "X": 0.5})
+        m.event_kernel(one_qubit_patterns(1, 0), 1.0, 0.0)
+        assert_map_close(m, {"I": 1 / 6, "X": 1 / 6, "Y": 1 / 3, "Z": 1 / 3})
 
     def test_errors(self):
-        qs = qset({"II": 1.0})
         with pytest.raises(IndexError):
-            apply_one_qubit_event(qs, 2, 0.1, TH0)
+            one_qubit_patterns(2, 2)
         with pytest.raises(ValueError):
-            apply_one_qubit_event(qs, 0, 1.5, TH0)
-
-    def test_input_not_mutated(self):
-        qs = qset({"II": 1.0})
-        apply_one_qubit_event(qs, 0, 0.5, TH0)
-        assert_map_close(qs, {"II": 1.0})
+            emap({"II": 1.0}).event_kernel(one_qubit_patterns(2, 0), 1.5, 0.0)
 
 
 class TestTwoQubitEvent:
     def test_fifteen_equal_branches(self):
-        qs = qset({"II": 1.0})
-        out = apply_two_qubit_event(qs, 0, 1, 0.15, TH0)
+        m = emap({"II": 1.0})
+        m.event_kernel(two_qubit_patterns(2, 0, 1), 0.15, 0.0)
         expected = {"II": 0.85}
         for a in "IXYZ":
             for b in "IXYZ":
                 if a + b != "II":
                     expected[a + b] = 0.01
-        assert_map_close(out, expected)
+        assert_map_close(m, expected)
 
     def test_zero_event(self):
-        out = apply_two_qubit_event(qset({"II": 1.0}), 0, 1, 0.0, TH0)
-        assert_map_close(out, {"II": 1.0})
+        m = emap({"II": 1.0})
+        m.event_kernel(two_qubit_patterns(2, 0, 1), 0.0, 0.0)
+        assert_map_close(m, {"II": 1.0})
 
     def test_composes_onto_existing_error(self):
-        out = apply_two_qubit_event(qset({"XI": 1.0}), 0, 1, 0.15, TH0)
-        assert as_strs(out)["XX"] == pytest.approx(0.01)
-        assert total_probability(out) == pytest.approx(1.0, abs=1e-12)
+        m = emap({"XI": 1.0})
+        m.event_kernel(two_qubit_patterns(2, 0, 1), 0.15, 0.0)
+        assert as_strs(m)["XX"] == pytest.approx(0.01)
+        assert m.total() == pytest.approx(1.0, abs=1e-12)
 
     def test_same_operand_rejected(self):
-        with pytest.raises(ValueError):
-            apply_two_qubit_event(qset({"II": 1.0}), 1, 1, 0.1, TH0)
+        # three of the fifteen rows would be all-zero, moving 1/5 of the
+        # event's mass onto "no error"
+        for width, q in ((2, 1), (4, 1), (40, 35)):
+            two_qubit_patterns(width, 0, q)  # a valid entry in the cache first
+            with pytest.raises(ValueError, match="must differ"):
+                two_qubit_patterns(width, q, q)
 
 
 # hand-enumerated two-qubit CNOT conjugation table (control = qubit 0)
@@ -164,8 +163,9 @@ def unpacked(keys, n):
 
 class TestGates:
     def test_hadamard_swaps_x_and_z(self):
-        out = apply_hadamard(qset({"IXI": 0.5, "IZI": 0.3, "IYI": 0.2}), 1)
-        assert_map_close(out, {"IZI": 0.5, "IXI": 0.3, "IYI": 0.2})
+        m = emap({"IXI": 0.5, "IZI": 0.3, "IYI": 0.2})
+        m.apply(hadamard_kernel, 1)
+        assert_map_close(m, {"IZI": 0.5, "IXI": 0.3, "IYI": 0.2})
         # the kernel on each label at each of three positions, the others
         # at I: I stays I and an error stays an error, so weight is kept
         for q in range(3):
@@ -177,22 +177,17 @@ class TestGates:
             ]
             hadamard_kernel(keys, q)
             assert unpacked(keys, 3) == src
-        with pytest.raises(IndexError):
-            apply_hadamard(qset({"III": 1.0}), 3)
 
     def test_cnot_propagates(self):
-        out = apply_cnot(qset({"XII": 0.5, "IIZ": 0.5}), 0, 2)
-        assert_map_close(out, {"XIX": 0.5, "ZIZ": 0.5})
-        with pytest.raises(ValueError):
-            apply_cnot(qset({"II": 1.0}), 1, 1)
-        with pytest.raises(IndexError):
-            apply_cnot(qset({"II": 1.0}), 0, 5)
+        m = emap({"XII": 0.5, "IIZ": 0.5})
+        m.apply(cnot_kernel, 0, 2)
+        assert_map_close(m, {"XIX": 0.5, "ZIZ": 0.5})
 
     def test_cnot_collisionless_bijection(self):
-        entries = {"II": 0.4, "XI": 0.3, "IZ": 0.2, "YY": 0.1}
-        out = apply_cnot(qset(entries), 0, 1)
-        assert len(as_strs(out)) == 4
-        assert total_probability(out) == pytest.approx(1.0, abs=1e-15)
+        m = emap({"II": 0.4, "XI": 0.3, "IZ": 0.2, "YY": 0.1})
+        m.apply(cnot_kernel, 0, 1)
+        assert len(m) == 4
+        assert m.total() == pytest.approx(1.0, abs=1e-15)
         # the full conjugation table, on the kernel and then on a map whose
         # distinct probabilities trace every entry; twice is the identity
         keys = packed(CNOT_TABLE)
@@ -201,8 +196,9 @@ class TestGates:
         cnot_kernel(keys, 0, 1)
         assert unpacked(keys, 2) == list(CNOT_TABLE)
         src = {k: (i + 1) / 136.0 for i, k in enumerate(CNOT_TABLE)}
-        out = apply_cnot(qset(src), 0, 1)
-        assert_map_close(out, {CNOT_TABLE[k]: p for k, p in src.items()}, tol=0.0)
+        m = emap(src)
+        m.apply(cnot_kernel, 0, 1)
+        assert_map_close(m, {CNOT_TABLE[k]: p for k, p in src.items()}, tol=0.0)
 
 
 class TestMerge:
@@ -211,11 +207,11 @@ class TestMerge:
         b = qset({"I": 0.8, "Z": 0.2}, members=[1])
         out = merge(a, b, TH0)
         assert out.members == (0, 1)
-        assert_map_close(out, {"II": 0.72, "IZ": 0.18, "XI": 0.08, "XZ": 0.02})
+        assert_map_close(out.map, {"II": 0.72, "IZ": 0.18, "XI": 0.08, "XZ": 0.02})
 
     def test_error_free_merge(self):
-        out = merge(QubitSet.error_free([0, 1]), QubitSet.error_free([2]), TH0)
-        assert_map_close(out, {"III": 1.0})
+        out = merge(qset({"II": 1.0}), qset({"I": 1.0}, members=[2]), TH0)
+        assert_map_close(out.map, {"III": 1.0})
 
     def test_preservation_zeroes_less_probable_side(self):
         # the merged state IXXYI at 0.005 falls below the 0.01 threshold;
@@ -224,34 +220,34 @@ class TestMerge:
         b = qset({"II": 0.9, "YI": 0.1}, members=[3, 4])
         th_p = Thresholds(merge=0.01, merge_mode=MergeMode.PRESERVATION)
         out = merge(a, b, th_p)
-        got = as_strs(out)
+        got = as_strs(out.map)
         # 0.95*0.1 lands on IIIYI above threshold; the collapsed 0.005 joins it
         assert got["IIIYI"] == pytest.approx(0.095 + 0.005)
         assert "IXXYI" not in got
-        assert total_probability(out) == pytest.approx(1.0, abs=1e-12)
+        assert out.map.total() == pytest.approx(1.0, abs=1e-12)
 
         th_l = Thresholds(merge=0.01, merge_mode=MergeMode.LOSSY)
         out_l = merge(a, b, th_l)
-        got_l = as_strs(out_l)
+        got_l = as_strs(out_l.map)
         assert "IXXYI" not in got_l
         assert got_l["IIIYI"] == pytest.approx(0.095)
-        assert total_probability(out_l) == pytest.approx(1.0 - 0.005, abs=1e-12)
+        assert out_l.map.total() == pytest.approx(1.0 - 0.005, abs=1e-12)
 
     def test_tie_zeroes_state_from_b(self):
         a = qset({"I": 0.9, "X": 0.1}, members=[0])
         b = qset({"I": 0.9, "Z": 0.1}, members=[1])
         th = Thresholds(merge=0.02, merge_mode=MergeMode.PRESERVATION)
         out = merge(a, b, th)
-        got = as_strs(out)
+        got = as_strs(out.map)
         # the 0.1 x 0.1 pair ties: b's Z is zeroed, a's X is kept
         assert got["XI"] == pytest.approx(0.09 + 0.01)
         assert got["IZ"] == pytest.approx(0.09)
         assert "XZ" not in got
-        assert total_probability(out) == pytest.approx(1.0, abs=1e-12)
+        assert out.map.total() == pytest.approx(1.0, abs=1e-12)
 
     def test_overlap_rejected(self):
         with pytest.raises(ValueError):
-            merge(QubitSet.error_free([0, 1]), QubitSet.error_free([1, 2]), TH0)
+            merge(qset({"II": 1.0}), qset({"II": 1.0}, members=[1, 2]), TH0)
 
     @pytest.mark.parametrize("mode", list(MergeMode))
     @pytest.mark.parametrize("threshold", [0.0, 0.01])
@@ -274,24 +270,24 @@ class TestSplit:
         )
         assert left.members == (5,)
         assert right.members == (9,)
-        assert_map_close(left, {"I": 0.9, "X": 0.1})
-        assert_map_close(right, {"I": 0.8, "Z": 0.2})
+        assert_map_close(left.map, {"I": 0.9, "X": 0.1})
+        assert_map_close(right.map, {"I": 0.8, "Z": 0.2})
 
     def test_trivial_split(self):
         left, right = split(qset({"III": 1.0}), keep=[0, 1])
-        assert_map_close(left, {"II": 1.0})
-        assert_map_close(right, {"I": 1.0})
+        assert_map_close(left.map, {"II": 1.0})
+        assert_map_close(right.map, {"I": 1.0})
 
     def test_correlation_lost_by_design(self):
         left, right = split(qset({"II": 0.5, "XX": 0.5}), keep=[0])
-        assert_map_close(left, {"I": 0.5, "X": 0.5})
-        assert_map_close(right, {"I": 0.5, "X": 0.5})
+        assert_map_close(left.map, {"I": 0.5, "X": 0.5})
+        assert_map_close(right.map, {"I": 0.5, "X": 0.5})
 
     def test_marginal_totals(self):
         qs = qset({"II": 0.4, "XZ": 0.25, "YI": 0.2, "IZ": 0.15})
         left, right = split(qs, keep=[1])
-        assert total_probability(left) == pytest.approx(1.0, abs=1e-12)
-        assert total_probability(right) == pytest.approx(1.0, abs=1e-12)
+        assert left.map.total() == pytest.approx(1.0, abs=1e-12)
+        assert right.map.total() == pytest.approx(1.0, abs=1e-12)
 
     def test_errors(self):
         qs = qset({"II": 1.0})
@@ -303,17 +299,14 @@ class TestSplit:
 
 class TestSummaries:
     def test_total_probability(self):
-        assert total_probability(qset({"III": 1.0})) == pytest.approx(1.0)
+        assert emap({"III": 1.0}).total() == pytest.approx(1.0)
 
-    def test_sum_matching(self):
-        qs = qset({"III": 0.7, "IIX": 0.1, "XXI": 0.2})
-
-        def weight(s):
-            return sum(lab != Pauli.I for lab in s.labels())
-
-        assert sum_matching(qs, lambda s: weight(s) <= 1) == pytest.approx(0.8)
-        assert sum_matching(qs, lambda s: True) == pytest.approx(1.0)
-        assert sum_matching(qs, lambda s: weight(s) == 0) == pytest.approx(0.7)
+    def test_mass_where(self):
+        m = emap({"III": 0.7, "IIX": 0.1, "XXI": 0.2})
+        # correctable on one block is weight <= 1
+        assert m.mass_where(correctable, [[0, 1, 2]]) == pytest.approx(0.8)
+        assert m.mass_where(lambda keys: np.ones(len(keys), dtype=bool)) == pytest.approx(1.0)
+        assert m.mass_where(lambda keys: ~keys.any(axis=1)) == pytest.approx(0.7)
 
 
 class TestDump:
@@ -333,23 +326,23 @@ class TestWideSets:
         # 40 qubits spans two 64-bit words
         n = 40
         s = "I" * 35 + "X" + "I" * 4
-        qs = qset({("I" * n): 0.9, s: 0.1})
-        out = apply_one_qubit_event(qs, 38, 0.5, TH0)
-        assert total_probability(out) == pytest.approx(1.0, abs=1e-12)
-        out2 = apply_cnot(out, 35, 38)
-        assert total_probability(out2) == pytest.approx(1.0, abs=1e-12)
+        m = emap({("I" * n): 0.9, s: 0.1})
+        m.event_kernel(one_qubit_patterns(n, 38), 0.5, 0.0)
+        assert m.total() == pytest.approx(1.0, abs=1e-12)
+        m.apply(cnot_kernel, 35, 38)
+        assert m.total() == pytest.approx(1.0, abs=1e-12)
 
     def test_multiword_merge_boundary_shift(self):
         # 20 + 20 qubits: b's bits straddle the word boundary after the shift
         a = qset({"I" * 20: 0.7, "X" + "I" * 19: 0.3}, members=range(20))
         b = qset({"I" * 20: 0.6, "I" * 19 + "Z": 0.4}, members=range(20, 40))
         out = merge(a, b, TH0)
-        got = as_strs(out)
+        got = as_strs(out.map)
         assert got["I" * 40] == pytest.approx(0.42)
         assert got["X" + "I" * 38 + "Z"] == pytest.approx(0.12)
         left, right = split(out, keep=range(20))
-        assert_map_close(left, {"I" * 20: 0.7, "X" + "I" * 19: 0.3})
-        assert_map_close(right, {"I" * 20: 0.6, "I" * 19 + "Z": 0.4})
+        assert_map_close(left.map, {"I" * 20: 0.7, "X" + "I" * 19: 0.3})
+        assert_map_close(right.map, {"I" * 20: 0.6, "I" * 19 + "Z": 0.4})
 
 
 class TestPatternCache:
@@ -373,10 +366,13 @@ class TestPatternCache:
             two_qubit_patterns(3, 0, 3)
 
     def test_event_same_with_cold_and_warm_cache(self):
-        qs = qset({"II": 0.7, "XZ": 0.3})
         one_qubit_patterns.cache_clear()
-        cold = apply_one_qubit_event(qs, 1, 0.3, TH0).map.dump()
-        warm = apply_one_qubit_event(qs, 1, 0.3, TH0).map.dump()
+        dumps = []
+        for _ in range(2):
+            m = emap({"II": 0.7, "XZ": 0.3})
+            m.event_kernel(one_qubit_patterns(2, 1), 0.3, 0.0)
+            dumps.append(m.dump())
+        cold, warm = dumps
         assert cold == warm
         assert one_qubit_patterns.cache_info().hits >= 1
 
@@ -457,15 +453,15 @@ def test_event_matches_oracle_across_word_boundary(width, data, f):
     start = oracle_sum((keys, probs))
     # last qubit of word 0 and, when there is one, first qubit of word 1
     for q in sorted({min(31, width - 1), min(32, width - 1)}):
-        qs = QubitSet(tuple(range(width)), sorted_map(width, keys, probs))
-        out = apply_one_qubit_event(qs, q, f, TH0)
+        m = sorted_map(width, keys, probs)
+        m.event_kernel(one_qubit_patterns(width, q), f, 0.0)
         expected = {}
         for k, p in start.items():
             expected[k] = expected.get(k, 0.0) + p * (1.0 - f)
             for lab in (1, 2, 3):
                 b = k ^ (lab << (2 * q))
                 expected[b] = expected.get(b, 0.0) + p * (f / 3)
-        assert {s.bits: p for s, p in out.map.items()} == expected
+        assert {s.bits: p for s, p in m.items()} == expected
 
 
 @st.composite
@@ -491,11 +487,10 @@ def random_maps(draw, max_qubits=4, max_entries=6):
 @settings(deadline=None, max_examples=60)
 @given(random_maps(), st.floats(0.0, 1.0), st.floats(0.0, 0.01), st.data())
 def test_events_conserve_mass_property(m, f, th, data):
-    qs = QubitSet(tuple(range(m.width)), m)
     q = data.draw(st.integers(0, m.width - 1))
-    before = total_probability(qs)
-    out = apply_one_qubit_event(qs, q, f, Thresholds(event_branch=th))
-    assert total_probability(out) == pytest.approx(before, abs=1e-9)
+    before = m.total()
+    m.event_kernel(one_qubit_patterns(m.width, q), f, th)
+    assert m.total() == pytest.approx(before, abs=1e-9)
 
 
 @settings(deadline=None, max_examples=60)
@@ -519,9 +514,9 @@ def test_preservation_merge_conserves_lossy_never_gains(ma, mb, th):
     b = QubitSet(tuple(range(100, 100 + mb.width)), mb)
     product = ma.total() * mb.total()
     kept = merge(a, b, Thresholds(merge=th, merge_mode=MergeMode.PRESERVATION))
-    assert total_probability(kept) == pytest.approx(product, abs=1e-9)
+    assert kept.map.total() == pytest.approx(product, abs=1e-9)
     lost = merge(a, b, Thresholds(merge=th, merge_mode=MergeMode.LOSSY))
-    assert total_probability(lost) <= product + 1e-9
+    assert lost.map.total() <= product + 1e-9
 
 
 @settings(deadline=None, max_examples=40)
@@ -541,7 +536,7 @@ def test_preservation_merge_matches_brute_force(ma, mb, th):
                 key = "I" * ma.width + str(sb)
             expected[key] = expected.get(key, 0.0) + p
     out = merge(a, b, Thresholds(merge=th, merge_mode=MergeMode.PRESERVATION))
-    got = as_strs(out)
+    got = as_strs(out.map)
     assert set(got) == {k for k, v in expected.items() if v > 0}
     for k in got:
         assert got[k] == pytest.approx(expected[k], rel=1e-9, abs=1e-15)
@@ -595,9 +590,9 @@ def test_merge_matches_brute_force_across_word_boundary(mode, data):
 
 def test_pruning_monotonicity():
     # lowering the event threshold never decreases the state count
-    qs = qset({"III": 0.9, "XII": 0.06, "IZI": 0.04})
     counts = []
     for th in (0.5, 0.05, 0.01, 0.0):
-        out = apply_one_qubit_event(qs, 1, 0.3, Thresholds(event_branch=th))
-        counts.append(len(as_strs(out)))
+        m = emap({"III": 0.9, "XII": 0.06, "IZI": 0.04})
+        m.event_kernel(one_qubit_patterns(3, 1), 0.3, th)
+        counts.append(len(m))
     assert counts == sorted(counts)

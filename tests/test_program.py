@@ -269,11 +269,12 @@ class TestSerialization:
             Reset((0, 1)),
             Measure((1,)),
             VerifyReadout((0, 1), 2),
-            SyndromeMeasure((0, 1), 1),
-            CosetReduce((0, 1), "z"),
-            Correct((0,), ((1,), (2,)), "phase"),
+            SyndromeMeasure(tuple(range(7, 14)), 1),
+            CosetReduce(tuple(range(7, 14)), "z"),
+            Correct(tuple(range(7)), ((7, 8, 9), (10, 11, 12), (13, 14, 15)), "phase"),
         )
-        prog = Program("toy", 3, ((0, 1), (2,)), steps, ((0, 1),), 1, 4)
+        prog = Program("toy", 16, (tuple(range(7)), tuple(range(7, 16))), steps,
+                       (tuple(range(7)),), 1, 4)
         assert parse_program(serialize_program(prog)) == prog
 
     def test_float_fidelity(self):
@@ -309,6 +310,21 @@ class TestSerialization:
     def test_parse_rejects_event_probability_outside_unit_interval(self, line, f):
         text = "program t\nqubits 2\nset 0,1\n%s\n" % (line % f)
         with pytest.raises(ProgramError, match=r"line 4: event probability must be in \[0, 1\]"):
+            parse_program(text)
+
+    @pytest.mark.parametrize("line, message", [
+        ("synd 0 0,1,2", "7-qubit block, got 3"),
+        ("coset z 0,1,2,3,4,5", "7-qubit block, got 6"),
+        ("coset q 0,1,2,3,4,5,6", "basis must be 'z' or 'x'"),
+        ("correct bit 0,1,2 3,4,5;6", "7-qubit block, got 3"),
+        ("correct bit 0,1,2,3,4,5,6 7,8,9;10,11,12", "three groups of 3"),
+        ("correct bit 0,1,2,3,4,5,6 7,8,9;10,11,12;13", "three groups of 3"),
+        ("correct both 0,1,2,3,4,5,6 7,8,9;10,11,12;13,14,15", "phase must be"),
+    ])
+    def test_parse_rejects_malformed_readouts(self, line, message):
+        # each would parse and then fail inside both engines
+        text = "program t\nqubits 16\nset %s\n%s\n" % (",".join(map(str, range(16))), line)
+        with pytest.raises(ProgramError, match="line 4: .*" + message):
             parse_program(text)
 
     def test_hash_is_stable_and_sensitive(self):
