@@ -17,7 +17,6 @@ from paulitree import (
     Schedule,
     Thresholds,
     build_recovery,
-    elaborate,
     run_analytical,
 )
 from paulitree.qecc import decode_table_text
@@ -36,12 +35,12 @@ data = tuple(range(7))
 ancilla = tuple(tuple(range(7 + 7 * k, 14 + 7 * k)) for k in range(3))
 sched = Schedule(29, quiet)
 build_recovery(sched, data, ancilla, verifier=28)
-prog = elaborate(Program(
+prog = Program(
     name="one-recovery", num_qubits=29,
     initial_partition=(data,) + ancilla + ((28,),),
     steps=tuple(sched.steps), crash_blocks=(data,),
     num_logical=1, num_cycles=sched.num_cycles,
-))
+)
 print("\nrecovery circuit: %d cycles, %d steps" % (prog.num_cycles, len(prog.steps)))
 
 # Every single-qubit error is corrected with certainty.

@@ -16,11 +16,10 @@ from paulitree import (
     NoiseParams,
     Thresholds,
     build_basic_program,
-    elaborate,
     run_analytical,
 )
 
-prog = elaborate(build_basic_program(NoiseParams()))
+prog = build_basic_program(NoiseParams())
 print("basic benchmark: %d qubits, %d cycles, %d steps\n"
       % (prog.num_qubits, prog.num_cycles, len(prog.steps)))
 

@@ -15,11 +15,10 @@ from paulitree import (
     NoiseParams,
     Thresholds,
     build_basic_program,
-    elaborate,
     run_analytical,
 )
 
-prog = elaborate(build_basic_program(NoiseParams()))
+prog = build_basic_program(NoiseParams())
 
 print("%-10s %-16s %-16s %-12s" % (
     "merge th", "preservation", "lossy", "rel gap"))

@@ -16,13 +16,12 @@ from paulitree import (
     NoiseParams,
     Thresholds,
     build_basic_program,
-    elaborate,
     run_analytical,
     run_mc,
 )
 
 # --- stress regime: noise x100, crashes are common ----------------------
-loud = elaborate(build_basic_program(NoiseParams(global_scale=100.0)))
+loud = build_basic_program(NoiseParams(global_scale=100.0))
 mc = run_mc(loud, 100_000, seed=42)
 print("noise x100:  MC %d samples -> crash %.4f +/- %.4f  in %.1f s"
       % (mc.iterations, mc.crash_rate, mc.ci95_halfwidth, mc.wall_time_s))
@@ -32,7 +31,7 @@ print("             analytical (coarse) -> crash %.4f       in %.1f s"
 print("             sampling wins here: failures are cheap to observe.\n")
 
 # --- realistic regime: published noise figures, crashes are rare --------
-quiet = elaborate(build_basic_program(NoiseParams()))
+quiet = build_basic_program(NoiseParams())
 rep = run_analytical(quiet, Thresholds(1e-6, 1e-12))
 print("true noise:  analytical -> crash %.4e  in %.1f s"
       % (rep.crash_probability, rep.wall_time_s))

@@ -23,7 +23,7 @@ from .program import (
     build_basic_program,
     build_recovery,
     build_scaling_program,
-    elaborate,
+    elaborate,  # importable for perfbench only, so not in __all__
     parse_program,
     program_hash,
     serialize_program,
@@ -52,7 +52,6 @@ __all__ = [
     "count_nonfailing_states",
     "decode_table",
     "decoherence_prob",
-    "elaborate",
     "load_params",
     "merge",
     "parse_program",

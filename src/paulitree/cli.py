@@ -13,7 +13,7 @@ Monte Carlo wall time over the analytical one.
 Reports are CSV (RFC-4180, stable column set) or JSON (field-for-field
 mirror), one row per engine run.  Rows record every input needed to
 reproduce them: thresholds, seed, shard count, and a SHA-256 hash of the
-elaborated program's event stream, which is identical for the analytical
+program's step stream, which is identical for the analytical
 and Monte Carlo rows of the same invocation.  When ``--output`` is a
 bare file name it is placed under ``$PAULITREE_OUTPUT_DIR`` if set.
 """
@@ -36,7 +36,6 @@ from .program import (
     Program,
     build_basic_program,
     build_scaling_program,
-    elaborate,
     program_hash,
 )
 
@@ -76,10 +75,8 @@ def _load_noise(args) -> NoiseParams:
 
 def _build_program(args, params: NoiseParams) -> Program:
     if args.program == "basic":
-        prog = build_basic_program(params)
-    else:
-        prog = build_scaling_program(args.n, params)
-    return elaborate(prog)
+        return build_basic_program(params)
+    return build_scaling_program(args.n, params)
 
 
 def _thresholds(event: float, merge: float, mode: str) -> Thresholds:

@@ -402,7 +402,7 @@ class QubitSet:
     and :func:`split` take and return.
 
     ``members[i]`` is the global ID tracked at local key position i.
-    The engine's :class:`~paulitree.program.Partition` keeps the groups
+    The engine's :class:`~paulitree.engine.Partition` keeps the groups
     disjoint.
     """
 

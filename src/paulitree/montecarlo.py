@@ -7,9 +7,10 @@ positions: an error event XORs, with the step's probability, one of its
 outcome patterns into a row, chosen uniformly among the same 3 (or 15)
 rows the analytical engine branches on; every other step applies the
 key-array kernel the analytical engine applies; the crash count uses the
-same ``correctable`` mask.  Merge and split steps have neither, since a
-sample is always global.  This module holds only what is specific to
-sampling: drawing the events, chunking and sharding.
+same ``correctable`` mask.  A sample is always global, so the QubitSets
+the analytical engine merges and splits play no part here.  This module
+holds only what is specific to sampling: drawing the events, chunking
+and sharding.
 
 Iterations are vectorized in fixed-size chunks, so results for a given
 (program, iterations, seed, shards) tuple are bit-for-bit reproducible.
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import qecc
 from .errormap import _nwords, _slot
-from .program import Program, ProgramError, initial_labels, step_kind, step_operands
+from .program import Program, initial_labels, step_kind, step_operands
 
 _U64 = np.uint64
 _CHUNK = 1 << 16
@@ -104,8 +105,6 @@ def run_mc(prog: Program, iterations: int, seed: int, shards: int = 1, jobs: int
     ``initial_errors`` is checked as in :func:`run_analytical`, by
     :func:`~paulitree.program.initial_labels`.
     """
-    if not prog.elaborated:
-        raise ProgramError("program must be elaborated before execution")
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
     if shards < 1:

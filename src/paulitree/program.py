@@ -2,9 +2,9 @@
 
 A simulated quantum program is an ordered sequence of steps over global
 physical-qubit IDs.  Stochastic *events* branch error maps; *tasks*
-(verification readout, syndrome measurement, correction, merge, split,
-reset) transform them deterministically.  The analytical engine and the
-Monte Carlo engine both interpret the identical elaborated step stream.
+(gates, reset, verification readout, syndrome measurement, correction)
+transform them deterministically.  The analytical engine and the Monte
+Carlo engine both interpret the identical step stream.
 
 Every program is built here, cycle by cycle: :class:`Schedule` emits
 the cycles, :func:`build_recovery` emits the recovery circuit from the
@@ -20,26 +20,22 @@ to the operations themselves.
 Every step kind has one entry in :data:`STEP_KINDS`: its text form, its
 qubits, the qubit groups it releases, for a deterministic kind the
 key-array kernel both engines apply, and for an event kind its outcome
-patterns, which both engines branch or sample on.  Only a kind with a
-kernel or patterns needs its qubits in one QubitSet.  :func:`elaborate`
-and both engines take every step's qubits through :func:`step_operands`,
-which rejects a repeated or undeclared qubit.  The analytical engine
-branches only on the structural kinds (``MergeSets`` and ``SplitOff``),
-the Monte Carlo engine on none; everything else is read from the table.
-
-The QubitSets themselves are tracked by one :class:`Partition`, which
-:func:`elaborate` uses to place the merges and splits and the
-analytical engine uses to find each step's error map.
+patterns, which both engines branch or sample on.  Both engines take
+every step's qubits through :func:`step_operands`, which rejects a
+repeated or undeclared qubit, and neither branches on the kind; all
+they need is read from the table.  The program holds no QubitSet
+structure: the analytical engine merges a step's sets and releases its
+groups itself.
 
 The text serialization (see :func:`serialize_program`) is line oriented,
 one step per line, and round-trips exactly; its SHA-256 hash identifies
-an elaborated program in experiment reports.
+the program's step stream in experiment reports.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from types import ModuleType
 from typing import Any, Callable, Iterable, Sequence, Union
@@ -81,30 +77,8 @@ class CNot:
 
 
 @dataclass(frozen=True)
-class MergeSets:
-    """Merge the QubitSets containing the two representative qubits."""
-
-    qubit_a: int
-    qubit_b: int
-
-
-@dataclass(frozen=True)
-class SplitOff:
-    """Split the listed qubits out of their QubitSet into their own."""
-
-    qubits: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class Reset:
     """Re-initialize qubits to the error-free state."""
-
-    qubits: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Measure:
-    """Classical readout marker; measurement-error events are separate."""
 
     qubits: tuple[int, ...]
 
@@ -134,7 +108,6 @@ class SyndromeMeasure:
     :class:`Correct`."""
 
     block: tuple[int, ...]
-    slot: int
 
     def __post_init__(self):
         _check_block(self.block, "a syndrome readout")
@@ -185,8 +158,8 @@ class Correct:
 
 
 Step = Union[
-    OneQubitEvent, TwoQubitEvent, Hadamard, CNot, MergeSets, SplitOff,
-    Reset, Measure, VerifyReadout, SyndromeMeasure, CosetReduce, Correct,
+    OneQubitEvent, TwoQubitEvent, Hadamard, CNot, Reset, VerifyReadout,
+    SyndromeMeasure, CosetReduce, Correct,
 ]
 
 
@@ -217,17 +190,15 @@ def _positions(step, q: Sequence[int]) -> Sequence[int]:
 
 @dataclass(frozen=True)
 class StepKind:
-    """What the engines, :func:`elaborate` and the text format know about
-    one step kind.
+    """What the engines and the text format know about one step kind.
 
     ``text`` is the line format, keyword first, filled from
     ``fields(step)``; ``parse`` rebuilds the step from the line's operand
     tokens.  ``operands`` lists the step's qubits, which
-    :func:`step_operands` checks; those of a kind that acts on an error
-    map (:attr:`acts_on_map`) must share a QubitSet when the step runs,
-    and :func:`elaborate` merges their sets first; a ``SplitOff``'s must
-    already share one.  ``releases`` lists the qubit groups split off
-    right after the step.  A
+    :func:`step_operands` checks and which the analytical engine merges
+    into one QubitSet before the step.  ``releases`` lists the qubit
+    groups it splits off right after the step.  Every kind acts on the
+    error map, through either a kernel or outcome patterns.  A
     deterministic kind names its key-array kernel as (module, function);
     ``args(step, q)`` gives the kernel's arguments after the keys, where
     ``q`` holds the key positions of the operands in order.  A kernel may
@@ -255,11 +226,6 @@ class StepKind:
         module, name = self.kernel
         return getattr(module, name)
 
-    @property
-    def acts_on_map(self) -> bool:
-        """Whether the kind has a kernel or outcome patterns."""
-        return self.kernel is not None or self.patterns is not None
-
 
 STEP_KINDS: dict[type, StepKind] = {
     OneQubitEvent: StepKind(
@@ -279,21 +245,10 @@ STEP_KINDS: dict[type, StepKind] = {
         lambda c, t: CNot(int(c), int(t)),
         operands=lambda s: (s.control, s.target),
         kernel=(errormap, "cnot_kernel")),
-    MergeSets: StepKind(
-        "merge %d %d", lambda s: (s.qubit_a, s.qubit_b),
-        lambda a, b: MergeSets(int(a), int(b)),
-        operands=lambda s: (s.qubit_a, s.qubit_b)),
-    SplitOff: StepKind(
-        "split %s", lambda s: _ids(s.qubits), lambda ids: SplitOff(_parse_ids(ids)),
-        operands=lambda s: s.qubits),
     Reset: StepKind(
         "reset %s", lambda s: _ids(s.qubits), lambda ids: Reset(_parse_ids(ids)),
         operands=lambda s: s.qubits,
         kernel=(errormap, "clear_kernel"), args=lambda s, q: (q,)),
-    # a classical record: the measurement-error events before it did the work
-    Measure: StepKind(
-        "measure %s", lambda s: _ids(s.qubits), lambda ids: Measure(_parse_ids(ids)),
-        operands=lambda s: s.qubits),
     VerifyReadout: StepKind(
         "verify %d %s", lambda s: (s.verifier, _ids(s.block)),
         lambda v, ids: VerifyReadout(_parse_ids(ids), int(v)),
@@ -301,8 +256,7 @@ STEP_KINDS: dict[type, StepKind] = {
         releases=lambda s: ((s.verifier,),),
         kernel=(qecc, "verify_kernel"), args=lambda s, q: (q[:-1], q[-1])),
     SyndromeMeasure: StepKind(
-        "synd %d %s", lambda s: (s.slot, _ids(s.block)),
-        lambda slot, ids: SyndromeMeasure(_parse_ids(ids), int(slot)),
+        "synd %s", lambda s: _ids(s.block), lambda ids: SyndromeMeasure(_parse_ids(ids)),
         operands=lambda s: s.block, releases=lambda s: (s.block[3:],),
         kernel=(qecc, "syndrome_kernel"), args=lambda s, q: (q,)),
     CosetReduce: StepKind(
@@ -352,8 +306,7 @@ class Program:
     ``initial_partition`` covers every qubit exactly once.  The crash
     observable is evaluated at the end of the run: the program survives
     iff every listed 7-qubit data block carries at most one errored
-    qubit.  A block lists distinct qubits of the program, and by the end
-    of an elaborated program they share one QubitSet.
+    qubit.  A block lists distinct qubits of the program.
     """
 
     name: str
@@ -363,7 +316,6 @@ class Program:
     crash_blocks: tuple[tuple[int, ...], ...]
     num_logical: int
     num_cycles: int
-    elaborated: bool = False
 
     def __post_init__(self):
         covered: set[int] = set()
@@ -432,10 +384,8 @@ class Schedule:
             self.steps.append(OneQubitEvent(q, p.one_qubit_op_error))
         for c, t in cnots:
             self.steps.append(TwoQubitEvent(c, t, p.two_qubit_op_error))
-        if measures:
-            for q in sorted(measures):
-                self.steps.append(OneQubitEvent(q, p.measurement_error))
-            self.steps.append(Measure(tuple(sorted(measures))))
+        for q in sorted(measures):
+            self.steps.append(OneQubitEvent(q, p.measurement_error))
         if transport_um > 0.0:
             t_s = transport_um / p.movement_speed_um_per_us * 1e-6
             f_t = decoherence_prob(t_s, p.transport_decay_s)
@@ -505,7 +455,7 @@ def verify_ancilla(sched: Schedule, block: tuple[int, ...], verifier: int,
 
 
 def extract_syndrome(sched: Schedule, data: tuple[int, ...],
-                     block: tuple[int, ...], phase: str, slot: int) -> None:
+                     block: tuple[int, ...], phase: str) -> None:
     """Copy the data block's errors of one kind onto the ancilla and
     measure it, leaving the 3-bit syndrome stored in the block.
 
@@ -525,7 +475,7 @@ def extract_syndrome(sched: Schedule, data: tuple[int, ...],
     else:
         raise ValueError("phase must be 'bit' or 'phase', got %r" % (phase,))
     sched.cycle(measures=block)
-    sched.steps.append(SyndromeMeasure(tuple(block), slot))
+    sched.steps.append(SyndromeMeasure(tuple(block)))
 
 
 def build_recovery(sched: Schedule, data: tuple[int, ...],
@@ -535,10 +485,10 @@ def build_recovery(sched: Schedule, data: tuple[int, ...],
     majority vote and correction.  Recovery is local, so it carries no
     transport."""
     for phase, basis in (("bit", "z"), ("phase", "x")):
-        for slot, block in enumerate(ancilla_blocks):
+        for block in ancilla_blocks:
             prepare_ancilla(sched, block, basis)
             verify_ancilla(sched, block, verifier, basis)
-            extract_syndrome(sched, data, block, phase, slot)
+            extract_syndrome(sched, data, block, phase)
         # the classical decode and the conditional corrective pulse take
         # one cycle; the correction itself is modeled error-free (its
         # imprecision is far below the decoherence accrued while decoding)
@@ -615,87 +565,10 @@ def build_scaling_program(n_logical: int, params: NoiseParams,
                   transport_um)
 
 
-# -- elaboration ---------------------------------------------------------
-
-
-class Partition:
-    """The machine's partition of qubits into QubitSets.
-
-    ``members[sid]`` lists set ``sid``'s qubits in key order and ``loc[q]``
-    is qubit q's (set ID, key position).  :func:`elaborate` tracks the
-    sets here, and so does the analytical engine, which keeps each set's
-    error map under the same ID and places the members of every QubitSet
-    that a merge or split returns.
-    """
-
-    def __init__(self, groups: Iterable[Iterable[int]]):
-        self.members: dict[int, tuple[int, ...]] = {}
-        self.loc: dict[int, tuple[int, int]] = {}
-        self.next_id = 0
-        for group in groups:
-            self.place(group)
-
-    def place(self, members: Iterable[int], sid: int | None = None) -> int:
-        """Store ``members``, in key order, as set ``sid`` (default: a
-        fresh ID) and locate its qubits; returns the ID."""
-        if sid is None:
-            sid, self.next_id = self.next_id, self.next_id + 1
-        self.members[sid] = members = tuple(members)
-        for i, q in enumerate(members):
-            self.loc[q] = (sid, i)
-        return sid
-
-    def locate(self, qubits: Sequence[int]) -> tuple[int, list[int]]:
-        """The set holding all of ``qubits`` and their key positions in
-        it; ProgramError if they span sets."""
-        sids = {self.loc[q][0] for q in qubits}
-        if len(sids) != 1:
-            raise ProgramError("qubits %r span QubitSets" % (tuple(qubits),))
-        return sids.pop(), [self.loc[q][1] for q in qubits]
-
-
 def elaborate(prog: Program) -> Program:
-    """Insert the MergeSets steps needed for co-residency and the SplitOff
-    steps that release measured qubits, and end by merging the sets of
-    each crash block.  Idempotent; the subsequence of non-merge/split
-    steps is preserved exactly."""
-    part = Partition(prog.initial_partition)
-    out: list[Step] = []
-
-    def emit(step: Step) -> None:
-        if type(step) is MergeSets:
-            sa, sb = part.loc[step.qubit_a][0], part.loc[step.qubit_b][0]
-            if sa != sb:
-                part.place(part.members[sa] + part.members.pop(sb), sa)
-        elif type(step) is SplitOff:
-            sid, _ = part.locate(step.qubits)
-            if len(step.qubits) < len(part.members[sid]):
-                part.place([q for q in part.members[sid] if q not in step.qubits], sid)
-                part.place(step.qubits)
-        out.append(step)
-
-    def join(qubits: Sequence[int]) -> None:
-        for q in qubits[1:]:
-            if part.loc[q][0] != part.loc[qubits[0]][0]:
-                emit(MergeSets(qubits[0], q))
-
-    steps = prog.steps
-    for i, step in enumerate(steps):
-        kind = step_kind(step)
-        qubits = step_operands(kind, step, prog.num_qubits)
-        if len(qubits) > 1 and kind.acts_on_map:
-            join(qubits)
-        emit(step)
-        j = i + 1  # walk past splits already present from a prior elaboration
-        for released in kind.releases(step):
-            split_step = SplitOff(tuple(released))
-            if j < len(steps) and steps[j] == split_step:
-                j += 1
-            else:
-                emit(split_step)
-    for block in prog.crash_blocks:
-        join(block)
-    return replace(prog, steps=tuple(out), elaborated=True)
+    """The program unchanged.  Kept only because perfbench still times
+    this call; a change to perfbench removes it."""
+    return prog
 
 
 # -- text serialization --------------------------------------------------
@@ -708,7 +581,6 @@ def serialize_program(prog: Program) -> str:
         "logical %d" % prog.num_logical,
         "qubits %d" % prog.num_qubits,
         "cycles %d" % prog.num_cycles,
-        "elaborated %d" % int(prog.elaborated),
     ]
     for group in prog.initial_partition:
         lines.append("set %s" % _ids(group))
@@ -732,7 +604,7 @@ def parse_program(text: str) -> Program:
             continue
         kw, _, rest = line.partition(" ")
         try:
-            if kw in ("program", "logical", "qubits", "cycles", "elaborated"):
+            if kw in ("program", "logical", "qubits", "cycles"):
                 header[kw] = rest if kw == "program" else int(rest)
             elif kw == "set":
                 partition.append(_parse_ids(rest))
@@ -766,7 +638,6 @@ def parse_program(text: str) -> Program:
         crash_blocks=tuple(blocks),
         num_logical=header.get("logical", 0),
         num_cycles=header.get("cycles", 0),
-        elaborated=bool(header.get("elaborated", 0)),
     )
 
 

@@ -7,16 +7,7 @@ outcome (4 for one-qubit events, 16 for two-qubit events), multiplying
 path probabilities and classifying the leaves at the end.
 """
 
-from paulitree.program import (
-    CNot,
-    Hadamard,
-    Measure,
-    MergeSets,
-    OneQubitEvent,
-    Reset,
-    SplitOff,
-    TwoQubitEvent,
-)
+from paulitree.program import CNot, Hadamard, OneQubitEvent, Reset, TwoQubitEvent
 
 # product of two labels, global phase discarded
 MUL = {
@@ -79,8 +70,6 @@ def _leaves(state, steps, prob):
         for q in step.qubits:
             s[q] = "I"
         yield from _leaves(tuple(s), rest, prob)
-    elif isinstance(step, (MergeSets, SplitOff, Measure)):
-        yield from _leaves(state, rest, prob)
     else:
         raise NotImplementedError("oracle does not model %r" % (step,))
 

@@ -37,7 +37,6 @@ from paulitree.program import (
     build_basic_program,
     build_recovery,
     build_scaling_program,
-    elaborate,
 )
 from paulitree.qecc import count_nonfailing_states
 from tests import oracle
@@ -61,7 +60,7 @@ MERGE_GRID = (1e-10, 1e-12, 1e-14, 1e-16)
 def basic_sweep():
     """(event_th, merge_th, mode) -> FidelityReport over the published
     sweep bounds of the basic two-logical-qubit benchmark."""
-    prog = elaborate(build_basic_program(NoiseParams()))
+    prog = build_basic_program(NoiseParams())
     results = {}
     for mode in (MergeMode.PRESERVATION, MergeMode.LOSSY):
         for e in EVENT_GRID:
@@ -109,7 +108,6 @@ def _random_toy_program(rng):
         crash_blocks=blocks,
         num_logical=0,
         num_cycles=0,
-        elaborated=True,
     )
 
 
@@ -150,16 +148,14 @@ def _recovery_only_program():
     verifier = 28
     sched = Schedule(29, ZERO_NOISE)
     build_recovery(sched, data, ancilla, verifier)
-    return elaborate(
-        Program(
-            name="recovery",
-            num_qubits=29,
-            initial_partition=(data,) + ancilla + ((verifier,),),
-            steps=tuple(sched.steps),
-            crash_blocks=(data,),
-            num_logical=1,
-            num_cycles=sched.num_cycles,
-        )
+    return Program(
+        name="recovery",
+        num_qubits=29,
+        initial_partition=(data,) + ancilla + ((verifier,),),
+        steps=tuple(sched.steps),
+        crash_blocks=(data,),
+        num_logical=1,
+        num_cycles=sched.num_cycles,
     )
 
 
@@ -225,8 +221,8 @@ resource.setrlimit(resource.RLIMIT_AS, (4_500_000_000, 4_500_000_000))
 from paulitree.engine import run_analytical
 from paulitree.errormap import MergeMode, Thresholds
 from paulitree.noise import NoiseParams
-from paulitree.program import build_basic_program, elaborate
-prog = elaborate(build_basic_program(NoiseParams(global_scale=100.0)))
+from paulitree.program import build_basic_program
+prog = build_basic_program(NoiseParams(global_scale=100.0))
 th = Thresholds(1e-7, 1e-16, MergeMode.PRESERVATION)
 try:
     rep = run_analytical(prog, th)
@@ -239,7 +235,7 @@ print("CRASH %.17g" % rep.crash_probability)
 
 @pytest.mark.slow
 def test_criterion4_cross_engine_agreement_at_100x_noise():
-    prog = elaborate(build_basic_program(NoiseParams(global_scale=100.0)))
+    prog = build_basic_program(NoiseParams(global_scale=100.0))
     mc = run_mc(prog, 1_000_000, seed=42)
     ci99 = 2.5758 * math.sqrt(
         mc.crash_rate * (1.0 - mc.crash_rate) / mc.iterations
@@ -310,7 +306,7 @@ def test_criterion7_scaling_trends_are_monotone():
     th = Thresholds(1e-6, 1e-12, MergeMode.PRESERVATION)
     walls, peaks = [], []
     for n in (2, 4, 8):
-        prog = elaborate(build_scaling_program(n, NoiseParams()))
+        prog = build_scaling_program(n, NoiseParams())
         rep = run_analytical(prog, th)
         walls.append(rep.wall_time_s)
         peaks.append(rep.peak_error_map_entries)
@@ -339,7 +335,7 @@ ANALYTICAL_LADDER = (
 
 @pytest.mark.slow
 def test_criterion8_tenfold_speedup_at_matched_accuracy_100x_noise():
-    prog = elaborate(build_basic_program(NoiseParams(global_scale=100.0)))
+    prog = build_basic_program(NoiseParams(global_scale=100.0))
     pilot = run_mc(prog, 20_000, seed=42)
     p = pilot.crash_rate
     # samples for a 95% interval of +/-1% relative around p

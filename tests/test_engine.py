@@ -2,23 +2,24 @@ import math
 
 import pytest
 
+from paulitree import engine
 from paulitree.engine import run_analytical
-from paulitree.errormap import MergeMode, Thresholds
+from paulitree.errormap import MergeMode, Thresholds, merge, split
 from paulitree.noise import NoiseParams
 from paulitree.pauli import Pauli
 from paulitree.program import (
     CNot,
+    Correct,
     Hadamard,
-    Measure,
-    MergeSets,
     OneQubitEvent,
     Program,
     ProgramError,
-    SplitOff,
+    Reset,
+    SyndromeMeasure,
     TwoQubitEvent,
     build_basic_program,
-    elaborate,
 )
+from tests import oracle
 
 TH0 = Thresholds()
 QUIET = NoiseParams(
@@ -33,7 +34,7 @@ QUIET = NoiseParams(
 
 
 def toy(steps, num_qubits=2, blocks=((0, 1),), partition=None):
-    """Single-set already-elaborated program for direct engine checks."""
+    """Toy program for direct engine checks, in one set by default."""
     partition = partition or (tuple(range(num_qubits)),)
     return Program(
         name="toy",
@@ -43,7 +44,6 @@ def toy(steps, num_qubits=2, blocks=((0, 1),), partition=None):
         crash_blocks=tuple(tuple(b) for b in blocks),
         num_logical=0,
         num_cycles=0,
-        elaborated=True,
     )
 
 
@@ -80,21 +80,21 @@ class TestToyPrograms:
         rep = run_analytical(prog, TH0)
         assert rep.survival_probability == pytest.approx(1.0, abs=1e-15)
 
-    def test_merge_and_split_bookkeeping(self):
-        prog = toy(
-            [
-                OneQubitEvent(0, 0.2),
-                MergeSets(0, 1),
-                CNot(0, 1),
-                SplitOff((1,)),
-                Hadamard(1),
-                MergeSets(0, 1),  # the crash block must end in one set
-            ],
-            partition=((0,), (1,)),
-        )
+    @pytest.mark.parametrize("steps", [
+        [OneQubitEvent(0, 0.3), CNot(0, 1), OneQubitEvent(1, 0.2), OneQubitEvent(2, 0.4)],
+        [TwoQubitEvent(1, 2, 0.3), OneQubitEvent(0, 0.4)],
+        [OneQubitEvent(0, 0.3), OneQubitEvent(1, 0.4), Reset((1, 0)), OneQubitEvent(1, 0.2),
+         OneQubitEvent(2, 0.5)],
+        [OneQubitEvent(0, 0.6), OneQubitEvent(1, 0.6), OneQubitEvent(2, 0.6)],
+    ], ids=["cnot", "two-qubit-event", "reset", "crash-block"])
+    def test_steps_across_sets_match_the_oracle(self, steps):
+        # each qubit starts in a set of its own: the engine merges the
+        # sets a step spans before it, and the crash block's at the end
+        prog = toy(steps, num_qubits=3, blocks=((0, 1, 2),), partition=((0,), (1,), (2,)))
         rep = run_analytical(prog, TH0)
-        total = rep.survival_probability + rep.crash_probability
-        assert total == pytest.approx(1.0, abs=1e-12)
+        assert rep.survival_probability == pytest.approx(
+            oracle.survival_probability(prog), abs=1e-15)
+        assert rep.crash_probability == pytest.approx(1.0 - rep.survival_probability, abs=1e-15)
 
     def test_injected_fault(self):
         prog = toy([CNot(0, 1)])
@@ -105,11 +105,6 @@ class TestToyPrograms:
 
 
 class TestRunValidation:
-    def test_requires_elaboration(self):
-        prog = build_basic_program(QUIET)
-        with pytest.raises(ProgramError, match="elaborated"):
-            run_analytical(prog, TH0)
-
     @pytest.mark.parametrize("errors, message", [
         ({0: 5}, "not a valid Pauli"),
         ({2: Pauli.X}, "outside"),
@@ -119,38 +114,20 @@ class TestRunValidation:
         with pytest.raises(ValueError, match=message):
             run_analytical(toy([CNot(0, 1)]), TH0, initial_errors=errors)
 
-    def test_unelaborated_cross_set_step_rejected(self):
-        prog = toy([CNot(0, 1)], partition=((0,), (1,)))
-        with pytest.raises(ProgramError, match="span"):
-            run_analytical(prog, TH0)
-
     @pytest.mark.parametrize("step, message", [
         (CNot(0, 0), "repeats a qubit"),
         (TwoQubitEvent(1, 1, 0.3), "repeats a qubit"),
         (OneQubitEvent(2, 0.3), "undeclared"),
         (Hadamard(-1), "undeclared"),
-        (MergeSets(0, 9), "undeclared"),
-        (MergeSets(1, 1), "repeats a qubit"),
-        (Measure((0, 9)), "undeclared"),
-        (Measure((1, 1)), "repeats a qubit"),
     ])
     def test_repeated_or_undeclared_operands_rejected(self, step, message):
-        # toy programs are built elaborated, so elaborate's checks never run
         with pytest.raises(ProgramError, match=message):
             run_analytical(toy([step]), TH0)
-
-    def test_crash_block_must_end_in_one_set(self):
-        events = (OneQubitEvent(0, 0.6), OneQubitEvent(1, 0.6))
-        with pytest.raises(ProgramError, match="span"):
-            run_analytical(toy(events, partition=((0,), (1,))), TH0)
-        # elaborate joins the block's sets: both qubits fail with 0.6 each
-        prog = elaborate(Program("t", 2, ((0,), (1,)), events, ((0, 1),), 0, 0))
-        assert run_analytical(prog, TH0).crash_probability == pytest.approx(0.36, abs=1e-15)
 
 
 class TestBasicProgram:
     def test_zero_noise_survives_exactly(self):
-        prog = elaborate(build_basic_program(QUIET))
+        prog = build_basic_program(QUIET)
         rep = run_analytical(prog, TH0)
         assert rep.survival_probability == 1.0
         assert rep.crash_probability == 0.0
@@ -158,7 +135,7 @@ class TestBasicProgram:
         assert rep.steps_executed == len(prog.steps)
 
     def test_deterministic_reports(self):
-        prog = elaborate(build_basic_program(NoiseParams()))
+        prog = build_basic_program(NoiseParams())
         th = Thresholds(1e-5, 1e-10, MergeMode.PRESERVATION)
         a = run_analytical(prog, th)
         b = run_analytical(prog, th)
@@ -167,7 +144,7 @@ class TestBasicProgram:
         assert a.peak_error_map_entries == b.peak_error_map_entries
 
     def test_mass_accounting_both_merge_modes(self):
-        prog = elaborate(build_basic_program(NoiseParams()))
+        prog = build_basic_program(NoiseParams())
         for mode in (MergeMode.PRESERVATION, MergeMode.LOSSY):
             rep = run_analytical(prog, Thresholds(1e-5, 1e-10, mode))
             total = (
@@ -180,10 +157,38 @@ class TestBasicProgram:
                 assert rep.discarded_mass == 0.0
 
     def test_coarser_event_threshold_prunes_harder(self):
-        prog = elaborate(build_basic_program(NoiseParams()))
+        prog = build_basic_program(NoiseParams())
         coarse = run_analytical(prog, Thresholds(1e-4, 1e-8))
         fine = run_analytical(prog, Thresholds(1e-5, 1e-8))
         assert coarse.peak_error_map_entries <= fine.peak_error_map_entries
         # harder pruning can only miss crash mass, never invent it
         assert 0.0 < coarse.crash_probability <= fine.crash_probability
 
+
+    def test_sets_merge_and_release_where_the_steps_say(self, monkeypatch):
+        merged, released = [], []
+
+        def record_merge(a, b, th):
+            qs = merge(a, b, th)
+            merged.append(qs.members)
+            return qs
+
+        def record_split(qs, keep):
+            kept, rest = split(qs, keep)
+            released.append(tuple(sorted(kept.members)))
+            return kept, rest
+
+        monkeypatch.setattr(engine, "merge", record_merge)
+        monkeypatch.setattr(engine, "split", record_split)
+        prog = build_basic_program(NoiseParams())
+        run_analytical(prog, Thresholds(1e-4, 1e-8))
+        # every set stays within one 32-qubit key word (27 at most today)
+        assert 14 < max(len(m) for m in merged) <= 32
+        # a syndrome readout releases the four positions it clears
+        synds = [s for s in prog.steps if isinstance(s, SyndromeMeasure)]
+        assert len(synds) == 24
+        assert [g for g in released if len(g) == 4] == [s.block[3:] for s in synds]
+        # a correction releases the nine syndrome slots it reads
+        corrects = [s for s in prog.steps if isinstance(s, Correct)]
+        assert [g for g in released if len(g) == 3] == [
+            b for s in corrects for b in s.ancilla_blocks]

@@ -16,14 +16,13 @@ from paulitree import (
     Pauli,
     Thresholds,
     build_basic_program,
-    elaborate,
     program_hash,
     run_analytical,
     run_mc,
 )
 
-HASH_1X = "d609017f5c04d1fda3cbe7d26c22d7e1b584d92e775ade86e643d57b70115e66"
-HASH_100X = "0400fa7e5caf16aaca4ab9d9196d2258474efa76441292d5ea053a178c337dbc"
+HASH_1X = "91424ef33f8d055fa26acb1389c129e933e3d1ef750067b0e5a61ad322c5ec5e"
+HASH_100X = "44c4162e0d9c5e5b49f9653eb3f84887b37a5e2fd389931eb98914da5aff9188"
 
 # (scale, event threshold, merge threshold, merge mode) ->
 # (survival, crash, discarded, peak entries)
@@ -42,7 +41,7 @@ MC_100X_TALLIES = (1099, 1098, 1104, 1109)
 
 @pytest.fixture(scope="module")
 def programs():
-    return {scale: elaborate(build_basic_program(NoiseParams(global_scale=scale)))
+    return {scale: build_basic_program(NoiseParams(global_scale=scale))
             for scale in (1.0, 100.0)}
 
 

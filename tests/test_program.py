@@ -12,26 +12,23 @@ from paulitree.program import (
     Correct,
     CosetReduce,
     Hadamard,
-    Measure,
-    MergeSets,
     OneQubitEvent,
-    Partition,
     Program,
     ProgramError,
     Reset,
     STEP_KINDS,
     Schedule,
-    SplitOff,
     SyndromeMeasure,
     TwoQubitEvent,
     VerifyReadout,
     build_basic_program,
     build_scaling_program,
-    elaborate,
     parse_program,
     program_hash,
     scaling_phase_pairs,
     serialize_program,
+    step_kind,
+    step_operands,
 )
 
 QUIET = NoiseParams(
@@ -82,14 +79,12 @@ class TestSchedule:
         sched = Schedule(2, p)
         sched.cycle(measures=[0], resets=[1])
         assert Reset((1,)) in sched.steps
-        assert Measure((0,)) in sched.steps
         assert OneQubitEvent(1, p.reset_error) in sched.steps
-        assert OneQubitEvent(0, p.measurement_error) in sched.steps
-        # the measurement-error event precedes the readout
-        steps = list(sched.steps)
-        assert steps.index(OneQubitEvent(0, p.measurement_error)) < steps.index(
-            Measure((0,))
-        )
+        # the measured qubit gets one measurement-error event, before the
+        # cycle's decoherence events
+        events = [s for s in sched.steps if isinstance(s, OneQubitEvent)]
+        assert events.count(OneQubitEvent(0, p.measurement_error)) == 1
+        assert events.index(OneQubitEvent(0, p.measurement_error)) < len(events) - 2
 
     def test_transport_adds_events_for_busy_qubits(self):
         p = NoiseParams()
@@ -137,7 +132,7 @@ class TestBuilders:
         assert prog.num_qubits == 14 + 21 + 1
         assert prog.crash_blocks == (tuple(range(7)), tuple(range(7, 14)))
         assert len(prog.initial_partition) == 6
-        assert not prog.elaborated
+        assert len(prog.steps) == 28166
         # two logical CNOTs, each followed by recovery of both blocks
         cnot_cycles = [s for s in prog.steps if isinstance(s, CNot)]
         assert len(cnot_cycles) > 14
@@ -159,63 +154,8 @@ class TestBuilders:
         with pytest.raises(ValueError):
             build_scaling_program(1, QUIET)
 
-
-class TestElaborate:
-    def test_inserts_merges_before_coresident_steps(self):
-        prog = elaborate(build_basic_program(NoiseParams()))
-        assert prog.elaborated
-        # every CNOT between different initial sets is preceded by a merge
-        assert any(isinstance(s, MergeSets) for s in prog.steps)
-        assert any(isinstance(s, SplitOff) for s in prog.steps)
-
-    def test_preserves_the_operational_subsequence(self):
-        raw = build_basic_program(NoiseParams())
-        cooked = elaborate(raw)
-        strip = lambda steps: [
-            s for s in steps if not isinstance(s, (MergeSets, SplitOff))
-        ]
-        assert strip(cooked.steps) == strip(raw.steps)
-
-    def test_idempotent(self):
-        once = elaborate(build_basic_program(NoiseParams()))
-        twice = elaborate(once)
-        assert twice.steps == once.steps
-        assert program_hash(twice) == program_hash(once)
-
-    def test_rejects_undeclared_qubits(self):
-        for step in (CNot(0, 5), MergeSets(0, 9), Measure((0, 9))):
-            prog = Program("t", 2, ((0,), (1,)), (step,), (), 0, 0)
-            with pytest.raises(ProgramError, match="undeclared"):
-                elaborate(prog)
-
-    @pytest.mark.parametrize("line, step", [
-        ("cx 0 0", CNot(0, 0)),
-        ("e2 0 0 0.3", TwoQubitEvent(0, 0, 0.3)),
-        ("verify 3 0,1,2,3,4,5,6", VerifyReadout(tuple(range(7)), 3)),
-        ("merge 0 0", MergeSets(0, 0)),
-        ("measure 1,1", Measure((1, 1))),
-    ])
-    def test_rejects_repeated_operands(self, line, step):
-        text = "program t\nqubits 7\nset 0,1,2,3,4,5,6\n%s\n" % line
-        with pytest.raises(ProgramError, match="line 4: .* repeats a qubit"):
-            parse_program(text)
-        prog = Program("t", 7, (tuple(range(7)),), (step,), (), 0, 0)
-        with pytest.raises(ProgramError, match="repeats a qubit"):
-            elaborate(prog)
-
-    def test_joins_the_sets_of_each_crash_block(self):
-        raw = Program("t", 3, ((0,), (1,), (2,)), (OneQubitEvent(0, 0.6),), ((0, 1, 2),), 0, 0)
-        once = elaborate(raw)
-        assert once.steps == (OneQubitEvent(0, 0.6), MergeSets(0, 1), MergeSets(0, 2))
-        assert elaborate(once) == once
-
-    def test_reset_operands_share_a_set(self):
-        prog = elaborate(Program("t", 2, ((0,), (1,)), (Reset((0, 1)),), (), 0, 0))
-        assert prog.steps == (MergeSets(0, 1), Reset((0, 1)))
-        assert run_analytical(prog, Thresholds()).survival_probability == 1.0
-
     def test_correct_reads_the_data_and_three_slots_per_ancilla_block(self):
-        prog = elaborate(build_basic_program(QUIET))
+        prog = build_basic_program(QUIET)
         ancilla = [tuple(range(14 + 7 * k, 21 + 7 * k)) for k in range(3)]
         corrects = [s for s in prog.steps if isinstance(s, Correct)]
         assert len(corrects) == 8  # 2 logical CNOTs x 2 blocks x 2 phases
@@ -224,37 +164,12 @@ class TestElaborate:
             assert step.ancilla_blocks == tuple(b[:3] for b in ancilla)
             assert len(STEP_KINDS[Correct].operands(step)) == 7 + 3 * 3
 
-    def test_syndrome_readout_releases_the_cleared_slots(self):
-        steps = elaborate(build_basic_program(QUIET)).steps
-        synds = [i for i, s in enumerate(steps) if isinstance(s, SyndromeMeasure)]
-        assert len(synds) == 24
-        for i in synds:
-            assert steps[i + 1] == SplitOff(steps[i].block[3:])
-
-    def test_basic_program_sets_fit_one_key_word(self):
-        # every set stays within one 32-qubit key word (27 at most today)
-        prog = elaborate(build_basic_program(NoiseParams()))
-        part = Partition(prog.initial_partition)
-        widest = 0
-        for step in prog.steps:
-            if type(step) is MergeSets:
-                sa, sb = part.loc[step.qubit_a][0], part.loc[step.qubit_b][0]
-                if sa != sb:
-                    part.place(part.members[sa] + part.members.pop(sb), sa)
-            elif type(step) is SplitOff:
-                sid, _ = part.locate(step.qubits)
-                if len(step.qubits) < len(part.members[sid]):
-                    part.place([q for q in part.members[sid] if q not in step.qubits], sid)
-                    part.place(step.qubits)
-            widest = max(widest, max(len(m) for m in part.members.values()))
-        assert 14 < widest <= 32
-
 
 class TestSerialization:
     def test_round_trip_identity(self):
         for prog in (
             build_basic_program(NoiseParams()),
-            elaborate(build_scaling_program(3, NoiseParams(global_scale=10.0))),
+            build_scaling_program(3, NoiseParams(global_scale=10.0)),
         ):
             assert parse_program(serialize_program(prog)) == prog
 
@@ -264,12 +179,9 @@ class TestSerialization:
             TwoQubitEvent(0, 1, 1e-4),
             Hadamard(2),
             CNot(2, 0),
-            MergeSets(0, 2),
-            SplitOff((2,)),
             Reset((0, 1)),
-            Measure((1,)),
             VerifyReadout((0, 1), 2),
-            SyndromeMeasure(tuple(range(7, 14)), 1),
+            SyndromeMeasure(tuple(range(7, 14))),
             CosetReduce(tuple(range(7, 14)), "z"),
             Correct(tuple(range(7)), ((7, 8, 9), (10, 11, 12), (13, 14, 15)), "phase"),
         )
@@ -300,7 +212,7 @@ class TestSerialization:
         with pytest.raises(ProgramError, match="qubits"):
             parse_program("program t\n")
 
-    @pytest.mark.parametrize("line", ["qubits abc", "elaborated yes", "cycles 1.5"])
+    @pytest.mark.parametrize("line", ["qubits abc", "logical yes", "cycles 1.5"])
     def test_parse_rejects_bad_header_values(self, line):
         with pytest.raises(ProgramError, match="line 3: invalid literal"):
             parse_program("program t\nqubits 1\n%s\nset 0\n" % line)
@@ -313,19 +225,37 @@ class TestSerialization:
             parse_program(text)
 
     @pytest.mark.parametrize("line, message", [
-        ("synd 0 0,1,2", "7-qubit block, got 3"),
+        ("synd 0,1,2", "7-qubit block, got 3"),
         ("coset z 0,1,2,3,4,5", "7-qubit block, got 6"),
         ("coset q 0,1,2,3,4,5,6", "basis must be 'z' or 'x'"),
         ("correct bit 0,1,2 3,4,5;6", "7-qubit block, got 3"),
         ("correct bit 0,1,2,3,4,5,6 7,8,9;10,11,12", "three groups of 3"),
         ("correct bit 0,1,2,3,4,5,6 7,8,9;10,11,12;13", "three groups of 3"),
         ("correct both 0,1,2,3,4,5,6 7,8,9;10,11,12;13,14,15", "phase must be"),
+        ("synd 0 0,1,2,3,4,5,6", "synd takes 1 operands, got 2"),
+        ("merge 0 1", "unknown keyword 'merge'"),
+        ("split 3", "unknown keyword 'split'"),
+        ("measure 0", "unknown keyword 'measure'"),
+        ("elaborated 1", "unknown keyword 'elaborated'"),
     ])
     def test_parse_rejects_malformed_readouts(self, line, message):
-        # each would parse and then fail inside both engines
+        # a malformed readout would parse and then fail inside both
+        # engines; the last five are retired forms of the text format
         text = "program t\nqubits 16\nset %s\n%s\n" % (",".join(map(str, range(16))), line)
         with pytest.raises(ProgramError, match="line 4: .*" + message):
             parse_program(text)
+
+    @pytest.mark.parametrize("line, step", [
+        ("cx 0 0", CNot(0, 0)),
+        ("e2 0 0 0.3", TwoQubitEvent(0, 0, 0.3)),
+        ("verify 3 0,1,2,3,4,5,6", VerifyReadout(tuple(range(7)), 3)),
+    ])
+    def test_rejects_repeated_operands(self, line, step):
+        text = "program t\nqubits 7\nset 0,1,2,3,4,5,6\n%s\n" % line
+        with pytest.raises(ProgramError, match="line 4: .* repeats a qubit"):
+            parse_program(text)
+        with pytest.raises(ProgramError, match="repeats a qubit"):
+            step_operands(step_kind(step), step, 7)
 
     def test_hash_is_stable_and_sensitive(self):
         a = build_basic_program(NoiseParams())
@@ -344,12 +274,11 @@ class Teleport:
 
 
 def test_unknown_step_kind_is_a_program_error():
-    prog = Program("t", 1, ((0,),), (Teleport(0),), (), 0, 0, elaborated=True)
+    prog = Program("t", 1, ((0,),), (Teleport(0),), (), 0, 0)
     for call in (
         lambda: run_analytical(prog, Thresholds()),
         lambda: run_mc(prog, 8, seed=0),
         lambda: serialize_program(prog),
-        lambda: elaborate(prog),
     ):
         with pytest.raises(ProgramError, match="unknown step kind"):
             call()

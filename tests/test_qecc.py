@@ -9,7 +9,7 @@ from paulitree.pauli import Pauli, PauliString
 from paulitree.program import (
     CNot,
     CosetReduce,
-    Measure,
+    OneQubitEvent,
     Schedule,
     SyndromeMeasure,
     VerifyReadout,
@@ -102,32 +102,33 @@ class TestCircuitEmission:
 
     def test_verify_ancilla_reads_three_checks(self):
         for basis in ("z", "x"):
-            sched = Schedule(8, NoiseParams())
+            # a measurement-error rate no other event of the check has
+            sched = Schedule(8, NoiseParams(measurement_error=3e-4))
             verify_ancilla(sched, tuple(range(7)), 7, basis)
             readouts = [s for s in sched.steps if isinstance(s, VerifyReadout)]
             assert len(readouts) == 3
             assert all(r.verifier == 7 for r in readouts)
             # one verifier measurement per check row
-            assert sum(isinstance(s, Measure) for s in sched.steps) == 3
+            assert sched.steps.count(OneQubitEvent(7, 3e-4)) == 3
 
     def test_extract_syndrome_direction_and_coset_task(self):
         data = tuple(range(7))
         block = tuple(range(7, 14))
         bit = Schedule(14, NoiseParams())
-        extract_syndrome(bit, data, block, "bit", 0)
+        extract_syndrome(bit, data, block, "bit")
         cnots = [s for s in bit.steps if isinstance(s, CNot)]
         assert all(s.control in data and s.target in block for s in cnots)
         assert bit.steps[0] == CosetReduce(block, "z")
-        assert any(s == SyndromeMeasure(block, 0) for s in bit.steps)
+        assert any(s == SyndromeMeasure(block) for s in bit.steps)
 
         ph = Schedule(14, NoiseParams())
-        extract_syndrome(ph, data, block, "phase", 2)
+        extract_syndrome(ph, data, block, "phase")
         cnots = [s for s in ph.steps if isinstance(s, CNot)]
         assert all(s.control in block and s.target in data for s in cnots)
         assert ph.steps[0] == CosetReduce(block, "x")
 
         with pytest.raises(ValueError):
-            extract_syndrome(Schedule(14, NoiseParams()), data, block, "both", 0)
+            extract_syndrome(Schedule(14, NoiseParams()), data, block, "both")
 
 
 class TestVerifyKernel:
