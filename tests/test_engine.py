@@ -3,7 +3,7 @@ import math
 import pytest
 
 from paulitree import engine
-from paulitree.engine import run_analytical
+from paulitree.engine import Partition, run_analytical
 from paulitree.errormap import MergeMode, Thresholds, merge, split
 from paulitree.noise import NoiseParams
 from paulitree.pauli import Pauli
@@ -17,6 +17,7 @@ from paulitree.program import (
     Reset,
     SyndromeMeasure,
     TwoQubitEvent,
+    VerifyReadout,
     build_basic_program,
 )
 from tests import oracle
@@ -119,10 +120,84 @@ class TestRunValidation:
         (TwoQubitEvent(1, 1, 0.3), "repeats a qubit"),
         (OneQubitEvent(2, 0.3), "undeclared"),
         (Hadamard(-1), "undeclared"),
+        (Reset((0, 0)), "repeats a qubit"),
+        (Reset((1, 2)), "undeclared"),
+        (VerifyReadout((0, 1), 1), "repeats a qubit"),
+        (SyndromeMeasure(tuple(range(7))), "undeclared"),
     ])
     def test_repeated_or_undeclared_operands_rejected(self, step, message):
         with pytest.raises(ProgramError, match=message):
             run_analytical(toy([step]), TH0)
+
+
+def record_set_moves(monkeypatch):
+    """Wrap the engine's merge and split; return the list they append to:
+    ("merge", members of a, members of b) and ("split", kept, rest)."""
+    moves = []
+
+    def record_merge(a, b, th):
+        moves.append(("merge", a.members, b.members))
+        return merge(a, b, th)
+
+    def record_split(qs, keep):
+        kept, rest = split(qs, keep)
+        moves.append(("split", kept.members, rest.members))
+        return kept, rest
+
+    monkeypatch.setattr(engine, "merge", record_merge)
+    monkeypatch.setattr(engine, "split", record_split)
+    return moves
+
+
+class TestSetPlacement:
+    def test_partition_places_groups_under_fresh_ids(self):
+        part = Partition([(3, 1), (0, 2)])
+        assert part.members == {0: (3, 1), 1: (0, 2)}
+        assert part.loc == {3: (0, 0), 1: (0, 1), 0: (1, 0), 2: (1, 1)}
+        assert part.locate([2, 0]) == (1, [1, 0])
+        assert part.place((4,)) == 2
+
+    def test_partition_place_under_an_existing_id_relocates_its_members(self):
+        part = Partition([(0,), (1, 2)])
+        assert part.place((2, 0), 0) == 0
+        assert part.members[0] == (2, 0)
+        assert part.locate([0, 2]) == (0, [1, 0])
+        assert part.next_id == 2
+
+    def test_operand_sets_merge_into_the_first_operands_set_in_order(self, monkeypatch):
+        moves = record_set_moves(monkeypatch)
+        prog = toy([Reset((2, 0, 1))], num_qubits=3, blocks=((2, 0, 1),),
+                   partition=((0,), (1,), (2,)))
+        run_analytical(prog, TH0)
+        assert [m[0] for m in moves] == ["merge", "merge"]
+        assert moves[0][1:] == ((2,), (0,))
+        assert sorted(moves[1][1]) == [0, 2] and moves[1][2] == (1,)
+
+    def test_steps_within_one_set_move_no_set(self, monkeypatch):
+        moves = record_set_moves(monkeypatch)
+        prog = toy([OneQubitEvent(0, 0.3), CNot(0, 1), TwoQubitEvent(1, 0, 0.2)])
+        run_analytical(prog, TH0)
+        assert moves == []
+
+    def test_crash_blocks_are_joined_after_the_last_step(self, monkeypatch):
+        moves = record_set_moves(monkeypatch)
+        prog = toy([OneQubitEvent(q, 0.6) for q in range(4)], num_qubits=4,
+                   blocks=((0, 1, 2), (3,)), partition=((0,), (1,), (2,), (3,)))
+        rep = run_analytical(prog, TH0)
+        # only the three-qubit block is joined; qubit 3's set stays apart
+        assert [m[1:] for m in moves] == [((0,), (1,)), (moves[1][1], (2,))]
+        assert sorted(moves[1][1]) == [0, 1]
+        assert rep.survival_probability == pytest.approx(
+            oracle.survival_probability(prog), abs=1e-15)
+
+    def test_a_released_group_is_merged_back_when_a_step_needs_it(self, monkeypatch):
+        moves = record_set_moves(monkeypatch)
+        block = tuple(range(7))
+        prog = toy([VerifyReadout(block, 7), CNot(7, 0)], num_qubits=8, blocks=(block,))
+        run_analytical(prog, TH0)
+        assert [m[0] for m in moves] == ["split", "merge"]
+        assert moves[0][1] == (7,) and sorted(moves[0][2]) == list(block)
+        assert {moves[1][1], moves[1][2]} == {moves[0][1], moves[0][2]}
 
 
 class TestBasicProgram:

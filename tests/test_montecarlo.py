@@ -15,8 +15,11 @@ from paulitree.noise import NoiseParams
 from paulitree.pauli import Pauli
 from paulitree.program import (
     CNot,
+    Correct,
+    Hadamard,
     OneQubitEvent,
     ProgramError,
+    Reset,
     TwoQubitEvent,
     build_basic_program,
 )
@@ -106,6 +109,10 @@ class TestValidationAndInjection:
     @pytest.mark.parametrize("step, message", [
         (CNot(0, 0), "repeats a qubit"),
         (OneQubitEvent(2, 0.3), "undeclared"),
+        (TwoQubitEvent(1, 1, 0.3), "repeats a qubit"),
+        (Hadamard(-1), "undeclared"),
+        (Reset((1, 0, 1)), "repeats a qubit"),
+        (Correct(tuple(range(7)), ((0, 1, 7),) * 3, "bit"), "undeclared"),
     ])
     def test_repeated_or_undeclared_operands_rejected(self, step, message):
         with pytest.raises(ProgramError, match=message):
