@@ -13,9 +13,21 @@ in :data:`~paulitree.program.STEP_KINDS` says.  An error event branches
 each entry on the event's outcome patterns, the same rows the Monte
 Carlo engine draws from; a deterministic step applies its key-array
 kernel, the same kernel the Monte Carlo engine applies to its samples.
-At the end each crash block's sets are merged and the crash probability
-is read off the surviving/total mass split, with lossy-merge discards
-accounted separately so survival + crash + discarded = 1.
+
+One-qubit events are the exception: the engine defers them.  Each is a
+depolarizing channel, and a run of them on one qubit composes exactly
+into one, with 1 - 4f/3 multiplying, so the engine keeps one pending
+probability per qubit and folds each new event into it.  The pending
+event is applied (flushed) on the qubit's current set just before the
+next step that names the qubit, before that step's sets are merged; a
+Pauli channel on q commutes with every step that does not name q.
+At the end each crash block's qubits are flushed and its sets merged,
+and the crash probability is read off the surviving/total mass split,
+with lossy-merge discards accounted separately so survival + crash +
+discarded = 1.  Events still pending on qubits in no crash block are
+dropped: an event conserves mass and those qubits never reach the crash
+observable.  At threshold 0 the fusion is exact; with thresholds set it
+prunes less, since a run is branched once rather than once per event.
 """
 
 from __future__ import annotations
@@ -28,8 +40,10 @@ import numpy as np
 
 from . import qecc
 from .pauli import Pauli, PauliString
-from .errormap import ErrorMap, MergeMode, QubitSet, Thresholds, merge, split
-from .program import Program, initial_labels, step_kind, step_operands
+from .errormap import (ErrorMap, MergeMode, QubitSet, Thresholds, check_event_probability,
+                       merge, split)
+from .program import (STEP_KINDS, OneQubitEvent, Program, StepKind, initial_labels,
+                      step_kind, step_operands)
 
 
 class Partition:
@@ -86,6 +100,12 @@ def run_analytical(prog: Program, th: Thresholds,
                    initial_errors: dict | None = None) -> FidelityReport:
     """Run the probability-tree model over a program.
 
+    One-qubit events are held back as one pending event per qubit and
+    applied just before the next step that names the qubit, or before
+    the qubit's crash block is joined at the end; pending events on
+    qubits in no crash block are dropped (see the module docstring).
+    Each event's probability is still checked when its step is read.
+
     ``initial_errors`` injects a deterministic Pauli fault (qubit -> label)
     into the initial machine state, for exhaustive correction tests;
     see :func:`~paulitree.program.initial_labels` for what it may hold.
@@ -97,6 +117,8 @@ def run_analytical(prog: Program, th: Thresholds,
                 {PauliString.from_labels([labels.get(q, Pauli.I) for q in group]): 1.0})
             for sid, group in part.members.items()}
     peak = max(len(m) for m in maps.values())
+    one_qubit = STEP_KINDS[OneQubitEvent]
+    pending: dict[int, float] = {}  # qubit -> its deferred one-qubit event's f
 
     def join(qubits: Sequence[int]) -> None:
         """Merge each qubit's set into the first qubit's, in order."""
@@ -118,20 +140,41 @@ def run_analytical(prog: Program, th: Thresholds,
             maps[part.place(rest.members, sid)] = rest.map
             maps[part.place(keep.members)] = keep.map
 
+    def branch(spec: StepKind, sid: int, locals_: Sequence[int], f: float) -> None:
+        """Branch set ``sid``'s map on an event of kind ``spec``."""
+        nonlocal peak
+        m = maps[sid]
+        m.event_kernel(spec.patterns(m.width, *locals_), f, th.event_branch)
+        peak = max(peak, len(m))
+
+    def flush(qubits: Sequence[int]) -> None:
+        """Apply and forget the pending one-qubit event of each of ``qubits``."""
+        for q in qubits:
+            if q in pending:
+                sid, i = part.loc[q]
+                branch(one_qubit, sid, (i,), pending.pop(q))
+
     for step in prog.steps:
         spec = step_kind(step)
         qubits = step_operands(spec, step, prog.num_qubits)
+        if spec is one_qubit:
+            g = step.f
+            check_event_probability(g)
+            f = pending.get(step.qubit)
+            # depolarizing channels compose exactly: 1 - 4f/3 multiplies
+            pending[step.qubit] = g if f is None else g + f - 4 * g * f / 3
+            continue
+        flush(qubits)
         join(qubits)
         sid, locals_ = part.locate(qubits)
-        m = maps[sid]
         if spec.patterns is not None:
-            m.event_kernel(spec.patterns(m.width, *locals_), step.f, th.event_branch)
-            peak = max(peak, len(m))
+            branch(spec, sid, locals_, step.f)
         else:
-            m.apply(spec.function, *spec.args(step, locals_))
+            maps[sid].apply(spec.function, *spec.args(step, locals_))
         for group in spec.releases(step):
             release(group)
     for block in prog.crash_blocks:
+        flush(block)
         join(block)
 
     # total mass that survived pruning, as a product over independent sets

@@ -291,8 +291,7 @@ class ErrorMap:
         entries pass through unchanged.  Total probability is conserved
         exactly.
         """
-        if not 0.0 <= f <= 1.0:
-            raise ValueError("event probability must be in [0, 1], got %r" % (f,))
+        check_event_probability(f)
         if f == 0.0:
             return
         self._ensure_ready()
@@ -360,6 +359,12 @@ def _check_positions(width: int, *qubits: int) -> None:
     for q in qubits:
         if not 0 <= q < width:
             raise IndexError("qubit %d out of range for width %d" % (q, width))
+
+
+def check_event_probability(f: float) -> None:
+    """ValueError unless the event probability ``f`` lies in [0, 1]."""
+    if not 0.0 <= f <= 1.0:
+        raise ValueError("event probability must be in [0, 1], got %r" % (f,))
 
 
 @lru_cache(maxsize=_PATTERN_CACHE)

@@ -4,7 +4,7 @@ import pytest
 
 from paulitree import engine
 from paulitree.engine import Partition, run_analytical
-from paulitree.errormap import MergeMode, Thresholds, merge, split
+from paulitree.errormap import ErrorMap, MergeMode, Thresholds, merge, split
 from paulitree.noise import NoiseParams
 from paulitree.pauli import Pauli
 from paulitree.program import (
@@ -198,6 +198,94 @@ class TestSetPlacement:
         assert [m[0] for m in moves] == ["split", "merge"]
         assert moves[0][1] == (7,) and sorted(moves[0][2]) == list(block)
         assert {moves[1][1], moves[1][2]} == {moves[0][1], moves[0][2]}
+
+
+def spy_event_kernel(monkeypatch):
+    """Wrap ErrorMap.event_kernel; return the list it appends each
+    call's (number of outcome patterns, f) to."""
+    calls = []
+    kernel = ErrorMap.event_kernel
+
+    def spy(self, patterns, f, event_branch):
+        calls.append((patterns.shape[0], f))
+        return kernel(self, patterns, f, event_branch)
+
+    monkeypatch.setattr(ErrorMap, "event_kernel", spy)
+    return calls
+
+
+def fused(*fs):
+    """The one depolarizing event a run of them composes to."""
+    return 0.75 * (1.0 - math.prod(1.0 - 4.0 * f / 3.0 for f in fs))
+
+
+class TestEventFusion:
+    # q0's run of three events is interleaved with other qubits' steps and
+    # ends at a step that reads q0, or at the end of the program; every
+    # qubit starts in a set of its own.  Every rate has a dyadic third and
+    # complement, and so has every run's fused rate: the oracle's sum over
+    # thousands of leaves is then exact, and 1e-15 measures the engine.
+    @pytest.mark.parametrize("steps, one_qubit_fs", [
+        ([OneQubitEvent(0, 0.375), OneQubitEvent(1, 0.75), OneQubitEvent(0, 0.1875),
+          CNot(1, 2), OneQubitEvent(0, 0.09375), TwoQubitEvent(1, 2, 0.46875),
+          OneQubitEvent(2, 0.046875)],
+         [0.75, fused(0.375, 0.1875, 0.09375), 0.046875]),
+        ([OneQubitEvent(0, 0.375), OneQubitEvent(1, 0.75), OneQubitEvent(0, 0.1875),
+          OneQubitEvent(0, 0.09375), Reset((0,)), OneQubitEvent(0, 0.5625)],
+         [fused(0.375, 0.1875, 0.09375), 0.5625, 0.75]),
+        ([OneQubitEvent(0, 0.375), OneQubitEvent(2, 0.046875), OneQubitEvent(0, 0.1875),
+          OneQubitEvent(0, 0.09375), TwoQubitEvent(0, 1, 0.46875)],
+         [fused(0.375, 0.1875, 0.09375), 0.046875]),
+        ([OneQubitEvent(0, 0.375), OneQubitEvent(1, 0.75), OneQubitEvent(0, 0.1875),
+          OneQubitEvent(2, 0.046875), OneQubitEvent(0, 0.09375)],
+         [fused(0.375, 0.1875, 0.09375), 0.75, 0.046875]),
+    ], ids=["cnot", "reset", "two-qubit-event", "crash-block"])
+    def test_a_run_of_events_on_one_qubit_makes_one_call(self, monkeypatch, steps,
+                                                         one_qubit_fs):
+        calls = spy_event_kernel(monkeypatch)
+        prog = toy(steps, num_qubits=3, blocks=((0, 1, 2),), partition=((0,), (1,), (2,)))
+        rep = run_analytical(prog, TH0)
+        assert [f for k, f in calls if k == 3] == pytest.approx(one_qubit_fs, abs=1e-15)
+        assert rep.survival_probability == pytest.approx(
+            oracle.survival_probability(prog), abs=1e-15)
+
+    def test_a_lone_event_reaches_the_kernel_unchanged(self, monkeypatch):
+        calls = spy_event_kernel(monkeypatch)
+        lone = 0.1234567890123
+        run_analytical(toy([OneQubitEvent(0, lone), OneQubitEvent(1, 0.3),
+                            OneQubitEvent(1, 0.3)]), TH0)
+        assert len(calls) == 2
+        assert calls[0][1] == lone
+
+    @pytest.mark.parametrize("partition", [((0,), (1,), (2,)), ((0, 1, 2),)],
+                             ids=["own-set", "shared-set"])
+    def test_events_outside_every_crash_block_make_no_call(self, monkeypatch, partition):
+        # q2 is in no crash block and no later step reads it
+        calls = spy_event_kernel(monkeypatch)
+        prog = toy([OneQubitEvent(2, 0.3), OneQubitEvent(0, 0.1), OneQubitEvent(2, 0.4),
+                    CNot(0, 1), OneQubitEvent(2, 0.5)], num_qubits=3, partition=partition)
+        rep = run_analytical(prog, TH0)
+        assert calls == [(3, 0.1)]
+        assert rep.survival_probability == pytest.approx(
+            oracle.survival_probability(prog), abs=1e-15)
+
+    @pytest.mark.parametrize("f", [-0.1, 1.5, math.nan])
+    def test_deferred_events_are_still_validated(self, f):
+        # even an event the engine would drop, on a qubit in no crash block
+        prog = toy([OneQubitEvent(2, f)], num_qubits=3)
+        with pytest.raises(ValueError, match=r"event probability must be in \[0, 1\]"):
+            run_analytical(prog, TH0)
+
+    def test_basic_program_makes_one_call_per_run(self, monkeypatch):
+        calls = spy_event_kernel(monkeypatch)
+        prog = build_basic_program(NoiseParams())
+        run_analytical(prog, Thresholds(1e-4, 1e-8))
+        # every two-qubit event still makes its own call; the 26,258
+        # one-qubit events fuse into 2,555 runs
+        assert sum(isinstance(s, TwoQubitEvent) for s in prog.steps) == 686
+        assert sum(isinstance(s, OneQubitEvent) for s in prog.steps) == 26258
+        assert sum(k == 15 for k, _ in calls) == 686
+        assert sum(k == 3 for k, _ in calls) == 2555
 
 
 class TestBasicProgram:
