@@ -23,8 +23,8 @@ from paulitree import (
 # --- stress regime: noise x100, crashes are common ----------------------
 loud = build_basic_program(NoiseParams(global_scale=100.0))
 mc = run_mc(loud, 100_000, seed=42)
-print("noise x100:  MC %d samples -> crash %.4f +/- %.4f  in %.1f s"
-      % (mc.iterations, mc.crash_rate, mc.ci95_halfwidth, mc.wall_time_s))
+print("noise x100:  MC %d samples -> crash %.4f in [%.4f, %.4f]  in %.1f s"
+      % (mc.iterations, mc.crash_rate, mc.ci95_low, mc.ci95_high, mc.wall_time_s))
 rep = run_analytical(loud, Thresholds(1e-5, 1e-8))
 print("             analytical (coarse) -> crash %.4f       in %.1f s"
       % (rep.crash_probability, rep.wall_time_s))
@@ -47,9 +47,7 @@ print("             speedup of the analytical model: ~%.0fx"
 
 # A short MC run at true noise is still a useful consistency check:
 mc = run_mc(quiet, 200_000, seed=1)
-lo = mc.crash_rate - 2 * mc.ci95_halfwidth
-hi = mc.crash_rate + 2 * mc.ci95_halfwidth
 print("\nconsistency: MC %d samples -> %d crashes (rate %.2e), analytical %s"
       % (mc.iterations, mc.crashes, mc.crash_rate,
-         "inside" if lo <= p <= hi else "OUTSIDE"))
-print("the MC confidence window [%.2e, %.2e]" % (max(lo, 0.0), hi))
+         "inside" if mc.ci95_low <= p <= mc.ci95_high else "OUTSIDE"))
+print("the MC 95%% Wilson window [%.2e, %.2e]" % (mc.ci95_low, mc.ci95_high))

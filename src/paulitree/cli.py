@@ -14,8 +14,11 @@ Reports are CSV (RFC-4180, stable column set) or JSON (field-for-field
 mirror), one row per engine run.  Rows record every input needed to
 reproduce them: thresholds, seed, shard count, and a SHA-256 hash of the
 program's step stream, which is identical for the analytical
-and Monte Carlo rows of the same invocation.  When ``--output`` is a
-bare file name it is placed under ``$PAULITREE_OUTPUT_DIR`` if set.
+and Monte Carlo rows of the same invocation.  A Monte Carlo row also
+gives its Wilson score 95% interval and the number of threads that drew
+each shard's uniforms, which does not change its tally.  When
+``--output`` is a bare file name it is placed under
+``$PAULITREE_OUTPUT_DIR`` if set.
 """
 
 from __future__ import annotations
@@ -52,9 +55,11 @@ COLUMNS = [
     "peak_map_entries",
     "wall_time_ms",
     "mc_iterations",
-    "mc_ci95",
+    "mc_ci95_low",
+    "mc_ci95_high",
     "seed",
     "shards",
+    "threads",
     "program_hash",
     "inaccuracy",
     "speedup",
@@ -126,9 +131,11 @@ def _mc_row(args, prog: Program) -> dict:
         survival=1.0 - rep.crash_rate,
         crash=rep.crash_rate,
         mc_iterations=rep.iterations,
-        mc_ci95=rep.ci95_halfwidth,
+        mc_ci95_low=rep.ci95_low,
+        mc_ci95_high=rep.ci95_high,
         seed=rep.seed,
         shards=rep.shards,
+        threads=rep.threads,
         wall_time_ms=rep.wall_time_s * 1e3,
     )
     return row

@@ -4,8 +4,14 @@ Deliberately shares no code with the library: states are tuples of label
 characters, the gate conjugations and label products are hand-written
 lookup tables, and events are expanded by explicit recursion over every
 outcome (4 for one-qubit events, 16 for two-qubit events), multiplying
-path probabilities and classifying the leaves at the end.
+path probabilities and classifying the leaves at the end.  The surviving
+leaves are summed with ``math.fsum``, so the sum adds no rounding beyond
+that of each path's product, however many leaves there are; with
+``exact=True`` the whole evaluation is done in rationals instead.
 """
+
+import math
+from fractions import Fraction
 
 from paulitree.program import CNot, Hadamard, OneQubitEvent, Reset, TwoQubitEvent
 
@@ -38,50 +44,56 @@ PAIRS = [
 ]
 
 
-def _leaves(state, steps, prob):
-    """Yield (final_state, path_probability) over every event outcome."""
+def _leaves(state, steps, prob, num):
+    """Yield (final_state, path_probability) over every event outcome,
+    taking each event probability as ``num(f)`` (float or Fraction)."""
     if not steps:
         yield state, prob
         return
     step, rest = steps[0], steps[1:]
     if isinstance(step, OneQubitEvent):
-        yield from _leaves(state, rest, prob * (1.0 - step.f))
+        f = num(step.f)
+        yield from _leaves(state, rest, prob * (1 - f), num)
         for lab in NON_IDENTITY:
             s = list(state)
             s[step.qubit] = MUL[(s[step.qubit], lab)]
-            yield from _leaves(tuple(s), rest, prob * step.f / 3.0)
+            yield from _leaves(tuple(s), rest, prob * f / 3, num)
     elif isinstance(step, TwoQubitEvent):
-        yield from _leaves(state, rest, prob * (1.0 - step.f))
+        f = num(step.f)
+        yield from _leaves(state, rest, prob * (1 - f), num)
         for la, lb in PAIRS:
             s = list(state)
             s[step.qubit_a] = MUL[(s[step.qubit_a], la)]
             s[step.qubit_b] = MUL[(s[step.qubit_b], lb)]
-            yield from _leaves(tuple(s), rest, prob * step.f / 15.0)
+            yield from _leaves(tuple(s), rest, prob * f / 15, num)
     elif isinstance(step, Hadamard):
         s = list(state)
         s[step.qubit] = HAD[s[step.qubit]]
-        yield from _leaves(tuple(s), rest, prob)
+        yield from _leaves(tuple(s), rest, prob, num)
     elif isinstance(step, CNot):
         s = list(state)
         s[step.control], s[step.target] = CNOT[(s[step.control], s[step.target])]
-        yield from _leaves(tuple(s), rest, prob)
+        yield from _leaves(tuple(s), rest, prob, num)
     elif isinstance(step, Reset):
         s = list(state)
         for q in step.qubits:
             s[q] = "I"
-        yield from _leaves(tuple(s), rest, prob)
+        yield from _leaves(tuple(s), rest, prob, num)
     else:
         raise NotImplementedError("oracle does not model %r" % (step,))
 
 
-def survival_probability(prog) -> float:
-    """Mass of leaves where every crash block has at most one errored qubit."""
+def survival_probability(prog, exact: bool = False):
+    """Mass of leaves where every crash block has at most one errored
+    qubit: a float, or with ``exact`` the Fraction of the event
+    probabilities as given."""
+    num = Fraction if exact else float
     start = tuple("I" for _ in range(prog.num_qubits))
-    survival = 0.0
-    for state, prob in _leaves(start, list(prog.steps), 1.0):
+    total = sum if exact else math.fsum
+    return total(
+        prob for state, prob in _leaves(start, list(prog.steps), num(1), num)
         if all(
             sum(1 for q in block if state[q] != "I") <= 1
             for block in prog.crash_blocks
-        ):
-            survival += prob
-    return survival
+        )
+    )

@@ -53,6 +53,8 @@ class TestRun:
         assert m["mc_iterations"] == "500"
         assert m["seed"] == "3"
         assert m["shards"] == "1"
+        assert int(m["threads"]) >= 1
+        assert float(m["mc_ci95_low"]) <= float(m["crash"]) <= float(m["mc_ci95_high"])
         assert float(m["speedup"]) == pytest.approx(
             float(m["wall_time_ms"]) / float(a["wall_time_ms"])
         )

@@ -1,16 +1,21 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from paulitree import errormap, montecarlo, qecc
 from paulitree.engine import run_analytical
 from paulitree.errormap import (
     Thresholds,
     _int_from_row,
+    _nwords,
+    _slot,
     one_qubit_patterns,
     two_qubit_patterns,
 )
-from paulitree.montecarlo import _event, run_mc
+from paulitree.montecarlo import _BLOCK, _CHUNK, _hits, _wilson95, _xor_hits, run_mc
 from paulitree.noise import NoiseParams
 from paulitree.pauli import Pauli
 from paulitree.program import (
@@ -22,6 +27,9 @@ from paulitree.program import (
     Reset,
     TwoQubitEvent,
     build_basic_program,
+    initial_labels,
+    step_kind,
+    step_operands,
 )
 from tests.test_engine import QUIET, toy
 
@@ -41,12 +49,21 @@ class TestStatistics:
         sigma = math.sqrt(exact * (1 - exact) / rep.iterations)
         assert abs(rep.crash_rate - exact) < 5 * sigma
 
-    def test_ci95_formula(self):
+    def test_wilson_interval_at_zero_crashes(self):
+        n, z2 = 65536, 1.96 ** 2
+        low, high = _wilson95(0, n)
+        assert low == 0.0
+        assert high == pytest.approx(z2 / (n + z2), rel=1e-12)
+
+    def test_wilson_interval_at_one_crash_stays_above_zero(self):
+        # the Wald interval read 1.5e-5 +/- 3.0e-5 here
+        low, high = _wilson95(1, 65536)
+        assert 0.0 < low < 1 / 65536 < high
+
+    def test_report_carries_the_wilson_interval(self):
         rep = run_mc(toy([TwoQubitEvent(0, 1, 0.3)]), 5000, seed=1)
-        p = rep.crash_rate
-        assert rep.ci95_halfwidth == pytest.approx(
-            1.96 * math.sqrt(p * (1 - p) / 5000)
-        )
+        assert (rep.ci95_low, rep.ci95_high) == _wilson95(rep.crashes, 5000)
+        assert rep.ci95_low < rep.crash_rate < rep.ci95_high
 
     def test_zero_noise_never_crashes(self):
         prog = build_basic_program(QUIET)
@@ -88,6 +105,14 @@ class TestReproducibility:
         b = run_mc(self.PROG, 4096, seed=11, shards=1)
         assert a.crashes == b.crashes
 
+    def test_report_names_its_drawing_threads(self, monkeypatch):
+        rep = run_mc(self.PROG, 4096, seed=11)
+        assert rep.threads >= 1
+        monkeypatch.setattr(montecarlo, "_cpus", lambda: 3)
+        three = run_mc(self.PROG, 4096, seed=11)
+        assert three.threads == 3
+        assert three.crashes == rep.crashes
+
 
 class TestValidationAndInjection:
     def test_argument_validation(self):
@@ -118,6 +143,14 @@ class TestValidationAndInjection:
         with pytest.raises(ProgramError, match=message):
             run_mc(toy([step]), 16, seed=0)
 
+    def test_bad_operand_before_bad_probability_is_reported_first(self):
+        with pytest.raises(ProgramError, match="repeats a qubit"):
+            run_mc(toy([CNot(0, 0), OneQubitEvent(0, math.nan)]), 16, seed=0)
+
+    def test_bad_probability_before_bad_operand_is_reported_first(self):
+        with pytest.raises(ValueError, match=r"event probability must be in \[0, 1\]"):
+            run_mc(toy([OneQubitEvent(0, math.nan), CNot(0, 0)]), 16, seed=0)
+
     @pytest.mark.parametrize("f", [math.nan, 1.5, -0.2])
     def test_event_probability_outside_unit_interval_rejected(self, f):
         prog = toy([OneQubitEvent(0, f)])
@@ -133,17 +166,6 @@ class TestValidationAndInjection:
         crashed = run_mc(prog, 64, seed=1,
                          initial_errors={3: Pauli.X, 5: Pauli.X})
         assert crashed.crashes == 64  # a same-block pair never is
-
-
-class _FixedUniforms:
-    """Stands in for a generator: ``random(n)`` returns the given uniforms."""
-
-    def __init__(self, u):
-        self.u = np.asarray(u, dtype=np.float64)
-
-    def random(self, n):
-        assert n == self.u.shape[0]
-        return self.u.copy()
 
 
 class TestSharedOutcomes:
@@ -165,7 +187,9 @@ class TestSharedOutcomes:
         rng = np.random.default_rng(4)
         start = rng.integers(0, 2 ** 63, size=(k + 2, 2), dtype=np.uint64)
         keys = start.copy()
-        _event(keys, patterns, f, _FixedUniforms(u))
+        rows, hit = _hits(np.array(u), f)
+        assert rows.tolist() == list(range(k))
+        _xor_hits(keys, patterns, f, rows, hit)
         for i in range(k):
             assert (keys[i] == start[i] ^ patterns[i]).all()
         assert (keys[k:] == start[k:]).all()
@@ -177,3 +201,161 @@ class TestSharedOutcomes:
             assert labels == [(Pauli.X,), (Pauli.Z,), (Pauli.Y,)]
         else:
             assert labels == [divmod(i + 1, 4) for i in range(15)]
+
+
+def _reference_keys(prog, n, rng, labels):
+    """The serial sampler the threaded one must reproduce: one
+    ``rng.random(n)`` per event with f > 0, drawn and applied in step
+    order."""
+    width = prog.num_qubits
+    keys = np.zeros((n, _nwords(width)), dtype=np.uint64)
+    for q, label in labels.items():
+        w, sh = _slot(q)
+        keys[:, w] |= np.uint64(int(label)) << np.uint64(sh)
+    for step in prog.steps:
+        spec = step_kind(step)
+        qubits = step_operands(spec, step, width)
+        if spec.patterns is not None:
+            if step.f == 0.0:
+                continue
+            patterns = spec.patterns(width, *qubits)
+            u = rng.random(n)
+            rows = np.nonzero(u < step.f)[0]
+            k = patterns.shape[0]
+            pick = np.minimum((u[rows] * (k / step.f)).astype(np.int64), k - 1)
+            for w in range(keys.shape[1]):
+                keys[rows, w] ^= patterns[pick, w]
+        elif spec.kernel is not None:
+            spec.function(keys, *spec.args(step, qubits))
+    return keys
+
+
+def _reference_shard(prog, iterations, child, labels):
+    """Crash count and final generator state of one shard, drawn serially."""
+    rng = np.random.default_rng(child)
+    crashes = 0
+    for done in range(0, iterations, _CHUNK):
+        n = min(_CHUNK, iterations - done)
+        keys = _reference_keys(prog, n, rng, labels)
+        crashes += n - int(np.count_nonzero(qecc.correctable(keys, prog.crash_blocks)))
+    return crashes, rng.bit_generator.state
+
+
+def _random_events(count, num_qubits, seed, rates=(1e-3, 0.05)):
+    """``count`` events on random qubits and pairs, with a Hadamard or a
+    CNot after every tenth, so that faults move between qubits."""
+    rng = np.random.default_rng(seed)
+    steps = []
+    for i in range(count):
+        a, b = (int(q) for q in rng.choice(num_qubits, 2, replace=False))
+        f = float(rng.uniform(*rates))
+        steps.append(TwoQubitEvent(a, b, f) if i % 7 == 0 else OneQubitEvent(a, f))
+        if i % 10 == 9:
+            steps.append(CNot(a, b) if i % 20 == 9 else Hadamard(a))
+    return steps
+
+
+FOUR = dict(num_qubits=4, blocks=((0, 1), (2, 3)))
+
+
+class TestStreamIdentity:
+    """The threaded sampler leaves the same keys, tallies and generator
+    state as one ``rng.random(n)`` per event, for every thread count."""
+
+    CASES = {
+        # 5.5 blocks: each of 3 threads draws two blocks and skips between
+        "blocks": toy(_random_events(int(5.5 * _BLOCK), 4, seed=1), **FOUR),
+        # certain and impossible events, among others and at block edges
+        "f-0-and-1": toy([OneQubitEvent(0, 0.0), OneQubitEvent(1, 1.0)]
+                         + _random_events(_BLOCK - 3, 4, seed=2)
+                         + [TwoQubitEvent(2, 3, 1.0), OneQubitEvent(3, 0.0)]
+                         + _random_events(_BLOCK + 5, 4, seed=3)
+                         + [OneQubitEvent(2, 1.0)], **FOUR),
+        "under-one-block": toy(_random_events(40, 4, seed=4, rates=(0.01, 0.2)), **FOUR),
+    }
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_keys_and_stream_match_serial_draws(self, case, threads):
+        prog = self.CASES[case]
+        labels = initial_labels(prog, {1: Pauli.Z})
+        ours, ref = np.random.default_rng(7), np.random.default_rng(7)
+        keys = montecarlo._sample(prog, 1000, ours, labels, threads)
+        assert (keys == _reference_keys(prog, 1000, ref, labels)).all()
+        assert ours.bit_generator.state == ref.bit_generator.state
+        assert 0 < montecarlo._run_chunk(prog, 1000, ours, labels, threads) < 1000
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_two_chunks_match_serial_draws(self, threads):
+        prog = toy(_random_events(_BLOCK + 40, 4, seed=5, rates=(1e-5, 1e-3)), **FOUR)
+        iterations = _CHUNK + 100
+        child = np.random.SeedSequence(3).spawn(1)[0]
+        labels = initial_labels(prog, None)
+        rng = np.random.default_rng(child)
+        crashes = montecarlo._run_shard((prog, iterations, child, labels, threads))
+        for done in range(0, iterations, _CHUNK):
+            montecarlo._run_chunk(prog, min(_CHUNK, iterations - done), rng, labels, threads)
+        assert (crashes, rng.bit_generator.state) == _reference_shard(
+            prog, iterations, child, labels)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_sharded_pool_matches_serial_draws(self, monkeypatch, threads):
+        prog = self.CASES["blocks"]
+        # two worker processes share the CPUs, so 2W CPUs give W threads
+        monkeypatch.setattr(montecarlo, "_cpus", lambda: 2 * threads)
+        rep = run_mc(prog, 3000, seed=8, shards=3, jobs=2)
+        assert rep.threads == threads
+        children = np.random.SeedSequence(8).spawn(3)
+        labels = initial_labels(prog, None)
+        assert rep.crashes == sum(_reference_shard(prog, 1000, c, labels)[0] for c in children)
+
+    def test_many_threads_under_a_short_switch_interval(self):
+        prog = self.CASES["blocks"]
+        labels = initial_labels(prog, None)
+        ref = _reference_keys(prog, 500, np.random.default_rng(9), labels)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            keys = montecarlo._sample(prog, 500, np.random.default_rng(9), labels, 6)
+        finally:
+            sys.setswitchinterval(interval)
+        assert (keys == ref).all()
+
+
+class TestHelperLifetime:
+    """No drawing thread outlives a chunk, whichever thread fails."""
+
+    PROG = toy(_random_events(6 * _BLOCK, 4, seed=6), **FOUR)
+
+    def _helpers(self):
+        return [t for t in threading.enumerate() if t is not threading.main_thread()]
+
+    def test_failure_on_a_helper_reaches_the_caller(self, monkeypatch):
+        draw = montecarlo._draw_block
+
+        def failing(gen, n, fs):
+            if threading.current_thread() is not threading.main_thread():
+                raise MemoryError("helper out of memory")
+            return draw(gen, n, fs)
+
+        before = self._helpers()
+        monkeypatch.setattr(montecarlo, "_draw_block", failing)
+        with pytest.raises(MemoryError, match="helper out of memory"):
+            montecarlo._sample(self.PROG, 256, np.random.default_rng(0),
+                               initial_labels(self.PROG, None), 3)
+        assert self._helpers() == before
+
+    def test_failure_on_the_caller_joins_the_helpers(self, monkeypatch):
+        calls = []
+
+        def failing(keys, c, t):
+            calls.append(c)
+            if len(calls) == 20:
+                raise RuntimeError("kernel failed")
+
+        before = self._helpers()
+        monkeypatch.setattr(errormap, "cnot_kernel", failing)
+        with pytest.raises(RuntimeError, match="kernel failed"):
+            montecarlo._sample(self.PROG, 256, np.random.default_rng(0),
+                               initial_labels(self.PROG, None), 3)
+        assert self._helpers() == before
