@@ -14,7 +14,9 @@ Reports are CSV (RFC-4180, stable column set) or JSON (field-for-field
 mirror), one row per engine run.  Rows record every input needed to
 reproduce them: thresholds, seed, shard count, and a SHA-256 hash of the
 program's step stream, which is identical for the analytical
-and Monte Carlo rows of the same invocation.  A Monte Carlo row also
+and Monte Carlo rows of the same invocation.  An analytical row gives
+``branch_calls``, the number of times its deferred events branched an
+error map (blank on a Monte Carlo row).  A Monte Carlo row also
 gives its Wilson score 95% interval and the number of threads that drew
 each shard's uniforms, which does not change its tally.  When
 ``--output`` is a bare file name it is placed under
@@ -53,6 +55,7 @@ COLUMNS = [
     "crash",
     "discarded_mass",
     "peak_map_entries",
+    "branch_calls",
     "wall_time_ms",
     "mc_iterations",
     "mc_ci95_low",
@@ -114,6 +117,7 @@ def _analytical_row(args, prog: Program, th: Thresholds) -> dict:
         crash=rep.crash_probability,
         discarded_mass=rep.discarded_mass,
         peak_map_entries=rep.peak_error_map_entries,
+        branch_calls=rep.branch_calls,
         wall_time_ms=rep.wall_time_s * 1e3,
     )
     return row

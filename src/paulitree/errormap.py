@@ -284,25 +284,34 @@ class ErrorMap:
 
     # -- evolution (in place) -----------------------------------------
 
-    def event_kernel(self, patterns: np.ndarray, f: float, event_branch: float) -> None:
+    def event_kernel(self, patterns: np.ndarray, f: float, event_branch: float,
+                     weights: np.ndarray | None = None) -> None:
         """Stochastic event: each entry at or above the branch threshold
         contributes (s, p*(1-f)), dropped when f = 1, plus
-        (s ^ pattern, p*f/k) for the k branch patterns; below-threshold
-        entries pass through unchanged.  Total probability is conserved
-        exactly.
+        (s ^ pattern i, p*weights[i]) for the k branch patterns;
+        below-threshold entries pass through unchanged.  ``weights`` are
+        the outcome probabilities, non-negative and summing to ``f``
+        within 1e-12 (ValueError otherwise); the default is f/k each.
+        Total probability is conserved exactly.
         """
         check_event_probability(f)
+        k = patterns.shape[0]
+        if weights is None:
+            weights = np.full(k, f / k)
+        if weights.shape != (k,) or not (weights >= 0.0).all():
+            raise ValueError("event weights must be %d non-negative probabilities" % k)
+        if not abs(weights.sum() - f) <= 1e-12:
+            raise ValueError("event weights sum to %r, not f = %r" % (weights.sum(), f))
         if f == 0.0:
             return
         self._ensure_ready()
         probs = self._probs
         idx = (probs >= event_branch).nonzero()[0]
-        k = patterns.shape[0]
         src_keys = self._keys[idx]
         # pattern-major rows: every source XOR pattern 0, then pattern 1, ...
         branch_keys = (src_keys[None] ^ patterns[:, None]).reshape(-1, src_keys.shape[1])
         branch_probs = np.empty((k, idx.shape[0]))
-        np.multiply(probs[idx], f / k, out=branch_probs)
+        np.multiply(weights[:, None], probs[idx], out=branch_probs)
         probs[idx] *= 1.0 - f
         if f == 1.0:
             # every branched source is left at zero: drop them

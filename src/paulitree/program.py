@@ -208,6 +208,10 @@ class StepKind:
     the XOR pattern array of its equally likely outcomes, outcome i
     being label i + 1 (see :func:`~paulitree.errormap.one_qubit_patterns`),
     and both engines draw or branch on exactly these rows.
+    ``permutes_labels`` marks a Clifford gate whose kernel, given only the
+    operands' positions, maps each Pauli label of its operands to one
+    Pauli label: the analytical engine carries deferred events through
+    it instead of applying them first.
     """
 
     text: str
@@ -218,6 +222,7 @@ class StepKind:
     kernel: tuple[ModuleType, str] | None = None
     args: Callable[[Any, Sequence[int]], tuple] = _positions
     patterns: Callable[..., Any] | None = None
+    permutes_labels: bool = False
 
     @property
     def function(self) -> Callable[..., None]:
@@ -239,12 +244,12 @@ STEP_KINDS: dict[type, StepKind] = {
     Hadamard: StepKind(
         "h %d", lambda s: s.qubit, lambda q: Hadamard(int(q)),
         operands=lambda s: (s.qubit,),
-        kernel=(errormap, "hadamard_kernel")),
+        kernel=(errormap, "hadamard_kernel"), permutes_labels=True),
     CNot: StepKind(
         "cx %d %d", lambda s: (s.control, s.target),
         lambda c, t: CNot(int(c), int(t)),
         operands=lambda s: (s.control, s.target),
-        kernel=(errormap, "cnot_kernel")),
+        kernel=(errormap, "cnot_kernel"), permutes_labels=True),
     Reset: StepKind(
         "reset %s", lambda s: _ids(s.qubits), lambda ids: Reset(_parse_ids(ids)),
         operands=lambda s: s.qubits,

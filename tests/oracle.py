@@ -83,17 +83,25 @@ def _leaves(state, steps, prob, num):
         raise NotImplementedError("oracle does not model %r" % (step,))
 
 
-def survival_probability(prog, exact: bool = False):
-    """Mass of leaves where every crash block has at most one errored
-    qubit: a float, or with ``exact`` the Fraction of the event
-    probabilities as given."""
+def final_states(prog, exact: bool = False) -> dict:
+    """Probability of each final state, a tuple of labels by qubit: a
+    float, or with ``exact`` the Fraction of the event probabilities as
+    given."""
     num = Fraction if exact else float
     start = tuple("I" for _ in range(prog.num_qubits))
+    paths: dict = {}
+    for state, prob in _leaves(start, list(prog.steps), num(1), num):
+        paths.setdefault(state, []).append(prob)
+    total = sum if exact else math.fsum
+    return {state: total(probs) for state, probs in paths.items()}
+
+
+def survival_probability(prog, exact: bool = False):
+    """Mass of the final states where every crash block has at most one
+    errored qubit: a float, or with ``exact`` the Fraction of the event
+    probabilities as given."""
     total = sum if exact else math.fsum
     return total(
-        prob for state, prob in _leaves(start, list(prog.steps), num(1), num)
-        if all(
-            sum(1 for q in block if state[q] != "I") <= 1
-            for block in prog.crash_blocks
-        )
+        prob for state, prob in final_states(prog, exact).items()
+        if all(sum(1 for q in block if state[q] != "I") <= 1 for block in prog.crash_blocks)
     )

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from paulitree import cli
+from paulitree import NoiseParams, Thresholds, build_basic_program, cli, run_analytical
 from paulitree.cli import COLUMNS, build_parser, main
 
 
@@ -58,6 +58,16 @@ class TestRun:
         assert float(m["speedup"]) == pytest.approx(
             float(m["wall_time_ms"]) / float(a["wall_time_ms"])
         )
+
+    def test_branch_calls_on_the_analytical_row_only(self, capsys):
+        code, out, _ = run_cli(capsys, "run", "--mode", "both", "--mc-iterations", "200",
+                               *FAST)
+        assert code == 0
+        a, m = parse_csv(out)
+        rep = run_analytical(build_basic_program(NoiseParams()), Thresholds(1e-4, 1e-8))
+        # every event step, fused, makes far fewer calls than there are events
+        assert int(a["branch_calls"]) == rep.branch_calls < 26944 / 10
+        assert m["branch_calls"] == ""
 
     def test_scaling_program_and_scale_knob(self, capsys):
         code, out, _ = run_cli(

@@ -1,8 +1,10 @@
+import dataclasses
 import math
+import random
 
 import pytest
 
-from paulitree import engine
+from paulitree import engine, qecc
 from paulitree.engine import Partition, run_analytical
 from paulitree.errormap import ErrorMap, MergeMode, Thresholds, merge, split
 from paulitree.noise import NoiseParams
@@ -206,9 +208,9 @@ def spy_event_kernel(monkeypatch):
     calls = []
     kernel = ErrorMap.event_kernel
 
-    def spy(self, patterns, f, event_branch):
+    def spy(self, patterns, f, event_branch, weights=None):
         calls.append((patterns.shape[0], f))
-        return kernel(self, patterns, f, event_branch)
+        return kernel(self, patterns, f, event_branch, weights)
 
     monkeypatch.setattr(ErrorMap, "event_kernel", spy)
     return calls
@@ -219,35 +221,60 @@ def fused(*fs):
     return 0.75 * (1.0 - math.prod(1.0 - 4.0 * f / 3.0 for f in fs))
 
 
+def pair_f(prog, a, b, n=None):
+    """The f of a pair event on (a, b) that holds every event the
+    program's first n steps (all by default) put on a and b: by the
+    oracle, 1 - P(a and b both end at I)."""
+    states = oracle.final_states(dataclasses.replace(prog, steps=prog.steps[:n]), exact=True)
+    return float(1 - sum(p for s, p in states.items() if s[a] == s[b] == "I"))
+
+
+def assert_calls(calls, prog, expected):
+    """``calls`` match ``expected`` in order: (3, f) for a one-qubit
+    event, (15, (a, b)) or (15, (a, b, n)) for a pair event on a and b,
+    its f by :func:`pair_f`."""
+    assert [k for k, _ in calls] == [k for k, _ in expected]
+    for (_, f), (k, want) in zip(calls, expected):
+        assert f == pytest.approx(pair_f(prog, *want) if k == 15 else want, abs=1e-15)
+
+
+def assert_matches_oracle(prog, rep):
+    assert rep.survival_probability == pytest.approx(
+        oracle.survival_probability(prog), abs=1e-15)
+
+
 class TestEventFusion:
     # q0's run of three events is interleaved with other qubits' steps and
     # ends at a step that reads q0, or at the end of the program; every
     # qubit starts in a set of its own.  Every rate has a dyadic third and
     # complement, and so has every run's fused rate: the oracle's sum over
     # thousands of leaves is then exact, and 1e-15 measures the engine.
-    @pytest.mark.parametrize("steps, one_qubit_fs", [
+    @pytest.mark.parametrize("steps, expected", [
+        # q1's event is carried through the CNOT into a pair event, which
+        # the two-qubit event composes into and applies; q2's later event
+        # runs alone
         ([OneQubitEvent(0, 0.375), OneQubitEvent(1, 0.75), OneQubitEvent(0, 0.1875),
           CNot(1, 2), OneQubitEvent(0, 0.09375), TwoQubitEvent(1, 2, 0.46875),
           OneQubitEvent(2, 0.046875)],
-         [0.75, fused(0.375, 0.1875, 0.09375), 0.046875]),
+         [(15, (1, 2, 6)), (3, fused(0.375, 0.1875, 0.09375)), (3, 0.046875)]),
         ([OneQubitEvent(0, 0.375), OneQubitEvent(1, 0.75), OneQubitEvent(0, 0.1875),
           OneQubitEvent(0, 0.09375), Reset((0,)), OneQubitEvent(0, 0.5625)],
-         [fused(0.375, 0.1875, 0.09375), 0.5625, 0.75]),
+         [(3, fused(0.375, 0.1875, 0.09375)), (3, 0.5625), (3, 0.75)]),
+        # q0's run composes into the two-qubit event's pair event
         ([OneQubitEvent(0, 0.375), OneQubitEvent(2, 0.046875), OneQubitEvent(0, 0.1875),
           OneQubitEvent(0, 0.09375), TwoQubitEvent(0, 1, 0.46875)],
-         [fused(0.375, 0.1875, 0.09375), 0.046875]),
+         [(15, (0, 1)), (3, 0.046875)]),
         ([OneQubitEvent(0, 0.375), OneQubitEvent(1, 0.75), OneQubitEvent(0, 0.1875),
           OneQubitEvent(2, 0.046875), OneQubitEvent(0, 0.09375)],
-         [fused(0.375, 0.1875, 0.09375), 0.75, 0.046875]),
+         [(3, fused(0.375, 0.1875, 0.09375)), (3, 0.75), (3, 0.046875)]),
     ], ids=["cnot", "reset", "two-qubit-event", "crash-block"])
-    def test_a_run_of_events_on_one_qubit_makes_one_call(self, monkeypatch, steps,
-                                                         one_qubit_fs):
+    def test_a_run_of_events_on_one_qubit_makes_one_call(self, monkeypatch, steps, expected):
         calls = spy_event_kernel(monkeypatch)
         prog = toy(steps, num_qubits=3, blocks=((0, 1, 2),), partition=((0,), (1,), (2,)))
         rep = run_analytical(prog, TH0)
-        assert [f for k, f in calls if k == 3] == pytest.approx(one_qubit_fs, abs=1e-15)
-        assert rep.survival_probability == pytest.approx(
-            oracle.survival_probability(prog), abs=1e-15)
+        assert_calls(calls, prog, expected)
+        assert rep.branch_calls == len(expected)
+        assert_matches_oracle(prog, rep)
 
     def test_a_lone_event_reaches_the_kernel_unchanged(self, monkeypatch):
         calls = spy_event_kernel(monkeypatch)
@@ -260,12 +287,13 @@ class TestEventFusion:
     @pytest.mark.parametrize("partition", [((0,), (1,), (2,)), ((0, 1, 2),)],
                              ids=["own-set", "shared-set"])
     def test_events_outside_every_crash_block_make_no_call(self, monkeypatch, partition):
-        # q2 is in no crash block and no later step reads it
+        # q2 is in no crash block and no later step reads it; q0's event
+        # is carried through the CNOT into a pair event on (0, 1)
         calls = spy_event_kernel(monkeypatch)
         prog = toy([OneQubitEvent(2, 0.3), OneQubitEvent(0, 0.1), OneQubitEvent(2, 0.4),
                     CNot(0, 1), OneQubitEvent(2, 0.5)], num_qubits=3, partition=partition)
         rep = run_analytical(prog, TH0)
-        assert calls == [(3, 0.1)]
+        assert calls == [(15, 0.1)]
         assert rep.survival_probability == pytest.approx(
             oracle.survival_probability(prog), abs=1e-15)
 
@@ -276,16 +304,156 @@ class TestEventFusion:
         with pytest.raises(ValueError, match=r"event probability must be in \[0, 1\]"):
             run_analytical(prog, TH0)
 
+    @pytest.mark.parametrize("f", [-0.1, 1.5, math.nan])
+    def test_deferred_two_qubit_events_are_still_validated(self, f):
+        # on qubits in no crash block, composed into a pair event
+        prog = toy([TwoQubitEvent(2, 3, f)], num_qubits=4)
+        with pytest.raises(ValueError, match=r"event probability must be in \[0, 1\]"):
+            run_analytical(prog, TH0)
+
     def test_basic_program_makes_one_call_per_run(self, monkeypatch):
         calls = spy_event_kernel(monkeypatch)
         prog = build_basic_program(NoiseParams())
-        run_analytical(prog, Thresholds(1e-4, 1e-8))
-        # every two-qubit event still makes its own call; the 26,258
-        # one-qubit events fuse into 2,555 runs
+        rep = run_analytical(prog, Thresholds(1e-4, 1e-8))
+        # each two-qubit event follows a CNOT on its pair and makes one
+        # pair-event call together with the CNOT's operands' events; the
+        # other one-qubit runs are flushed as 1,060 calls of their own
         assert sum(isinstance(s, TwoQubitEvent) for s in prog.steps) == 686
         assert sum(isinstance(s, OneQubitEvent) for s in prog.steps) == 26258
         assert sum(k == 15 for k, _ in calls) == 686
-        assert sum(k == 3 for k, _ in calls) == 2555
+        assert sum(k == 3 for k, _ in calls) == 1060
+        assert rep.branch_calls == len(calls) == 1746
+
+
+class TestCarriedEvents:
+    """Pending events carried through Hadamards and CNOTs.  Rates are
+    dyadic as in :class:`TestEventFusion`, so 1e-15 measures the engine."""
+
+    def run(self, monkeypatch, steps, num_qubits=3, blocks=((0, 1, 2),)):
+        calls = spy_event_kernel(monkeypatch)
+        prog = toy(steps, num_qubits=num_qubits, blocks=blocks,
+                   partition=tuple((q,) for q in range(num_qubits)))
+        rep = run_analytical(prog, TH0)
+        assert_matches_oracle(prog, rep)
+        assert rep.branch_calls == len(calls)
+        return prog, calls
+
+    def test_a_cnot_absorbs_both_operands_events(self, monkeypatch):
+        prog, calls = self.run(monkeypatch, [
+            OneQubitEvent(0, 0.375), OneQubitEvent(1, 0.1875), OneQubitEvent(0, 0.75),
+            CNot(0, 1)])
+        assert_calls(calls, prog, [(15, (0, 1))])
+
+    @pytest.mark.parametrize("event", [TwoQubitEvent(0, 1, 0.46875),
+                                       TwoQubitEvent(1, 0, 0.46875)], ids=["ab", "ba"])
+    def test_a_following_two_qubit_event_composes_into_the_pair_and_applies_it(
+            self, monkeypatch, event):
+        # the pair is applied at the two-qubit event, before q2's earlier
+        # event and q1's later one, which run alone at the end
+        prog, calls = self.run(monkeypatch, [
+            OneQubitEvent(0, 0.375), OneQubitEvent(2, 0.75), OneQubitEvent(1, 0.1875),
+            CNot(0, 1), event, OneQubitEvent(1, 0.5625)])
+        assert_calls(calls, prog, [(15, (0, 1, 5)), (3, 0.5625), (3, 0.75)])
+
+    def test_an_idle_event_on_a_pair_member_composes_into_the_pair(self, monkeypatch):
+        prog, calls = self.run(monkeypatch, [
+            OneQubitEvent(0, 0.375), CNot(0, 1), OneQubitEvent(1, 0.1875),
+            OneQubitEvent(0, 0.09375), OneQubitEvent(1, 0.5625), TwoQubitEvent(0, 1, 0.234375),
+            OneQubitEvent(0, 0.046875)])
+        assert_calls(calls, prog, [(15, (0, 1, 6)), (3, 0.046875)])
+
+    def test_a_hadamard_carries_a_single_event(self, monkeypatch):
+        prog, calls = self.run(monkeypatch, [
+            OneQubitEvent(0, 0.375), Hadamard(0), OneQubitEvent(0, 0.1875), Hadamard(0),
+            OneQubitEvent(1, 0.75)])
+        assert_calls(calls, prog, [(3, fused(0.375, 0.1875)), (3, 0.75)])
+
+    @pytest.mark.parametrize("target", [0, 1])
+    def test_a_hadamard_conjugates_a_pair(self, monkeypatch, target):
+        # X on the control spreads to the target, so the pair is not
+        # symmetric and a wrong axis would show
+        prog, calls = self.run(monkeypatch, [
+            OneQubitEvent(0, 0.375), CNot(0, 1), Hadamard(target),
+            OneQubitEvent(1, 0.1875), CNot(1, 0), Hadamard(1 - target)])
+        assert_calls(calls, prog, [(15, (0, 1))])
+
+    def test_a_cnot_onto_a_third_qubit_flushes_the_pair(self, monkeypatch):
+        prog, calls = self.run(monkeypatch, [
+            OneQubitEvent(0, 0.375), OneQubitEvent(1, 0.1875), CNot(0, 1),
+            OneQubitEvent(2, 0.75), CNot(0, 2), OneQubitEvent(1, 0.09375)])
+        # (0, 1) is flushed at the second CNOT with both first events;
+        # (0, 2) then holds only q2's event, conjugated, and q1's later
+        # event runs alone, after the pair in the crash block's order
+        assert calls == [(15, pytest.approx(1 - 0.625 * 0.8125, abs=1e-15)),
+                         (15, pytest.approx(0.75, abs=1e-15)), (3, 0.09375)]
+
+    @pytest.mark.parametrize("member", [0, 1])
+    def test_a_reset_of_one_member_flushes_the_pair(self, monkeypatch, member):
+        prog, calls = self.run(monkeypatch, [
+            OneQubitEvent(0, 0.375), CNot(0, 1), OneQubitEvent(1, 0.09375),
+            Reset((member,)), OneQubitEvent(member, 0.1875)])
+        assert_calls(calls, prog, [(15, (0, 1, 3)), (3, 0.1875)])
+
+    def test_a_readout_of_one_member_flushes_the_pair_first(self, monkeypatch):
+        # the oracle has no readouts: check that the pair event is applied,
+        # once, before the readout kernel runs
+        log = []
+        kernel, readout = ErrorMap.event_kernel, qecc.verify_kernel
+
+        def spy(self, patterns, f, event_branch, weights=None):
+            log.append(patterns.shape[0])
+            return kernel(self, patterns, f, event_branch, weights)
+
+        def spy_readout(keys, block, verifier):
+            log.append("verify")
+            return readout(keys, block, verifier)
+
+        monkeypatch.setattr(ErrorMap, "event_kernel", spy)
+        monkeypatch.setattr(qecc, "verify_kernel", spy_readout)
+        block = tuple(range(7))
+        prog = toy([OneQubitEvent(0, 0.375), CNot(0, 7), OneQubitEvent(7, 0.1875),
+                    VerifyReadout(block, 7)], num_qubits=8, blocks=(block,))
+        rep = run_analytical(prog, TH0)
+        assert log == [15, "verify"]
+        assert rep.branch_calls == 1
+
+    def test_pairs_at_the_end_are_flushed_only_if_they_reach_a_crash_block(self, monkeypatch):
+        # (0, 2) reaches the block (0, 1) through q0; (3, 4) reaches none
+        prog, calls = self.run(monkeypatch, [
+            OneQubitEvent(0, 0.375), CNot(0, 2), OneQubitEvent(3, 0.1875), CNot(3, 4),
+            OneQubitEvent(4, 0.09375)], num_qubits=5, blocks=((0, 1),))
+        assert_calls(calls, prog, [(15, (0, 2))])
+
+    def test_random_programs_match_the_oracle(self):
+        # seeded sweep of 4-qubit programs: at most 5 events, at most 2 of
+        # them two-qubit, so the oracle's 16 * 16 * 4 ** 3 leaves stay few
+        rng = random.Random(2008)
+        for _ in range(100):
+            steps, events, pairs = [], 0, 0
+            for _ in range(rng.randint(3, 12)):
+                r = rng.random()
+                a, b = rng.sample(range(4), 2)
+                if r < 0.35 and events < 5:
+                    steps.append(OneQubitEvent(a, rng.choice(DYADIC_ONE)))
+                    events += 1
+                elif r < 0.5 and events < 5 and pairs < 2:
+                    steps.append(TwoQubitEvent(a, b, rng.choice(DYADIC_TWO)))
+                    events, pairs = events + 1, pairs + 1
+                elif r < 0.75:
+                    steps.append(CNot(a, b))
+                elif r < 0.9:
+                    steps.append(Hadamard(a))
+                else:
+                    steps.append(Reset((a,)))
+            blocks = rng.choice([((0, 1, 2),), ((0, 1), (2, 3)), ((1, 3),)])
+            partition = rng.choice([((0,), (1,), (2,), (3,)), ((0, 1, 2, 3),), ((2, 0), (3, 1))])
+            prog = toy(steps, num_qubits=4, blocks=blocks, partition=partition)
+            assert_matches_oracle(prog, run_analytical(prog, TH0))
+
+
+# rates whose third (one-qubit) or fifteenth (two-qubit) and complement are dyadic
+DYADIC_ONE = (0.75, 0.375, 0.1875, 0.09375, 0.5625, 0.046875)
+DYADIC_TWO = (0.9375, 0.46875, 0.234375)
 
 
 class TestBasicProgram:

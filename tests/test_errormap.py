@@ -140,6 +140,50 @@ class TestTwoQubitEvent:
                 two_qubit_patterns(width, q, q)
 
 
+class TestWeightedEvent:
+    @pytest.mark.parametrize("patterns", [one_qubit_patterns(3, 1),
+                                          two_qubit_patterns(3, 2, 0)], ids=["3", "15"])
+    @pytest.mark.parametrize("f, th", [(0.3, 0.0), (0.1234567890123, 0.05), (1.0, 0.0)])
+    def test_uniform_weights_are_the_default_bit_for_bit(self, patterns, f, th):
+        entries = {"III": 0.6, "XIZ": 0.25, "YYI": 0.1, "IZX": 0.05}
+        default, weighted = emap(entries), emap(entries)
+        default.event_kernel(patterns, f, th)
+        k = patterns.shape[0]
+        weighted.event_kernel(patterns, f, th, np.full(k, f / k))
+        assert (weighted._keys == default._keys).all()
+        assert weighted._probs.tobytes() == default._probs.tobytes()
+
+    def test_weights_give_each_outcome_its_own_probability(self):
+        m = emap({"II": 0.75, "XI": 0.25})
+        weights = np.zeros(15)
+        weights[[0, 3]] = 0.125, 0.375  # IX and XI
+        m.event_kernel(two_qubit_patterns(2, 0, 1), 0.5, 0.0, weights)
+        assert_map_close(m, {"II": 0.375 + 0.25 * 0.375, "XI": 0.125 + 0.75 * 0.375,
+                             "IX": 0.75 * 0.125, "XX": 0.25 * 0.125})
+
+    @pytest.mark.parametrize("weights, message", [
+        (np.array([0.2, -0.1, 0.2]), "non-negative"),
+        (np.array([0.1, 0.1, 0.1 + 2e-12]), "sum to"),
+        (np.array([0.1, 0.1, math.nan]), "non-negative"),
+        (np.array([0.15, 0.15]), "non-negative"),
+    ], ids=["negative", "off-sum", "nan", "count"])
+    def test_bad_weights_are_rejected(self, weights, message):
+        m = emap({"II": 1.0})
+        before = m.dump()
+        with pytest.raises(ValueError, match=message):
+            m.event_kernel(one_qubit_patterns(2, 0), 0.3, 0.0, weights)
+        assert m.dump() == before
+
+    def test_certain_event_drops_the_branched_sources(self):
+        m = emap({"II": 0.5, "XI": 0.5})
+        weights = np.zeros(15)
+        weights[[0, 1]] = 0.25, 0.75  # IX, IZ
+        m.event_kernel(two_qubit_patterns(2, 0, 1), 1.0, 0.0, weights)
+        assert len(m) == 4
+        assert (m._probs > 0.0).all()
+        assert_map_close(m, {"IX": 0.125, "IZ": 0.375, "XX": 0.125, "XZ": 0.375})
+
+
 # hand-enumerated two-qubit CNOT conjugation table (control = qubit 0)
 CNOT_TABLE = {
     "II": "II", "IX": "IX", "IZ": "ZZ", "IY": "ZY",

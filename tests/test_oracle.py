@@ -18,3 +18,13 @@ def test_oracle_sum_adds_no_rounding_of_its_own():
     exact = oracle.survival_probability(prog, exact=True)
     assert isinstance(exact, Fraction)
     assert abs(Fraction(oracle.survival_probability(prog)) - exact) < Fraction(1e-16)
+
+
+def test_final_states_sum_to_one_and_give_the_survival_probability():
+    prog = toy([OneQubitEvent(0, 0.25), CNot(0, 1), OneQubitEvent(1, 0.5)])
+    states = oracle.final_states(prog, exact=True)
+    assert sum(states.values()) == 1
+    # X on q0 spreads to q1 through the CNOT; q1's own event then leaves it
+    assert states[("X", "X")] == Fraction(1, 12) * Fraction(1, 2)
+    assert sum(p for s, p in states.items() if "I" in s) == oracle.survival_probability(
+        prog, exact=True)
