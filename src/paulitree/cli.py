@@ -17,8 +17,8 @@ program's step stream, which is identical for the analytical
 and Monte Carlo rows of the same invocation.  An analytical row gives
 ``branch_calls``, the number of times its deferred events branched an
 error map (blank on a Monte Carlo row).  A Monte Carlo row also
-gives its Wilson score 95% interval and the number of threads that drew
-each shard's uniforms, which does not change its tally.  When
+gives its Wilson score 95% interval and the number of threads each
+shard may draw its uniforms on, which does not change its tally.  When
 ``--output`` is a bare file name it is placed under
 ``$PAULITREE_OUTPUT_DIR`` if set.
 """

@@ -546,12 +546,13 @@ def split(qs: QubitSet, keep: Iterable[int]) -> tuple[QubitSet, QubitSet]:
     that deficit, compounding exponentially over repeated ancilla
     split/re-merge cycles.)
     """
-    keep_list = sorted(set(keep))
+    keep_set = set(keep)
+    keep_list = sorted(keep_set)
     if not keep_list:
         raise ValueError("keep set must be non-empty")
     if any(q < 0 or q >= qs.map.width for q in keep_list):
         raise IndexError("keep indices out of range")
-    rest = [q for q in range(qs.map.width) if q not in set(keep_list)]
+    rest = [q for q in range(qs.map.width) if q not in keep_set]
     if not rest:
         raise ValueError("keep set must be a proper subset")
     qs.map._ensure_ready()

@@ -23,19 +23,20 @@ at positions [e*n, (e+1)*n) of the shard's stream, counted from the
 chunk's start, one 64-bit draw per double.  Since ``PCG64.advance``
 reaches any position in O(log d) steps, the uniforms are drawn on W
 threads at once: the events are cut into blocks of ``_BLOCK``, and
-block b is drawn by thread b mod W, from its own copy of the generator
-advanced to b*_BLOCK*n, into one scratch buffer of n doubles that lives
-as long as the block.  A thread hands back only the rows each event hits
-and their uniforms.  The calling thread is thread 0 and draws its own
-blocks as it reaches them; the W - 1 helpers draw at most ``_AHEAD``
-blocks ahead.  Only the calling thread touches the keys, in step order,
-and it then advances its generator past the chunk's draws, so the keys,
-the tally and the generator state after a chunk are those of drawing
-every event in turn, for any W.  W is the number of CPUs this process
-may run on, divided among the shard processes that ``jobs`` starts, and
-at least 1; it is not an option, since it cannot change a result.
-Helpers are started and joined within each chunk, so no thread is alive
-when the shard pool forks or when the crash mask is computed.
+block b is drawn from its own copy of the generator advanced to
+b*_BLOCK*n, into one scratch buffer of n doubles that lives as long as
+the block.  A block hands back only the rows each event hits and their
+uniforms.  The calling thread draws every W-th block itself as it
+reaches it; the others go to a thread pool of W - 1 workers, which
+draw no block more than ``_AHEAD``*W blocks past the caller's.  Only
+the calling thread touches the keys, in step order, and it then
+advances its generator past the chunk's draws, so the keys, the tally
+and the generator state after a chunk are those of drawing every event
+in turn, for any W.  W is the number of CPUs this process may run on, divided
+among the shard processes that ``jobs`` starts, and at least 1; it is
+not an option, since it cannot change a result.  The pool is shut down
+within each chunk, so no thread is alive when the shard pool forks or
+when the crash mask is computed.
 """
 
 from __future__ import annotations
@@ -43,8 +44,6 @@ from __future__ import annotations
 import copy
 import math
 import os
-import queue
-import threading
 import time
 from contextlib import closing
 from dataclasses import dataclass
@@ -59,7 +58,7 @@ _U64 = np.uint64
 _CHUNK = 1 << 16
 #: drawing events per block, the unit of work handed to one thread
 _BLOCK = 256
-#: blocks a helper thread may draw before the caller takes them
+#: look-ahead, per drawing thread, in blocks past the caller's
 _AHEAD = 2
 _Z95 = 1.96
 
@@ -68,8 +67,8 @@ _Z95 = 1.96
 class MCReport:
     """Outcome of one Monte Carlo run with a Wilson score 95% interval.
 
-    ``threads`` is the number of threads that drew each shard's
-    uniforms; it does not change the tally."""
+    ``threads`` is the number of threads each shard may draw its
+    uniforms on; it does not change the tally."""
 
     iterations: int
     crashes: int
@@ -122,57 +121,29 @@ def _stream_at(rng, delta: int):
     return np.random.Generator(copy.deepcopy(rng.bit_generator).advance(delta))
 
 
-def _helper(gen, fs: list[float], starts: range, n: int, skip: int,
-            credits, out, stop) -> None:
-    """Put into ``out`` each block of ``fs`` that begins at one of
-    ``starts``, drawing it once ``credits`` allows and then skipping the
-    ``skip`` draws of the other threads' blocks."""
-    try:
-        for s in starts:
-            credits.acquire()
-            if stop.is_set():
-                return
-            out.put(_draw_block(gen, n, fs[s:s + _BLOCK]))
-            gen.bit_generator.advance(skip)
-    except Exception as exc:  # handed to the caller, which raises it
-        out.put(exc)
-
-
 def _event_hits(rng, fs: list[float], n: int, threads: int):
     """Yield the (f, rows, uniforms) hits of each drawing event in turn,
     the e-th drawn from ``rng``'s stream at e*n, on up to ``threads``
-    threads; ``rng`` is not moved.  Closing the generator joins the
-    helpers."""
+    threads; ``rng`` is not moved.  Closing the generator shuts the pool
+    down."""
+    from concurrent.futures import ThreadPoolExecutor
+
     starts = range(0, len(fs), _BLOCK)
     threads = max(1, min(threads, len(starts)))
-    skip = (threads - 1) * _BLOCK * n
-    stop = threading.Event()
-    lanes = [(threading.Semaphore(_AHEAD), queue.SimpleQueue()) for _ in range(1, threads)]
-    helpers = [threading.Thread(target=_helper, daemon=True, args=(
-        _stream_at(rng, t * _BLOCK * n), fs, starts[t::threads], n, skip, *lanes[t - 1], stop))
-        for t in range(1, threads)]
+
+    def draw(b: int) -> list:
+        return _draw_block(_stream_at(rng, starts[b] * n), n, fs[starts[b]:starts[b] + _BLOCK])
+
+    pool = ThreadPoolExecutor(max(1, threads - 1))
+    ahead = {}
     try:
-        for h in helpers:
-            h.start()
-        own = _stream_at(rng, 0)
-        for b, s in enumerate(starts):
-            if b % threads == 0:
-                block = _draw_block(own, n, fs[s:s + _BLOCK])
-                own.bit_generator.advance(skip)
-            else:
-                credits, out = lanes[b % threads - 1]
-                block = out.get()
-                credits.release()
-                if isinstance(block, Exception):
-                    raise block
-            yield from block
+        for b in range(len(starts)):
+            for j in range(b, min(b + _AHEAD * threads + 1, len(starts))):
+                if j % threads and j not in ahead:
+                    ahead[j] = pool.submit(draw, j)
+            yield from ahead.pop(b).result() if b % threads else draw(b)
     finally:
-        stop.set()
-        for credits, _ in lanes:
-            credits.release()  # wakes a helper waiting for a credit
-        for h in helpers:
-            if h.ident is not None:
-                h.join()
+        pool.shutdown(cancel_futures=True)
 
 
 def _run_chunk(prog: Program, n: int, rng, labels: dict, threads: int) -> int:
@@ -186,7 +157,8 @@ def _sample(prog: Program, n: int, rng, labels: dict, threads: int) -> np.ndarra
     drawn on ``threads`` threads; leaves ``rng`` after the chunk's draws.
 
     A first pass checks every step in order and collects the f of each
-    drawing event, so the helpers can draw ahead; the second runs them."""
+    drawing event, so the pool can draw blocks ahead of the steps that
+    use them; the second pass runs the steps."""
     width = prog.num_qubits
     fs = []
     for step in prog.steps:
@@ -239,8 +211,8 @@ def run_mc(prog: Program, iterations: int, seed: int, shards: int = 1, jobs: int
     uses the i-th spawned child of the seed's sequence, so a run is
     reproducible for a fixed shard count regardless of ``jobs`` (the
     number of worker processes; tallies are a pure sum over shards) and
-    of the number of threads that draw each shard's uniforms (the CPUs
-    this process may run on, divided among the worker processes).
+    of the number of threads each shard may draw its uniforms on (the
+    CPUs this process may run on, divided among the worker processes).
     ``initial_errors`` is checked as in :func:`run_analytical`, by
     :func:`~paulitree.program.initial_labels`.
     """

@@ -625,8 +625,8 @@ def parse_program(text: str) -> Program:
                 operands = kind.operands(step)
                 if len(set(operands)) != len(operands):
                     raise ValueError("%s repeats a qubit" % kw)
-                if kind.patterns is not None and not 0.0 <= step.f <= 1.0:
-                    raise ValueError("event probability must be in [0, 1], got %r" % (step.f,))
+                if kind.patterns is not None:
+                    errormap.check_event_probability(step.f)
                 steps.append(step)
             else:
                 raise ValueError("unknown keyword %r" % kw)

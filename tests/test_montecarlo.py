@@ -359,3 +359,43 @@ class TestHelperLifetime:
             montecarlo._sample(self.PROG, 256, np.random.default_rng(0),
                                initial_labels(self.PROG, None), 3)
         assert self._helpers() == before
+
+    def test_one_thread_starts_no_other(self, monkeypatch):
+        kernel, counts = errormap.cnot_kernel, []
+
+        def counting(keys, c, t):
+            counts.append(threading.active_count())
+            kernel(keys, c, t)
+
+        before = threading.active_count()
+        monkeypatch.setattr(errormap, "cnot_kernel", counting)
+        montecarlo._sample(self.PROG, 256, np.random.default_rng(0),
+                           initial_labels(self.PROG, None), 1)
+        assert counts and set(counts) == {before}
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_blocks_are_drawn_within_the_look_ahead(self, monkeypatch, threads):
+        prog = toy(_random_events(16 * _BLOCK, 4, seed=10), **FOUR)
+        fs = [s.f for s in prog.steps if step_kind(s).patterns is not None]
+        block_of = {fs[s]: s // _BLOCK for s in range(0, len(fs), _BLOCK)}
+        draw, xor = montecarlo._draw_block, montecarlo._xor_hits
+        applied, leads, counts = [], [], []
+
+        def drawing(gen, n, block_fs):
+            # the caller is on the block after the events it has applied
+            leads.append(block_of[block_fs[0]] - len(applied) // _BLOCK)
+            counts.append(threading.active_count())
+            return draw(gen, n, block_fs)
+
+        def xoring(*args):
+            applied.append(None)
+            xor(*args)
+
+        before = threading.active_count()
+        monkeypatch.setattr(montecarlo, "_draw_block", drawing)
+        monkeypatch.setattr(montecarlo, "_xor_hits", xoring)
+        montecarlo._sample(prog, 256, np.random.default_rng(0),
+                           initial_labels(prog, None), threads)
+        assert len(block_of) == len(leads) == 16 and len(applied) == len(fs)
+        assert 0 <= min(leads) and max(leads) <= montecarlo._AHEAD * threads
+        assert max(counts) <= before + threads - 1
