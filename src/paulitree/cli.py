@@ -16,10 +16,12 @@ reproduce them: thresholds, seed, shard count, and a SHA-256 hash of the
 program's step stream, which is identical for the analytical
 and Monte Carlo rows of the same invocation.  An analytical row gives
 ``branch_calls``, the number of times its deferred events branched an
-error map (blank on a Monte Carlo row).  A Monte Carlo row also
-gives its Wilson score 95% interval and the number of threads each
-shard may draw its uniforms on, which does not change its tally.  When
-``--output`` is a bare file name it is placed under
+error map, and ``segments_replayed``, the number of closed segments
+(ancilla preparations) it installed from an earlier identical one
+instead of computing them (both blank on a Monte Carlo row).  A Monte
+Carlo row also gives its Wilson score 95% interval and the number of
+threads each shard may draw its uniforms on, which does not change its
+tally.  When ``--output`` is a bare file name it is placed under
 ``$PAULITREE_OUTPUT_DIR`` if set.
 """
 
@@ -56,6 +58,7 @@ COLUMNS = [
     "discarded_mass",
     "peak_map_entries",
     "branch_calls",
+    "segments_replayed",
     "wall_time_ms",
     "mc_iterations",
     "mc_ci95_low",
@@ -118,6 +121,7 @@ def _analytical_row(args, prog: Program, th: Thresholds) -> dict:
         discarded_mass=rep.discarded_mass,
         peak_map_entries=rep.peak_error_map_entries,
         branch_calls=rep.branch_calls,
+        segments_replayed=rep.segments_replayed,
         wall_time_ms=rep.wall_time_s * 1e3,
     )
     return row

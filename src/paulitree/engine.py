@@ -1,23 +1,27 @@
 """Analytical engine: evolve error maps through a program.
 
-The machine state is a :class:`Partition` of the physical qubits into
-QubitSets, with one error map per set ID.  The engine places the sets
-itself: before each step it merges the sets holding the step's operands
+A run has two parts.  :func:`plan` walks the program without touching a
+map and returns a :class:`Plan`, the run's map operations in order, on
+set IDs and local key positions.  :func:`execute` performs them on error
+maps at one setting of the thresholds.  :func:`run_analytical` is
+``execute(plan(prog), th)``; nothing is kept from one call to the next.
+
+The plan places the sets.  The machine state is a :class:`Partition` of
+the physical qubits into QubitSets, with one error map per set ID.
+Before each step the plan merges the sets holding the step's operands
 into the first operand's set, and right after it splits off each qubit
 group the step releases (see :data:`~paulitree.program.STEP_KINDS`).
-The maps are restructured by :func:`~paulitree.errormap.merge` and
-:func:`~paulitree.errormap.split`, which decide the key order, and the
-partition by placing the members of the QubitSets they return.  Every
+:func:`~paulitree.errormap.merge` and :func:`~paulitree.errormap.split`
+restructure the maps in the key order the partition predicts.  Every
 step then acts on the map of the set holding its operands, as its entry
 in :data:`~paulitree.program.STEP_KINDS` says.  An error event branches
 each entry on the event's outcome patterns, the same rows the Monte
 Carlo engine draws from; a deterministic step applies its key-array
 kernel, the same kernel the Monte Carlo engine applies to its samples.
 
-Events are the exception: the engine defers them, since a Pauli channel
-on some qubits commutes with every step that does not name them.  It
-keeps at most one pending event per qubit, and folds each new event on
-the qubit into it:
+The plan defers events, since a Pauli channel on some qubits commutes
+with every step that does not name them.  It keeps at most one pending
+event per qubit, and folds each new event on the qubit into it:
 
 - A one-qubit event is a depolarizing channel, and a run of them
   composes exactly into one, with 1 - 4f/3 multiplying, so a qubit alone
@@ -41,31 +45,56 @@ the qubit into it:
 Any other step applies (flushes) the pending events of the qubits it
 names on their current sets before its own sets are merged: a qubit
 alone branches on its three outcomes, a pair event, once its members'
-sets are joined, on its fifteen, each with its own weight.  At the end
-the pending events that touch a crash block are flushed, each crash
-block's sets merged, and the crash probability read off the
-surviving/total mass split, with lossy-merge discards accounted
-separately so survival + crash + discarded = 1.  Events still pending
-on qubits in no crash block are dropped: an event conserves mass and
-those qubits never reach the crash observable.
+sets are joined, on its fifteen, each with its own weight.  A step that
+clears its operands (``clears`` in the table: a ``Reset``) drops their
+lone events instead, since the clear erases whatever they would branch;
+a pair event on a cleared qubit is still applied.  At the end the
+pending events that touch a crash block are flushed, each crash block's
+sets merged, and the crash probability read off the surviving/total
+mass split, with lossy-merge discards accounted separately so survival
++ crash + discarded = 1.  Events still pending on qubits in no crash
+block are dropped: an event conserves mass and those qubits never reach
+the crash observable.
 
-At threshold 0 the deferral is exact.  With thresholds set, order
-matters.  Fusing a qubit's run of one-qubit events prunes less, since
-the run is branched once rather than once per event.  Holding a pair
-event past its two-qubit event prunes more: other events branch the
-same map meanwhile, so its entries shrink and more of them fall below
-the branch threshold.  Held until the next other step on a member, it
-cut the basic program's crash rate by 14% at 1x noise and thresholds
-(1e-4, 1e-8), and by 0.9% at 100x and (1e-4, 1e-6).  So a pair event is
-applied where its two-qubit event stands, as an unfused engine applies
-that event.
+A ``Reset`` that clears a whole set leaves its map at exactly
+{I: 1.0}, and the map's old total moves into a run-level factor that
+multiplies the retained and the surviving mass, one total at a time in
+step order.  The set is then *closed*, and so is every set later split
+off it.  Every later operation that touches only closed sets (such as
+the verifier after its own full-set reset) joins their *closed
+segment*, which ends just before the first operation that joins one of
+its sets with a set holding data history.  Its result depends only on
+its operations in local key positions and on the thresholds, so the
+plan keys each segment on them (:class:`Segment`), and :func:`execute`
+computes each key once per call: every later segment with that key
+installs copies of the cached maps under its own set IDs and adds the
+cached peak entries, ``event_kernel`` calls and reset totals.  A
+segment's operations run together where it ends; they touch no other
+set, so only the order of the calls moves.  On the basic program 22 of
+the 24 ancilla preparations are replayed.
+
+At threshold 0 the deferral, the drop and the replay are exact.  With
+thresholds set, order matters.  Fusing a qubit's run of one-qubit events
+prunes less, since the run is branched once rather than once per event.
+Holding a pair event past its two-qubit event prunes more: other events
+branch the same map meanwhile, so its entries shrink and more of them
+fall below the branch threshold.  Held until the next other step on a
+member, it cut the basic program's crash rate by 14% at 1x noise and
+thresholds (1e-4, 1e-8), and by 0.9% at 100x and (1e-4, 1e-6).  So a
+pair event is applied where its two-qubit event stands, as an unfused
+engine applies that event.  Restoring a reset set's total to exactly 1
+moves what is pruned a little too: by ulps under preservation merging,
+and more under lossy merging, whose totals fall well below 1.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import time
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections.abc import Hashable, Iterable, Mapping, Sequence
+from dataclasses import dataclass, field, replace
+from operator import itemgetter
 
 import numpy as np
 
@@ -81,9 +110,9 @@ class Partition:
     """The machine's partition of qubits into QubitSets.
 
     ``members[sid]`` lists set ``sid``'s qubits in key order and ``loc[q]``
-    is qubit q's (set ID, key position).  The engine keeps each set's
-    error map under the same ID and places the members of every QubitSet
-    that a merge or split returns.
+    is qubit q's (set ID, key position).  Each set's error map goes by
+    the same ID, and the plan places the members of every QubitSet that
+    a merge or split will return.
     """
 
     def __init__(self, groups: Iterable[Iterable[int]]):
@@ -118,7 +147,9 @@ class FidelityReport:
     state, mass in a failed state, and mass discarded by lossy merges
     (exactly 0.0 under preservation merging).  ``branch_calls`` counts
     the :meth:`~paulitree.errormap.ErrorMap.event_kernel` calls the
-    deferred events took.
+    deferred events took, and ``segments_replayed`` the closed segments
+    installed from an earlier one with the same key; a replayed
+    segment's calls and steps count as done.
     """
 
     survival_probability: float
@@ -128,6 +159,73 @@ class FidelityReport:
     steps_executed: int
     wall_time_s: float
     branch_calls: int
+    segments_replayed: int
+
+
+# Plan operations, each a tuple led by its code; s, t are set IDs (local
+# indices inside a segment's body):
+#   (MERGE, s, t)          merge set t into set s
+#   (SPLIT, s, positions, t)  split the qubits at key ``positions`` off set
+#                          s into the new set t
+#   (BRANCH, s, patterns, positions, f, weights)  branch set s's map on
+#                          the event with outcome rows ``patterns(width,
+#                          *positions)``: ``weights`` None for f/k each,
+#                          else the bytes of a float64 array
+#   (APPLY, s, kernel, args)  rewrite set s's keys with the kernel named
+#                          (module, name), looked up at each use so that
+#                          a wrapper put in its place sees every call
+#   (RESET, s)             set s's map to {I: 1.0}; its old total joins
+#                          the run-level factor
+#   (SEGMENT, segment)     a closed segment (:class:`Segment`)
+MERGE, SPLIT, BRANCH, APPLY, RESET, SEGMENT = (
+    "merge", "split", "branch", "apply", "reset", "segment")
+
+
+@dataclass(frozen=True)
+class Segment:
+    """One closed segment of a plan.
+
+    ``body`` holds its operations with each set ID replaced by a local
+    index: first its ``inputs`` sets, each started by a full-set reset,
+    in that order, then the sets it splits off; ``sids[i]`` is the set ID
+    of local index i in this instance.  ``outputs`` lists the (local
+    index, members) of its sets at its end, in local order.  Segments
+    with equal ``key`` compute equal results (see :func:`_segment_key`).
+    """
+
+    key: Hashable
+    body: tuple
+    sids: tuple[int, ...]
+    inputs: int
+    outputs: tuple[tuple[int, tuple[int, ...]], ...]
+
+
+@dataclass(frozen=True)
+class Plan:
+    """The map operations of one analytical run, in order.
+
+    Set ``i`` starts as ``groups[i]`` (the program's initial partition)
+    with its qubits in that key order; ``ops`` are described next to the
+    operation codes above.  ``blocks`` gives, by set ID at the end, the
+    key positions of each crash block the set holds.
+    """
+
+    groups: tuple[tuple[int, ...], ...]
+    ops: tuple
+    blocks: dict[int, list[list[int]]]
+    steps: int
+
+    @property
+    def segments(self) -> list[Segment]:
+        """The plan's closed segments, in order."""
+        return [op[1] for op in self.ops if op[0] == SEGMENT]
+
+
+def _segment_key(widths: tuple[int, ...], body: tuple) -> Hashable:
+    """What a closed segment's result depends on besides the thresholds:
+    the widths of its input sets, which each start at {I: 1.0}, and its
+    operations in local form."""
+    return widths, body
 
 
 def _depolarizing(f: float) -> np.ndarray:
@@ -156,167 +254,349 @@ def _label_gather(spec: StepKind, step, positions: tuple[int, ...]) -> np.ndarra
     return np.argsort(image.astype(np.intp))
 
 
-def run_analytical(prog: Program, th: Thresholds,
-                   initial_errors: dict | None = None) -> FidelityReport:
-    """Run the probability-tree model over a program.
+# outcome patterns of the two event kinds
+_ONE_QUBIT = STEP_KINDS[OneQubitEvent].patterns
+_TWO_QUBIT = STEP_KINDS[TwoQubitEvent].patterns
 
-    Events are held back as pending events, carried through Hadamards
-    and CNOTs and applied just before the next other step that names
-    their qubits, a pair event right after its two-qubit event, or
-    before their crash block is joined at the end;
-    pending events on qubits in no crash block are dropped (see the
-    module docstring).  Each event's probability is still checked when
-    its step is read.
 
-    ``initial_errors`` injects a deterministic Pauli fault (qubit -> label)
-    into the initial machine state, for exhaustive correction tests;
-    see :func:`~paulitree.program.initial_labels` for what it may hold.
-    """
-    start = time.perf_counter()
-    labels = initial_labels(prog, initial_errors)
-    part = Partition(prog.initial_partition)
-    maps = {sid: ErrorMap.from_dict(
-                {PauliString.from_labels([labels.get(q, Pauli.I) for q in group]): 1.0})
-            for sid, group in part.members.items()}
-    peak = max(len(m) for m in maps.values())
-    calls = 0
-    one_qubit, two_qubit = STEP_KINDS[OneQubitEvent], STEP_KINDS[TwoQubitEvent]
-    pending: dict[int, float] = {}  # qubit alone -> its deferred depolarizing event's f
-    pairs: dict[int, _PairEvent] = {}  # pair member -> its deferred pair event
-    gathers: dict[tuple, np.ndarray] = {}  # (step type, pair positions) -> _label_gather
+@dataclass
+class _Draft:
+    """A closed segment still being planned: its operations and input
+    sets, each numbered by emission, and its live sets."""
 
-    def join(qubits: Sequence[int]) -> None:
+    ops: list = field(default_factory=list)
+    inputs: list = field(default_factory=list)
+    sets: set = field(default_factory=set)
+
+
+class _Planner:
+    """Builds a :class:`Plan`: set placement, event deferral and closed
+    segments, with no error map."""
+
+    def __init__(self, groups: Iterable[Iterable[int]]):
+        self.part = Partition(groups)
+        self.ops: list = []
+        self.pending: dict[int, float] = {}  # qubit alone -> its deferred depolarizing f
+        self.pairs: dict[int, _PairEvent] = {}  # pair member -> its deferred pair event
+        self.gathers: dict[tuple, np.ndarray] = {}  # (step type, pair positions) -> gather
+        self.drafts: dict[int, _Draft] = {}  # closed set -> its segment
+        self.shapes: dict[tuple, tuple] = {}  # equal segments share one body
+        self.counter = itertools.count()
+
+    # -- emission and closed segments ----------------------------------
+
+    def emit(self, op: tuple, sid: int, other: int | None = None) -> None:
+        """Add ``op``, acting on set ``sid`` (and merging ``other`` into
+        it), to the segment of its closed sets, or to the plan.  Joining
+        a closed set with an open one first closes the segment."""
+        draft = self.drafts.get(sid)
+        if other is not None:
+            other_draft = self.drafts.get(other)
+            if draft is None or other_draft is None:
+                for d in (draft, other_draft):
+                    if d is not None:
+                        self.close(d)
+                draft = None
+            elif other_draft is not draft:
+                draft.ops += other_draft.ops
+                draft.inputs += other_draft.inputs
+                draft.sets |= other_draft.sets
+                for s in other_draft.sets:
+                    self.drafts[s] = draft
+        if draft is None:
+            self.ops.append(op)
+        else:
+            draft.ops.append((next(self.counter), op))
+
+    def reset(self, sid: int) -> None:
+        """Reset the whole set ``sid``: inside a segment if it is closed,
+        else as the start of a new one."""
+        draft = self.drafts.get(sid)
+        if draft is not None:
+            draft.ops.append((next(self.counter), (RESET, sid)))
+            return
+        self.ops.append((RESET, sid))
+        draft = self.drafts[sid] = _Draft()
+        draft.inputs.append((next(self.counter), sid, len(self.part.members[sid])))
+        draft.sets.add(sid)
+
+    def close(self, draft: _Draft) -> None:
+        """End a segment: add it to the plan, in local form, and open its
+        sets.  A segment with no operation leaves its fresh maps as they
+        are and adds nothing."""
+        for sid in draft.sets:
+            del self.drafts[sid]
+        if not draft.ops:
+            return
+        inputs = sorted(draft.inputs)
+        local = {sid: i for i, (_, sid, _) in enumerate(inputs)}
+        body = []
+        for _, op in sorted(draft.ops, key=itemgetter(0)):
+            if op[0] == MERGE:
+                op = (MERGE, local[op[1]], local[op[2]])
+            elif op[0] == SPLIT:
+                local[op[3]] = len(local)
+                op = (SPLIT, local[op[1]], op[2], local[op[3]])
+            else:
+                op = (op[0], local[op[1]]) + op[2:]
+            body.append(op)
+        shape = (tuple(width for _, _, width in inputs), tuple(body))
+        shape = self.shapes.setdefault(shape, shape)
+        outputs = tuple(sorted((local[sid], self.part.members[sid]) for sid in draft.sets))
+        self.ops.append((SEGMENT, Segment(_segment_key(*shape), shape[1], tuple(local),
+                                          len(inputs), outputs)))
+
+    # -- set placement ---------------------------------------------------
+
+    def join(self, qubits: Sequence[int]) -> None:
         """Merge each qubit's set into the first qubit's, in order."""
-        nonlocal peak
+        part = self.part
         sa = part.loc[qubits[0]][0]
         for q in qubits[1:]:
             sb = part.loc[q][0]
             if sb != sa:
-                qs = merge(QubitSet(part.members[sa], maps[sa]),
-                           QubitSet(part.members.pop(sb), maps.pop(sb)), th)
-                maps[part.place(qs.members, sa)] = qs.map
-                peak = max(peak, len(qs.map))
+                self.emit((MERGE, sa, sb), sa, sb)
+                draft = self.drafts.pop(sb, None)
+                if draft is not None:
+                    draft.sets.discard(sb)
+                part.place(part.members[sa] + part.members.pop(sb), sa)
 
-    def release(qubits: Sequence[int]) -> None:
+    def release(self, qubits: Sequence[int]) -> None:
         """Split ``qubits`` off their set into a set of their own."""
+        part = self.part
         sid, locals_ = part.locate(qubits)
-        if len(qubits) < len(part.members[sid]):
-            keep, rest = split(QubitSet(part.members[sid], maps[sid]), locals_)
-            maps[part.place(rest.members, sid)] = rest.map
-            maps[part.place(keep.members)] = keep.map
+        members = part.members[sid]
+        if len(qubits) < len(members):
+            keep = sorted(locals_)
+            part.place([q for i, q in enumerate(members) if i not in keep], sid)
+            new = part.place([members[i] for i in keep])
+            self.emit((SPLIT, sid, tuple(locals_), new), sid)
+            draft = self.drafts.get(sid)
+            if draft is not None:
+                draft.sets.add(new)
+                self.drafts[new] = draft
 
-    def branch(spec: StepKind, qubits: Sequence[int], f: float,
-               weights: np.ndarray | None = None) -> None:
-        """Join the sets of ``qubits`` and branch their map on an event of
-        kind ``spec``."""
-        nonlocal peak, calls
-        join(qubits)
-        sid, locals_ = part.locate(qubits)
-        m = maps[sid]
-        m.event_kernel(spec.patterns(m.width, *locals_), f, th.event_branch, weights)
-        calls += 1
-        peak = max(peak, len(m))
+    # -- event deferral --------------------------------------------------
 
-    def flush_pair(pair: _PairEvent) -> None:
+    def branch(self, patterns, qubits: Sequence[int], f: float,
+               weights: bytes | None = None) -> None:
+        """Join the sets of ``qubits`` and branch their map on an event
+        with outcome rows ``patterns``."""
+        self.join(qubits)
+        sid, locals_ = self.part.locate(qubits)
+        self.emit((BRANCH, sid, patterns, tuple(locals_), f, weights), sid)
+
+    def flush_pair(self, pair: _PairEvent) -> None:
         """Apply and forget a pair event, on its members' joined sets."""
         for q in pair.qubits:
-            del pairs[q]
+            del self.pairs[q]
         weights = pair.w[1:]
         # rounding can carry the sum of a certain event's weights past 1
-        branch(two_qubit, pair.qubits, min(1.0, float(weights.sum())), weights)
+        self.branch(_TWO_QUBIT, pair.qubits, min(1.0, float(weights.sum())),
+                    weights.tobytes())
 
-    def flush(qubits: Sequence[int]) -> None:
-        """Apply and forget the pending event of each of ``qubits``."""
+    def flush(self, qubits: Sequence[int], drop: bool = False) -> None:
+        """Apply and forget the pending event of each of ``qubits``; with
+        ``drop``, forget a qubit's lone event without applying it."""
         for q in qubits:
-            if q in pairs:
-                flush_pair(pairs[q])
-            elif q in pending:
-                branch(one_qubit, (q,), pending.pop(q))
+            if q in self.pairs:
+                self.flush_pair(self.pairs[q])
+            elif q in self.pending:
+                f = self.pending.pop(q)
+                if not drop:
+                    self.branch(_ONE_QUBIT, (q,), f)
 
-    def pair_on(a: int, b: int) -> _PairEvent:
+    def pair_on(self, a: int, b: int) -> _PairEvent:
         """The pair event on {a, b}: the pending one, or else the tensor
         product of a's and b's pending events, not yet stored.  Any pair
         event reaching outside {a, b} is flushed first."""
         for q in (a, b):
-            pair = pairs.get(q)
+            pair = self.pairs.get(q)
             if pair is not None and set(pair.qubits) != {a, b}:
-                flush_pair(pair)
-        pair = pairs.get(a)
+                self.flush_pair(pair)
+        pair = self.pairs.get(a)
         if pair is None:
-            w = np.outer(_depolarizing(pending.pop(a, 0.0)), _depolarizing(pending.pop(b, 0.0)))
+            w = np.outer(_depolarizing(self.pending.pop(a, 0.0)),
+                         _depolarizing(self.pending.pop(b, 0.0)))
             pair = _PairEvent((a, b), w.ravel())
         return pair
 
-    def keep(pair: _PairEvent) -> None:
+    def keep(self, pair: _PairEvent) -> None:
         """Store ``pair`` as its members' pending event unless it is the
         identity (no event on either qubit, or only events with f = 0)."""
         if pair.w[0] < 1.0:
             for q in pair.qubits:
-                pairs[q] = pair
+                self.pairs[q] = pair
 
-    def carry(spec: StepKind, step, qubits: Sequence[int]) -> None:
+    def carry(self, spec: StepKind, step, qubits: Sequence[int]) -> None:
         """Carry the pending events on ``qubits`` through a label-permuting
         step; a one-qubit step leaves a depolarizing event as it is."""
-        pair = pair_on(*qubits) if len(qubits) == 2 else pairs.get(qubits[0])
+        pair = self.pair_on(*qubits) if len(qubits) == 2 else self.pairs.get(qubits[0])
         if pair is None:
             return
         positions = tuple(pair.qubits.index(q) for q in qubits)
-        gather = gathers.get((type(step), positions))
+        gather = self.gathers.get((type(step), positions))
         if gather is None:
-            gather = gathers[type(step), positions] = _label_gather(spec, step, positions)
+            gather = self.gathers[type(step), positions] = _label_gather(spec, step, positions)
         pair.w = pair.w[gather]
-        keep(pair)
+        self.keep(pair)
 
-    def defer(spec: StepKind, qubits: Sequence[int], g: float) -> None:
+    def defer(self, spec: StepKind, qubits: Sequence[int], g: float) -> None:
         """Fold an event of kind ``spec`` and probability g into the
         pending events on ``qubits``."""
-        if spec is two_qubit:
-            pair = pair_on(*qubits)
+        if spec.patterns is _TWO_QUBIT:
+            pair = self.pair_on(*qubits)
             pair.w = (1.0 - g) * pair.w + g / 15 * (pair.w.sum() - pair.w)
             # applied where the event stands: held longer, it prunes more
             # (see the module docstring)
-            keep(pair)
-            flush(qubits)
-        elif qubits[0] in pairs:
-            pair = pairs[qubits[0]]
+            self.keep(pair)
+            self.flush(qubits)
+        elif qubits[0] in self.pairs:
+            pair = self.pairs[qubits[0]]
             w = pair.w.reshape(4, 4)
             side = w.sum(axis=pair.qubits.index(qubits[0]), keepdims=True)
             pair.w = ((1.0 - g) * w + g / 3 * (side - w)).ravel()
         else:
-            f = pending.get(qubits[0])
+            f = self.pending.get(qubits[0])
             # depolarizing channels compose exactly: 1 - 4f/3 multiplies
-            pending[qubits[0]] = g if f is None else g + f - 4 * g * f / 3
+            self.pending[qubits[0]] = g if f is None else g + f - 4 * g * f / 3
 
-    for step in prog.steps:
-        spec = step_kind(step)
-        qubits = step_operands(spec, step, prog.num_qubits)
-        if spec.patterns is not None:
-            check_event_probability(step.f)
-            defer(spec, qubits, step.f)
-            continue
-        if spec.permutes_labels:
-            carry(spec, step, qubits)
-        else:
-            flush(qubits)
-        join(qubits)
-        sid, locals_ = part.locate(qubits)
-        maps[sid].apply(spec.function, *spec.args(step, locals_))
-        for group in spec.releases(step):
-            release(group)
-    for block in prog.crash_blocks:
-        flush(block)
-        join(block)
+    # -- the walk ----------------------------------------------------------
 
-    # total mass that survived pruning, as a product over independent sets
-    totals = {sid: m.total() for sid, m in maps.items()}
-    retained = float(np.prod(list(totals.values())))
-    blocks: dict[int, list[list[int]]] = {}
-    for block in prog.crash_blocks:
-        sid, locals_ = part.locate(block)
-        blocks.setdefault(sid, []).append(locals_)
-    survival = 1.0
-    for sid, m in maps.items():
-        survival *= qecc.surviving_mass(m, blocks[sid]) if sid in blocks else totals[sid]
+    def walk(self, prog: Program) -> Plan:
+        """Plan every step of ``prog``, then its crash blocks."""
+        part = self.part
+        for step in prog.steps:
+            spec = step_kind(step)
+            qubits = step_operands(spec, step, prog.num_qubits)
+            if spec.patterns is not None:
+                check_event_probability(step.f)
+                self.defer(spec, qubits, step.f)
+                continue
+            if spec.permutes_labels:
+                self.carry(spec, step, qubits)
+            else:
+                self.flush(qubits, drop=spec.clears)
+            self.join(qubits)
+            sid, locals_ = part.locate(qubits)
+            if spec.clears and len(part.members[sid]) == len(qubits):
+                self.reset(sid)
+            else:
+                self.emit((APPLY, sid, spec.kernel, spec.args(step, tuple(locals_))), sid)
+            for group in spec.releases(step):
+                self.release(group)
+        for block in prog.crash_blocks:
+            self.flush(block)
+            self.join(block)
+        while self.drafts:
+            self.close(next(iter(self.drafts.values())))
+        blocks: dict[int, list[list[int]]] = {}
+        for block in prog.crash_blocks:
+            sid, locals_ = part.locate(block)
+            blocks.setdefault(sid, []).append(locals_)
+        return Plan(tuple(tuple(g) for g in prog.initial_partition), tuple(self.ops), blocks,
+                    len(prog.steps))
+
+
+def plan(prog: Program) -> Plan:
+    """The map operations of a run of ``prog``, in order: set placement,
+    event deferral and fusion, and closed segments (see the module
+    docstring).  Each event's probability is checked as its step is
+    read; a step with a repeated or undeclared qubit raises
+    :class:`~paulitree.program.ProgramError`."""
+    return _Planner(prog.initial_partition).walk(prog)
+
+
+class _Execution:
+    """One :func:`execute` call's running totals and segment cache."""
+
+    def __init__(self, th: Thresholds):
+        self.th = th
+        self.peak = 0
+        self.calls = 0
+        self.totals: list[float] = []  # reset totals, in step order
+        self.replayed = 0
+        self.cache: dict = {}  # segment key -> (peak, calls, totals, output maps)
+
+    def run(self, ops: Iterable[tuple], sets: dict[int, QubitSet]) -> None:
+        """Perform ``ops`` on ``sets``, set ID -> QubitSet, in place."""
+        th = self.th
+        for op in ops:
+            kind = op[0]
+            if kind == BRANCH:
+                _, sid, patterns, positions, f, weights = op
+                m = sets[sid].map
+                m.event_kernel(patterns(m.width, *positions), f, th.event_branch,
+                               None if weights is None else np.frombuffer(weights))
+                self.calls += 1
+                self.peak = max(self.peak, len(m))
+            elif kind == APPLY:
+                _, sid, (module, name), args = op
+                sets[sid].map.apply(getattr(module, name), *args)
+            elif kind == MERGE:
+                _, sa, sb = op
+                qs = sets[sa] = merge(sets[sa], sets.pop(sb), th)
+                self.peak = max(self.peak, len(qs.map))
+            elif kind == SPLIT:
+                _, sid, positions, new = op
+                keep, sets[sid] = split(sets[sid], positions)
+                sets[new] = keep
+            elif kind == RESET:
+                qs = sets[op[1]]
+                self.totals.append(qs.map.total())
+                sets[op[1]] = QubitSet(qs.members, ErrorMap.identity(qs.map.width))
+            else:
+                self.segment(op[1], sets)
+
+    def segment(self, seg: Segment, sets: dict[int, QubitSet]) -> None:
+        """Compute a closed segment, or install the result of an earlier
+        one with the same key."""
+        local = {i: sets.pop(sid) for i, sid in enumerate(seg.sids[:seg.inputs])}
+        cached = self.cache.get(seg.key)
+        if cached is None:
+            peak, calls, start = self.peak, self.calls, len(self.totals)
+            self.peak = 0
+            self.run(seg.body, local)
+            cached = self.cache[seg.key] = (
+                self.peak, self.calls - calls, self.totals[start:],
+                [local[i].map.copy() for i, _ in seg.outputs])
+            self.peak = max(peak, self.peak)
+            for i, _ in seg.outputs:
+                sets[seg.sids[i]] = local[i]
+            return
+        peak, calls, totals, maps = cached
+        self.peak = max(self.peak, peak)
+        self.calls += calls
+        self.totals += totals
+        self.replayed += 1
+        for (i, members), m in zip(seg.outputs, maps):
+            sets[seg.sids[i]] = QubitSet(members, m.copy())
+
+
+def execute(p: Plan, th: Thresholds,
+            labels: Mapping[int, Pauli] | None = None) -> FidelityReport:
+    """Perform a plan's map operations at thresholds ``th`` and read off
+    the crash probability.  ``labels`` (qubit -> label) puts
+    deterministic Pauli faults into the initial state.  Each distinct
+    closed segment is computed once per call."""
+    start = time.perf_counter()
+    labels = labels or {}
+    sets = {sid: QubitSet(group, ErrorMap.from_dict(
+                {PauliString.from_labels([labels.get(q, Pauli.I) for q in group]): 1.0}))
+            for sid, group in enumerate(p.groups)}
+    run = _Execution(th)
+    run.peak = max(len(qs.map) for qs in sets.values())
+    run.run(p.ops, sets)
+
+    # total mass that survived pruning, as a product over independent
+    # sets and the totals that full-set resets took out
+    factor = math.prod(run.totals)
+    totals = {sid: qs.map.total() for sid, qs in sets.items()}
+    retained = factor * float(np.prod(list(totals.values())))
+    survival = factor
+    for sid, qs in sets.items():
+        survival *= (qecc.surviving_mass(qs.map, p.blocks[sid]) if sid in p.blocks
+                     else totals[sid])
     if th.merge_mode is MergeMode.PRESERVATION:
         discarded = 0.0
     else:
@@ -326,8 +606,24 @@ def run_analytical(prog: Program, th: Thresholds,
         survival_probability=survival,
         crash_probability=crash,
         discarded_mass=discarded,
-        peak_error_map_entries=peak,
-        steps_executed=len(prog.steps),
+        peak_error_map_entries=run.peak,
+        steps_executed=p.steps,
         wall_time_s=time.perf_counter() - start,
-        branch_calls=calls,
+        branch_calls=run.calls,
+        segments_replayed=run.replayed,
     )
+
+
+def run_analytical(prog: Program, th: Thresholds,
+                   initial_errors: dict | None = None) -> FidelityReport:
+    """Run the probability-tree model over a program:
+    ``execute(plan(prog), th)``, timed as a whole.
+
+    ``initial_errors`` injects a deterministic Pauli fault (qubit -> label)
+    into the initial machine state, for exhaustive correction tests;
+    see :func:`~paulitree.program.initial_labels` for what it may hold.
+    """
+    start = time.perf_counter()
+    labels = initial_labels(prog, initial_errors)
+    rep = execute(plan(prog), th, labels)
+    return replace(rep, wall_time_s=time.perf_counter() - start)

@@ -206,6 +206,13 @@ class ErrorMap:
             keys[i] = _row_from_int(bits, nw)
         return cls(width, keys, np.fromiter(kept.values(), dtype=np.float64, count=len(kept)))
 
+    def copy(self) -> "ErrorMap":
+        """An independent map with the same entries."""
+        self._ensure_ready()
+        out = ErrorMap(self.width)
+        out._replace(self._keys.copy(), self._probs.copy())
+        return out
+
     def __len__(self) -> int:
         self._ensure_ready()
         return self._keys.shape[0]

@@ -211,7 +211,10 @@ class StepKind:
     ``permutes_labels`` marks a Clifford gate whose kernel, given only the
     operands' positions, maps each Pauli label of its operands to one
     Pauli label: the analytical engine carries deferred events through
-    it instead of applying them first.
+    it instead of applying them first.  ``clears`` marks a kind that
+    resets its operands to I: the analytical engine drops their lone
+    pending events, which the clear would erase, and gives a set it
+    clears whole a fresh map (see :mod:`~paulitree.engine`).
     """
 
     text: str
@@ -223,6 +226,7 @@ class StepKind:
     args: Callable[[Any, Sequence[int]], tuple] = _positions
     patterns: Callable[..., Any] | None = None
     permutes_labels: bool = False
+    clears: bool = False
 
     @property
     def function(self) -> Callable[..., None]:
@@ -253,7 +257,7 @@ STEP_KINDS: dict[type, StepKind] = {
     Reset: StepKind(
         "reset %s", lambda s: _ids(s.qubits), lambda ids: Reset(_parse_ids(ids)),
         operands=lambda s: s.qubits,
-        kernel=(errormap, "clear_kernel"), args=lambda s, q: (q,)),
+        kernel=(errormap, "clear_kernel"), args=lambda s, q: (q,), clears=True),
     VerifyReadout: StepKind(
         "verify %d %s", lambda s: (s.verifier, _ids(s.block)),
         lambda v, ids: VerifyReadout(_parse_ids(ids), int(v)),
@@ -277,8 +281,8 @@ STEP_KINDS: dict[type, StepKind] = {
         operands=lambda s: s.data + tuple(q for b in s.ancilla_blocks for q in b),
         releases=lambda s: s.ancilla_blocks,
         kernel=(qecc, "correct_kernel"),
-        args=lambda s, q: (q[:7], [q[7 + 3 * k:10 + 3 * k]
-                                   for k in range(len(s.ancilla_blocks))], s.phase)),
+        args=lambda s, q: (q[:7], tuple(q[7 + 3 * k:10 + 3 * k]
+                                        for k in range(len(s.ancilla_blocks))), s.phase)),
 }
 
 _KIND_BY_KEYWORD = {kind.text.split(" ", 1)[0]: kind for kind in STEP_KINDS.values()}

@@ -67,7 +67,10 @@ class TestRun:
         rep = run_analytical(build_basic_program(NoiseParams()), Thresholds(1e-4, 1e-8))
         # every event step, fused, makes far fewer calls than there are events
         assert int(a["branch_calls"]) == rep.branch_calls < 26944 / 10
-        assert m["branch_calls"] == ""
+        # 22 of the 24 ancilla preparations repeat an earlier one
+        assert int(a["segments_replayed"]) == rep.segments_replayed == 22
+        assert m["branch_calls"] == m["segments_replayed"] == ""
+        assert COLUMNS.index("segments_replayed") == COLUMNS.index("branch_calls") + 1
 
     def test_scaling_program_and_scale_knob(self, capsys):
         code, out, _ = run_cli(

@@ -21,6 +21,7 @@ from paulitree.program import (
     TwoQubitEvent,
     VerifyReadout,
     build_basic_program,
+    build_scaling_program,
 )
 from tests import oracle
 
@@ -238,6 +239,11 @@ def assert_calls(calls, prog, expected):
         assert f == pytest.approx(pair_f(prog, *want) if k == 15 else want, abs=1e-15)
 
 
+def every_segment_misses(monkeypatch):
+    """Key every closed segment apart, so that each one is computed."""
+    monkeypatch.setattr(engine, "_segment_key", lambda widths, body: object())
+
+
 def assert_matches_oracle(prog, rep):
     assert rep.survival_probability == pytest.approx(
         oracle.survival_probability(prog), abs=1e-15)
@@ -257,9 +263,12 @@ class TestEventFusion:
           CNot(1, 2), OneQubitEvent(0, 0.09375), TwoQubitEvent(1, 2, 0.46875),
           OneQubitEvent(2, 0.046875)],
          [(15, (1, 2, 6)), (3, fused(0.375, 0.1875, 0.09375)), (3, 0.046875)]),
+        # the reset erases q0's run, so it is dropped unapplied; the reset
+        # clears q0's whole set and opens a closed segment, whose call runs
+        # where the segment ends, at the crash block's join, after q1's
         ([OneQubitEvent(0, 0.375), OneQubitEvent(1, 0.75), OneQubitEvent(0, 0.1875),
           OneQubitEvent(0, 0.09375), Reset((0,)), OneQubitEvent(0, 0.5625)],
-         [(3, fused(0.375, 0.1875, 0.09375)), (3, 0.5625), (3, 0.75)]),
+         [(3, 0.75), (3, 0.5625)]),
         # q0's run composes into the two-qubit event's pair event
         ([OneQubitEvent(0, 0.375), OneQubitEvent(2, 0.046875), OneQubitEvent(0, 0.1875),
           OneQubitEvent(0, 0.09375), TwoQubitEvent(0, 1, 0.46875)],
@@ -313,16 +322,18 @@ class TestEventFusion:
 
     def test_basic_program_makes_one_call_per_run(self, monkeypatch):
         calls = spy_event_kernel(monkeypatch)
+        every_segment_misses(monkeypatch)
         prog = build_basic_program(NoiseParams())
         rep = run_analytical(prog, Thresholds(1e-4, 1e-8))
         # each two-qubit event follows a CNOT on its pair and makes one
         # pair-event call together with the CNOT's operands' events; the
-        # other one-qubit runs are flushed as 1,060 calls of their own
+        # other one-qubit runs are flushed as 886 calls of their own, and
+        # 174 more runs are dropped by the resets that clear their qubits
         assert sum(isinstance(s, TwoQubitEvent) for s in prog.steps) == 686
         assert sum(isinstance(s, OneQubitEvent) for s in prog.steps) == 26258
         assert sum(k == 15 for k, _ in calls) == 686
-        assert sum(k == 3 for k, _ in calls) == 1060
-        assert rep.branch_calls == len(calls) == 1746
+        assert sum(k == 3 for k, _ in calls) == 886
+        assert rep.branch_calls == len(calls) == 1572
 
 
 class TestCarriedEvents:
@@ -523,3 +534,87 @@ class TestBasicProgram:
         corrects = [s for s in prog.steps if isinstance(s, Correct)]
         assert [g for g in released if len(g) == 3] == [
             b for s in corrects for b in s.ancilla_blocks]
+
+
+def report_fields(rep):
+    return (rep.survival_probability, rep.crash_probability, rep.discarded_mass,
+            rep.peak_error_map_entries, rep.branch_calls, rep.steps_executed)
+
+
+def preparations(f_second):
+    """Data qubit 0 and two ancilla pairs, (1, 2) and (3, 4), each in a set
+    of its own.  Each pair is reset whole, which starts a closed segment,
+    prepared by an event, a CNOT and a two-qubit event, and entangled
+    with the data qubit, which ends the segment.  The second pair's
+    first event has probability ``f_second``, the first pair's 0.375."""
+    def prepare(a, b, f):
+        return [Reset((a, b)), OneQubitEvent(a, f), CNot(a, b), TwoQubitEvent(a, b, 0.46875)]
+
+    steps = ([OneQubitEvent(0, 0.09375)] + prepare(1, 2, 0.375) + [CNot(0, 1)]
+             + prepare(3, 4, f_second) + [CNot(0, 3)])
+    return toy(steps, num_qubits=5, blocks=((0, 1, 3),), partition=((0,), (1, 2), (3, 4)))
+
+
+class TestClosedSegments:
+    """Closed segments are computed once per key and replayed after.
+    Rates are dyadic as in :class:`TestEventFusion`."""
+
+    @pytest.mark.parametrize("scale, th", [
+        (1.0, Thresholds(1e-4, 1e-8)),
+        (100.0, Thresholds(1e-2, 1e-4)),
+        (100.0, Thresholds(1e-2, 1e-4, MergeMode.LOSSY)),
+    ], ids=["1x", "100x-preservation", "100x-lossy"])
+    def test_replay_is_bit_identical_to_computing_every_segment(self, monkeypatch, scale, th):
+        prog = build_basic_program(NoiseParams(global_scale=scale))
+        cached = run_analytical(prog, th)
+        every_segment_misses(monkeypatch)
+        computed = run_analytical(prog, th)
+        assert report_fields(cached) == report_fields(computed)
+        assert (cached.segments_replayed, computed.segments_replayed) == (22, 0)
+
+    def test_a_second_identical_preparation_is_replayed(self, monkeypatch):
+        prog = preparations(0.375)
+        missed = spy_event_kernel(monkeypatch)
+        every_segment_misses(monkeypatch)
+        computed = run_analytical(prog, TH0)
+        monkeypatch.undo()
+        calls = spy_event_kernel(monkeypatch)
+        rep = run_analytical(prog, TH0)
+        assert_matches_oracle(prog, rep)
+        assert report_fields(rep) == report_fields(computed)
+        # computed: the first preparation, the data pair (0, 1) flushed at
+        # the second CNOT onto the data, then the second preparation
+        assert len(missed) == 3 and missed[2] == missed[0]
+        assert calls == missed[:2]
+        assert (rep.segments_replayed, rep.branch_calls) == (1, 3)
+
+    def test_preparations_that_differ_in_one_f_both_compute(self, monkeypatch):
+        prog = preparations(0.1875)
+        calls = spy_event_kernel(monkeypatch)
+        rep = run_analytical(prog, TH0)
+        assert_matches_oracle(prog, rep)
+        assert len({seg.key for seg in engine.plan(prog).segments}) == 2
+        assert rep.segments_replayed == 0
+        assert rep.branch_calls == len(calls) == 3
+
+    @pytest.mark.parametrize("build, segments", [
+        (build_basic_program, 24),
+        (lambda p: build_scaling_program(2, p), 12),
+        (lambda p: build_scaling_program(4, p), 36),
+    ], ids=["basic", "scaling-2", "scaling-4"])
+    def test_every_ancilla_preparation_is_a_segment_of_one_of_two_kinds(
+            self, build, segments):
+        # one segment per preparation and verification of an ancilla
+        # block; the bases z and x make the two kinds
+        segs = engine.plan(build(NoiseParams())).segments
+        assert len(segs) == segments
+        assert len({seg.key for seg in segs}) == 2
+
+    def test_no_state_is_kept_across_calls(self, monkeypatch):
+        calls = spy_event_kernel(monkeypatch)
+        prog = build_basic_program(NoiseParams())
+        first = run_analytical(prog, Thresholds(1e-4, 1e-8))
+        made = len(calls)
+        second = run_analytical(prog, Thresholds(1e-4, 1e-8))
+        assert len(calls) == 2 * made < first.branch_calls + second.branch_calls
+        assert report_fields(first) == report_fields(second)
