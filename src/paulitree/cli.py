@@ -12,7 +12,7 @@ Monte Carlo wall time over the analytical one.
 
 Reports are CSV (RFC-4180, stable column set) or JSON (field-for-field
 mirror), one row per engine run.  Rows record every input needed to
-reproduce them: thresholds, seed, shard count, and a SHA-256 hash of the
+reproduce them: thresholds, seed, and a SHA-256 hash of the
 program's step stream, which is identical for the analytical
 and Monte Carlo rows of the same invocation.  An analytical row gives
 ``branch_calls``, the number of times its deferred events branched an
@@ -20,8 +20,9 @@ error map, and ``segments_replayed``, the number of closed segments
 (ancilla preparations) it installed from an earlier identical one
 instead of computing them (both blank on a Monte Carlo row).  A Monte
 Carlo row also gives its Wilson score 95% interval and the number of
-threads each shard may draw its uniforms on, which does not change its
-tally.  When ``--output`` is a bare file name it is placed under
+threads its samples are split across, which does not change its tally.
+``sweep --jobs`` runs the grid points in that many worker processes.
+When ``--output`` is a bare file name it is placed under
 ``$PAULITREE_OUTPUT_DIR`` if set.
 """
 
@@ -64,7 +65,6 @@ COLUMNS = [
     "mc_ci95_low",
     "mc_ci95_high",
     "seed",
-    "shards",
     "threads",
     "program_hash",
     "inaccuracy",
@@ -131,7 +131,7 @@ def _mc_row(args, prog: Program) -> dict:
     row = _base_row(args, prog)
     row["engine"] = "montecarlo"
     try:
-        rep = run_mc(prog, args.mc_iterations, args.seed, args.shards, jobs=args.jobs)
+        rep = run_mc(prog, args.mc_iterations, args.seed)
     except MemoryError:
         row["error"] = "out of memory"
         return row
@@ -142,7 +142,6 @@ def _mc_row(args, prog: Program) -> dict:
         mc_ci95_low=rep.ci95_low,
         mc_ci95_high=rep.ci95_high,
         seed=rep.seed,
-        shards=rep.shards,
         threads=rep.threads,
         wall_time_ms=rep.wall_time_s * 1e3,
     )
@@ -242,8 +241,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--params", help="noise config file (key = value lines)")
     p.add_argument("--scale", type=float, default=1.0,
                    help="global noise scale multiplier")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for sweep points / MC shards")
     p.add_argument("--output", help="report path (default: stdout)")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
 
@@ -258,7 +255,6 @@ def _add_single_thresholds(p: argparse.ArgumentParser) -> None:
 def _add_mc(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mc-iterations", type=int, default=100000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--shards", type=int, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -288,6 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--merge-mode", type=lambda s: s.split(","),
                          default=["preservation", "lossy"],
                          help="comma-separated merge modes")
+    p_sweep.add_argument("--jobs", type=int, default=1,
+                         help="worker processes for the grid points")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_cmp = sub.add_parser("compare", help="accuracy/runtime comparison of "

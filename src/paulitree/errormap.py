@@ -47,6 +47,7 @@ summation noise (1e-9 budget over a whole program).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -194,8 +195,8 @@ class ErrorMap:
                 width = key.n
             elif key.n != width:
                 raise ValueError("mixed key widths: %d vs %d" % (key.n, width))
-            if p < 0:
-                raise ValueError("negative probability %r" % (p,))
+            if not 0.0 <= p < math.inf:
+                raise ValueError("probability must be finite and non-negative, got %r" % (p,))
             converted[key.bits] = converted.get(key.bits, 0.0) + p
         if width is None:
             raise ValueError("cannot infer width from empty entries")

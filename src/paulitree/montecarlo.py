@@ -9,34 +9,28 @@ rows the analytical engine branches on; every other step applies the
 key-array kernel the analytical engine applies; the crash count uses the
 same ``correctable`` mask.  A sample is always global, so the QubitSets
 the analytical engine merges and splits play no part here.  This module
-holds only what is specific to sampling: drawing the events, chunking
-and sharding.
+holds only what is specific to sampling: drawing the events and
+chunking.
 
-Iterations are vectorized in fixed-size chunks, so results for a given
-(program, iterations, seed, shards) tuple are bit-for-bit reproducible.
-Shards draw from independent spawned substreams of one PCG64 generator
-(period far beyond any feasible run length), so multi-shard runs remain
-reproducible and shards never overlap.
+Iterations are vectorized in fixed-size chunks drawn from one PCG64
+stream, spawned from the seed's sequence, so results for a given
+(program, iterations, seed) are bit-for-bit reproducible.
 
-Within a chunk of n rows, the e-th event with f > 0 reads the n doubles
-at positions [e*n, (e+1)*n) of the shard's stream, counted from the
-chunk's start, one 64-bit draw per double.  Since ``PCG64.advance``
-reaches any position in O(log d) steps, the uniforms are drawn on W
-threads at once: the events are cut into blocks of ``_BLOCK``, and
-block b is drawn from its own copy of the generator advanced to
-b*_BLOCK*n, into one scratch buffer of n doubles that lives as long as
-the block.  A block hands back only the rows each event hits and their
-uniforms.  The calling thread draws every W-th block itself as it
-reaches it; the others go to a thread pool of W - 1 workers, which
-draw no block more than ``_AHEAD``*W blocks past the caller's.  Only
-the calling thread touches the keys, in step order, and it then
-advances its generator past the chunk's draws, so the keys, the tally
-and the generator state after a chunk are those of drawing every event
-in turn, for any W.  W is the number of CPUs this process may run on, divided
-among the shard processes that ``jobs`` starts, and at least 1; it is
-not an option, since it cannot change a result.  The pool is shut down
-within each chunk, so no thread is alive when the shard pool forks or
-when the crash mask is computed.
+Within a chunk of n rows, row r of the e-th event with f > 0 reads the
+double at position e*n + r of the stream, counted from the chunk's
+start, one 64-bit draw per double.  Since ``PCG64.advance`` reaches any
+position in O(log d) steps, the rows are cut into W contiguous ranges
+run at once on a thread pool: the worker for rows [r0, r0 + m) starts
+from its own copy of the generator advanced to r0, runs every step on
+those m rows of the key array, and after each event with f > 0 draws
+its m uniforms into one buffer and skips the other n - m.  The caller
+then advances its generator past the chunk's draws, so the keys, the
+tally and the generator state after a chunk are those of drawing every
+event in turn, for any W.  W is the number of CPUs this process may run
+on, capped at n and at :data:`_THREADS`; it is not an option, since it
+cannot change a result.  Once a worker fails, the others stop before
+their next step.  The pool is shut down within each chunk, so no thread
+is alive when the crash mask is computed.
 """
 
 from __future__ import annotations
@@ -44,8 +38,8 @@ from __future__ import annotations
 import copy
 import math
 import os
+import threading
 import time
-from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,19 +50,23 @@ from .program import Program, initial_labels, step_kind, step_operands
 
 _U64 = np.uint64
 _CHUNK = 1 << 16
-#: drawing events per block, the unit of work handed to one thread
-_BLOCK = 256
-#: look-ahead, per drawing thread, in blocks past the caller's
-_AHEAD = 2
 _Z95 = 1.96
+# Most threads a chunk's rows are cut across.  Every worker walks all the
+# steps in Python and holds the GIL to do so, about 0.13 s per chunk of
+# the basic program, so that part grows with W while the kernel work
+# shrinks.  On 2 vCPUs, a 65,536-row chunk at 1x took 6.3-7.5 s on one
+# thread, 4.6-4.8 s on two, 4.1-5.3 s on four and 11 s on eight; the
+# steps alone (one row a worker) took 0.13, 0.24-0.47, 0.47-0.94 and
+# 1.8-2.3 s.  No host with more CPUs was measured.
+_THREADS = 2
 
 
 @dataclass(frozen=True)
 class MCReport:
     """Outcome of one Monte Carlo run with a Wilson score 95% interval.
 
-    ``threads`` is the number of threads each shard may draw its
-    uniforms on; it does not change the tally."""
+    ``threads`` is the number of threads the rows of a chunk are split
+    across; it does not change the tally."""
 
     iterations: int
     crashes: int
@@ -76,7 +74,6 @@ class MCReport:
     ci95_low: float
     ci95_high: float
     seed: int
-    shards: int
     threads: int
     wall_time_s: float
 
@@ -90,30 +87,18 @@ def _wilson95(crashes: int, iterations: int) -> tuple[float, float]:
     return max(0.0, (mid - half) / (iterations + z2)), min(1.0, (mid + half) / (iterations + z2))
 
 
-def _hits(u: np.ndarray, f: float) -> tuple[np.ndarray, np.ndarray]:
-    """The rows whose uniform in ``u`` falls below f, and those uniforms."""
-    rows = np.flatnonzero(u < f).astype(np.int32)
-    return rows, u[rows]
-
-
-def _xor_hits(keys: np.ndarray, patterns: np.ndarray, f: float,
-              rows: np.ndarray, u: np.ndarray) -> None:
-    """Error event on the hit ``rows``: each XORs in pattern
-    i = min(floor(u * k / f), k - 1) of the k outcome patterns, reusing
-    its triggering uniform u to pick among the outcomes uniformly."""
+def _xor_hits(keys: np.ndarray, patterns: np.ndarray, f: float, u: np.ndarray) -> None:
+    """Error event on the rows whose uniform in ``u`` falls below f: each
+    XORs in pattern i = min(floor(u * k / f), k - 1) of the k outcome
+    patterns, reusing its triggering uniform u to pick among the
+    outcomes uniformly."""
+    rows = np.flatnonzero(u < f)
     if rows.size == 0:
         return
     k = patterns.shape[0]
-    pick = np.minimum((u * (k / f)).astype(np.int64), k - 1)
+    pick = np.minimum((u[rows] * (k / f)).astype(np.int64), k - 1)
     for w in range(keys.shape[1]):  # by column: a 2-D row scatter is slower
         keys[rows, w] ^= patterns[pick, w]
-
-
-def _draw_block(gen, n: int, fs: list[float]) -> list:
-    """(f, rows, uniforms) of the hits of each event in ``fs``, its n
-    uniforms drawn in turn from ``gen`` into one scratch buffer."""
-    buf = np.empty(n)
-    return [(f, *_hits(gen.random(out=buf), f)) for f in fs]
 
 
 def _stream_at(rng, delta: int):
@@ -121,29 +106,30 @@ def _stream_at(rng, delta: int):
     return np.random.Generator(copy.deepcopy(rng.bit_generator).advance(delta))
 
 
-def _event_hits(rng, fs: list[float], n: int, threads: int):
-    """Yield the (f, rows, uniforms) hits of each drawing event in turn,
-    the e-th drawn from ``rng``'s stream at e*n, on up to ``threads``
-    threads; ``rng`` is not moved.  Closing the generator shuts the pool
-    down."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    starts = range(0, len(fs), _BLOCK)
-    threads = max(1, min(threads, len(starts)))
-
-    def draw(b: int) -> list:
-        return _draw_block(_stream_at(rng, starts[b] * n), n, fs[starts[b]:starts[b] + _BLOCK])
-
-    pool = ThreadPoolExecutor(max(1, threads - 1))
-    ahead = {}
+def _run_rows(prog: Program, keys: np.ndarray, gen, n: int, failed) -> None:
+    """Run every step on ``keys``, m consecutive rows of a chunk of n,
+    with ``gen`` at the first one's position of the chunk's stream: each
+    event with f > 0 reads the m uniforms of these rows and skips the
+    other n - m.  Stops before a step once the ``failed`` event is set,
+    and sets it when a step raises."""
+    width = prog.num_qubits
+    u = np.empty(keys.shape[0])
+    skip = n - u.size
     try:
-        for b in range(len(starts)):
-            for j in range(b, min(b + _AHEAD * threads + 1, len(starts))):
-                if j % threads and j not in ahead:
-                    ahead[j] = pool.submit(draw, j)
-            yield from ahead.pop(b).result() if b % threads else draw(b)
-    finally:
-        pool.shutdown(cancel_futures=True)
+        for step in prog.steps:
+            if failed.is_set():
+                return
+            spec = step_kind(step)
+            qubits = spec.operands(step)
+            if spec.patterns is not None:
+                if step.f > 0.0:
+                    _xor_hits(keys, spec.patterns(width, *qubits), step.f, gen.random(out=u))
+                    gen.bit_generator.advance(skip)
+            elif spec.kernel is not None:
+                spec.function(keys, *spec.args(step, qubits))
+    except BaseException:
+        failed.set()
+        raise
 
 
 def _run_chunk(prog: Program, n: int, rng, labels: dict, threads: int) -> int:
@@ -153,47 +139,37 @@ def _run_chunk(prog: Program, n: int, rng, labels: dict, threads: int) -> int:
 
 
 def _sample(prog: Program, n: int, rng, labels: dict, threads: int) -> np.ndarray:
-    """The keys of ``n`` rows at the end of the program, their uniforms
-    drawn on ``threads`` threads; leaves ``rng`` after the chunk's draws.
+    """The keys of ``n`` rows at the end of the program, their rows cut
+    into ``threads`` ranges (at most n) run at once; leaves ``rng`` after
+    the chunk's draws.
 
-    A first pass checks every step in order and collects the f of each
-    drawing event, so the pool can draw blocks ahead of the steps that
-    use them; the second pass runs the steps."""
+    Every step is checked in order before any runs, so a bad step is
+    reported as the serial sampler would report it."""
+    # imported here, so that the analytical engine never loads it
+    from concurrent.futures import ThreadPoolExecutor
+
     width = prog.num_qubits
-    fs = []
+    events = 0
     for step in prog.steps:
         spec = step_kind(step)
         step_operands(spec, step, width)
         if spec.patterns is not None:
             check_event_probability(step.f)
-            if step.f > 0.0:
-                fs.append(step.f)
+            events += step.f > 0.0
     keys = np.zeros((n, _nwords(width)), dtype=_U64)
     for q, label in labels.items():
         w, sh = _slot(q)
         keys[:, w] |= _U64(int(label)) << _U64(sh)
-    with closing(_event_hits(rng, fs, n, threads)) as hits:
-        for step in prog.steps:
-            spec = step_kind(step)
-            qubits = spec.operands(step)
-            if spec.patterns is not None:
-                if step.f > 0.0:
-                    _xor_hits(keys, spec.patterns(width, *qubits), *next(hits))
-            elif spec.kernel is not None:
-                spec.function(keys, *spec.args(step, qubits))
-    rng.bit_generator.advance(len(fs) * n)
+    threads = min(threads, n)
+    cuts = [n * i // threads for i in range(threads + 1)]
+    failed = threading.Event()
+    with ThreadPoolExecutor(threads) as pool:
+        runs = [pool.submit(_run_rows, prog, keys[r0:r1], _stream_at(rng, r0), n, failed)
+                for r0, r1 in zip(cuts, cuts[1:])]
+        for run in runs:
+            run.result()
+    rng.bit_generator.advance(events * n)
     return keys
-
-
-def _run_shard(job: tuple) -> int:
-    """Crash count of one shard; ``job`` is (program, iterations, seed
-    sequence, initial labels, drawing threads)."""
-    prog, iterations, child, labels, threads = job
-    rng = np.random.default_rng(child)
-    crashes = 0
-    for done in range(0, iterations, _CHUNK):
-        crashes += _run_chunk(prog, min(_CHUNK, iterations - done), rng, labels, threads)
-    return crashes
 
 
 def _cpus() -> int:
@@ -203,39 +179,23 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def run_mc(prog: Program, iterations: int, seed: int, shards: int = 1, jobs: int = 1,
+def run_mc(prog: Program, iterations: int, seed: int,
            initial_errors: dict | None = None) -> MCReport:
-    """Monte Carlo run split over ``shards`` independent random substreams.
-
-    Iterations are divided as evenly as possible across shards; shard i
-    uses the i-th spawned child of the seed's sequence, so a run is
-    reproducible for a fixed shard count regardless of ``jobs`` (the
-    number of worker processes; tallies are a pure sum over shards) and
-    of the number of threads each shard may draw its uniforms on (the
-    CPUs this process may run on, divided among the worker processes).
-    ``initial_errors`` is checked as in :func:`run_analytical`, by
-    :func:`~paulitree.program.initial_labels`.
+    """Monte Carlo run of ``iterations`` samples on the first spawned
+    child of the seed's sequence; the tally does not depend on the number
+    of threads the rows are split across (the CPUs this process may run
+    on, at most :data:`_THREADS`).  ``initial_errors`` is checked as in
+    :func:`run_analytical`, by :func:`~paulitree.program.initial_labels`.
     """
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
-    if shards < 1:
-        raise ValueError("shards must be at least 1")
     labels = initial_labels(prog, initial_errors)
     start = time.perf_counter()
-    children = np.random.SeedSequence(seed).spawn(shards)
-    base, extra = divmod(iterations, shards)
-    sizes = [base + (1 if i < extra else 0) for i in range(shards)]
-    procs = min(jobs, shards - sizes.count(0)) if jobs > 1 else 1
-    threads = max(1, _cpus() // procs)
-    work = [(prog, size, child, labels, threads)
-            for size, child in zip(sizes, children) if size]
-    if procs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=procs) as pool:
-            crashes = sum(pool.map(_run_shard, work))
-    else:
-        crashes = sum(_run_shard(w) for w in work)
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    threads = min(_cpus(), _THREADS, iterations)
+    crashes = 0
+    for done in range(0, iterations, _CHUNK):
+        crashes += _run_chunk(prog, min(_CHUNK, iterations - done), rng, labels, threads)
     low, high = _wilson95(crashes, iterations)
     return MCReport(
         iterations=iterations,
@@ -244,7 +204,6 @@ def run_mc(prog: Program, iterations: int, seed: int, shards: int = 1, jobs: int
         ci95_low=low,
         ci95_high=high,
         seed=seed,
-        shards=shards,
         threads=threads,
         wall_time_s=time.perf_counter() - start,
     )

@@ -52,7 +52,7 @@ class TestRun:
         assert a["program_hash"] == m["program_hash"]
         assert m["mc_iterations"] == "500"
         assert m["seed"] == "3"
-        assert m["shards"] == "1"
+        assert "shards" not in m
         assert int(m["threads"]) >= 1
         assert float(m["mc_ci95_low"]) <= float(m["crash"]) <= float(m["mc_ci95_high"])
         assert float(m["speedup"]) == pytest.approx(
@@ -76,7 +76,7 @@ class TestRun:
         code, out, _ = run_cli(
             capsys, "run", "--program", "scaling", "--n", "2",
             "--scale", "100", "--mode", "montecarlo",
-            "--mc-iterations", "300", "--shards", "2",
+            "--mc-iterations", "300",
         )
         assert code == 0
         (row,) = parse_csv(out)
@@ -212,3 +212,14 @@ class TestParser:
         assert args.event_th == [1e-5, 1e-6, 1e-7]
         assert args.merge_th == [1e-10, 1e-12, 1e-14, 1e-16]
         assert args.merge_mode == ["preservation", "lossy"]
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--shards", "2"],
+        ["compare", "--shards", "2"],
+        ["run", "--jobs", "2"],
+        ["compare", "--jobs", "2"],
+    ])
+    def test_jobs_only_on_sweep_and_no_shards(self, argv):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+        assert build_parser().parse_args(["sweep", "--jobs", "2"]).jobs == 2

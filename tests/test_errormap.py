@@ -353,6 +353,12 @@ class TestSummaries:
         assert m.mass_where(lambda keys: ~keys.any(axis=1)) == pytest.approx(0.7)
 
 
+    @pytest.mark.parametrize("p", [-0.1, -math.inf, math.nan, math.inf])
+    def test_from_dict_rejects_a_negative_or_non_finite_probability(self, p):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            emap({"II": 0.5, "XI": p})
+
+
 class TestDump:
     def test_format_and_ordering(self):
         m = ErrorMap.from_dict({"XI": 0.25, "II": 0.5, "IZ": 0.25})

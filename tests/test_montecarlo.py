@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from paulitree.errormap import (
     one_qubit_patterns,
     two_qubit_patterns,
 )
-from paulitree.montecarlo import _BLOCK, _CHUNK, _hits, _wilson95, _xor_hits, run_mc
+from paulitree.montecarlo import _CHUNK, _wilson95, _xor_hits, run_mc
 from paulitree.noise import NoiseParams
 from paulitree.pauli import Pauli
 from paulitree.program import (
@@ -84,31 +85,37 @@ class TestReproducibility:
         counts = {run_mc(self.PROG, 65536, seed=s).crashes for s in range(4)}
         assert len(counts) > 1
 
-    def test_sharding_is_deterministic(self):
-        a = run_mc(self.PROG, 10000, seed=5, shards=4)
-        b = run_mc(self.PROG, 10000, seed=5, shards=4)
-        assert a.crashes == b.crashes
-        assert a.shards == 4
+    def test_thread_count_does_not_change_the_tally(self, monkeypatch):
+        tallies = set()
+        monkeypatch.setattr(montecarlo, "_THREADS", 5)
+        for cpus in (1, 2, 5):
+            monkeypatch.setattr(montecarlo, "_cpus", lambda: cpus)
+            tallies.add(run_mc(self.PROG, 8000, seed=9).crashes)
+        assert len(tallies) == 1
 
-    def test_worker_count_does_not_change_the_tally(self):
-        serial = run_mc(self.PROG, 8000, seed=9, shards=4, jobs=1)
-        parallel = run_mc(self.PROG, 8000, seed=9, shards=4, jobs=2)
-        assert serial.crashes == parallel.crashes
-
-    def test_uneven_iteration_split(self):
-        rep = run_mc(self.PROG, 10, seed=0, shards=3)
-        assert rep.iterations == 10
+    def test_fewer_iterations_than_threads(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_cpus", lambda: 16)
+        monkeypatch.setattr(montecarlo, "_THREADS", 16)
+        rep = run_mc(self.PROG, 10, seed=0)
+        assert rep.iterations == 10 and rep.threads == 10
         assert 0 <= rep.crashes <= 10
 
-    def test_single_shard_equals_run_mc(self):
-        a = run_mc(self.PROG, 4096, seed=11)
-        b = run_mc(self.PROG, 4096, seed=11, shards=1)
-        assert a.crashes == b.crashes
+    def test_threads_are_capped(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_cpus", lambda: 16)
+        assert run_mc(self.PROG, 4096, seed=0).threads == montecarlo._THREADS
+        assert run_mc(self.PROG, 1, seed=0).threads == 1
+
+    def test_run_reads_the_first_spawned_child(self):
+        child = np.random.SeedSequence(11).spawn(1)[0]
+        rep = run_mc(self.PROG, 4096, seed=11)
+        labels = initial_labels(self.PROG, None)
+        assert rep.crashes == _reference_shard(self.PROG, 4096, child, labels)[0]
 
     def test_report_names_its_drawing_threads(self, monkeypatch):
         rep = run_mc(self.PROG, 4096, seed=11)
         assert rep.threads >= 1
         monkeypatch.setattr(montecarlo, "_cpus", lambda: 3)
+        monkeypatch.setattr(montecarlo, "_THREADS", 3)
         three = run_mc(self.PROG, 4096, seed=11)
         assert three.threads == 3
         assert three.crashes == rep.crashes
@@ -119,8 +126,6 @@ class TestValidationAndInjection:
         prog = toy([])
         with pytest.raises(ValueError):
             run_mc(prog, 0, seed=0)
-        with pytest.raises(ValueError):
-            run_mc(prog, 10, seed=0, shards=0)
 
     @pytest.mark.parametrize("errors, message", [
         ({0: 5}, "not a valid Pauli"),
@@ -187,9 +192,7 @@ class TestSharedOutcomes:
         rng = np.random.default_rng(4)
         start = rng.integers(0, 2 ** 63, size=(k + 2, 2), dtype=np.uint64)
         keys = start.copy()
-        rows, hit = _hits(np.array(u), f)
-        assert rows.tolist() == list(range(k))
-        _xor_hits(keys, patterns, f, rows, hit)
+        _xor_hits(keys, patterns, f, np.array(u))
         for i in range(k):
             assert (keys[i] == start[i] ^ patterns[i]).all()
         assert (keys[k:] == start[k:]).all()
@@ -259,22 +262,23 @@ FOUR = dict(num_qubits=4, blocks=((0, 1), (2, 3)))
 
 
 class TestStreamIdentity:
-    """The threaded sampler leaves the same keys, tallies and generator
+    """The row-split sampler leaves the same keys, tallies and generator
     state as one ``rng.random(n)`` per event, for every thread count."""
 
     CASES = {
-        # 5.5 blocks: each of 3 threads draws two blocks and skips between
-        "blocks": toy(_random_events(int(5.5 * _BLOCK), 4, seed=1), **FOUR),
-        # certain and impossible events, among others and at block edges
+        # 1,408 drawing events
+        "many-events": toy(_random_events(1408, 4, seed=1), **FOUR),
+        # certain and impossible events, among others
         "f-0-and-1": toy([OneQubitEvent(0, 0.0), OneQubitEvent(1, 1.0)]
-                         + _random_events(_BLOCK - 3, 4, seed=2)
+                         + _random_events(256 - 3, 4, seed=2)
                          + [TwoQubitEvent(2, 3, 1.0), OneQubitEvent(3, 0.0)]
-                         + _random_events(_BLOCK + 5, 4, seed=3)
+                         + _random_events(256 + 5, 4, seed=3)
                          + [OneQubitEvent(2, 1.0)], **FOUR),
-        "under-one-block": toy(_random_events(40, 4, seed=4, rates=(0.01, 0.2)), **FOUR),
+        "few-events": toy(_random_events(40, 4, seed=4, rates=(0.01, 0.2)), **FOUR),
     }
 
-    @pytest.mark.parametrize("threads", [1, 2, 3])
+    # 1,000 rows cut evenly in two, unevenly in three and seven
+    @pytest.mark.parametrize("threads", [1, 2, 3, 7])
     @pytest.mark.parametrize("case", list(CASES))
     def test_keys_and_stream_match_serial_draws(self, case, threads):
         prog = self.CASES[case]
@@ -285,32 +289,40 @@ class TestStreamIdentity:
         assert ours.bit_generator.state == ref.bit_generator.state
         assert 0 < montecarlo._run_chunk(prog, 1000, ours, labels, threads) < 1000
 
+    @pytest.mark.parametrize("n, threads", [(5, 7), (1, 2), (3, 3)])
+    def test_more_threads_than_rows(self, n, threads):
+        prog = self.CASES["few-events"]
+        labels = initial_labels(prog, {1: Pauli.Z})
+        ours, ref = np.random.default_rng(2), np.random.default_rng(2)
+        keys = montecarlo._sample(prog, n, ours, labels, threads)
+        assert (keys == _reference_keys(prog, n, ref, labels)).all()
+        assert ours.bit_generator.state == ref.bit_generator.state
+
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_two_chunks_match_serial_draws(self, threads):
-        prog = toy(_random_events(_BLOCK + 40, 4, seed=5, rates=(1e-5, 1e-3)), **FOUR)
+        prog = toy(_random_events(256 + 40, 4, seed=5, rates=(1e-5, 1e-3)), **FOUR)
         iterations = _CHUNK + 100
         child = np.random.SeedSequence(3).spawn(1)[0]
         labels = initial_labels(prog, None)
         rng = np.random.default_rng(child)
-        crashes = montecarlo._run_shard((prog, iterations, child, labels, threads))
-        for done in range(0, iterations, _CHUNK):
-            montecarlo._run_chunk(prog, min(_CHUNK, iterations - done), rng, labels, threads)
+        crashes = sum(montecarlo._run_chunk(prog, min(_CHUNK, iterations - done), rng,
+                                            labels, threads)
+                      for done in range(0, iterations, _CHUNK))
         assert (crashes, rng.bit_generator.state) == _reference_shard(
             prog, iterations, child, labels)
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
-    def test_sharded_pool_matches_serial_draws(self, monkeypatch, threads):
-        prog = self.CASES["blocks"]
-        # two worker processes share the CPUs, so 2W CPUs give W threads
-        monkeypatch.setattr(montecarlo, "_cpus", lambda: 2 * threads)
-        rep = run_mc(prog, 3000, seed=8, shards=3, jobs=2)
+    def test_run_mc_matches_serial_draws(self, monkeypatch, threads):
+        prog = self.CASES["many-events"]
+        monkeypatch.setattr(montecarlo, "_cpus", lambda: threads)
+        monkeypatch.setattr(montecarlo, "_THREADS", threads)
+        rep = run_mc(prog, 3000, seed=8)
         assert rep.threads == threads
-        children = np.random.SeedSequence(8).spawn(3)
-        labels = initial_labels(prog, None)
-        assert rep.crashes == sum(_reference_shard(prog, 1000, c, labels)[0] for c in children)
+        child = np.random.SeedSequence(8).spawn(1)[0]
+        assert rep.crashes == _reference_shard(prog, 3000, child, initial_labels(prog, None))[0]
 
     def test_many_threads_under_a_short_switch_interval(self):
-        prog = self.CASES["blocks"]
+        prog = self.CASES["many-events"]
         labels = initial_labels(prog, None)
         ref = _reference_keys(prog, 500, np.random.default_rng(9), labels)
         interval = sys.getswitchinterval()
@@ -322,80 +334,82 @@ class TestStreamIdentity:
         assert (keys == ref).all()
 
 
-class TestHelperLifetime:
-    """No drawing thread outlives a chunk, whichever thread fails."""
+class TestWorkers:
+    """Each worker thread runs one contiguous row range, draws only its
+    own rows' uniforms, and none outlives its chunk, whichever fails."""
 
-    PROG = toy(_random_events(6 * _BLOCK, 4, seed=6), **FOUR)
+    PROG = toy(_random_events(6 * 256, 4, seed=6), **FOUR)
 
     def _helpers(self):
         return [t for t in threading.enumerate() if t is not threading.main_thread()]
 
-    def test_failure_on_a_helper_reaches_the_caller(self, monkeypatch):
-        draw = montecarlo._draw_block
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_each_worker_draws_only_its_rows(self, monkeypatch, threads):
+        xor, drawn, counts = montecarlo._xor_hits, {}, []
 
-        def failing(gen, n, fs):
-            if threading.current_thread() is not threading.main_thread():
-                raise MemoryError("helper out of memory")
-            return draw(gen, n, fs)
+        def xoring(keys, patterns, f, u):
+            assert u.size == keys.shape[0]
+            drawn.setdefault(threading.current_thread(), []).append(u.size)
+            counts.append(threading.active_count())
+            xor(keys, patterns, f, u)
 
-        before = self._helpers()
-        monkeypatch.setattr(montecarlo, "_draw_block", failing)
-        with pytest.raises(MemoryError, match="helper out of memory"):
-            montecarlo._sample(self.PROG, 256, np.random.default_rng(0),
-                               initial_labels(self.PROG, None), 3)
-        assert self._helpers() == before
+        before = threading.active_count()
+        monkeypatch.setattr(montecarlo, "_xor_hits", xoring)
+        montecarlo._sample(self.PROG, 256, np.random.default_rng(0),
+                           initial_labels(self.PROG, None), threads)
+        events = sum(step_kind(s).patterns is not None for s in self.PROG.steps)
+        assert threading.main_thread() not in drawn and len(drawn) == threads
+        # each worker draws its m rows once per event; the ranges cover n
+        assert sorted(len(sizes) for sizes in drawn.values()) == [events] * threads
+        assert sum(sizes[0] for sizes in drawn.values()) == 256
+        assert all(len(set(sizes)) == 1 for sizes in drawn.values())
+        assert max(counts) <= before + threads
+        assert not any(t.is_alive() for t in drawn)
 
-    def test_failure_on_the_caller_joins_the_helpers(self, monkeypatch):
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("error", [MemoryError, RuntimeError])
+    def test_kernel_failure_on_a_worker_reaches_the_caller(self, monkeypatch, error, threads):
         calls = []
 
         def failing(keys, c, t):
-            calls.append(c)
+            calls.append(threading.current_thread())
             if len(calls) == 20:
-                raise RuntimeError("kernel failed")
+                raise error("kernel failed")
 
         before = self._helpers()
         monkeypatch.setattr(errormap, "cnot_kernel", failing)
-        with pytest.raises(RuntimeError, match="kernel failed"):
+        with pytest.raises(error, match="kernel failed"):
             montecarlo._sample(self.PROG, 256, np.random.default_rng(0),
-                               initial_labels(self.PROG, None), 3)
+                               initial_labels(self.PROG, None), threads)
+        assert threading.main_thread() not in calls
         assert self._helpers() == before
 
-    def test_one_thread_starts_no_other(self, monkeypatch):
-        kernel, counts = errormap.cnot_kernel, []
+    def test_other_workers_stop_after_a_failure(self, monkeypatch):
+        threads = 3
+        started, raised = threading.Barrier(threads, timeout=10), threading.Event()
+        xor, seen, cnots = montecarlo._xor_hits, [], []
 
-        def counting(keys, c, t):
-            counts.append(threading.active_count())
-            kernel(keys, c, t)
-
-        before = threading.active_count()
-        monkeypatch.setattr(errormap, "cnot_kernel", counting)
-        montecarlo._sample(self.PROG, 256, np.random.default_rng(0),
-                           initial_labels(self.PROG, None), 1)
-        assert counts and set(counts) == {before}
-
-    @pytest.mark.parametrize("threads", [2, 3])
-    def test_blocks_are_drawn_within_the_look_ahead(self, monkeypatch, threads):
-        prog = toy(_random_events(16 * _BLOCK, 4, seed=10), **FOUR)
-        fs = [s.f for s in prog.steps if step_kind(s).patterns is not None]
-        block_of = {fs[s]: s // _BLOCK for s in range(0, len(fs), _BLOCK)}
-        draw, xor = montecarlo._draw_block, montecarlo._xor_hits
-        applied, leads, counts = [], [], []
-
-        def drawing(gen, n, block_fs):
-            # the caller is on the block after the events it has applied
-            leads.append(block_of[block_fs[0]] - len(applied) // _BLOCK)
-            counts.append(threading.active_count())
-            return draw(gen, n, block_fs)
+        def failing(keys, c, t):
+            seen.append(raised.is_set())
+            cnots.append(c)
+            if len(cnots) > threads:
+                return
+            # every worker is at its first CNot; one fails, the others go on
+            # only once the failure has been recorded
+            if started.wait() == 0:
+                raised.set()
+                raise RuntimeError("kernel failed")
+            assert raised.wait(10)
+            time.sleep(0.05)
 
         def xoring(*args):
-            applied.append(None)
+            seen.append(raised.is_set())
             xor(*args)
 
-        before = threading.active_count()
-        monkeypatch.setattr(montecarlo, "_draw_block", drawing)
+        monkeypatch.setattr(errormap, "cnot_kernel", failing)
         monkeypatch.setattr(montecarlo, "_xor_hits", xoring)
-        montecarlo._sample(prog, 256, np.random.default_rng(0),
-                           initial_labels(prog, None), threads)
-        assert len(block_of) == len(leads) == 16 and len(applied) == len(fs)
-        assert 0 <= min(leads) and max(leads) <= montecarlo._AHEAD * threads
-        assert max(counts) <= before + threads - 1
+        with pytest.raises(RuntimeError, match="kernel failed"):
+            montecarlo._sample(self.PROG, 256, np.random.default_rng(0),
+                               initial_labels(self.PROG, None), threads)
+        # no worker ran a step after the failure
+        assert raised.is_set() and not any(seen)
