@@ -24,7 +24,7 @@ print(m.dump())
 # A CNOT does not create or destroy probability; it relabels.  The X
 # component of the control copies onto the target, so the XI branch
 # becomes XX — a two-qubit error made from a one-qubit fault.
-m.apply(cnot_kernel, 0, 1)
+m.apply((cnot_kernel, 0, 1))
 print("\nafter CNOT 0 -> 1 (X spreads, Z would flow the other way):")
 print(m.dump())
 print("total probability:", m.total())

@@ -95,6 +95,7 @@ def _thresholds(event: float, merge: float, mode: str) -> Thresholds:
 
 
 def _base_row(args, prog: Program) -> dict:
+    """The columns all rows of one invocation share: hashes the program."""
     return {
         "program": args.program,
         "n": prog.num_logical,
@@ -102,8 +103,8 @@ def _base_row(args, prog: Program) -> dict:
     }
 
 
-def _analytical_row(args, prog: Program, th: Thresholds) -> dict:
-    row = _base_row(args, prog)
+def _analytical_row(base: dict, prog: Program, th: Thresholds) -> dict:
+    row = dict(base)
     row.update(
         engine="analytical",
         event_threshold=th.event_branch,
@@ -127,8 +128,8 @@ def _analytical_row(args, prog: Program, th: Thresholds) -> dict:
     return row
 
 
-def _mc_row(args, prog: Program) -> dict:
-    row = _base_row(args, prog)
+def _mc_row(base: dict, args, prog: Program) -> dict:
+    row = dict(base)
     row["engine"] = "montecarlo"
     try:
         rep = run_mc(prog, args.mc_iterations, args.seed)
@@ -179,12 +180,13 @@ def _positive_floats(text: str) -> list[float]:
 def cmd_run(args) -> int:
     params = _load_noise(args)
     prog = _build_program(args, params)
+    base = _base_row(args, prog)
     rows = []
     if args.mode in ("analytical", "both"):
         th = _thresholds(args.event_th, args.merge_th, args.merge_mode)
-        rows.append(_analytical_row(args, prog, th))
+        rows.append(_analytical_row(base, prog, th))
     if args.mode in ("montecarlo", "both"):
-        rows.append(_mc_row(args, prog))
+        rows.append(_mc_row(base, args, prog))
     if len(rows) == 2 and all("error" not in r for r in rows) and rows[0]["wall_time_ms"] > 0:
         rows[1]["speedup"] = rows[1]["wall_time_ms"] / rows[0]["wall_time_ms"]
     _write_rows(rows, args)
@@ -192,8 +194,7 @@ def cmd_run(args) -> int:
 
 
 def _sweep_point(job: tuple) -> dict:
-    args, prog, th = job
-    return _analytical_row(args, prog, th)
+    return _analytical_row(*job)
 
 
 def cmd_sweep(args) -> int:
@@ -207,7 +208,8 @@ def cmd_sweep(args) -> int:
     ]
     if not grid:
         raise SystemExit("sweep: empty threshold grid")
-    jobs = [(args, prog, th) for th in grid]
+    base = _base_row(args, prog)
+    jobs = [(base, prog, th) for th in grid]
     if args.jobs > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=min(args.jobs, len(jobs))) as pool:
             rows = list(pool.map(_sweep_point, jobs))

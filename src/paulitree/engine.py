@@ -18,6 +18,8 @@ in :data:`~paulitree.program.STEP_KINDS` says.  An error event branches
 each entry on the event's outcome patterns, the same rows the Monte
 Carlo engine draws from; a deterministic step applies its key-array
 kernel, the same kernel the Monte Carlo engine applies to its samples.
+The plan joins each run of adjacent kernel steps on one set into one
+operation, after which the map sorts its keys once.
 
 The plan defers events, since a Pauli channel on some qubits commutes
 with every step that does not name them.  It keeps at most one pending
@@ -171,9 +173,10 @@ class FidelityReport:
 #                          the event with outcome rows ``patterns(width,
 #                          *positions)``: ``weights`` None for f/k each,
 #                          else the bytes of a float64 array
-#   (APPLY, s, kernel, args)  rewrite set s's keys with the kernel named
-#                          (module, name), looked up at each use so that
-#                          a wrapper put in its place sees every call
+#   (APPLY, s, calls)      run each (kernel, args) of ``calls`` on set s's
+#                          keys, then sort them once; a kernel is named
+#                          (module, name) and looked up at each use, so
+#                          that a wrapper put in its place sees every call
 #   (RESET, s)             set s's map to {I: 1.0}; its old total joins
 #                          the run-level factor
 #   (SEGMENT, segment)     a closed segment (:class:`Segment`)
@@ -226,6 +229,18 @@ def _segment_key(widths: tuple[int, ...], body: tuple) -> Hashable:
     the widths of its input sets, which each start at {I: 1.0}, and its
     operations in local form."""
     return widths, body
+
+
+def _join_kernels(ops: Iterable[tuple]) -> list:
+    """``ops`` with each run of adjacent APPLY operations on one set
+    joined into one, so that its map sorts its keys once for the run."""
+    out: list = []
+    for op in ops:
+        if op[0] == APPLY and out and out[-1][:2] == op[:2]:
+            out[-1] = op[:2] + (out[-1][2] + op[2],)
+        else:
+            out.append(op)
+    return out
 
 
 def _depolarizing(f: float) -> np.ndarray:
@@ -340,7 +355,7 @@ class _Planner:
             else:
                 op = (op[0], local[op[1]]) + op[2:]
             body.append(op)
-        shape = (tuple(width for _, _, width in inputs), tuple(body))
+        shape = (tuple(width for _, _, width in inputs), tuple(_join_kernels(body)))
         shape = self.shapes.setdefault(shape, shape)
         outputs = tuple(sorted((local[sid], self.part.members[sid]) for sid in draft.sets))
         self.ops.append((SEGMENT, Segment(_segment_key(*shape), shape[1], tuple(local),
@@ -482,7 +497,7 @@ class _Planner:
             if spec.clears and len(part.members[sid]) == len(qubits):
                 self.reset(sid)
             else:
-                self.emit((APPLY, sid, spec.kernel, spec.args(step, tuple(locals_))), sid)
+                self.emit((APPLY, sid, ((spec.kernel, spec.args(step, tuple(locals_))),)), sid)
             for group in spec.releases(step):
                 self.release(group)
         for block in prog.crash_blocks:
@@ -494,8 +509,8 @@ class _Planner:
         for block in prog.crash_blocks:
             sid, locals_ = part.locate(block)
             blocks.setdefault(sid, []).append(locals_)
-        return Plan(tuple(tuple(g) for g in prog.initial_partition), tuple(self.ops), blocks,
-                    len(prog.steps))
+        return Plan(tuple(tuple(g) for g in prog.initial_partition),
+                    tuple(_join_kernels(self.ops)), blocks, len(prog.steps))
 
 
 def plan(prog: Program) -> Plan:
@@ -531,8 +546,8 @@ class _Execution:
                 self.calls += 1
                 self.peak = max(self.peak, len(m))
             elif kind == APPLY:
-                _, sid, (module, name), args = op
-                sets[sid].map.apply(getattr(module, name), *args)
+                sets[op[1]].map.apply(*((getattr(module, name), *args)
+                                        for (module, name), args in op[2]))
             elif kind == MERGE:
                 _, sa, sb = op
                 qs = sets[sa] = merge(sets[sa], sets.pop(sb), th)

@@ -10,11 +10,10 @@ Local qubit index i of a set lives in word i // 32 at bit offset
 2 * (i % 32); this matches the integer packing used by
 :class:`~paulitree.pauli.PauliString`.
 
-A map keeps its keys sorted in numeric order, except right after
-:meth:`ErrorMap.apply`, which leaves them as the kernel wrote them: the
-next operation that reads the map sorts them and sums any two the
-kernel mapped onto one.  Sorting and lookup go
-through a 1-D sort view (``_sort_view``): a one-word key, a set of at
+A map always holds its keys sorted in numeric order and distinct: the
+constructor and :meth:`ErrorMap.apply` sum any two keys that coincide,
+and the other operations keep the order.  Sorting and lookup go through
+a 1-D sort view (``_sort_view``): a one-word key, a set of at
 most 32 qubits, sorts as its own ``uint64`` column; a wider key as a
 big-endian void view, most significant word first.  The event outcome
 patterns (``one_qubit_patterns``, ``two_qubit_patterns``) define each
@@ -156,27 +155,24 @@ class ErrorMap:
     """Association from packed Pauli strings to probabilities for one set
     of qubits.
 
-    Invariants: probabilities are non-negative; the total stays within
-    1 + 1e-9 and equals 1 within that slack unless a lossy merge has
-    discarded mass; all keys share the map's width.  Entries whose
-    probability underflows to zero are dropped.
+    Invariants: keys are sorted and distinct; probabilities are
+    non-negative; the total stays within 1 + 1e-9 and equals 1 within
+    that slack unless a lossy merge has discarded mass; all keys share
+    the map's width.  The constructor sums the probabilities of repeated
+    ``keys`` rows and drops entries whose probability is zero.
     """
 
-    __slots__ = ("width", "_keys", "_probs", "_v", "_dirty")
+    __slots__ = ("width", "_keys", "_probs", "_v")
 
     def __init__(self, width: int, keys: np.ndarray | None = None,
                  probs: np.ndarray | None = None):
         if width <= 0:
             raise ValueError("ErrorMap width must be positive")
         self.width = width
-        nw = _nwords(width)
         if keys is None:
-            keys = np.zeros((0, nw), dtype=_U64)
+            keys = np.zeros((0, _nwords(width)), dtype=_U64)
             probs = np.zeros(0, dtype=np.float64)
-        self._keys = keys
-        self._probs = probs
-        self._v: np.ndarray | None = None
-        self._dirty = True
+        self._replace(*_aggregate(keys, probs))
 
     # -- construction / inspection ------------------------------------
 
@@ -187,7 +183,7 @@ class ErrorMap:
     @classmethod
     def from_dict(cls, entries: Mapping, width: int | None = None) -> "ErrorMap":
         """Build from {PauliString or label text: probability}."""
-        converted: dict[int, float] = {}
+        bits, probs = [], []
         for key, p in entries.items():
             if isinstance(key, str):
                 key = PauliString.from_str(key)
@@ -197,40 +193,33 @@ class ErrorMap:
                 raise ValueError("mixed key widths: %d vs %d" % (key.n, width))
             if not 0.0 <= p < math.inf:
                 raise ValueError("probability must be finite and non-negative, got %r" % (p,))
-            converted[key.bits] = converted.get(key.bits, 0.0) + p
+            bits.append(key.bits)
+            probs.append(p)
         if width is None:
             raise ValueError("cannot infer width from empty entries")
         nw = _nwords(width)
-        kept = {k: v for k, v in converted.items() if v > 0.0}
-        keys = np.zeros((len(kept), nw), dtype=_U64)
-        for i, bits in enumerate(kept):
-            keys[i] = _row_from_int(bits, nw)
-        return cls(width, keys, np.fromiter(kept.values(), dtype=np.float64, count=len(kept)))
+        keys = np.array([_row_from_int(b, nw) for b in bits], dtype=_U64).reshape(-1, nw)
+        return cls(width, keys, np.array(probs, dtype=np.float64))
 
     def copy(self) -> "ErrorMap":
         """An independent map with the same entries."""
-        self._ensure_ready()
         out = ErrorMap(self.width)
         out._replace(self._keys.copy(), self._probs.copy())
         return out
 
     def __len__(self) -> int:
-        self._ensure_ready()
         return self._keys.shape[0]
 
     def total(self) -> float:
-        self._ensure_ready()
         return float(self._probs.sum())
 
     def items(self) -> Iterator[tuple[PauliString, float]]:
-        self._ensure_ready()
         for row, p in zip(self._keys, self._probs):
             yield PauliString(_int_from_row(row), self.width), float(p)
 
     def mass_where(self, mask_kernel: Callable[..., np.ndarray], *args) -> float:
         """Probability of the entries selected by the per-key boolean
         ``mask_kernel(keys, *args)``."""
-        self._ensure_ready()
         return float(self._probs[mask_kernel(self._keys, *args)].sum())
 
     def dump(self) -> str:
@@ -252,19 +241,11 @@ class ErrorMap:
             self._v = _sort_view(self._keys)
         return self._v
 
-    def _ensure_ready(self) -> None:
-        """Sort the keys and sum duplicates, if :meth:`apply` left any."""
-        if self._dirty:
-            self._keys, self._probs = _aggregate(self._keys, self._probs)
-            self._v = None
-            self._dirty = False
-
     def _replace(self, keys: np.ndarray, probs: np.ndarray) -> None:
         """Take sorted unique keys and their probabilities."""
         self._keys = keys
         self._probs = probs
         self._v = None
-        self._dirty = False
 
     def _insert(self, keys: np.ndarray, probs: np.ndarray) -> None:
         """Accumulate a (possibly duplicated) batch of entries."""
@@ -312,7 +293,6 @@ class ErrorMap:
             raise ValueError("event weights sum to %r, not f = %r" % (weights.sum(), f))
         if f == 0.0:
             return
-        self._ensure_ready()
         probs = self._probs
         idx = (probs >= event_branch).nonzero()[0]
         src_keys = self._keys[idx]
@@ -327,15 +307,15 @@ class ErrorMap:
             self._replace(self._keys[live], probs[live])
         self._insert(branch_keys, branch_probs.reshape(-1))
 
-    def apply(self, kernel: Callable[..., None], *args) -> None:
-        """Rewrite every key in place with ``kernel(keys, *args)``.
-
-        The map is left unsorted; the next operation that reads it sorts
-        the keys and sums any two that the kernel mapped onto one.
+    def apply(self, *calls: tuple) -> None:
+        """Rewrite every key with a run of kernels: for each
+        ``(kernel, *args)`` of ``calls`` in order, ``kernel(keys, *args)``
+        in place.  Then sort the keys once and sum any that the run
+        mapped onto one.
         """
-        kernel(self._keys, *args)
-        self._v = None
-        self._dirty = True
+        for kernel, *args in calls:
+            kernel(self._keys, *args)
+        self._replace(*_aggregate(self._keys, self._probs))
 
 
 # -- key-array kernels -------------------------------------------------
@@ -492,8 +472,6 @@ def merge(a: QubitSet, b: QubitSet, th: Thresholds) -> QubitSet:
     """
     if set(a.members) & set(b.members):
         raise ValueError("cannot merge overlapping QubitSets")
-    a.map._ensure_ready()
-    b.map._ensure_ready()
     width = a.map.width + b.map.width
     nw = _nwords(width)
 
@@ -524,8 +502,7 @@ def merge(a: QubitSet, b: QubitSet, th: Thresholds) -> QubitSet:
     # lossy mode: below-threshold pairs are simply dropped
 
     keys, probs = zip(*parts)
-    out = ErrorMap(width)
-    out._replace(*_aggregate(np.vstack(keys), np.concatenate(probs)))
+    out = ErrorMap(width, np.vstack(keys), np.concatenate(probs))
     return QubitSet(a.members + b.members, out)
 
 
@@ -563,17 +540,10 @@ def split(qs: QubitSet, keep: Iterable[int]) -> tuple[QubitSet, QubitSet]:
     rest = [q for q in range(qs.map.width) if q not in keep_set]
     if not rest:
         raise ValueError("keep set must be a proper subset")
-    qs.map._ensure_ready()
-    keys = qs.map._keys
-    probs = qs.map._probs
     sides = []
     for positions in (keep_list, rest):
-        width = len(positions)
-        side_keys, side_probs = _aggregate(
-            _gather_positions(keys, positions, width), probs.copy()
-        )
-        m = ErrorMap(width)
-        m._replace(side_keys, side_probs)
+        m = ErrorMap(len(positions), _gather_positions(qs.map._keys, positions, len(positions)),
+                     qs.map._probs)
         sides.append(QubitSet(tuple(qs.members[q] for q in positions), m))
     keep_total = sides[0].map._probs.sum()
     if keep_total > 0.0:

@@ -82,6 +82,10 @@ class Reset:
 
     qubits: tuple[int, ...]
 
+    def __post_init__(self):
+        if not self.qubits:
+            raise ValueError("a reset takes at least one qubit, got none")
+
 
 @dataclass(frozen=True)
 class VerifyReadout:
@@ -90,6 +94,10 @@ class VerifyReadout:
 
     block: tuple[int, ...]
     verifier: int
+
+    def __post_init__(self):
+        if not self.block:
+            raise ValueError("a verification readout takes at least one qubit, got none")
 
 
 def _check_block(block: tuple[int, ...], what: str) -> None:
@@ -327,8 +335,12 @@ class Program:
     num_cycles: int
 
     def __post_init__(self):
+        if self.num_qubits < 1:
+            raise ProgramError("a program needs at least one qubit, got %d" % self.num_qubits)
         covered: set[int] = set()
         for group in self.initial_partition:
+            if not group:
+                raise ProgramError("initial partition has an empty set")
             if covered & set(group):
                 raise ProgramError("initial partition has overlapping sets")
             covered |= set(group)

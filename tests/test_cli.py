@@ -6,6 +6,7 @@ import pytest
 
 from paulitree import NoiseParams, Thresholds, build_basic_program, cli, run_analytical
 from paulitree.cli import COLUMNS, build_parser, main
+from paulitree.program import program_hash
 
 
 def run_cli(capsys, *argv):
@@ -181,6 +182,26 @@ class TestSweep:
         # a one-point grid runs in this process
         code, _, _ = run_cli(capsys, "sweep", "--jobs", "64", "--event-th", "1e-4", *grid)
         assert code == 0 and sizes == [2]
+
+
+class TestProgramHash:
+    @pytest.mark.parametrize("argv, rows", [
+        (["sweep", "--event-th", "1e-2,1e-3", "--merge-th", "1e-4,1e-6",
+          "--merge-mode", "preservation"], 4),
+        (["run", "--mode", "both", "--mc-iterations", "200", *FAST], 2),
+    ], ids=["serial-sweep", "run-both"])
+    def test_the_program_is_hashed_once_per_invocation(self, capsys, monkeypatch, argv, rows):
+        digests = []
+
+        def spy(prog):
+            digests.append(program_hash(prog))
+            return digests[-1]
+
+        monkeypatch.setattr(cli, "program_hash", spy)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert len(digests) == 1
+        assert [r["program_hash"] for r in parse_csv(out)] == digests * rows
 
 
 class TestCompare:

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from paulitree import engine, qecc
+from paulitree import engine, errormap, qecc
 from paulitree.engine import Partition, run_analytical
 from paulitree.errormap import ErrorMap, MergeMode, Thresholds, merge, split
 from paulitree.noise import NoiseParams
@@ -334,6 +334,58 @@ class TestEventFusion:
         assert sum(k == 15 for k, _ in calls) == 686
         assert sum(k == 3 for k, _ in calls) == 886
         assert rep.branch_calls == len(calls) == 1572
+
+
+def spy_apply(monkeypatch):
+    """Wrap ErrorMap.apply; return the list it appends each call's
+    number of kernels to."""
+    runs = []
+    apply = ErrorMap.apply
+
+    def spy(self, *calls):
+        runs.append(len(calls))
+        return apply(self, *calls)
+
+    monkeypatch.setattr(ErrorMap, "apply", spy)
+    return runs
+
+
+class TestKernelRuns:
+    def test_adjacent_kernels_on_one_set_are_joined(self):
+        a, b, c, d = (((errormap, "cnot_kernel"), (i, i + 1)) for i in range(4))
+        branch = (engine.BRANCH, 0, None, (0,), 0.25, None)
+        ops = [(engine.APPLY, 0, (a,)), (engine.APPLY, 0, (b,)), (engine.APPLY, 1, (c,)),
+               branch, (engine.APPLY, 1, (d,)), (engine.APPLY, 0, (a,))]
+        assert engine._join_kernels(ops) == [
+            (engine.APPLY, 0, (a, b)), (engine.APPLY, 1, (c,)), branch,
+            (engine.APPLY, 1, (d,)), (engine.APPLY, 0, (a,))]
+
+    def test_a_run_of_gates_makes_one_apply_call_and_one_aggregation(self, monkeypatch):
+        prog = toy([CNot(i % 3, (i + 1) % 3) for i in range(7)] + [OneQubitEvent(0, 0.375)],
+                   num_qubits=3, blocks=((0, 1, 2),))
+        p = engine.plan(prog)
+        assert [len(op[2]) for op in p.ops if op[0] == engine.APPLY] == [7]
+        runs = spy_apply(monkeypatch)
+        rows = []
+        aggregate = errormap._aggregate
+
+        def spy_aggregate(keys, probs):
+            rows.append(keys.shape[0])
+            return aggregate(keys, probs)
+
+        monkeypatch.setattr(errormap, "_aggregate", spy_aggregate)
+        rep = engine.execute(p, TH0)
+        assert runs == [7]
+        # the initial map, the run of seven CNOTs, the event's three branches
+        assert rows == [1, 1, 3]
+        assert_matches_oracle(prog, rep)
+
+    def test_basic_program_makes_one_apply_call_per_run(self, monkeypatch):
+        runs = spy_apply(monkeypatch)
+        rep = run_analytical(build_basic_program(NoiseParams()), Thresholds(1e-6, 1e-12))
+        # 70 runs at top level and 25 and 20 in the two computed segments
+        assert (len(runs), sum(runs)) == (115, 367)
+        assert (rep.segments_replayed, rep.branch_calls) == (22, 1572)
 
 
 class TestCarriedEvents:

@@ -14,6 +14,7 @@ from paulitree.errormap import (
     MergeMode,
     QubitSet,
     Thresholds,
+    clear_kernel,
     cnot_kernel,
     hadamard_kernel,
     merge,
@@ -22,7 +23,7 @@ from paulitree.errormap import (
     two_qubit_patterns,
 )
 from paulitree.pauli import Pauli, PauliString
-from paulitree.qecc import correctable
+from paulitree.qecc import correctable, syndrome_kernel, verify_kernel
 
 TH0 = Thresholds()
 emap = ErrorMap.from_dict
@@ -208,7 +209,7 @@ def unpacked(keys, n):
 class TestGates:
     def test_hadamard_swaps_x_and_z(self):
         m = emap({"IXI": 0.5, "IZI": 0.3, "IYI": 0.2})
-        m.apply(hadamard_kernel, 1)
+        m.apply((hadamard_kernel, 1))
         assert_map_close(m, {"IZI": 0.5, "IXI": 0.3, "IYI": 0.2})
         # the kernel on each label at each of three positions, the others
         # at I: I stays I and an error stays an error, so weight is kept
@@ -224,12 +225,12 @@ class TestGates:
 
     def test_cnot_propagates(self):
         m = emap({"XII": 0.5, "IIZ": 0.5})
-        m.apply(cnot_kernel, 0, 2)
+        m.apply((cnot_kernel, 0, 2))
         assert_map_close(m, {"XIX": 0.5, "ZIZ": 0.5})
 
     def test_cnot_collisionless_bijection(self):
         m = emap({"II": 0.4, "XI": 0.3, "IZ": 0.2, "YY": 0.1})
-        m.apply(cnot_kernel, 0, 1)
+        m.apply((cnot_kernel, 0, 1))
         assert len(m) == 4
         assert m.total() == pytest.approx(1.0, abs=1e-15)
         # the full conjugation table, on the kernel and then on a map whose
@@ -241,7 +242,7 @@ class TestGates:
         assert unpacked(keys, 2) == list(CNOT_TABLE)
         src = {k: (i + 1) / 136.0 for i, k in enumerate(CNOT_TABLE)}
         m = emap(src)
-        m.apply(cnot_kernel, 0, 1)
+        m.apply((cnot_kernel, 0, 1))
         assert_map_close(m, {CNOT_TABLE[k]: p for k, p in src.items()}, tol=0.0)
 
 
@@ -379,7 +380,7 @@ class TestWideSets:
         m = emap({("I" * n): 0.9, s: 0.1})
         m.event_kernel(one_qubit_patterns(n, 38), 0.5, 0.0)
         assert m.total() == pytest.approx(1.0, abs=1e-12)
-        m.apply(cnot_kernel, 35, 38)
+        m.apply((cnot_kernel, 35, 38))
         assert m.total() == pytest.approx(1.0, abs=1e-12)
 
     def test_multiword_merge_boundary_shift(self):
@@ -461,10 +462,8 @@ def oracle_sum(*batches):
 
 
 def sorted_map(width, keys, probs):
-    """An ErrorMap in its sorted, duplicate-free form."""
-    m = ErrorMap(width, pack(width, keys), np.array(probs))
-    m._ensure_ready()
-    return m
+    """An ErrorMap of the given int keys, with repeated keys summed."""
+    return ErrorMap(width, pack(width, keys), np.array(probs))
 
 
 def assert_sorted_unique(keys, probs, expected):
@@ -493,6 +492,54 @@ def test_insert_matches_oracle_across_word_boundary(width, data):
     assert_sorted_unique(m._keys, m._probs, oracle_sum(base, batch))
     # the cached sort view still describes the keys
     assert (m._view() == _sort_view(m._keys)).all()
+
+
+def kernel_oracle(width, entries, calls):
+    """{key int: probability} after running ``calls`` on each key alone."""
+    out = {}
+    for k, p in entries.items():
+        row = pack(width, [k])
+        for kernel, *args in calls:
+            kernel(row, *args)
+        k = _int_from_row(row[0])
+        out[k] = out.get(k, 0.0) + p
+    return out
+
+
+def assert_sorted_map(m, expected=None):
+    """The map's keys strictly increase and, if given, match ``expected``."""
+    got = {s.bits: p for s, p in m.items()}
+    assert_sorted_unique(m._keys, m._probs, got if expected is None else expected)
+
+
+@pytest.mark.parametrize("width", BOUNDARY_WIDTHS)
+@settings(deadline=None, max_examples=25)
+@given(data=st.data())
+def test_every_operation_leaves_the_keys_sorted_and_unique(width, data):
+    keys, probs = data.draw(boundary_entries(width))
+    m = sorted_map(width, keys, probs)
+    expected = oracle_sum((keys, probs))
+    assert_sorted_map(m, expected)
+    assert_sorted_map(m.copy(), expected)
+    # a run of kernels that maps keys onto each other: the readouts clear
+    # the block and the verifier, so many keys collide
+    q = min(31, width - 1)
+    calls = [(hadamard_kernel, q), (clear_kernel, [q])]
+    if width >= 8:
+        block = list(range(width - 8, width - 1))
+        calls += [(verify_kernel, block, width - 1), (syndrome_kernel, block)]
+    m.apply(*calls)
+    expected = kernel_oracle(width, expected, calls)
+    assert_sorted_map(m, expected)
+    m.event_kernel(one_qubit_patterns(width, q), 0.75, 0.0)
+    assert_sorted_map(m)
+    m.event_kernel(one_qubit_patterns(width, 0), 1.0, 0.0)
+    assert_sorted_map(m)
+    merged = merge(QubitSet(tuple(range(width)), m),
+                   qset({"I": 0.5, "X": 0.5}, members=[width]), TH0)
+    assert_sorted_map(merged.map)
+    for side in split(merged, [width]):
+        assert_sorted_map(side.map)
 
 
 @pytest.mark.parametrize("width", BOUNDARY_WIDTHS)

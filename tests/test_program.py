@@ -122,6 +122,33 @@ class TestProgramValidation:
         with pytest.raises(ProgramError, match="crash block"):
             Program("t", 2, ((0, 1),), (), (block,), 0, 0)
 
+    @pytest.mark.parametrize("num_qubits, partition, message", [
+        (2, ((0, 1), ()), "empty set"),
+        (2, ((), (0, 1)), "empty set"),
+        (0, (), "at least one qubit, got 0"),
+        (-1, (), "at least one qubit, got -1"),
+    ])
+    def test_rejects_empty_sets_and_programs_without_qubits(self, num_qubits, partition,
+                                                            message):
+        with pytest.raises(ProgramError, match=message):
+            Program("t", num_qubits, partition, (), (), 0, 0)
+
+    @pytest.mark.parametrize("text, message", [
+        ("program t\nqubits 2\nset 0,1\nset\n", "empty set"),
+        ("program t\nqubits 0\n", "at least one qubit, got 0"),
+    ], ids=["bare-set-line", "no-qubits"])
+    def test_parse_rejects_empty_sets_and_programs_without_qubits(self, text, message):
+        with pytest.raises(ProgramError, match=message):
+            parse_program(text)
+
+    @pytest.mark.parametrize("make, what", [
+        (lambda: Reset(()), "a reset"),
+        (lambda: VerifyReadout((), 7), "a verification readout"),
+    ], ids=["reset", "verify"])
+    def test_reset_and_verification_name_at_least_one_qubit(self, make, what):
+        with pytest.raises(ValueError, match=what + " takes at least one qubit"):
+            make()
+
 
 class TestBuilders:
     def test_basic_program_layout(self):
@@ -237,6 +264,8 @@ class TestSerialization:
         ("split 3", "unknown keyword 'split'"),
         ("measure 0", "unknown keyword 'measure'"),
         ("elaborated 1", "unknown keyword 'elaborated'"),
+        ("reset ,", "a reset takes at least one qubit"),
+        ("verify 7 ,", "a verification readout takes at least one qubit"),
     ])
     def test_parse_rejects_malformed_readouts(self, line, message):
         # a malformed readout would parse and then fail inside both

@@ -134,7 +134,7 @@ class TestCircuitEmission:
 class TestVerifyKernel:
     def test_detection_discards_the_block(self):
         m = emap({"IIIIIIIX": 0.1, "XXIIIIII": 0.2, "IIIIIIII": 0.7})
-        m.apply(verify_kernel, list(range(7)), 7)
+        m.apply((verify_kernel, list(range(7)), 7))
         got = as_strs(m)
         # detected entry replaced by a clean block; undetected one kept
         assert got["IIIIIIII"] == pytest.approx(0.8)
@@ -142,7 +142,7 @@ class TestVerifyKernel:
 
     def test_verifier_z_is_not_a_detection(self):
         m = emap({"XIIIIIIZ": 1.0})
-        m.apply(verify_kernel, list(range(7)), 7)
+        m.apply((verify_kernel, list(range(7)), 7))
         assert as_strs(m) == {"XIIIIIII": pytest.approx(1.0)}
 
 
@@ -152,7 +152,7 @@ class TestSyndromeKernel:
             key = ["I"] * 7
             key[pos] = "X"
             m = emap({"".join(key): 1.0})
-            m.apply(syndrome_kernel, list(range(7)))
+            m.apply((syndrome_kernel, list(range(7))))
             (out,) = as_strs(m)
             value = 4 * (out[0] == "X") + 2 * (out[1] == "X") + (out[2] == "X")
             assert value == pos + 1
@@ -160,7 +160,7 @@ class TestSyndromeKernel:
     def test_linearity_over_composition(self):
         def syndrome_of(key):
             m = emap({key: 1.0})
-            m.apply(syndrome_kernel, list(range(7)))
+            m.apply((syndrome_kernel, list(range(7))))
             (out,) = as_strs(m)
             return tuple(c == "X" for c in out[:3])
 
@@ -171,7 +171,7 @@ class TestSyndromeKernel:
 
     def test_z_errors_do_not_register(self):
         m = emap({"ZZZIIII": 1.0})
-        m.apply(syndrome_kernel, list(range(7)))
+        m.apply((syndrome_kernel, list(range(7))))
         assert as_strs(m) == {"IIIIIII": pytest.approx(1.0)}
 
     @pytest.mark.parametrize("seed", range(6))
@@ -196,35 +196,35 @@ class TestCosetReduceKernel:
         # identity on the encoded zero ancilla
         for key in ("IIIZZZZ", "IZZIIZZ", "ZIZIZIZ", "ZZZZZZZ"):
             m = emap({key: 1.0})
-            m.apply(coset_reduce_kernel, list(range(7)), "z")
+            m.apply((coset_reduce_kernel, list(range(7)), "z"))
             assert as_strs(m) == {"IIIIIII": pytest.approx(1.0)}
 
     def test_single_error_is_fixed_point(self):
         m = emap({"IIIIZII": 1.0})
-        m.apply(coset_reduce_kernel, list(range(7)), "z")
+        m.apply((coset_reduce_kernel, list(range(7)), "z"))
         assert as_strs(m) == {"IIIIZII": pytest.approx(1.0)}
 
     def test_coset_shift_recovers_representative(self):
         # stabilizer IIIZZZZ composed with Z at position 1
         m = emap({"IZIZZZZ": 1.0})
-        m.apply(coset_reduce_kernel, list(range(7)), "z")
+        m.apply((coset_reduce_kernel, list(range(7)), "z"))
         assert as_strs(m) == {"IZIIIII": pytest.approx(1.0)}
 
     def test_other_component_untouched(self):
         # z reduction: the Z part of YZ at {0,1} decodes to Z at 2,
         # the X part at 0 stays where it is
         m = emap({"YZIIIII": 1.0})
-        m.apply(coset_reduce_kernel, list(range(7)), "z")
+        m.apply((coset_reduce_kernel, list(range(7)), "z"))
         assert as_strs(m) == {"XIZIIII": pytest.approx(1.0)}
 
     def test_x_basis_mirrors_z_basis(self):
         m = emap({"IIIXXXX": 0.5, "XIIIIII": 0.5})
-        m.apply(coset_reduce_kernel, list(range(7)), "x")
+        m.apply((coset_reduce_kernel, list(range(7)), "x"))
         got = as_strs(m)
         assert got["IIIIIII"] == pytest.approx(0.5)
         assert got["XIIIIII"] == pytest.approx(0.5)
         with pytest.raises(ValueError):
-            emap({"I": 1.0}).apply(coset_reduce_kernel, [0], "bit")
+            emap({"I": 1.0}).apply((coset_reduce_kernel, [0], "bit"))
 
 
 def syndrome_block(value):
@@ -245,7 +245,7 @@ class TestCorrectKernel:
 
     def run(self, data, votes, phase="bit"):
         m = emap({correction_state(data, votes): 1.0})
-        m.apply(correct_kernel, list(range(7)), self.BLOCKS, phase)
+        m.apply((correct_kernel, list(range(7)), self.BLOCKS, phase))
         (out,) = as_strs(m)
         assert out[7:] == "I" * 21  # ancillas cleared for reuse
         return out[:7]
