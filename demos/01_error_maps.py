@@ -10,14 +10,14 @@ Run:  python3 demos/01_error_maps.py
 """
 
 from paulitree import ErrorMap, MergeMode, QubitSet, Thresholds, merge, split
-from paulitree.errormap import cnot_kernel, one_qubit_patterns
+from paulitree.errormap import cnot_kernel, event_patterns
 
 # Start from two error-free qubits and let a decoherence event with a
 # 10% trigger probability act on qubit 0.  The error-free entry splits
 # into a pass branch and three equally likely error branches.  A map
 # evolves in place; the last argument is the event branch threshold.
 m = ErrorMap.identity(2)
-m.event_kernel(one_qubit_patterns(2, 0), 0.10, 0.0)
+m.event_kernel(event_patterns(2, 0), 0.10, 0.0)
 print("after a 10% event on qubit 0:")
 print(m.dump())
 
@@ -34,8 +34,8 @@ print("total probability:", m.total())
 # pass-through entry branches again.
 exact = ErrorMap.from_dict(dict(m.items()))
 pruned = ErrorMap.from_dict(dict(m.items()))
-exact.event_kernel(one_qubit_patterns(2, 1), 0.10, 0.0)
-pruned.event_kernel(one_qubit_patterns(2, 1), 0.10, 0.05)
+exact.event_kernel(event_patterns(2, 1), 0.10, 0.0)
+pruned.event_kernel(event_patterns(2, 1), 0.10, 0.05)
 print("\nentries after another event  exact: %d   pruned at 5%%: %d"
       % (len(exact), len(pruned)))
 print("both conserve mass:", exact.total(), pruned.total())

@@ -21,7 +21,8 @@ error map, and ``segments_replayed``, the number of closed segments
 instead of computing them (both blank on a Monte Carlo row).  A Monte
 Carlo row also gives its Wilson score 95% interval and the number of
 threads its samples are split across, which does not change its tally.
-``sweep --jobs`` runs the grid points in that many worker processes.
+``sweep --jobs`` runs the grid points in that many worker processes,
+each handed the program once.
 When ``--output`` is a bare file name it is placed under
 ``$PAULITREE_OUTPUT_DIR`` if set.
 """
@@ -35,6 +36,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 from .engine import run_analytical
 from .errormap import MergeMode, Thresholds
@@ -193,8 +195,17 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _sweep_point(job: tuple) -> dict:
-    return _analytical_row(*job)
+# a sweep worker's (base row, program), set once by _sweep_init
+_SWEEP: tuple = ()
+
+
+def _sweep_init(base: dict, prog: Program) -> None:
+    global _SWEEP
+    _SWEEP = (base, prog)
+
+
+def _sweep_point(th: Thresholds) -> dict:
+    return _analytical_row(*_SWEEP, th)
 
 
 def cmd_sweep(args) -> int:
@@ -209,12 +220,16 @@ def cmd_sweep(args) -> int:
     if not grid:
         raise SystemExit("sweep: empty threshold grid")
     base = _base_row(args, prog)
-    jobs = [(base, prog, th) for th in grid]
-    if args.jobs > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=min(args.jobs, len(jobs))) as pool:
-            rows = list(pool.map(_sweep_point, jobs))
+    if args.jobs > 1 and len(grid) > 1:
+        try:
+            with ProcessPoolExecutor(max_workers=min(args.jobs, len(grid)),
+                                     initializer=_sweep_init, initargs=(base, prog)) as pool:
+                rows = list(pool.map(_sweep_point, grid))
+        except BrokenProcessPool as exc:
+            raise SystemExit("sweep: a worker process died (the OS may have killed it "
+                             "for memory): %s" % exc) from None
     else:
-        rows = [_sweep_point(job) for job in jobs]
+        rows = [_analytical_row(base, prog, th) for th in grid]
     # baseline = the finest grid point: smallest thresholds, preferring
     # preservation merging; inaccuracy is the relative crash-rate deviation
     def fineness(row):

@@ -14,10 +14,12 @@ group the step releases (see :data:`~paulitree.program.STEP_KINDS`).
 :func:`~paulitree.errormap.merge` and :func:`~paulitree.errormap.split`
 restructure the maps in the key order the partition predicts.  Every
 step then acts on the map of the set holding its operands, as its entry
-in :data:`~paulitree.program.STEP_KINDS` says.  An error event branches
-each entry on the event's outcome patterns, the same rows the Monte
-Carlo engine draws from; a deterministic step applies its key-array
-kernel, the same kernel the Monte Carlo engine applies to its samples.
+in :data:`~paulitree.program.STEP_KINDS` says.  An error event (a kind
+with no kernel) branches each entry on the rows of
+:func:`~paulitree.errormap.event_patterns` at its positions, the same
+rows the Monte Carlo engine draws from; a deterministic step applies its
+key-array kernel, the same kernel the Monte Carlo engine applies to its
+samples.
 The plan joins each run of adjacent kernel steps on one set into one
 operation, after which the map sorts its keys once.
 
@@ -103,9 +105,8 @@ import numpy as np
 from . import qecc
 from .pauli import Pauli, PauliString
 from .errormap import (ErrorMap, MergeMode, QubitSet, Thresholds, check_event_probability,
-                       merge, split)
-from .program import (STEP_KINDS, OneQubitEvent, Program, StepKind, TwoQubitEvent,
-                      initial_labels, step_kind, step_operands)
+                       event_patterns, merge, split)
+from .program import Program, StepKind, initial_labels, step_kind, step_operands
 
 
 class Partition:
@@ -169,8 +170,8 @@ class FidelityReport:
 #   (MERGE, s, t)          merge set t into set s
 #   (SPLIT, s, positions, t)  split the qubits at key ``positions`` off set
 #                          s into the new set t
-#   (BRANCH, s, patterns, positions, f, weights)  branch set s's map on
-#                          the event with outcome rows ``patterns(width,
+#   (BRANCH, s, positions, f, weights)  branch set s's map on the event
+#                          with outcome rows ``event_patterns(width,
 #                          *positions)``: ``weights`` None for f/k each,
 #                          else the bytes of a float64 array
 #   (APPLY, s, calls)      run each (kernel, args) of ``calls`` on set s's
@@ -251,8 +252,9 @@ def _depolarizing(f: float) -> np.ndarray:
 @dataclass
 class _PairEvent:
     """A pending Pauli channel on two qubits: ``w[4 * a + b]`` is the
-    probability of labels a on ``qubits[0]`` and b on ``qubits[1]``, in
-    the order of :func:`~paulitree.errormap.two_qubit_patterns`."""
+    probability of labels a on ``qubits[0]`` and b on ``qubits[1]``, so
+    ``w[1:]`` weights the rows of
+    :func:`~paulitree.errormap.event_patterns` on the pair in order."""
 
     qubits: tuple[int, int]
     w: np.ndarray
@@ -267,11 +269,6 @@ def _label_gather(spec: StepKind, step, positions: tuple[int, ...]) -> np.ndarra
     spec.function(rows, *spec.args(step, positions))
     image = ((rows[:, 0] & np.uint64(3)) << np.uint64(2)) | (rows[:, 0] >> np.uint64(2))
     return np.argsort(image.astype(np.intp))
-
-
-# outcome patterns of the two event kinds
-_ONE_QUBIT = STEP_KINDS[OneQubitEvent].patterns
-_TWO_QUBIT = STEP_KINDS[TwoQubitEvent].patterns
 
 
 @dataclass
@@ -393,13 +390,12 @@ class _Planner:
 
     # -- event deferral --------------------------------------------------
 
-    def branch(self, patterns, qubits: Sequence[int], f: float,
-               weights: bytes | None = None) -> None:
+    def branch(self, qubits: Sequence[int], f: float, weights: bytes | None = None) -> None:
         """Join the sets of ``qubits`` and branch their map on an event
-        with outcome rows ``patterns``."""
+        on them."""
         self.join(qubits)
         sid, locals_ = self.part.locate(qubits)
-        self.emit((BRANCH, sid, patterns, tuple(locals_), f, weights), sid)
+        self.emit((BRANCH, sid, tuple(locals_), f, weights), sid)
 
     def flush_pair(self, pair: _PairEvent) -> None:
         """Apply and forget a pair event, on its members' joined sets."""
@@ -407,8 +403,7 @@ class _Planner:
             del self.pairs[q]
         weights = pair.w[1:]
         # rounding can carry the sum of a certain event's weights past 1
-        self.branch(_TWO_QUBIT, pair.qubits, min(1.0, float(weights.sum())),
-                    weights.tobytes())
+        self.branch(pair.qubits, min(1.0, float(weights.sum())), weights.tobytes())
 
     def flush(self, qubits: Sequence[int], drop: bool = False) -> None:
         """Apply and forget the pending event of each of ``qubits``; with
@@ -419,7 +414,7 @@ class _Planner:
             elif q in self.pending:
                 f = self.pending.pop(q)
                 if not drop:
-                    self.branch(_ONE_QUBIT, (q,), f)
+                    self.branch((q,), f)
 
     def pair_on(self, a: int, b: int) -> _PairEvent:
         """The pair event on {a, b}: the pending one, or else the tensor
@@ -456,10 +451,10 @@ class _Planner:
         pair.w = pair.w[gather]
         self.keep(pair)
 
-    def defer(self, spec: StepKind, qubits: Sequence[int], g: float) -> None:
-        """Fold an event of kind ``spec`` and probability g into the
-        pending events on ``qubits``."""
-        if spec.patterns is _TWO_QUBIT:
+    def defer(self, qubits: Sequence[int], g: float) -> None:
+        """Fold an event with probability g on ``qubits`` (one or two)
+        into their pending events."""
+        if len(qubits) == 2:
             pair = self.pair_on(*qubits)
             pair.w = (1.0 - g) * pair.w + g / 15 * (pair.w.sum() - pair.w)
             # applied where the event stands: held longer, it prunes more
@@ -484,9 +479,9 @@ class _Planner:
         for step in prog.steps:
             spec = step_kind(step)
             qubits = step_operands(spec, step, prog.num_qubits)
-            if spec.patterns is not None:
+            if spec.kernel is None:
                 check_event_probability(step.f)
-                self.defer(spec, qubits, step.f)
+                self.defer(qubits, step.f)
                 continue
             if spec.permutes_labels:
                 self.carry(spec, step, qubits)
@@ -539,9 +534,9 @@ class _Execution:
         for op in ops:
             kind = op[0]
             if kind == BRANCH:
-                _, sid, patterns, positions, f, weights = op
+                _, sid, positions, f, weights = op
                 m = sets[sid].map
-                m.event_kernel(patterns(m.width, *positions), f, th.event_branch,
+                m.event_kernel(event_patterns(m.width, *positions), f, th.event_branch,
                                None if weights is None else np.frombuffer(weights))
                 self.calls += 1
                 self.peak = max(self.peak, len(m))

@@ -15,12 +15,11 @@ constructor and :meth:`ErrorMap.apply` sum any two keys that coincide,
 and the other operations keep the order.  Sorting and lookup go through
 a 1-D sort view (``_sort_view``): a one-word key, a set of at
 most 32 qubits, sorts as its own ``uint64`` column; a wider key as a
-big-endian void view, most significant word first.  The event outcome
-patterns (``one_qubit_patterns``, ``two_qubit_patterns``) define each
-event's outcomes once for both engines: outcome i is label i + 1, the
-analytical engine branches on every row and Monte Carlo XORs in one row
-per faulted sample.  They are cached per width and positions and
-returned read-only.
+big-endian void view, most significant word first.  One outcome table,
+:func:`event_patterns`, defines the outcomes of every event for both
+engines: outcome i puts the base-4 digits of i + 1 on the event's
+positions, the analytical engine branches on every row and Monte Carlo
+XORs in one row per faulted sample.
 
 The ``*_kernel`` functions rewrite a packed key array in place: the gate
 conjugations and ``clear_kernel`` here, the code readouts in
@@ -58,7 +57,7 @@ from .pauli import PauliString
 
 _U64 = np.uint64
 # event pattern arrays kept, per (width, positions)
-_PATTERN_CACHE = 4096
+_PATTERN_CACHE = 8192
 
 
 class MergeMode(Enum):
@@ -365,35 +364,23 @@ def check_event_probability(f: float) -> None:
 
 
 @lru_cache(maxsize=_PATTERN_CACHE)
-def one_qubit_patterns(width: int, q: int) -> np.ndarray:
-    """XOR patterns of the three equally likely outcomes X, Z, Y at q:
-    outcome i is label i + 1, as in :func:`two_qubit_patterns`.
-
-    Cached per (width, q) and read-only, so no caller can corrupt the
-    patterns of a later event."""
-    _check_positions(width, q)
-    pats = np.zeros((3, _nwords(width)), dtype=_U64)
-    w, s = _slot(q)
-    pats[:, w] = np.arange(1, 4, dtype=_U64) << _U64(s)
-    pats.setflags(write=False)
-    return pats
-
-
-@lru_cache(maxsize=_PATTERN_CACHE)
-def two_qubit_patterns(width: int, q1: int, q2: int) -> np.ndarray:
-    """XOR patterns of the fifteen non-identity two-qubit outcomes:
-    outcome i puts labels divmod(i + 1, 4) on (q1, q2).  Cached and
-    read-only, like :func:`one_qubit_patterns`.  ValueError if q1 == q2,
-    where three outcomes would be the identity."""
-    _check_positions(width, q1, q2)
-    if q1 == q2:
-        raise ValueError("two-qubit event operands must differ, got %d twice" % q1)
-    pats = np.zeros((15, _nwords(width)), dtype=_U64)
-    w1, s1 = _slot(q1)
-    w2, s2 = _slot(q2)
-    labels = np.arange(1, 16, dtype=_U64)
-    pats[:, w1] |= (labels >> _U64(2)) << _U64(s1)
-    pats[:, w2] ^= (labels & _U64(3)) << _U64(s2)
+def event_patterns(width: int, *positions: int) -> np.ndarray:
+    """XOR patterns of the 4**n - 1 non-identity outcomes of an event on
+    n key ``positions``: outcome i puts the base-4 digits of i + 1 on the
+    positions, most significant first, so labels X, Z, Y at one position
+    and divmod(i + 1, 4) on a pair.  Cached per width and positions and
+    read-only, so no caller can corrupt the patterns of a later event.
+    ValueError for a repeated position, where some outcomes would be the
+    identity."""
+    _check_positions(width, *positions)
+    n = len(positions)
+    if len(set(positions)) < n:
+        raise ValueError("event positions must differ, got %r" % (positions,))
+    outcomes = np.arange(1, 4 ** n, dtype=_U64)
+    pats = np.zeros((outcomes.shape[0], _nwords(width)), dtype=_U64)
+    for j, q in enumerate(positions):
+        w, s = _slot(q)
+        pats[:, w] |= ((outcomes >> _U64(2 * (n - 1 - j))) & _U64(3)) << _U64(s)
     pats.setflags(write=False)
     return pats
 

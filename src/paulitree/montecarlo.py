@@ -3,14 +3,15 @@
 Each iteration carries one packed Pauli string over the whole machine,
 one row of a (rows, words) key array.  Every step is read from
 :data:`~paulitree.program.STEP_KINDS`, with global qubit IDs as key
-positions: an error event XORs, with the step's probability, one of its
-outcome patterns into a row, chosen uniformly among the same 3 (or 15)
-rows the analytical engine branches on; every other step applies the
-key-array kernel the analytical engine applies; the crash count uses the
-same ``correctable`` mask.  A sample is always global, so the QubitSets
-the analytical engine merges and splits play no part here.  This module
-holds only what is specific to sampling: drawing the events and
-chunking.
+positions: an error event, a kind with no kernel, XORs into a row, with
+the step's probability, one row of its outcome table
+:func:`~paulitree.errormap.event_patterns`, chosen uniformly among the
+same 3 (or 15) rows the analytical engine branches on; every other step
+applies the key-array kernel the analytical engine applies; the crash
+count uses the same ``correctable`` mask.  A sample is always global, so
+the QubitSets the analytical engine merges and splits play no part here.
+This module holds only what is specific to sampling: drawing the events
+and chunking.
 
 Iterations are vectorized in fixed-size chunks drawn from one PCG64
 stream, spawned from the seed's sequence, so results for a given
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qecc
-from .errormap import _nwords, _slot, check_event_probability
+from .errormap import _nwords, _slot, check_event_probability, event_patterns
 from .program import Program, initial_labels, step_kind, step_operands
 
 _U64 = np.uint64
@@ -121,12 +122,11 @@ def _run_rows(prog: Program, keys: np.ndarray, gen, n: int, failed) -> None:
                 return
             spec = step_kind(step)
             qubits = spec.operands(step)
-            if spec.patterns is not None:
-                if step.f > 0.0:
-                    _xor_hits(keys, spec.patterns(width, *qubits), step.f, gen.random(out=u))
-                    gen.bit_generator.advance(skip)
-            elif spec.kernel is not None:
+            if spec.kernel is not None:
                 spec.function(keys, *spec.args(step, qubits))
+            elif step.f > 0.0:
+                _xor_hits(keys, event_patterns(width, *qubits), step.f, gen.random(out=u))
+                gen.bit_generator.advance(skip)
     except BaseException:
         failed.set()
         raise
@@ -153,7 +153,7 @@ def _sample(prog: Program, n: int, rng, labels: dict, threads: int) -> np.ndarra
     for step in prog.steps:
         spec = step_kind(step)
         step_operands(spec, step, width)
-        if spec.patterns is not None:
+        if spec.kernel is None:
             check_event_probability(step.f)
             events += step.f > 0.0
     keys = np.zeros((n, _nwords(width)), dtype=_U64)

@@ -18,10 +18,11 @@ imprecision, measurement, and reset errors are separate events attached
 to the operations themselves.
 
 Every step kind has one entry in :data:`STEP_KINDS`: its text form, its
-qubits, the qubit groups it releases, for a deterministic kind the
-key-array kernel both engines apply, and for an event kind its outcome
-patterns, which both engines branch or sample on.  Both engines take
-every step's qubits through :func:`step_operands`, which rejects a
+qubits, the qubit groups it releases, and for a deterministic kind the
+key-array kernel both engines apply.  A kind with no kernel is an error
+event, which both engines branch or sample on the outcome table
+:func:`~paulitree.errormap.event_patterns` of its qubits.  Both engines
+take every step's qubits through :func:`step_operands`, which rejects a
 repeated or undeclared qubit, and neither branches on the kind; all
 they need is read from the table.  The program holds no QubitSet
 structure: the analytical engine merges a step's sets and releases its
@@ -205,17 +206,16 @@ class StepKind:
     tokens.  ``operands`` lists the step's qubits, which
     :func:`step_operands` checks and which the analytical engine merges
     into one QubitSet before the step.  ``releases`` lists the qubit
-    groups it splits off right after the step.  Every kind acts on the
-    error map, through either a kernel or outcome patterns.  A
-    deterministic kind names its key-array kernel as (module, function);
-    ``args(step, q)`` gives the kernel's arguments after the keys, where
-    ``q`` holds the key positions of the operands in order.  A kernel may
-    map two keys onto one; the error map sums them (see
-    :meth:`~paulitree.errormap.ErrorMap.apply`).
-    An event kind instead names its outcomes: ``patterns(width, *q)`` is
-    the XOR pattern array of its equally likely outcomes, outcome i
-    being label i + 1 (see :func:`~paulitree.errormap.one_qubit_patterns`),
-    and both engines draw or branch on exactly these rows.
+    groups it splits off right after the step.  A deterministic kind
+    names its key-array kernel as (module, function); ``args(step, q)``
+    gives the kernel's arguments after the keys, where ``q`` holds the
+    key positions of the operands in order.  A kernel may map two keys
+    onto one; the error map sums them (see
+    :meth:`~paulitree.errormap.ErrorMap.apply`).  A kind with no kernel
+    is an error event with probability ``step.f``: both engines draw or
+    branch on the rows of ``event_patterns(width, *q)``
+    (:func:`~paulitree.errormap.event_patterns`), its equally likely
+    outcomes.
     ``permutes_labels`` marks a Clifford gate whose kernel, given only the
     operands' positions, maps each Pauli label of its operands to one
     Pauli label: the analytical engine carries deferred events through
@@ -232,7 +232,6 @@ class StepKind:
     releases: Callable[[Any], tuple[tuple[int, ...], ...]] = _none
     kernel: tuple[ModuleType, str] | None = None
     args: Callable[[Any, Sequence[int]], tuple] = _positions
-    patterns: Callable[..., Any] | None = None
     permutes_labels: bool = False
     clears: bool = False
 
@@ -248,11 +247,11 @@ STEP_KINDS: dict[type, StepKind] = {
     OneQubitEvent: StepKind(
         "e1 %d %s", lambda s: (s.qubit, _float_text(s.f)),
         lambda q, f: OneQubitEvent(int(q), float(f)),
-        operands=lambda s: (s.qubit,), patterns=errormap.one_qubit_patterns),
+        operands=lambda s: (s.qubit,)),
     TwoQubitEvent: StepKind(
         "e2 %d %d %s", lambda s: (s.qubit_a, s.qubit_b, _float_text(s.f)),
         lambda a, b, f: TwoQubitEvent(int(a), int(b), float(f)),
-        operands=lambda s: (s.qubit_a, s.qubit_b), patterns=errormap.two_qubit_patterns),
+        operands=lambda s: (s.qubit_a, s.qubit_b)),
     Hadamard: StepKind(
         "h %d", lambda s: s.qubit, lambda q: Hadamard(int(q)),
         operands=lambda s: (s.qubit,),
@@ -641,7 +640,7 @@ def parse_program(text: str) -> Program:
                 operands = kind.operands(step)
                 if len(set(operands)) != len(operands):
                     raise ValueError("%s repeats a qubit" % kw)
-                if kind.patterns is not None:
+                if kind.kernel is None:
                     errormap.check_event_probability(step.f)
                 steps.append(step)
             else:

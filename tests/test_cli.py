@@ -1,12 +1,13 @@
 import csv
 import io
 import json
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from paulitree import NoiseParams, Thresholds, build_basic_program, cli, run_analytical
 from paulitree.cli import COLUMNS, build_parser, main
-from paulitree.program import program_hash
+from paulitree.program import Program, program_hash
 
 
 def run_cli(capsys, *argv):
@@ -155,14 +156,17 @@ class TestSweep:
         with pytest.raises(SystemExit, match="empty threshold grid"):
             main(["sweep", "--event-th", ""])
 
-    def test_jobs_capped_at_the_grid_size(self, capsys, monkeypatch):
-        sizes = []
+    @staticmethod
+    def recording_pool(log, fail=None):
+        """A stand-in for ProcessPoolExecutor that runs its initializer and
+        maps in this process, logging its arguments and mapped items; with
+        ``fail``, its map raises that exception instead."""
 
         class RecordingPool:
-            """Records the pool size and maps in this process."""
-
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
+            def __init__(self, max_workers, initializer=None, initargs=()):
+                log.append(("pool", max_workers, initargs))
+                if initializer is not None:
+                    initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -170,18 +174,57 @@ class TestSweep:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, jobs):
-                return map(fn, jobs)
+            def map(self, fn, items):
+                if fail is not None:
+                    raise fail
+                items = list(items)
+                log.append(("map", items))
+                return map(fn, items)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        return RecordingPool
+
+    def test_jobs_capped_at_the_grid_size(self, capsys, monkeypatch):
+        log = []
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", self.recording_pool(log))
         grid = ["--merge-th", "1e-8", "--merge-mode", "preservation"]
         code, out, _ = run_cli(capsys, "sweep", "--jobs", "64", "--event-th", "1e-4,1e-5", *grid)
         assert code == 0
-        assert sizes == [2]
+        assert [e[1] for e in log if e[0] == "pool"] == [2]
         assert [r["event_threshold"] for r in parse_csv(out)] == ["0.0001", "1e-05"]
         # a one-point grid runs in this process
         code, _, _ = run_cli(capsys, "sweep", "--jobs", "64", "--event-th", "1e-4", *grid)
-        assert code == 0 and sizes == [2]
+        assert code == 0 and [e[1] for e in log if e[0] == "pool"] == [2]
+
+    def test_workers_get_the_program_once(self, capsys, monkeypatch):
+        log = []
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", self.recording_pool(log))
+        code, out, _ = run_cli(capsys, "sweep", "--jobs", "2", "--event-th", "1e-3,1e-4",
+                               "--merge-th", "1e-6,1e-8", "--merge-mode", "preservation")
+        assert code == 0
+        (_, _, initargs), (_, items) = log
+        # the program goes to each worker with its initializer, and the
+        # mapped grid points are thresholds alone
+        assert [type(a) for a in initargs] == [dict, Program]
+        assert len(items) == 4 and all(isinstance(th, Thresholds) for th in items)
+        assert len(parse_csv(out)) == 4
+
+    def test_a_dead_worker_ends_the_sweep_cleanly(self, capsys, monkeypatch):
+        died = BrokenProcessPool("A process in the process pool was terminated abruptly")
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", self.recording_pool([], died))
+        with pytest.raises(SystemExit, match="worker process died.*terminated abruptly"):
+            main(["sweep", "--jobs", "2", "--event-th", "1e-3,1e-4", *FAST[2:]])
+
+    def test_worker_processes_match_a_serial_sweep(self, capsys):
+        argv = ["sweep", "--event-th", "1e-2,1e-3", "--merge-th", "1e-4",
+                "--merge-mode", "preservation"]
+        _, serial, _ = run_cli(capsys, *argv)
+        code, pooled, _ = run_cli(capsys, *argv, "--jobs", "2")
+        assert code == 0
+
+        def strip(rows):
+            return [{k: v for k, v in r.items() if k != "wall_time_ms"} for r in rows]
+
+        assert strip(parse_csv(pooled)) == strip(parse_csv(serial))
 
 
 class TestProgramHash:

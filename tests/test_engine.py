@@ -353,7 +353,7 @@ def spy_apply(monkeypatch):
 class TestKernelRuns:
     def test_adjacent_kernels_on_one_set_are_joined(self):
         a, b, c, d = (((errormap, "cnot_kernel"), (i, i + 1)) for i in range(4))
-        branch = (engine.BRANCH, 0, None, (0,), 0.25, None)
+        branch = (engine.BRANCH, 0, (0,), 0.25, None)
         ops = [(engine.APPLY, 0, (a,)), (engine.APPLY, 0, (b,)), (engine.APPLY, 1, (c,)),
                branch, (engine.APPLY, 1, (d,)), (engine.APPLY, 0, (a,))]
         assert engine._join_kernels(ops) == [

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from paulitree import engine
 from paulitree.errormap import (
     ErrorMap,
     _aggregate,
@@ -17,10 +18,9 @@ from paulitree.errormap import (
     clear_kernel,
     cnot_kernel,
     hadamard_kernel,
+    event_patterns,
     merge,
-    one_qubit_patterns,
     split,
-    two_qubit_patterns,
 )
 from paulitree.pauli import Pauli, PauliString
 from paulitree.qecc import correctable, syndrome_kernel, verify_kernel
@@ -60,17 +60,17 @@ class TestOneQubitEvent:
     def test_expands_error_free_state(self):
         # event at the rightmost bit of a 3-qubit set, f = 0.3
         m = emap({"III": 1.0})
-        m.event_kernel(one_qubit_patterns(3, 2), 0.3, 0.1)
+        m.event_kernel(event_patterns(3, 2), 0.3, 0.1)
         assert_map_close(m, {"III": 0.7, "IIX": 0.1, "IIY": 0.1, "IIZ": 0.1})
 
     def test_zero_probability_event(self):
         m = emap({"III": 1.0})
-        m.event_kernel(one_qubit_patterns(3, 1), 0.0, 0.0)
+        m.event_kernel(event_patterns(3, 1), 0.0, 0.0)
         assert_map_close(m, {"III": 1.0})
 
     def test_below_threshold_passes_through_and_collides(self):
         m = emap({"III": 0.9, "IIX": 0.05})
-        m.event_kernel(one_qubit_patterns(3, 2), 0.3, 0.1)
+        m.event_kernel(event_patterns(3, 2), 0.3, 0.1)
         assert_map_close(
             m, {"III": 0.63, "IIX": 0.09 + 0.05, "IIY": 0.09, "IIZ": 0.09}
         )
@@ -79,19 +79,19 @@ class TestOneQubitEvent:
         before = emap({"III": 0.9, "IIX": 0.1}).dump()
         for f in (0.3, 1.0):
             m = emap({"III": 0.9, "IIX": 0.1})
-            m.event_kernel(one_qubit_patterns(3, 2), f, 0.95)
+            m.event_kernel(event_patterns(3, 2), f, 0.95)
             assert m.dump() == before
 
     def test_conserves_mass_for_any_threshold(self):
         for th in (0.0, 1e-3, 0.5, 1.0):
             m = emap({"II": 0.6, "XI": 0.3, "YZ": 0.1})
-            m.event_kernel(one_qubit_patterns(2, 0), 0.25, th)
+            m.event_kernel(event_patterns(2, 0), 0.25, th)
             assert m.total() == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("width, q", [(1, 0), (40, 35)])
     def test_certain_event_drops_the_emptied_source(self, width, q):
         m = ErrorMap.identity(width)
-        m.event_kernel(one_qubit_patterns(width, q), 1.0, 0.0)
+        m.event_kernel(event_patterns(width, q), 1.0, 0.0)
         assert len(m) == 3
         assert (m._probs > 0.0).all()
         base = "I" * width
@@ -100,20 +100,20 @@ class TestOneQubitEvent:
     def test_certain_event_can_land_on_an_emptied_source(self):
         # the I source empties, then the X source's X branch lands on it
         m = emap({"I": 0.5, "X": 0.5})
-        m.event_kernel(one_qubit_patterns(1, 0), 1.0, 0.0)
+        m.event_kernel(event_patterns(1, 0), 1.0, 0.0)
         assert_map_close(m, {"I": 1 / 6, "X": 1 / 6, "Y": 1 / 3, "Z": 1 / 3})
 
     def test_errors(self):
         with pytest.raises(IndexError):
-            one_qubit_patterns(2, 2)
+            event_patterns(2, 2)
         with pytest.raises(ValueError):
-            emap({"II": 1.0}).event_kernel(one_qubit_patterns(2, 0), 1.5, 0.0)
+            emap({"II": 1.0}).event_kernel(event_patterns(2, 0), 1.5, 0.0)
 
 
 class TestTwoQubitEvent:
     def test_fifteen_equal_branches(self):
         m = emap({"II": 1.0})
-        m.event_kernel(two_qubit_patterns(2, 0, 1), 0.15, 0.0)
+        m.event_kernel(event_patterns(2, 0, 1), 0.15, 0.0)
         expected = {"II": 0.85}
         for a in "IXYZ":
             for b in "IXYZ":
@@ -123,12 +123,12 @@ class TestTwoQubitEvent:
 
     def test_zero_event(self):
         m = emap({"II": 1.0})
-        m.event_kernel(two_qubit_patterns(2, 0, 1), 0.0, 0.0)
+        m.event_kernel(event_patterns(2, 0, 1), 0.0, 0.0)
         assert_map_close(m, {"II": 1.0})
 
     def test_composes_onto_existing_error(self):
         m = emap({"XI": 1.0})
-        m.event_kernel(two_qubit_patterns(2, 0, 1), 0.15, 0.0)
+        m.event_kernel(event_patterns(2, 0, 1), 0.15, 0.0)
         assert as_strs(m)["XX"] == pytest.approx(0.01)
         assert m.total() == pytest.approx(1.0, abs=1e-12)
 
@@ -136,14 +136,14 @@ class TestTwoQubitEvent:
         # three of the fifteen rows would be all-zero, moving 1/5 of the
         # event's mass onto "no error"
         for width, q in ((2, 1), (4, 1), (40, 35)):
-            two_qubit_patterns(width, 0, q)  # a valid entry in the cache first
+            event_patterns(width, 0, q)  # a valid entry in the cache first
             with pytest.raises(ValueError, match="must differ"):
-                two_qubit_patterns(width, q, q)
+                event_patterns(width, q, q)
 
 
 class TestWeightedEvent:
-    @pytest.mark.parametrize("patterns", [one_qubit_patterns(3, 1),
-                                          two_qubit_patterns(3, 2, 0)], ids=["3", "15"])
+    @pytest.mark.parametrize("patterns", [event_patterns(3, 1),
+                                          event_patterns(3, 2, 0)], ids=["3", "15"])
     @pytest.mark.parametrize("f, th", [(0.3, 0.0), (0.1234567890123, 0.05), (1.0, 0.0)])
     def test_uniform_weights_are_the_default_bit_for_bit(self, patterns, f, th):
         entries = {"III": 0.6, "XIZ": 0.25, "YYI": 0.1, "IZX": 0.05}
@@ -158,7 +158,7 @@ class TestWeightedEvent:
         m = emap({"II": 0.75, "XI": 0.25})
         weights = np.zeros(15)
         weights[[0, 3]] = 0.125, 0.375  # IX and XI
-        m.event_kernel(two_qubit_patterns(2, 0, 1), 0.5, 0.0, weights)
+        m.event_kernel(event_patterns(2, 0, 1), 0.5, 0.0, weights)
         assert_map_close(m, {"II": 0.375 + 0.25 * 0.375, "XI": 0.125 + 0.75 * 0.375,
                              "IX": 0.75 * 0.125, "XX": 0.25 * 0.125})
 
@@ -172,14 +172,14 @@ class TestWeightedEvent:
         m = emap({"II": 1.0})
         before = m.dump()
         with pytest.raises(ValueError, match=message):
-            m.event_kernel(one_qubit_patterns(2, 0), 0.3, 0.0, weights)
+            m.event_kernel(event_patterns(2, 0), 0.3, 0.0, weights)
         assert m.dump() == before
 
     def test_certain_event_drops_the_branched_sources(self):
         m = emap({"II": 0.5, "XI": 0.5})
         weights = np.zeros(15)
         weights[[0, 1]] = 0.25, 0.75  # IX, IZ
-        m.event_kernel(two_qubit_patterns(2, 0, 1), 1.0, 0.0, weights)
+        m.event_kernel(event_patterns(2, 0, 1), 1.0, 0.0, weights)
         assert len(m) == 4
         assert (m._probs > 0.0).all()
         assert_map_close(m, {"IX": 0.125, "IZ": 0.375, "XX": 0.125, "XZ": 0.375})
@@ -378,7 +378,7 @@ class TestWideSets:
         n = 40
         s = "I" * 35 + "X" + "I" * 4
         m = emap({("I" * n): 0.9, s: 0.1})
-        m.event_kernel(one_qubit_patterns(n, 38), 0.5, 0.0)
+        m.event_kernel(event_patterns(n, 38), 0.5, 0.0)
         assert m.total() == pytest.approx(1.0, abs=1e-12)
         m.apply((cnot_kernel, 35, 38))
         assert m.total() == pytest.approx(1.0, abs=1e-12)
@@ -398,34 +398,80 @@ class TestWideSets:
 
 class TestPatternCache:
     def test_cached_patterns_are_read_only(self):
-        for pats in (one_qubit_patterns(5, 2), two_qubit_patterns(5, 1, 3)):
+        for pats in (event_patterns(5, 2), event_patterns(5, 1, 3)):
             with pytest.raises(ValueError):
                 pats[0, 0] = 0
         # a second call returns the same, unchanged array
-        assert one_qubit_patterns(5, 2) is one_qubit_patterns(5, 2)
-        assert [int(r[0]) for r in one_qubit_patterns(5, 2)] == [
+        assert event_patterns(5, 2) is event_patterns(5, 2)
+        assert [int(r[0]) for r in event_patterns(5, 2)] == [
             int(lab) << 4 for lab in (Pauli.X, Pauli.Z, Pauli.Y)]
 
     def test_out_of_range_still_raises_once_cached(self):
-        one_qubit_patterns(3, 2)
-        two_qubit_patterns(3, 0, 2)
+        event_patterns(3, 2)
+        event_patterns(3, 0, 2)
         with pytest.raises(IndexError):
-            one_qubit_patterns(3, 3)
+            event_patterns(3, 3)
         with pytest.raises(IndexError):
-            one_qubit_patterns(3, -1)
+            event_patterns(3, -1)
         with pytest.raises(IndexError):
-            two_qubit_patterns(3, 0, 3)
+            event_patterns(3, 0, 3)
 
     def test_event_same_with_cold_and_warm_cache(self):
-        one_qubit_patterns.cache_clear()
+        event_patterns.cache_clear()
         dumps = []
         for _ in range(2):
             m = emap({"II": 0.7, "XZ": 0.3})
-            m.event_kernel(one_qubit_patterns(2, 1), 0.3, 0.0)
+            m.event_kernel(event_patterns(2, 1), 0.3, 0.0)
             dumps.append(m.dump())
         cold, warm = dumps
         assert cold == warm
-        assert one_qubit_patterns.cache_info().hits >= 1
+        assert event_patterns.cache_info().hits >= 1
+
+
+def reference_patterns(width, *positions):
+    """The two hand-written outcome tables event_patterns replaced:
+    outcome i is label i + 1 at q, and labels divmod(i + 1, 4) on (q1, q2)."""
+    if len(positions) == 1:
+        labels = [(i + 1,) for i in range(3)]
+    else:
+        labels = [divmod(i + 1, 4) for i in range(15)]
+    return np.array([_row_from_int(sum(lab << (2 * q) for lab, q in zip(labs, positions)),
+                                   (width + 31) // 32) for labs in labels])
+
+
+class TestOutcomeTable:
+    @pytest.mark.parametrize("width", range(1, 66))
+    def test_matches_the_one_and_two_qubit_tables(self, width):
+        # positions in key words 0, 1 and 2, where the width reaches them
+        picks = {q for q in (0, 1, 30, 31, 32, 33, 63, 64) if q < width} | {width - 1}
+        for q in picks:
+            assert (event_patterns(width, q) == reference_patterns(width, q)).all()
+        for q1 in picks:
+            for q2 in picks:
+                if q1 != q2:
+                    assert (event_patterns(width, q1, q2)
+                            == reference_patterns(width, q1, q2)).all()
+            with pytest.raises(ValueError, match="must differ"):
+                event_patterns(width, q1, q1)
+
+    def test_row_4a_plus_b_minus_1_is_the_pair_event_outcome_a_b(self):
+        # the planner weights row 4a + b - 1 with _PairEvent.w[4a + b],
+        # the probability of label a on its first qubit and b on its second
+        pats = event_patterns(2, 0, 1)
+        for a in range(4):
+            for b in range(4):
+                if a or b:
+                    assert int(pats[4 * a + b - 1, 0]) == a | b << 2
+                    planner = engine._Planner([(0,), (1,)])
+                    w = np.zeros(16)
+                    w[4 * a + b] = 1.0
+                    pair = engine._PairEvent((0, 1), w)
+                    planner.keep(pair)
+                    planner.flush_pair(pair)
+                    sets = {0: qset({"I": 1.0}, (0,)), 1: qset({"I": 1.0}, (1,))}
+                    engine._Execution(TH0).run(planner.ops, sets)
+                    (key, p), = sets[0].map.items()
+                    assert (key.bits, p) == (a | b << 2, 1.0)
 
 
 # Keys on both sides of the 32-qubit word boundary, against dict oracles.
@@ -531,9 +577,9 @@ def test_every_operation_leaves_the_keys_sorted_and_unique(width, data):
     m.apply(*calls)
     expected = kernel_oracle(width, expected, calls)
     assert_sorted_map(m, expected)
-    m.event_kernel(one_qubit_patterns(width, q), 0.75, 0.0)
+    m.event_kernel(event_patterns(width, q), 0.75, 0.0)
     assert_sorted_map(m)
-    m.event_kernel(one_qubit_patterns(width, 0), 1.0, 0.0)
+    m.event_kernel(event_patterns(width, 0), 1.0, 0.0)
     assert_sorted_map(m)
     merged = merge(QubitSet(tuple(range(width)), m),
                    qset({"I": 0.5, "X": 0.5}, members=[width]), TH0)
@@ -551,7 +597,7 @@ def test_event_matches_oracle_across_word_boundary(width, data, f):
     # last qubit of word 0 and, when there is one, first qubit of word 1
     for q in sorted({min(31, width - 1), min(32, width - 1)}):
         m = sorted_map(width, keys, probs)
-        m.event_kernel(one_qubit_patterns(width, q), f, 0.0)
+        m.event_kernel(event_patterns(width, q), f, 0.0)
         expected = {}
         for k, p in start.items():
             expected[k] = expected.get(k, 0.0) + p * (1.0 - f)
@@ -586,7 +632,7 @@ def random_maps(draw, max_qubits=4, max_entries=6):
 def test_events_conserve_mass_property(m, f, th, data):
     q = data.draw(st.integers(0, m.width - 1))
     before = m.total()
-    m.event_kernel(one_qubit_patterns(m.width, q), f, th)
+    m.event_kernel(event_patterns(m.width, q), f, th)
     assert m.total() == pytest.approx(before, abs=1e-9)
 
 
@@ -690,6 +736,6 @@ def test_pruning_monotonicity():
     counts = []
     for th in (0.5, 0.05, 0.01, 0.0):
         m = emap({"III": 0.9, "XII": 0.06, "IZI": 0.04})
-        m.event_kernel(one_qubit_patterns(3, 1), 0.3, th)
+        m.event_kernel(event_patterns(3, 1), 0.3, th)
         counts.append(len(m))
     assert counts == sorted(counts)

@@ -13,8 +13,7 @@ from paulitree.errormap import (
     _int_from_row,
     _nwords,
     _slot,
-    one_qubit_patterns,
-    two_qubit_patterns,
+    event_patterns,
 )
 from paulitree.montecarlo import _CHUNK, _wilson95, _xor_hits, run_mc
 from paulitree.noise import NoiseParams
@@ -180,8 +179,8 @@ class TestSharedOutcomes:
     WIDTH = 36  # two key words, as in the basic program
 
     @pytest.mark.parametrize("patterns, qubits", [
-        (one_qubit_patterns(WIDTH, 33), (33,)),
-        (two_qubit_patterns(WIDTH, 5, 34), (5, 34)),
+        (event_patterns(WIDTH, 33), (33,)),
+        (event_patterns(WIDTH, 5, 34), (5, 34)),
     ], ids=["one-qubit", "two-qubit"])
     def test_mid_bin_uniform_draws_outcome_i(self, patterns, qubits):
         f = 0.3
@@ -218,17 +217,17 @@ def _reference_keys(prog, n, rng, labels):
     for step in prog.steps:
         spec = step_kind(step)
         qubits = step_operands(spec, step, width)
-        if spec.patterns is not None:
+        if spec.kernel is None:
             if step.f == 0.0:
                 continue
-            patterns = spec.patterns(width, *qubits)
+            patterns = event_patterns(width, *qubits)
             u = rng.random(n)
             rows = np.nonzero(u < step.f)[0]
             k = patterns.shape[0]
             pick = np.minimum((u[rows] * (k / step.f)).astype(np.int64), k - 1)
             for w in range(keys.shape[1]):
                 keys[rows, w] ^= patterns[pick, w]
-        elif spec.kernel is not None:
+        else:
             spec.function(keys, *spec.args(step, qubits))
     return keys
 
@@ -357,7 +356,7 @@ class TestWorkers:
         monkeypatch.setattr(montecarlo, "_xor_hits", xoring)
         montecarlo._sample(self.PROG, 256, np.random.default_rng(0),
                            initial_labels(self.PROG, None), threads)
-        events = sum(step_kind(s).patterns is not None for s in self.PROG.steps)
+        events = sum(step_kind(s).kernel is None for s in self.PROG.steps)
         assert threading.main_thread() not in drawn and len(drawn) == threads
         # each worker draws its m rows once per event; the ranges cover n
         assert sorted(len(sizes) for sizes in drawn.values()) == [events] * threads
