@@ -12,14 +12,17 @@ Local qubit index i of a set lives in word i // 32 at bit offset
 
 A map always holds its keys sorted in numeric order and distinct: the
 constructor and :meth:`ErrorMap.apply` sum any two keys that coincide,
-and the other operations keep the order.  Sorting and lookup go through
-a 1-D sort view (``_sort_view``): a one-word key, a set of at
-most 32 qubits, sorts as its own ``uint64`` column; a wider key as a
-big-endian void view, most significant word first.  One outcome table,
-:func:`event_patterns`, defines the outcomes of every event for both
-engines: outcome i puts the base-4 digits of i + 1 on the event's
-positions, the analytical engine branches on every row and Monte Carlo
-XORs in one row per faulted sample.
+and the other operations keep the order.  Whole keys move as records of
+a 1-D record view (``_rows``), one element per key, so gathers, filters
+and inserts move a key as one element instead of fancy-indexing a 2-D
+array.  A 1-D sort view (``_sort_view``) orders the records for sorting
+and lookup.  A one-word key, a set of at most 32 qubits, is its own
+``uint64`` column in both views; a wider key is a native-order void
+record and sorts as a big-endian void view, most significant word first.
+One outcome table, :func:`event_patterns`, defines the outcomes of every
+event for both engines: outcome i puts the base-4 digits of i + 1 on the
+event's positions, the analytical engine branches on every row and Monte
+Carlo XORs in one row per faulted sample.
 
 The ``*_kernel`` functions rewrite a packed key array in place: the gate
 conjugations and ``clear_kernel`` here, the code readouts in
@@ -128,26 +131,42 @@ def _sort_view(keys: np.ndarray) -> np.ndarray:
     return be.view(np.dtype((np.void, be.shape[1] * 8))).ravel()
 
 
+def _rows(keys: np.ndarray) -> np.ndarray:
+    """1-D record view of a key array, one element per whole key, for
+    moving keys: the ``uint64`` column of one-word keys, a
+    ``void(8 * words)`` view (a contiguous copy if need be) of wider ones."""
+    if keys.shape[1] == 1:
+        return keys[:, 0]
+    return np.ascontiguousarray(keys).view(np.dtype((np.void, 8 * keys.shape[1]))).ravel()
+
+
+def _unrows(rows: np.ndarray, nwords: int) -> np.ndarray:
+    """The (rows, words) key array behind a contiguous record array, a view."""
+    return rows.view(_U64).reshape(-1, nwords)
+
+
 def _aggregate(keys: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sum probabilities of duplicate keys; return sorted unique keys."""
-    if keys.shape[0] == 0:
-        return keys, probs
+    """Sum probabilities of duplicate keys; return sorted unique keys, a
+    new C-contiguous array, and the entries' new probabilities."""
     v = _sort_view(keys)
     order = v.argsort(kind="stable")
-    v = v[order]
-    keys = keys[order]
-    probs = probs[order]
-    new_group = np.empty(keys.shape[0], dtype=bool)
-    new_group[0] = True
+    rows = _rows(keys).take(order)
+    probs = probs.take(order)
+    # a one-word key's sort view is its record
+    v = rows if keys.shape[1] == 1 else v.take(order)
+    new_group = np.empty(v.shape[0], dtype=bool)
+    new_group[:1] = True
     new_group[1:] = v[1:] != v[:-1]
-    starts = new_group.nonzero()[0]
-    probs = np.add.reduceat(probs, starts)
-    keys = keys[starts]
+    if not new_group.all():
+        # a group of one sums to itself, so this is skipped exactly
+        starts = new_group.nonzero()[0]
+        probs = np.add.reduceat(probs, starts)
+        rows = rows.take(starts)
     keep = probs > 0.0
     if not keep.all():
-        keys = keys[keep]
+        rows = rows[keep]
         probs = probs[keep]
-    return np.ascontiguousarray(keys), probs
+    return _unrows(rows, keys.shape[1]), probs
 
 
 class ErrorMap:
@@ -265,7 +284,8 @@ class ErrorMap:
         miss = ~hit
         if miss.any():
             where = pos[miss]
-            self._keys = np.insert(self._keys, where, keys[miss], axis=0)
+            rows = np.insert(_rows(self._keys), where, _rows(keys)[miss])
+            self._keys = _unrows(rows, keys.shape[1])
             self._probs = np.insert(self._probs, where, probs[miss])
             # a one-word map's view is its key column: nothing to keep
             self._v = None if keys.shape[1] == 1 else np.insert(base_v, where, v[miss])
@@ -294,7 +314,7 @@ class ErrorMap:
             return
         probs = self._probs
         idx = (probs >= event_branch).nonzero()[0]
-        src_keys = self._keys[idx]
+        src_keys = self._keys.take(idx, axis=0)
         # pattern-major rows: every source XOR pattern 0, then pattern 1, ...
         branch_keys = (src_keys[None] ^ patterns[:, None]).reshape(-1, src_keys.shape[1])
         branch_probs = np.empty((k, idx.shape[0]))
@@ -464,10 +484,10 @@ def merge(a: QubitSet, b: QubitSet, th: Thresholds) -> QubitSet:
 
     order_a = np.argsort(-a.map._probs, kind="stable")
     pa = a.map._probs[order_a]
-    ka = _shift_rows(a.map._keys[order_a], 0, nw)
+    ka = _shift_rows(a.map._keys.take(order_a, axis=0), 0, nw)
     order_b = np.argsort(-b.map._probs, kind="stable")
     pb = b.map._probs[order_b]
-    kb = _shift_rows(b.map._keys[order_b], 2 * a.map.width, nw)
+    kb = _shift_rows(b.map._keys.take(order_b, axis=0), 2 * a.map.width, nw)
 
     # pairs (i, j < k[i]) are at or above the merge threshold; at
     # threshold 0 that is every pair
@@ -478,7 +498,7 @@ def merge(a: QubitSet, b: QubitSet, th: Thresholds) -> QubitSet:
     # the preserved rows below can collide with them.
     i_idx = np.repeat(np.arange(pa.shape[0]), k)
     j_idx = np.arange(i_idx.shape[0]) - np.repeat(np.cumsum(k) - k, k)
-    parts = [(ka[i_idx] | kb[j_idx], pa[i_idx] * pb[j_idx])]
+    parts = [(ka.take(i_idx, axis=0) | kb.take(j_idx, axis=0), pa[i_idx] * pb[j_idx])]
 
     if th.merge_mode is MergeMode.PRESERVATION:
         # transpose of k: #{i: k_i > j}; k is nonincreasing because pa
@@ -494,13 +514,22 @@ def merge(a: QubitSet, b: QubitSet, th: Thresholds) -> QubitSet:
 
 
 def _gather_positions(keys: np.ndarray, positions: list[int], width_out: int) -> np.ndarray:
-    m = keys.shape[0]
-    out = np.zeros((m, _nwords(width_out)), dtype=_U64)
+    """Keys reduced to ``positions``: the label at ``positions[j]`` moves
+    to position j of a ``width_out`` key.  Each run of consecutive
+    positions inside one source word and one output word moves with one
+    mask and one shift."""
+    runs = []  # [first position, first output index, length]
     for j, q in enumerate(positions):
+        if runs and q == runs[-1][0] + runs[-1][2] and q % 32 and j % 32:
+            runs[-1][2] += 1
+        else:
+            runs.append([q, j, 1])
+    out = np.zeros((keys.shape[0], _nwords(width_out)), dtype=_U64)
+    for q, j, n in runs:
         w, s = _slot(q)
-        lab = (keys[:, w] >> _U64(s)) & _U64(3)
         wj, sj = _slot(j)
-        out[:, wj] |= lab << _U64(sj)
+        bits = keys[:, w] & _U64(((1 << 2 * n) - 1) << s)
+        out[:, wj] |= bits << _U64(sj - s) if sj >= s else bits >> _U64(s - sj)
     return out
 
 

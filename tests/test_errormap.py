@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from paulitree import engine
@@ -540,6 +540,38 @@ def test_insert_matches_oracle_across_word_boundary(width, data):
     assert (m._view() == _sort_view(m._keys)).all()
 
 
+@pytest.mark.parametrize("width", BOUNDARY_WIDTHS)
+@settings(deadline=None, max_examples=25)
+@given(data=st.data())
+def test_aggregate_returns_new_contiguous_keys_for_any_input_layout(width, data):
+    keys, probs = data.draw(boundary_entries(width))
+    nw = (width + 31) // 32
+    doubled = pack(width, [k for k in keys for _ in (0, 1)])
+    # the same keys as a C array, a strided view and a Fortran-ordered copy
+    for src in (pack(width, keys), doubled[::2], np.asfortranarray(pack(width, keys))):
+        before = src.copy()
+        p = np.array(probs)
+        out_keys, out_probs = _aggregate(src, p)
+        assert out_keys.dtype == np.uint64 and out_keys.flags.c_contiguous
+        assert out_keys.shape == (out_probs.shape[0], nw)
+        assert not np.shares_memory(out_keys, src) and not np.shares_memory(out_probs, p)
+        assert (src == before).all()
+        assert_sorted_unique(out_keys, out_probs, oracle_sum((keys, probs)))
+
+
+@pytest.mark.parametrize("width", BOUNDARY_WIDTHS)
+@settings(deadline=None, max_examples=25)
+@given(data=st.data())
+def test_operations_on_a_copy_leave_the_source_map_unchanged(width, data):
+    m = sorted_map(width, *data.draw(boundary_entries(width)))
+    keys, probs = m._keys.copy(), m._probs.copy()
+    c = m.copy()
+    q = min(31, width - 1)
+    c.apply((hadamard_kernel, q), (clear_kernel, [0]))
+    c.event_kernel(event_patterns(width, q), 0.75, 0.0)
+    assert (m._keys == keys).all() and (m._probs == probs).all()
+
+
 def kernel_oracle(width, entries, calls):
     """{key int: probability} after running ``calls`` on each key alone."""
     out = {}
@@ -605,6 +637,46 @@ def test_event_matches_oracle_across_word_boundary(width, data, f):
                 b = k ^ (lab << (2 * q))
                 expected[b] = expected.get(b, 0.0) + p * (f / 3)
         assert {s.bits: p for s, p in m.items()} == expected
+
+
+@st.composite
+def keep_runs(draw, width):
+    """A proper, non-empty keep set drawn as alternating runs and gaps of
+    up to 40 positions, so runs and gaps cross the 32-qubit word boundary
+    of the source key and, once more than 32 are kept, of the output key."""
+    keep, q, kept = [], 0, draw(st.booleans())
+    while q < width:
+        n = draw(st.integers(1, 40))
+        if kept:
+            keep += range(q, min(q + n, width))
+        q, kept = q + n, not kept
+    assume(0 < len(keep) < width)
+    return keep
+
+
+def project(k, positions):
+    """Key int ``k`` reduced to ``positions``: label of positions[j] at j."""
+    return sum(((k >> 2 * q) & 3) << 2 * j for j, q in enumerate(positions))
+
+
+# a one-qubit set has no proper, non-empty keep set
+@pytest.mark.parametrize("width", [w for w in BOUNDARY_WIDTHS if w > 1])
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_split_matches_marginal_oracle_across_word_boundary(width, data):
+    keys, probs = data.draw(boundary_entries(width))
+    keep = data.draw(keep_runs(width))
+    rest = [q for q in range(width) if q not in keep]
+    members = tuple(100 + q for q in range(width))
+    left, right = split(QubitSet(members, sorted_map(width, keys, probs)), keep)
+    marginals = [oracle_sum(([project(k, side) for k in keys], probs)) for side in (keep, rest)]
+    # dyadic marginals are exact; the keep side is divided by its total
+    total = sum(marginals[0].values())
+    assert left.members == tuple(100 + q for q in keep)
+    assert right.members == tuple(100 + q for q in rest)
+    assert_sorted_map(left.map, {k: p / total for k, p in marginals[0].items()})
+    assert_sorted_map(right.map, marginals[1])
+    assert left.map.total() == pytest.approx(1.0, abs=1e-12)
 
 
 @st.composite
