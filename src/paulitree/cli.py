@@ -19,7 +19,8 @@ and Monte Carlo rows of the same invocation.  An analytical row gives
 error map, and ``segments_replayed``, the number of closed segments
 (ancilla preparations) it installed from an earlier identical one
 instead of computing them (both blank on a Monte Carlo row).  A Monte
-Carlo row also gives its Wilson score 95% interval and the number of
+Carlo row also gives its Wilson score 95% interval, ``mc_faulted_rows``,
+the samples its kernels ran on (those an event hit), and the number of
 threads its samples are split across, which does not change its tally.
 ``sweep --jobs`` runs the grid points in that many worker processes,
 each handed the program once.
@@ -66,6 +67,7 @@ COLUMNS = [
     "mc_iterations",
     "mc_ci95_low",
     "mc_ci95_high",
+    "mc_faulted_rows",
     "seed",
     "threads",
     "program_hash",
@@ -144,6 +146,7 @@ def _mc_row(base: dict, args, prog: Program) -> dict:
         mc_iterations=rep.iterations,
         mc_ci95_low=rep.ci95_low,
         mc_ci95_high=rep.ci95_high,
+        mc_faulted_rows=rep.faulted_rows,
         seed=rep.seed,
         threads=rep.threads,
         wall_time_ms=rep.wall_time_s * 1e3,

@@ -10,8 +10,8 @@ same 3 (or 15) rows the analytical engine branches on; every other step
 applies the key-array kernel the analytical engine applies; the crash
 count uses the same ``correctable`` mask.  A sample is always global, so
 the QubitSets the analytical engine merges and splits play no part here.
-This module holds only what is specific to sampling: drawing the events
-and chunking.
+This module holds only what is specific to sampling: drawing the events,
+the rows they hit, and chunking.
 
 Iterations are vectorized in fixed-size chunks drawn from one PCG64
 stream, spawned from the seed's sequence, so results for a given
@@ -22,16 +22,30 @@ double at position e*n + r of the stream, counted from the chunk's
 start, one 64-bit draw per double.  Since ``PCG64.advance`` reaches any
 position in O(log d) steps, the rows are cut into W contiguous ranges
 run at once on a thread pool: the worker for rows [r0, r0 + m) starts
-from its own copy of the generator advanced to r0, runs every step on
-those m rows of the key array, and after each event with f > 0 draws
-its m uniforms into one buffer and skips the other n - m.  The caller
-then advances its generator past the chunk's draws, so the keys, the
-tally and the generator state after a chunk are those of drawing every
-event in turn, for any W.  W is the number of CPUs this process may run
-on, capped at n and at :data:`_THREADS`; it is not an option, since it
-cannot change a result.  Once a worker fails, the others stop before
-their next step.  The pool is shut down within each chunk, so no thread
-is alive when the crash mask is computed.
+from its own copy of the generator advanced to r0, and after each event
+with f > 0 draws its m uniforms into one array and skips the other
+n - m.  The caller then advances its generator past the chunk's draws,
+so the keys, the tally and the generator state after a chunk are those
+of drawing every event in turn, for any W.  W is the number of CPUs this
+process may run on, capped at n and at :data:`_THREADS`; it is not an
+option, since it cannot change a result.
+
+Kernels run only on the rows an event has hit.  Every kernel maps the
+zero key to itself and the zero key is correctable, so a row no event
+has hit needs no kernel and cannot crash.  Each worker keeps a
+:class:`_RowBuffer` of its faulted rows: a row joins it, with the zero
+key, when an event first hits it, and every kernel runs on the buffer's
+keys alone.  At 1x noise about 9% of rows ever join; injected faults put
+every row in from the start.  The draws do not depend on the buffer.
+
+Before any row runs, one pass checks every step in order, so a bad step
+is reported as the serial sampler would report it, and builds the op
+list the workers walk: (kernel, args) for a kernel step and (None,
+(patterns, f)) for an event with f > 0.  The kernels are read from their
+modules on each call, so a wrapper put in a kernel's place sees every
+call.  Once a worker fails, the others stop before their next op.  The
+pool is shut down within each chunk, so no thread is alive when the
+crash mask is computed.
 """
 
 from __future__ import annotations
@@ -51,14 +65,16 @@ from .program import Program, initial_labels, step_kind, step_operands
 
 _U64 = np.uint64
 _CHUNK = 1 << 16
+# Slots a worker's row buffer starts with, before it first doubles.
+_FIRST_SLOTS = 64
 _Z95 = 1.96
-# Most threads a chunk's rows are cut across.  Every worker walks all the
-# steps in Python and holds the GIL to do so, about 0.13 s per chunk of
-# the basic program, so that part grows with W while the kernel work
-# shrinks.  On 2 vCPUs, a 65,536-row chunk at 1x took 6.3-7.5 s on one
-# thread, 4.6-4.8 s on two, 4.1-5.3 s on four and 11 s on eight; the
-# steps alone (one row a worker) took 0.13, 0.24-0.47, 0.47-0.94 and
-# 1.8-2.3 s.  No host with more CPUs was measured.
+# Most threads a chunk's rows are cut across.  Every worker walks the
+# whole op list in Python and holds the GIL to do so, so that part grows
+# with W while the drawing shrinks.  On 2 vCPUs, a 65,536-row chunk of
+# the basic program at 1x took 6.6-8.2 s on one thread, 4.2-4.6 s on two
+# and 5.6-6.3 s on four; the op walk alone (one row a worker, the op list
+# built once) took 0.13, 0.54-0.59 and 1.2-1.3 s.  Eight threads took
+# 11 s before the row buffers.  No host with more CPUs was measured.
 _THREADS = 2
 
 
@@ -67,7 +83,9 @@ class MCReport:
     """Outcome of one Monte Carlo run with a Wilson score 95% interval.
 
     ``threads`` is the number of threads the rows of a chunk are split
-    across; it does not change the tally."""
+    across; it does not change the tally.  ``faulted_rows`` counts the
+    iterations the kernels ran on: those some event hit, or every one
+    when ``initial_errors`` inject a fault."""
 
     iterations: int
     crashes: int
@@ -76,6 +94,7 @@ class MCReport:
     ci95_high: float
     seed: int
     threads: int
+    faulted_rows: int
     wall_time_s: float
 
 
@@ -88,18 +107,62 @@ def _wilson95(crashes: int, iterations: int) -> tuple[float, float]:
     return max(0.0, (mid - half) / (iterations + z2)), min(1.0, (mid + half) / (iterations + z2))
 
 
-def _xor_hits(keys: np.ndarray, patterns: np.ndarray, f: float, u: np.ndarray) -> None:
-    """Error event on the rows whose uniform in ``u`` falls below f: each
-    XORs in pattern i = min(floor(u * k / f), k - 1) of the k outcome
-    patterns, reusing its triggering uniform u to pick among the
-    outcomes uniformly."""
+class _RowBuffer:
+    """The faulted rows of one worker's rows [first, first + m) and their
+    keys.
+
+    ``slot[r]`` is the slot in ``keys`` of row first + r, or -1 while no
+    event has hit it; the rows hold slots 0 to count - 1 in the order they
+    joined, and any other row holds the zero key.  A row joins with the
+    zero key, so joining copies nothing, and ``keys`` doubles its capacity
+    when full.  If the ``start`` key every row begins from is not zero,
+    every row starts in.  ``slot`` is int32, half the memory of an intp
+    array, since a chunk has at most :data:`_CHUNK` rows.
+    """
+
+    def __init__(self, first: int, m: int, start: np.ndarray):
+        self.first = first
+        if start.any():
+            self.slot = np.arange(m, dtype=np.int32)
+            self.keys = np.tile(start, (m, 1))
+            self.count = m
+        else:
+            self.slot = np.full(m, -1, dtype=np.int32)
+            self.keys = np.zeros((min(m, _FIRST_SLOTS), start.size), dtype=_U64)
+            self.count = 0
+
+    def join(self, rows: np.ndarray) -> np.ndarray:
+        """The slots of ``rows``, distinct rows of the range; a row not yet
+        in takes the next free slot."""
+        slots = self.slot[rows]
+        fresh = slots < 0
+        new = rows[fresh]
+        if new.size:
+            end = self.count + new.size
+            if end > self.keys.shape[0]:
+                capacity = min(max(end, 2 * self.keys.shape[0]), self.slot.size)
+                keys = np.zeros((capacity, self.keys.shape[1]), dtype=_U64)
+                keys[:self.count] = self.keys[:self.count]
+                self.keys = keys
+            slots[fresh] = self.slot[new] = np.arange(self.count, end)
+            self.count = end
+        return slots
+
+
+def _xor_hits(buffer: _RowBuffer, patterns: np.ndarray, f: float, u: np.ndarray) -> None:
+    """Error event on the rows of ``buffer``'s range whose uniform in ``u``
+    falls below f: each joins the buffer if not yet in and XORs in pattern
+    i = min(floor(u * k / f), k - 1) of the k outcome patterns, reusing
+    its triggering uniform u to pick among the outcomes uniformly."""
     rows = np.flatnonzero(u < f)
     if rows.size == 0:
         return
     k = patterns.shape[0]
     pick = np.minimum((u[rows] * (k / f)).astype(np.int64), k - 1)
+    slots = buffer.join(rows)
+    keys = buffer.keys
     for w in range(keys.shape[1]):  # by column: a 2-D row scatter is slower
-        keys[rows, w] ^= patterns[pick, w]
+        keys[slots, w] ^= patterns[pick, w]
 
 
 def _stream_at(rng, delta: int):
@@ -107,69 +170,80 @@ def _stream_at(rng, delta: int):
     return np.random.Generator(copy.deepcopy(rng.bit_generator).advance(delta))
 
 
-def _run_rows(prog: Program, keys: np.ndarray, gen, n: int, failed) -> None:
-    """Run every step on ``keys``, m consecutive rows of a chunk of n,
-    with ``gen`` at the first one's position of the chunk's stream: each
-    event with f > 0 reads the m uniforms of these rows and skips the
-    other n - m.  Stops before a step once the ``failed`` event is set,
-    and sets it when a step raises."""
-    width = prog.num_qubits
-    u = np.empty(keys.shape[0])
+def _run_rows(ops: list, buffer: _RowBuffer, gen, n: int, failed) -> None:
+    """Walk the op list on ``buffer``'s m consecutive rows of a chunk of
+    n, with ``gen`` at the first one's position of the chunk's stream:
+    each event reads the m uniforms of these rows and skips the other
+    n - m; each kernel runs on the buffer's keys.  Stops before an op once
+    the ``failed`` event is set, and sets it when an op raises."""
+    u = np.empty(buffer.slot.size)
     skip = n - u.size
     try:
-        for step in prog.steps:
+        for function, args in ops:
             if failed.is_set():
                 return
-            spec = step_kind(step)
-            qubits = spec.operands(step)
-            if spec.kernel is not None:
-                spec.function(keys, *spec.args(step, qubits))
-            elif step.f > 0.0:
-                _xor_hits(keys, event_patterns(width, *qubits), step.f, gen.random(out=u))
+            if function is None:
+                _xor_hits(buffer, *args, gen.random(out=u))
                 gen.bit_generator.advance(skip)
+            elif buffer.count:
+                function(buffer.keys[:buffer.count], *args)
     except BaseException:
         failed.set()
         raise
 
 
-def _run_chunk(prog: Program, n: int, rng, labels: dict, threads: int) -> int:
-    """Crash count of ``n`` rows sampled by :func:`_sample`."""
-    keys = _sample(prog, n, rng, labels, threads)
-    return n - int(np.count_nonzero(qecc.correctable(keys, prog.crash_blocks)))
+def _run_chunk(prog: Program, n: int, rng, labels: dict, threads: int) -> tuple[int, int]:
+    """Crash count and faulted-row count of ``n`` rows sampled by
+    :func:`_sample`."""
+    crashes = faulted = 0
+    for buffer in _sample(prog, n, rng, labels, threads):
+        keys = buffer.keys[:buffer.count]
+        crashes += buffer.count - int(np.count_nonzero(qecc.correctable(keys, prog.crash_blocks)))
+        faulted += buffer.count
+    return crashes, faulted
 
 
-def _sample(prog: Program, n: int, rng, labels: dict, threads: int) -> np.ndarray:
-    """The keys of ``n`` rows at the end of the program, their rows cut
+def _sample(prog: Program, n: int, rng, labels: dict, threads: int) -> list[_RowBuffer]:
+    """The row buffers of ``n`` rows at the end of the program, one per
+    range, with rows counted from the chunk's start.  The rows are cut
     into ``threads`` ranges (at most n) run at once; leaves ``rng`` after
-    the chunk's draws.
-
-    Every step is checked in order before any runs, so a bad step is
-    reported as the serial sampler would report it."""
+    the chunk's draws.  Every step is checked, and the op list built, in
+    step order before any row runs."""
     # imported here, so that the analytical engine never loads it
     from concurrent.futures import ThreadPoolExecutor
 
     width = prog.num_qubits
-    events = 0
+    ops = []
+    # one op per distinct event: the basic program's 26,944 events are 362
+    # distinct ones, and a tuple each would take about 3 MB
+    events = {}
     for step in prog.steps:
         spec = step_kind(step)
-        step_operands(spec, step, width)
-        if spec.kernel is None:
-            check_event_probability(step.f)
-            events += step.f > 0.0
-    keys = np.zeros((n, _nwords(width)), dtype=_U64)
+        qubits = step_operands(spec, step, width)
+        if spec.kernel is not None:
+            ops.append((spec.function, spec.args(step, qubits)))
+            continue
+        check_event_probability(step.f)
+        if step.f > 0.0:
+            op = events.get((qubits, step.f))
+            if op is None:
+                op = events[qubits, step.f] = (None, (event_patterns(width, *qubits), step.f))
+            ops.append(op)
+    start = np.zeros(_nwords(width), dtype=_U64)
     for q, label in labels.items():
         w, sh = _slot(q)
-        keys[:, w] |= _U64(int(label)) << _U64(sh)
+        start[w] |= _U64(int(label)) << _U64(sh)
     threads = min(threads, n)
     cuts = [n * i // threads for i in range(threads + 1)]
+    buffers = [_RowBuffer(r0, r1 - r0, start) for r0, r1 in zip(cuts, cuts[1:])]
     failed = threading.Event()
     with ThreadPoolExecutor(threads) as pool:
-        runs = [pool.submit(_run_rows, prog, keys[r0:r1], _stream_at(rng, r0), n, failed)
-                for r0, r1 in zip(cuts, cuts[1:])]
+        runs = [pool.submit(_run_rows, ops, buffer, _stream_at(rng, buffer.first), n, failed)
+                for buffer in buffers]
         for run in runs:
             run.result()
-    rng.bit_generator.advance(events * n)
-    return keys
+    rng.bit_generator.advance(sum(function is None for function, _ in ops) * n)
+    return buffers
 
 
 def _cpus() -> int:
@@ -193,9 +267,11 @@ def run_mc(prog: Program, iterations: int, seed: int,
     start = time.perf_counter()
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     threads = min(_cpus(), _THREADS, iterations)
-    crashes = 0
+    crashes = faulted = 0
     for done in range(0, iterations, _CHUNK):
-        crashes += _run_chunk(prog, min(_CHUNK, iterations - done), rng, labels, threads)
+        chunk = _run_chunk(prog, min(_CHUNK, iterations - done), rng, labels, threads)
+        crashes += chunk[0]
+        faulted += chunk[1]
     low, high = _wilson95(crashes, iterations)
     return MCReport(
         iterations=iterations,
@@ -205,5 +281,6 @@ def run_mc(prog: Program, iterations: int, seed: int,
         ci95_high=high,
         seed=seed,
         threads=threads,
+        faulted_rows=faulted,
         wall_time_s=time.perf_counter() - start,
     )

@@ -57,6 +57,9 @@ class TestRun:
         assert "shards" not in m
         assert int(m["threads"]) >= 1
         assert float(m["mc_ci95_low"]) <= float(m["crash"]) <= float(m["mc_ci95_high"])
+        # the rows an event hit, about 9% at 1x
+        assert 0 < int(m["mc_faulted_rows"]) < 500
+        assert a["mc_faulted_rows"] == ""
         assert float(m["speedup"]) == pytest.approx(
             float(m["wall_time_ms"]) / float(a["wall_time_ms"])
         )

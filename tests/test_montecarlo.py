@@ -15,10 +15,11 @@ from paulitree.errormap import (
     _slot,
     event_patterns,
 )
-from paulitree.montecarlo import _CHUNK, _wilson95, _xor_hits, run_mc
+from paulitree.montecarlo import _CHUNK, _RowBuffer, _wilson95, _xor_hits, run_mc
 from paulitree.noise import NoiseParams
 from paulitree.pauli import Pauli
 from paulitree.program import (
+    STEP_KINDS,
     CNot,
     Correct,
     Hadamard,
@@ -70,6 +71,16 @@ class TestStatistics:
         rep = run_mc(prog, 256, seed=0)
         assert rep.crashes == 0
         assert rep.crash_rate == 0.0
+
+    def test_faulted_rows_at_1x_match_the_faulty_row_share(self):
+        # a row is faulted with probability 1 - prod(1 - f), about 9%
+        prog = build_basic_program(NoiseParams())
+        share = -math.expm1(math.fsum(math.log1p(-s.f) for s in prog.steps
+                                      if step_kind(s).kernel is None))
+        rep = run_mc(prog, 2048, seed=0)
+        sigma = math.sqrt(share * (1 - share) / 2048)
+        assert 0.08 < share < 0.10
+        assert abs(rep.faulted_rows / 2048 - share) < 5 * sigma
 
 
 class TestReproducibility:
@@ -190,11 +201,20 @@ class TestSharedOutcomes:
         u = [(i + 0.5) * f / k for i in range(k)] + [f, 0.99]
         rng = np.random.default_rng(4)
         start = rng.integers(0, 2 ** 63, size=(k + 2, 2), dtype=np.uint64)
-        keys = start.copy()
-        _xor_hits(keys, patterns, f, np.array(u))
+        # a non-zero start key puts every row in the buffer, in row order
+        full = _RowBuffer(0, k + 2, start[0])
+        full.keys[:] = start
+        _xor_hits(full, patterns, f, np.array(u))
+        keys = full.keys
         for i in range(k):
             assert (keys[i] == start[i] ^ patterns[i]).all()
         assert (keys[k:] == start[k:]).all()
+        # from an empty buffer, the rows hit join with the zero key
+        empty = _RowBuffer(0, k + 2, np.zeros(2, dtype=np.uint64))
+        _xor_hits(empty, patterns, f, np.array(u))
+        assert empty.count == k
+        assert (empty.keys[:k] == patterns).all()
+        assert empty.slot.tolist() == list(range(k)) + [-1, -1]
         # outcome i is label i + 1: X, Z, Y on one qubit, divmod(i + 1, 4)
         # on a pair
         labels = [tuple((_int_from_row(row) >> (2 * q)) & 3 for q in qubits)
@@ -243,6 +263,27 @@ def _reference_shard(prog, iterations, child, labels):
     return crashes, rng.bit_generator.state
 
 
+def _sampled_keys(prog, n, rng, labels, threads):
+    """The keys of all ``n`` rows that ``_sample`` leaves: its faulted
+    rows' keys, and the zero key on every other row."""
+    keys = np.zeros((n, _nwords(prog.num_qubits)), dtype=np.uint64)
+    for buffer in montecarlo._sample(prog, n, rng, labels, threads):
+        held = np.flatnonzero(buffer.slot >= 0)
+        assert held.size == buffer.count
+        keys[buffer.first + held] = buffer.keys[buffer.slot[held]]
+    return keys
+
+
+def _hit_rows(prog, n, rng):
+    """How many of ``n`` rows some event hits, drawn as ``_reference_keys``
+    draws."""
+    hit = np.zeros(n, dtype=bool)
+    for step in prog.steps:
+        if step_kind(step).kernel is None and step.f > 0.0:
+            hit |= rng.random(n) < step.f
+    return int(np.count_nonzero(hit))
+
+
 def _random_events(count, num_qubits, seed, rates=(1e-3, 0.05)):
     """``count`` events on random qubits and pairs, with a Hadamard or a
     CNot after every tenth, so that faults move between qubits."""
@@ -258,6 +299,7 @@ def _random_events(count, num_qubits, seed, rates=(1e-3, 0.05)):
 
 
 FOUR = dict(num_qubits=4, blocks=((0, 1), (2, 3)))
+_cnot = errormap.cnot_kernel
 
 
 class TestStreamIdentity:
@@ -274,26 +316,56 @@ class TestStreamIdentity:
                          + _random_events(256 + 5, 4, seed=3)
                          + [OneQubitEvent(2, 1.0)], **FOUR),
         "few-events": toy(_random_events(40, 4, seed=4, rates=(0.01, 0.2)), **FOUR),
+        # with no injected fault the row buffers start empty; about half
+        # the rows join them, one event at a time, so with one thread the
+        # buffer doubles from 64 slots three times
+        "buffer-grows": toy(_random_events(120, 4, seed=10, rates=(1e-3, 1e-2)), **FOUR),
+        # events draw but never hit a row, so no kernel runs
+        "never-hit": toy([OneQubitEvent(0, 0.0), CNot(0, 1), OneQubitEvent(1, 1e-15),
+                          Hadamard(1), TwoQubitEvent(2, 3, 1e-15), Reset((0, 2))]
+                         * 50, **FOUR),
     }
+    # the cases that start from no injected fault
+    CLEAN = ("buffer-grows", "never-hit")
 
     # 1,000 rows cut evenly in two, unevenly in three and seven
     @pytest.mark.parametrize("threads", [1, 2, 3, 7])
     @pytest.mark.parametrize("case", list(CASES))
-    def test_keys_and_stream_match_serial_draws(self, case, threads):
+    def test_keys_and_stream_match_serial_draws(self, monkeypatch, case, threads):
         prog = self.CASES[case]
-        labels = initial_labels(prog, {1: Pauli.Z})
+        labels = initial_labels(prog, None if case in self.CLEAN else {1: Pauli.Z})
+        kernels = []
+
+        def cnot(keys, *args):
+            kernels.append(keys.shape[0])
+            _cnot(keys, *args)
+
+        monkeypatch.setattr(errormap, "cnot_kernel", cnot)
         ours, ref = np.random.default_rng(7), np.random.default_rng(7)
-        keys = montecarlo._sample(prog, 1000, ours, labels, threads)
+        keys = _sampled_keys(prog, 1000, ours, labels, threads)
         assert (keys == _reference_keys(prog, 1000, ref, labels)).all()
         assert ours.bit_generator.state == ref.bit_generator.state
-        assert 0 < montecarlo._run_chunk(prog, 1000, ours, labels, threads) < 1000
+        # both generators now stand at the next chunk's start
+        faulted = _hit_rows(prog, 1000, ref)
+        kernels.clear()  # the serial reference's CNots ran on every row
+        crashes, rows = montecarlo._run_chunk(prog, 1000, ours, labels, threads)
+        if case == "never-hit":
+            assert crashes == rows == faulted == 0 and kernels == []
+        else:
+            assert 0 < crashes < 1000
+        # the kernels run on the faulted rows only: those an event hit, or
+        # every row once a fault is injected
+        assert rows == (faulted if case in self.CLEAN else 1000)
+        assert max(kernels, default=0) <= rows
+        if case == "buffer-grows":
+            assert rows > 4 * montecarlo._FIRST_SLOTS
 
     @pytest.mark.parametrize("n, threads", [(5, 7), (1, 2), (3, 3)])
     def test_more_threads_than_rows(self, n, threads):
         prog = self.CASES["few-events"]
         labels = initial_labels(prog, {1: Pauli.Z})
         ours, ref = np.random.default_rng(2), np.random.default_rng(2)
-        keys = montecarlo._sample(prog, n, ours, labels, threads)
+        keys = _sampled_keys(prog, n, ours, labels, threads)
         assert (keys == _reference_keys(prog, n, ref, labels)).all()
         assert ours.bit_generator.state == ref.bit_generator.state
 
@@ -305,7 +377,7 @@ class TestStreamIdentity:
         labels = initial_labels(prog, None)
         rng = np.random.default_rng(child)
         crashes = sum(montecarlo._run_chunk(prog, min(_CHUNK, iterations - done), rng,
-                                            labels, threads)
+                                            labels, threads)[0]
                       for done in range(0, iterations, _CHUNK))
         assert (crashes, rng.bit_generator.state) == _reference_shard(
             prog, iterations, child, labels)
@@ -327,10 +399,65 @@ class TestStreamIdentity:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            keys = montecarlo._sample(prog, 500, np.random.default_rng(9), labels, 6)
+            keys = _sampled_keys(prog, 500, np.random.default_rng(9), labels, 6)
         finally:
             sys.setswitchinterval(interval)
         assert (keys == ref).all()
+
+
+class TestFaultedRows:
+    """``MCReport.faulted_rows`` counts the rows the kernels ran on."""
+
+    def test_counts_the_rows_some_event_hit(self):
+        prog = toy(_random_events(40, 4, seed=11, rates=(1e-4, 1e-3)), **FOUR)
+        iterations = _CHUNK + 1000
+        rep = run_mc(prog, iterations, seed=5)
+        rng = np.random.default_rng(np.random.SeedSequence(5).spawn(1)[0])
+        hits = sum(_hit_rows(prog, min(_CHUNK, iterations - done), rng)
+                   for done in range(0, iterations, _CHUNK))
+        assert 0 < rep.faulted_rows == hits < iterations
+
+    def test_an_injected_fault_puts_every_row_in(self):
+        prog = toy(_random_events(40, 4, seed=11, rates=(1e-4, 1e-3)), **FOUR)
+        assert run_mc(prog, 300, seed=5, initial_errors={2: Pauli.Y}).faulted_rows == 300
+        # the identity is no fault
+        assert (run_mc(prog, 300, seed=5, initial_errors={2: Pauli.I}).faulted_rows
+                == run_mc(prog, 300, seed=5).faulted_rows < 300)
+
+
+def _kernel_kinds():
+    return [kind for kind, spec in STEP_KINDS.items() if spec.kernel is not None]
+
+
+class TestZeroKey:
+    """Running kernels on faulted rows only is exact: every kernel leaves
+    the zero key zero, also on no rows at all, and the zero key is
+    correctable."""
+
+    @pytest.fixture(scope="class")
+    def examples(self):
+        """The first step of each kind in the basic program."""
+        return {type(s): s for s in reversed(build_basic_program(QUIET).steps)}
+
+    @pytest.mark.parametrize("words", [1, 2])
+    @pytest.mark.parametrize("kind", _kernel_kinds(), ids=lambda kind: kind.__name__)
+    def test_kernel_keeps_the_zero_key(self, examples, kind, words):
+        assert kind in examples, "no %s step in the basic program" % kind.__name__
+        spec, step = STEP_KINDS[kind], examples[kind]
+        width = len(spec.operands(step))
+        # two words: the operands straddle the first word's end
+        first = 0 if words == 1 else 32 - width // 2
+        args = spec.args(step, tuple(range(first, first + width)))
+        for rows in (5, 0):
+            keys = np.zeros((rows, _nwords(first + width)), dtype=np.uint64)
+            spec.function(keys, *args)
+            assert keys.shape == (rows, words) and not keys.any()
+
+    @pytest.mark.parametrize("words", [1, 2])
+    def test_zero_key_is_correctable(self, words):
+        blocks = [tuple(range(b, b + 7)) for b in range(0, 32 * words - 6, 7)]
+        keys = np.zeros((3, words), dtype=np.uint64)
+        assert qecc.correctable(keys, blocks).all()
 
 
 class TestWorkers:
@@ -346,11 +473,11 @@ class TestWorkers:
     def test_each_worker_draws_only_its_rows(self, monkeypatch, threads):
         xor, drawn, counts = montecarlo._xor_hits, {}, []
 
-        def xoring(keys, patterns, f, u):
-            assert u.size == keys.shape[0]
+        def xoring(buffer, patterns, f, u):
+            assert u.size == buffer.slot.size
             drawn.setdefault(threading.current_thread(), []).append(u.size)
             counts.append(threading.active_count())
-            xor(keys, patterns, f, u)
+            xor(buffer, patterns, f, u)
 
         before = threading.active_count()
         monkeypatch.setattr(montecarlo, "_xor_hits", xoring)
