@@ -29,8 +29,9 @@ conjugations and ``clear_kernel`` here, the code readouts in
 :mod:`~paulitree.qecc`.  They are the only implementation of the
 deterministic steps and are shared by both engines: the analytical
 engine runs them on a map's keys through :meth:`ErrorMap.apply`, the
-Monte Carlo engine on its sampled rows.  Only this module touches a
-map's arrays.
+Monte Carlo engine on its sampled rows.  ``clear_components_kernel``
+serves the analytical engine alone, which clears the components no
+later readout can see.  Only this module touches a map's arrays.
 
 The tree evolves by four moves, each one code path: events through
 :meth:`ErrorMap.event_kernel`, key-permuting steps through
@@ -48,6 +49,7 @@ summation noise (1e-9 budget over a whole program).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -96,12 +98,14 @@ def _slot(q: int) -> tuple[int, int]:
     return q // 32, 2 * (q % 32)
 
 
-def _clear_mask(nwords: int, positions: Iterable[int]) -> np.ndarray:
-    """Word mask that is 0 at the 2 label bits of every listed position."""
+def _clear_mask(nwords: int, positions: Iterable[int], bits: Iterable[int] | None = None
+                ) -> np.ndarray:
+    """Word mask that is 0 at the label bits of every listed position: both
+    bits, or with ``bits`` the X (1), Z (2) or both (3) at each position."""
     mask = np.full(nwords, ~_U64(0), dtype=_U64)
-    for q in positions:
+    for q, b in zip(positions, bits or itertools.repeat(3)):
         w, s = _slot(q)
-        mask[w] &= ~(_U64(3) << _U64(s))
+        mask[w] &= ~(_U64(b) << _U64(s))
     return mask
 
 
@@ -299,8 +303,9 @@ class ErrorMap:
         (s ^ pattern i, p*weights[i]) for the k branch patterns;
         below-threshold entries pass through unchanged.  ``weights`` are
         the outcome probabilities, non-negative and summing to ``f``
-        within 1e-12 (ValueError otherwise); the default is f/k each.
-        Total probability is conserved exactly.
+        within 1e-12 (ValueError otherwise); the default is f/k each.  A
+        pattern of weight zero is not branched on.  Total probability is
+        conserved exactly.
         """
         check_event_probability(f)
         k = patterns.shape[0]
@@ -312,6 +317,11 @@ class ErrorMap:
             raise ValueError("event weights sum to %r, not f = %r" % (weights.sum(), f))
         if f == 0.0:
             return
+        if not weights.all():
+            # a zero-weight outcome adds only zero entries, which would
+            # still move how _aggregate's sums round
+            live = weights > 0.0
+            patterns, weights, k = patterns[live], weights[live], int(live.sum())
         probs = self._probs
         idx = (probs >= event_branch).nonzero()[0]
         src_keys = self._keys.take(idx, axis=0)
@@ -369,6 +379,15 @@ def cnot_kernel(keys: np.ndarray, control: int, target: int) -> None:
 def clear_kernel(keys: np.ndarray, positions: Iterable[int]) -> None:
     """Project the given positions to I (measurement/reset bookkeeping)."""
     keys &= _clear_mask(keys.shape[1], positions)
+
+
+def clear_components_kernel(keys: np.ndarray, positions: Iterable[int],
+                            bits: Iterable[int]) -> None:
+    """Clear one or both components at each position: its X bit where
+    ``bits`` has 1, its Z bit where it has 2.  The analytical engine
+    clears the components no later readout can see (see
+    :mod:`~paulitree.engine`)."""
+    keys &= _clear_mask(keys.shape[1], positions, bits)
 
 
 def _check_positions(width: int, *qubits: int) -> None:

@@ -19,7 +19,8 @@ to the operations themselves.
 
 Every step kind has one entry in :data:`STEP_KINDS`: its text form, its
 qubits, the qubit groups it releases, and for a deterministic kind the
-key-array kernel both engines apply.  A kind with no kernel is an error
+key-array kernel both engines apply and the liveness rule the
+analytical engine reads.  A kind with no kernel is an error
 event, which both engines branch or sample on the outcome table
 :func:`~paulitree.errormap.event_patterns` of its qubits.  Both engines
 take every step's qubits through :func:`step_operands`, which rejects a
@@ -197,6 +198,43 @@ def _positions(step, q: Sequence[int]) -> Sequence[int]:
     return q
 
 
+# Liveness transfer rules (``StepKind.live``): operand masks after a step
+# to those before it.
+
+def _live_cnot(step, after: tuple[int, ...]) -> tuple[int, ...]:
+    """The control's X reaches both X bits and the target's Z both Z bits."""
+    c, t = after
+    return (c | t) & 1 | c & 2, t & 1 | (c | t) & 2
+
+
+def _live_verify(step, after: tuple[int, ...]) -> tuple[int, ...]:
+    """The verifier's X decides whether the block is replaced."""
+    return after[:-1] + (1 if any(after[:-1]) else 0,)
+
+
+_CHECK_ROWS = qecc.CHECK_MATRIX.tolist()
+
+
+def _live_syndrome(step, after: tuple[int, ...]) -> tuple[int, ...]:
+    """Each stored X is the parity of its check row's X bits."""
+    rows = [_CHECK_ROWS[r] for r in range(3) if after[r] & 1]
+    return tuple(int(any(row[j] for row in rows)) for j in range(7))
+
+
+def _live_coset(step, after: tuple[int, ...]) -> tuple[int, ...]:
+    """The reduced component is a function of all of its bits."""
+    bit = 2 if step.basis == "z" else 1
+    read = bit if any(m & bit for m in after) else 0
+    return tuple(m & ~bit | read for m in after)
+
+
+def _live_correct(step, after: tuple[int, ...]) -> tuple[int, ...]:
+    """The stored X bits choose the data position the correction flips."""
+    bit = 1 if step.phase == "bit" else 2
+    read = 1 if any(m & bit for m in after[:7]) else 0
+    return after[:7] + (read,) * (len(after) - 7)
+
+
 @dataclass(frozen=True)
 class StepKind:
     """What the engines and the text format know about one step kind.
@@ -216,13 +254,20 @@ class StepKind:
     branch on the rows of ``event_patterns(width, *q)``
     (:func:`~paulitree.errormap.event_patterns`), its equally likely
     outcomes.
+    ``live(step, after)`` is a deterministic kind's liveness transfer
+    rule: given a live mask per operand after the step (1 for its X
+    component, 2 for its Z, 3 for both), the masks before it.  A bit is
+    live if some later readout or the crash observable can read it; the
+    kernel's output on live-after bits must depend on live-before bits
+    only.  The analytical engine runs these rules backward over the
+    program (see :mod:`~paulitree.engine`).
     ``permutes_labels`` marks a Clifford gate whose kernel, given only the
     operands' positions, maps each Pauli label of its operands to one
     Pauli label: the analytical engine carries deferred events through
     it instead of applying them first.  ``clears`` marks a kind that
-    resets its operands to I: the analytical engine drops their lone
-    pending events, which the clear would erase, and gives a set it
-    clears whole a fresh map (see :mod:`~paulitree.engine`).
+    resets its operands to I: the analytical engine gives a set it
+    clears whole a fresh map and adds no component clear after it (see
+    :mod:`~paulitree.engine`).
     """
 
     text: str
@@ -232,6 +277,7 @@ class StepKind:
     releases: Callable[[Any], tuple[tuple[int, ...], ...]] = _none
     kernel: tuple[ModuleType, str] | None = None
     args: Callable[[Any, Sequence[int]], tuple] = _positions
+    live: Callable[[Any, tuple[int, ...]], tuple[int, ...]] | None = None
     permutes_labels: bool = False
     clears: bool = False
 
@@ -255,31 +301,35 @@ STEP_KINDS: dict[type, StepKind] = {
     Hadamard: StepKind(
         "h %d", lambda s: s.qubit, lambda q: Hadamard(int(q)),
         operands=lambda s: (s.qubit,),
-        kernel=(errormap, "hadamard_kernel"), permutes_labels=True),
+        kernel=(errormap, "hadamard_kernel"),
+        live=lambda s, a: (a[0] >> 1 | (a[0] & 1) << 1,), permutes_labels=True),
     CNot: StepKind(
         "cx %d %d", lambda s: (s.control, s.target),
         lambda c, t: CNot(int(c), int(t)),
         operands=lambda s: (s.control, s.target),
-        kernel=(errormap, "cnot_kernel"), permutes_labels=True),
+        kernel=(errormap, "cnot_kernel"), live=_live_cnot, permutes_labels=True),
     Reset: StepKind(
         "reset %s", lambda s: _ids(s.qubits), lambda ids: Reset(_parse_ids(ids)),
         operands=lambda s: s.qubits,
-        kernel=(errormap, "clear_kernel"), args=lambda s, q: (q,), clears=True),
+        kernel=(errormap, "clear_kernel"), args=lambda s, q: (q,),
+        live=lambda s, a: (0,) * len(a), clears=True),
     VerifyReadout: StepKind(
         "verify %d %s", lambda s: (s.verifier, _ids(s.block)),
         lambda v, ids: VerifyReadout(_parse_ids(ids), int(v)),
         operands=lambda s: s.block + (s.verifier,),
         releases=lambda s: ((s.verifier,),),
-        kernel=(qecc, "verify_kernel"), args=lambda s, q: (q[:-1], q[-1])),
+        kernel=(qecc, "verify_kernel"), args=lambda s, q: (q[:-1], q[-1]),
+        live=_live_verify),
     SyndromeMeasure: StepKind(
         "synd %s", lambda s: _ids(s.block), lambda ids: SyndromeMeasure(_parse_ids(ids)),
         operands=lambda s: s.block, releases=lambda s: (s.block[3:],),
-        kernel=(qecc, "syndrome_kernel"), args=lambda s, q: (q,)),
+        kernel=(qecc, "syndrome_kernel"), args=lambda s, q: (q,), live=_live_syndrome),
     CosetReduce: StepKind(
         "coset %s %s", lambda s: (s.basis, _ids(s.block)),
         lambda basis, ids: CosetReduce(_parse_ids(ids), basis),
         operands=lambda s: s.block,
-        kernel=(qecc, "coset_reduce_kernel"), args=lambda s, q: (q, s.basis)),
+        kernel=(qecc, "coset_reduce_kernel"), args=lambda s, q: (q, s.basis),
+        live=_live_coset),
     Correct: StepKind(
         "correct %s %s %s",
         lambda s: (s.phase, _ids(s.data), ";".join(_ids(b) for b in s.ancilla_blocks)),
@@ -289,7 +339,8 @@ STEP_KINDS: dict[type, StepKind] = {
         releases=lambda s: s.ancilla_blocks,
         kernel=(qecc, "correct_kernel"),
         args=lambda s, q: (q[:7], tuple(q[7 + 3 * k:10 + 3 * k]
-                                        for k in range(len(s.ancilla_blocks))), s.phase)),
+                                        for k in range(len(s.ancilla_blocks))), s.phase),
+        live=_live_correct),
 }
 
 _KIND_BY_KEYWORD = {kind.text.split(" ", 1)[0]: kind for kind in STEP_KINDS.values()}

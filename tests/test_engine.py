@@ -132,6 +132,18 @@ class TestRunValidation:
         with pytest.raises(ProgramError, match=message):
             run_analytical(toy([step]), TH0)
 
+    @pytest.mark.parametrize("first, error, message", [
+        (OneQubitEvent(0, 1.5), ValueError, "event probability"),
+        (OneQubitEvent(2, 0.3), ProgramError, "undeclared"),
+        (Hadamard(-1), ProgramError, "undeclared"),
+    ])
+    def test_the_first_faulty_step_is_reported(self, first, error, message):
+        # the liveness pass reads the kernel steps before the walk reaches
+        # the events: a faulty kernel step later on must not hide an
+        # earlier faulty step
+        with pytest.raises(error, match=message):
+            run_analytical(toy([first, OneQubitEvent(1, 0.3), CNot(0, 0)]), TH0)
+
 
 def record_set_moves(monkeypatch):
     """Wrap the engine's merge and split; return the list they append to:
@@ -222,12 +234,17 @@ def fused(*fs):
     return 0.75 * (1.0 - math.prod(1.0 - 4.0 * f / 3.0 for f in fs))
 
 
-def pair_f(prog, a, b, n=None):
-    """The f of a pair event on (a, b) that holds every event the
-    program's first n steps (all by default) put on a and b: by the
-    oracle, 1 - P(a and b both end at I)."""
+def event_f(prog, qubits, n=None):
+    """The f of an event on ``qubits`` that holds every event the
+    program's first n steps (all by default) put on them: by the oracle,
+    1 - P(every one of them ends at I)."""
     states = oracle.final_states(dataclasses.replace(prog, steps=prog.steps[:n]), exact=True)
-    return float(1 - sum(p for s, p in states.items() if s[a] == s[b] == "I"))
+    return float(1 - sum(p for s, p in states.items() if all(s[q] == "I" for q in qubits)))
+
+
+def pair_f(prog, a, b, n=None):
+    """The f of a pair event on (a, b): :func:`event_f` of both."""
+    return event_f(prog, (a, b), n)
 
 
 def assert_calls(calls, prog, expected):
@@ -383,8 +400,9 @@ class TestKernelRuns:
     def test_basic_program_makes_one_apply_call_per_run(self, monkeypatch):
         runs = spy_apply(monkeypatch)
         rep = run_analytical(build_basic_program(NoiseParams()), Thresholds(1e-6, 1e-12))
-        # 70 runs at top level and 25 and 20 in the two computed segments
-        assert (len(runs), sum(runs)) == (115, 367)
+        # 70 runs at top level and 25 and 20 in the two computed segments;
+        # 285 of their kernels clear components no later readout can see
+        assert (len(runs), sum(runs)) == (115, 652)
         assert (rep.segments_replayed, rep.branch_calls) == (22, 1572)
 
 
@@ -452,10 +470,12 @@ class TestCarriedEvents:
 
     @pytest.mark.parametrize("member", [0, 1])
     def test_a_reset_of_one_member_flushes_the_pair(self, monkeypatch, member):
+        # the reset kills both components of the member, so the pair is
+        # applied as the other member's marginal, a three-outcome event
         prog, calls = self.run(monkeypatch, [
             OneQubitEvent(0, 0.375), CNot(0, 1), OneQubitEvent(1, 0.09375),
             Reset((member,)), OneQubitEvent(member, 0.1875)])
-        assert_calls(calls, prog, [(15, (0, 1, 3)), (3, 0.1875)])
+        assert_calls(calls, prog, [(3, event_f(prog, (1 - member,), 3)), (3, 0.1875)])
 
     def test_a_readout_of_one_member_flushes_the_pair_first(self, monkeypatch):
         # the oracle has no readouts: check that the pair event is applied,
@@ -481,11 +501,12 @@ class TestCarriedEvents:
         assert rep.branch_calls == 1
 
     def test_pairs_at_the_end_are_flushed_only_if_they_reach_a_crash_block(self, monkeypatch):
-        # (0, 2) reaches the block (0, 1) through q0; (3, 4) reaches none
+        # (0, 2) reaches the block (0, 1) through q0, and nothing reads
+        # q2, so it is applied on q0 alone; (3, 4) reaches none
         prog, calls = self.run(monkeypatch, [
             OneQubitEvent(0, 0.375), CNot(0, 2), OneQubitEvent(3, 0.1875), CNot(3, 4),
             OneQubitEvent(4, 0.09375)], num_qubits=5, blocks=((0, 1),))
-        assert_calls(calls, prog, [(15, (0, 2))])
+        assert_calls(calls, prog, [(3, event_f(prog, (0,)))])
 
     def test_random_programs_match_the_oracle(self):
         # seeded sweep of 4-qubit programs: at most 5 events, at most 2 of

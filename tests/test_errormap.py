@@ -175,6 +175,28 @@ class TestWeightedEvent:
             m.event_kernel(event_patterns(2, 0), 0.3, 0.0, weights)
         assert m.dump() == before
 
+    @pytest.mark.parametrize("width, positions", [(3, (2, 0)), (40, (33, 5))],
+                             ids=["one-word", "two-word"])
+    @pytest.mark.parametrize("th", [0.0, 0.02])
+    def test_zero_weight_rows_give_the_map_of_the_nonzero_rows_bit_for_bit(
+            self, width, positions, th):
+        rng = np.random.default_rng(22)
+        labels = rng.integers(0, 4, size=(30, width))
+        keys = np.array([_row_from_int(sum(int(lab) << 2 * q for q, lab in enumerate(row)),
+                                       (width + 31) // 32) for row in labels])
+        probs = rng.random(30)
+        patterns = event_patterns(width, *positions)
+        weights = rng.random(15) * (rng.random(15) < 0.5)
+        weights *= 0.3 / weights.sum()
+        f = float(weights.sum())
+        live = weights > 0.0
+        assert 0 < live.sum() < 15
+        full, nonzero = (ErrorMap(width, keys, probs / probs.sum()) for _ in range(2))
+        full.event_kernel(patterns, f, th, weights)
+        nonzero.event_kernel(patterns[live], f, th, weights[live])
+        assert full._keys.tobytes() == nonzero._keys.tobytes()
+        assert full._probs.tobytes() == nonzero._probs.tobytes()
+
     def test_certain_event_drops_the_branched_sources(self):
         m = emap({"II": 0.5, "XI": 0.5})
         weights = np.zeros(15)
@@ -457,12 +479,13 @@ class TestOutcomeTable:
     def test_row_4a_plus_b_minus_1_is_the_pair_event_outcome_a_b(self):
         # the planner weights row 4a + b - 1 with _PairEvent.w[4a + b],
         # the probability of label a on its first qubit and b on its second
+        # (both qubits fully live, so nothing is masked)
         pats = event_patterns(2, 0, 1)
         for a in range(4):
             for b in range(4):
                 if a or b:
                     assert int(pats[4 * a + b - 1, 0]) == a | b << 2
-                    planner = engine._Planner([(0,), (1,)])
+                    planner = engine._Planner([(0,), (1,)], [3, 3])
                     w = np.zeros(16)
                     w[4 * a + b] = 1.0
                     pair = engine._PairEvent((0, 1), w)

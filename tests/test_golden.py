@@ -28,11 +28,11 @@ HASH_100X = "44c4162e0d9c5e5b49f9653eb3f84887b37a5e2fd389931eb98914da5aff9188"
 # (survival, crash, discarded, peak entries)
 ANALYTICAL = {
     (1.0, 1e-4, 1e-8, MergeMode.PRESERVATION):
-        (0.9999966728832306, 3.3271167674264746e-06, 0.0, 4160),
+        (0.9999964925211855, 3.5074788260480716e-06, 0.0, 2210),
     (100.0, 1e-2, 1e-4, MergeMode.PRESERVATION):
-        (0.9906958621860223, 0.009304137813968216, 0.0, 2019),
+        (0.9906861967901304, 0.009313803209875404, 0.0, 1282),
     (100.0, 1e-2, 1e-4, MergeMode.LOSSY):
-        (0.5222710511257735, 0.0, 0.47772894887422646, 1067),
+        (0.520968412174614, 0.0, 0.479031587825386, 715),
 }
 
 # crash tallies at 100x noise, 4,096 samples, seeds 0-3
