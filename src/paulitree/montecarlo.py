@@ -38,14 +38,15 @@ key, when an event first hits it, and every kernel runs on the buffer's
 keys alone.  At 1x noise about 9% of rows ever join; injected faults put
 every row in from the start.  The draws do not depend on the buffer.
 
-Before any row runs, one pass checks every step in order, so a bad step
-is reported as the serial sampler would report it, and builds the op
-list the workers walk: (kernel, args) for a kernel step and (None,
-(patterns, f)) for an event with f > 0.  The kernels are read from their
-modules on each call, so a wrapper put in a kernel's place sees every
-call.  Once a worker fails, the others stop before their next op.  The
-pool is shut down within each chunk, so no thread is alive when the
-crash mask is computed.
+Once per call, before any row runs, one read of
+:func:`~paulitree.program.checked_steps` checks every step in order, so
+a bad step is reported as the serial sampler would report it, and
+builds the op list every chunk's workers walk: (kernel, args) for a
+kernel step and (None, (patterns, f)) for an event with f > 0.  The
+kernels are read from their modules then, so a wrapper put in a
+kernel's place before the call sees every call.  Once a worker fails,
+the others stop before their next op.  The pool is shut down within
+each chunk, so no thread is alive when the crash mask is computed.
 """
 
 from __future__ import annotations
@@ -60,8 +61,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qecc
-from .errormap import _nwords, _slot, check_event_probability, event_patterns
-from .program import Program, initial_labels, step_kind, step_operands
+from .errormap import _nwords, _slot, event_patterns
+from .program import Program, checked_steps, initial_labels
 
 _U64 = np.uint64
 _CHUNK = 1 << 16
@@ -192,39 +193,18 @@ def _run_rows(ops: list, buffer: _RowBuffer, gen, n: int, failed) -> None:
         raise
 
 
-def _run_chunk(prog: Program, n: int, rng, labels: dict, threads: int) -> tuple[int, int]:
-    """Crash count and faulted-row count of ``n`` rows sampled by
-    :func:`_sample`."""
-    crashes = faulted = 0
-    for buffer in _sample(prog, n, rng, labels, threads):
-        keys = buffer.keys[:buffer.count]
-        crashes += buffer.count - int(np.count_nonzero(qecc.correctable(keys, prog.crash_blocks)))
-        faulted += buffer.count
-    return crashes, faulted
-
-
-def _sample(prog: Program, n: int, rng, labels: dict, threads: int) -> list[_RowBuffer]:
-    """The row buffers of ``n`` rows at the end of the program, one per
-    range, with rows counted from the chunk's start.  The rows are cut
-    into ``threads`` ranges (at most n) run at once; leaves ``rng`` after
-    the chunk's draws.  Every step is checked, and the op list built, in
-    step order before any row runs."""
-    # imported here, so that the analytical engine never loads it
-    from concurrent.futures import ThreadPoolExecutor
-
+def _prepare(prog: Program, labels: dict) -> tuple[list, np.ndarray]:
+    """The op list of ``prog`` and the key every row starts from, which
+    holds the injected faults ``labels``."""
     width = prog.num_qubits
     ops = []
     # one op per distinct event: the basic program's 26,944 events are 362
     # distinct ones, and a tuple each would take about 3 MB
     events = {}
-    for step in prog.steps:
-        spec = step_kind(step)
-        qubits = step_operands(spec, step, width)
+    for spec, step, qubits in checked_steps(prog):
         if spec.kernel is not None:
             ops.append((spec.function, spec.args(step, qubits)))
-            continue
-        check_event_probability(step.f)
-        if step.f > 0.0:
+        elif step.f > 0.0:
             op = events.get((qubits, step.f))
             if op is None:
                 op = events[qubits, step.f] = (None, (event_patterns(width, *qubits), step.f))
@@ -233,6 +213,17 @@ def _sample(prog: Program, n: int, rng, labels: dict, threads: int) -> list[_Row
     for q, label in labels.items():
         w, sh = _slot(q)
         start[w] |= _U64(int(label)) << _U64(sh)
+    return ops, start
+
+
+def _sample(ops: list, start: np.ndarray, n: int, rng, threads: int) -> list[_RowBuffer]:
+    """The row buffers of ``n`` rows run from key ``start`` through
+    ``ops``, one per range, with rows counted from the chunk's start.
+    The rows are cut into ``threads`` ranges (at most n) run at once;
+    leaves ``rng`` after the chunk's draws."""
+    # imported here, so that the analytical engine never loads it
+    from concurrent.futures import ThreadPoolExecutor
+
     threads = min(threads, n)
     cuts = [n * i // threads for i in range(threads + 1)]
     buffers = [_RowBuffer(r0, r1 - r0, start) for r0, r1 in zip(cuts, cuts[1:])]
@@ -264,14 +255,16 @@ def run_mc(prog: Program, iterations: int, seed: int,
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
     labels = initial_labels(prog, initial_errors)
-    start = time.perf_counter()
+    began = time.perf_counter()
+    ops, start = _prepare(prog, labels)
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     threads = min(_cpus(), _THREADS, iterations)
-    crashes = faulted = 0
+    blocks, crashes, faulted = prog.crash_blocks, 0, 0
     for done in range(0, iterations, _CHUNK):
-        chunk = _run_chunk(prog, min(_CHUNK, iterations - done), rng, labels, threads)
-        crashes += chunk[0]
-        faulted += chunk[1]
+        for buffer in _sample(ops, start, min(_CHUNK, iterations - done), rng, threads):
+            keys = buffer.keys[:buffer.count]
+            faulted += buffer.count
+            crashes += buffer.count - int(np.count_nonzero(qecc.correctable(keys, blocks)))
     low, high = _wilson95(crashes, iterations)
     return MCReport(
         iterations=iterations,
@@ -282,5 +275,5 @@ def run_mc(prog: Program, iterations: int, seed: int,
         seed=seed,
         threads=threads,
         faulted_rows=faulted,
-        wall_time_s=time.perf_counter() - start,
+        wall_time_s=time.perf_counter() - began,
     )

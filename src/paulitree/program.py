@@ -22,12 +22,12 @@ qubits, the qubit groups it releases, and for a deterministic kind the
 key-array kernel both engines apply and the liveness rule the
 analytical engine reads.  A kind with no kernel is an error
 event, which both engines branch or sample on the outcome table
-:func:`~paulitree.errormap.event_patterns` of its qubits.  Both engines
-take every step's qubits through :func:`step_operands`, which rejects a
-repeated or undeclared qubit, and neither branches on the kind; all
-they need is read from the table.  The program holds no QubitSet
-structure: the analytical engine merges a step's sets and releases its
-groups itself.
+:func:`~paulitree.errormap.event_patterns` of its qubits.  Each engine
+checks a program once per call, before it runs a step, by reading
+:func:`checked_steps` to the end: the error of the first faulty step in
+program order.  Neither branches on the kind; all they need is read
+from the table.  The program holds no QubitSet structure: the
+analytical engine merges a step's sets and releases its groups itself.
 
 The text serialization (see :func:`serialize_program`) is line oriented,
 one step per line, and round-trips exactly; its SHA-256 hash identifies
@@ -40,7 +40,7 @@ import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
 from types import ModuleType
-from typing import Any, Callable, Iterable, Sequence, Union
+from typing import Any, Callable, Iterable, Iterator, Sequence, Union
 
 from . import errormap, qecc
 from .noise import NoiseParams, decoherence_prob
@@ -242,7 +242,7 @@ class StepKind:
     ``text`` is the line format, keyword first, filled from
     ``fields(step)``; ``parse`` rebuilds the step from the line's operand
     tokens.  ``operands`` lists the step's qubits, which
-    :func:`step_operands` checks and which the analytical engine merges
+    :func:`checked_steps` checks and which the analytical engine merges
     into one QubitSet before the step.  ``releases`` lists the qubit
     groups it splits off right after the step.  A deterministic kind
     names its key-array kernel as (module, function); ``args(step, q)``
@@ -354,18 +354,6 @@ def step_kind(step) -> StepKind:
         raise ProgramError("unknown step kind %r" % (step,)) from None
 
 
-def step_operands(kind: StepKind, step, num_qubits: int) -> tuple[int, ...]:
-    """The operands of a step, checked: ProgramError for a qubit outside
-    the program's ``num_qubits`` or one named twice."""
-    qubits = kind.operands(step)
-    for q in qubits:
-        if not 0 <= q < num_qubits:
-            raise ProgramError("step %r references undeclared qubit %d" % (step, q))
-    if len(qubits) > 1 and len(set(qubits)) < len(qubits):
-        raise ProgramError("step %r repeats a qubit" % (step,))
-    return qubits
-
-
 @dataclass(frozen=True)
 class Program:
     """An ordered step sequence plus the machine and observable layout.
@@ -400,6 +388,29 @@ class Program:
             if not block or len(set(block)) != len(block) or not covered.issuperset(block):
                 raise ProgramError("crash block %r must list distinct qubits of the program"
                                    % (block,))
+
+
+def checked_steps(prog: Program) -> Iterator[tuple[StepKind, Step, tuple[int, ...]]]:
+    """Each step of ``prog`` in order as (kind, step, operands), checked
+    before it is yielded: ProgramError for an unknown kind or for a qubit
+    outside the program or named twice, ValueError for an event
+    probability outside [0, 1].  A generator, so that a caller keeping
+    only some steps holds no list of them all."""
+    # operand tuples found good: 204 distinct ones in the basic program
+    kinds, n, good = STEP_KINDS, prog.num_qubits, set()
+    for step in prog.steps:
+        kind = kinds.get(type(step)) or step_kind(step)
+        qubits = kind.operands(step)
+        if qubits not in good:
+            for q in qubits:
+                if not 0 <= q < n:
+                    raise ProgramError("step %r references undeclared qubit %d" % (step, q))
+            if len(set(qubits)) < len(qubits):
+                raise ProgramError("step %r repeats a qubit" % (step,))
+            good.add(qubits)
+        if kind.kernel is None and not 0.0 <= step.f <= 1.0:
+            errormap.check_event_probability(step.f)
+        yield kind, step, qubits
 
 
 def initial_labels(prog: Program, initial_errors: dict | None) -> dict[int, Pauli]:

@@ -7,6 +7,7 @@ import pytest
 from paulitree import engine, errormap, qecc
 from paulitree.engine import Partition, run_analytical
 from paulitree.errormap import ErrorMap, MergeMode, Thresholds, merge, split
+from paulitree.montecarlo import run_mc
 from paulitree.noise import NoiseParams
 from paulitree.pauli import Pauli
 from paulitree.program import (
@@ -132,17 +133,21 @@ class TestRunValidation:
         with pytest.raises(ProgramError, match=message):
             run_analytical(toy([step]), TH0)
 
+    @pytest.mark.parametrize("run", [
+        lambda prog: run_analytical(prog, TH0),
+        lambda prog: run_mc(prog, 8, seed=0),
+    ], ids=["analytical", "mc"])
     @pytest.mark.parametrize("first, error, message", [
         (OneQubitEvent(0, 1.5), ValueError, "event probability"),
         (OneQubitEvent(2, 0.3), ProgramError, "undeclared"),
         (Hadamard(-1), ProgramError, "undeclared"),
     ])
-    def test_the_first_faulty_step_is_reported(self, first, error, message):
-        # the liveness pass reads the kernel steps before the walk reaches
-        # the events: a faulty kernel step later on must not hide an
-        # earlier faulty step
+    def test_the_first_faulty_step_is_reported(self, run, first, error, message):
+        # the liveness pass keeps only the kernel steps: a faulty kernel
+        # step later on must not hide an earlier faulty step, and both
+        # engines must report the same one
         with pytest.raises(error, match=message):
-            run_analytical(toy([first, OneQubitEvent(1, 0.3), CNot(0, 0)]), TH0)
+            run(toy([first, OneQubitEvent(1, 0.3), CNot(0, 0)]))
 
 
 def record_set_moves(monkeypatch):

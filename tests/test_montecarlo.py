@@ -28,9 +28,9 @@ from paulitree.program import (
     Reset,
     TwoQubitEvent,
     build_basic_program,
+    checked_steps,
     initial_labels,
     step_kind,
-    step_operands,
 )
 from tests.test_engine import QUIET, toy
 
@@ -234,9 +234,7 @@ def _reference_keys(prog, n, rng, labels):
     for q, label in labels.items():
         w, sh = _slot(q)
         keys[:, w] |= np.uint64(int(label)) << np.uint64(sh)
-    for step in prog.steps:
-        spec = step_kind(step)
-        qubits = step_operands(spec, step, width)
+    for spec, step, qubits in checked_steps(prog):
         if spec.kernel is None:
             if step.f == 0.0:
                 continue
@@ -258,20 +256,27 @@ def _reference_shard(prog, iterations, child, labels):
     crashes = 0
     for done in range(0, iterations, _CHUNK):
         n = min(_CHUNK, iterations - done)
-        keys = _reference_keys(prog, n, rng, labels)
-        crashes += n - int(np.count_nonzero(qecc.correctable(keys, prog.crash_blocks)))
+        crashes += _crashes(prog, _reference_keys(prog, n, rng, labels))
     return crashes, rng.bit_generator.state
 
 
-def _sampled_keys(prog, n, rng, labels, threads):
-    """The keys of all ``n`` rows that ``_sample`` leaves: its faulted
-    rows' keys, and the zero key on every other row."""
+def _crashes(prog, keys):
+    return keys.shape[0] - int(np.count_nonzero(qecc.correctable(keys, prog.crash_blocks)))
+
+
+def _sample(prog, n, rng, labels, threads):
+    """One chunk of ``n`` rows sampled by ``montecarlo._sample`` on the op
+    list and start key that ``run_mc`` builds: the keys of all rows (the
+    faulted rows' keys, and the zero key on every other row) and the
+    number of faulted rows, those the kernels ran on."""
     keys = np.zeros((n, _nwords(prog.num_qubits)), dtype=np.uint64)
-    for buffer in montecarlo._sample(prog, n, rng, labels, threads):
+    faulted = 0
+    for buffer in montecarlo._sample(*montecarlo._prepare(prog, labels), n, rng, threads):
         held = np.flatnonzero(buffer.slot >= 0)
         assert held.size == buffer.count
         keys[buffer.first + held] = buffer.keys[buffer.slot[held]]
-    return keys
+        faulted += buffer.count
+    return keys, faulted
 
 
 def _hit_rows(prog, n, rng):
@@ -342,13 +347,14 @@ class TestStreamIdentity:
 
         monkeypatch.setattr(errormap, "cnot_kernel", cnot)
         ours, ref = np.random.default_rng(7), np.random.default_rng(7)
-        keys = _sampled_keys(prog, 1000, ours, labels, threads)
+        keys, _ = _sample(prog, 1000, ours, labels, threads)
         assert (keys == _reference_keys(prog, 1000, ref, labels)).all()
         assert ours.bit_generator.state == ref.bit_generator.state
         # both generators now stand at the next chunk's start
         faulted = _hit_rows(prog, 1000, ref)
         kernels.clear()  # the serial reference's CNots ran on every row
-        crashes, rows = montecarlo._run_chunk(prog, 1000, ours, labels, threads)
+        keys, rows = _sample(prog, 1000, ours, labels, threads)
+        crashes = _crashes(prog, keys)
         if case == "never-hit":
             assert crashes == rows == faulted == 0 and kernels == []
         else:
@@ -365,7 +371,7 @@ class TestStreamIdentity:
         prog = self.CASES["few-events"]
         labels = initial_labels(prog, {1: Pauli.Z})
         ours, ref = np.random.default_rng(2), np.random.default_rng(2)
-        keys = _sampled_keys(prog, n, ours, labels, threads)
+        keys, _ = _sample(prog, n, ours, labels, threads)
         assert (keys == _reference_keys(prog, n, ref, labels)).all()
         assert ours.bit_generator.state == ref.bit_generator.state
 
@@ -376,8 +382,8 @@ class TestStreamIdentity:
         child = np.random.SeedSequence(3).spawn(1)[0]
         labels = initial_labels(prog, None)
         rng = np.random.default_rng(child)
-        crashes = sum(montecarlo._run_chunk(prog, min(_CHUNK, iterations - done), rng,
-                                            labels, threads)[0]
+        crashes = sum(_crashes(prog, _sample(prog, min(_CHUNK, iterations - done), rng,
+                                             labels, threads)[0])
                       for done in range(0, iterations, _CHUNK))
         assert (crashes, rng.bit_generator.state) == _reference_shard(
             prog, iterations, child, labels)
@@ -399,7 +405,7 @@ class TestStreamIdentity:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            keys = _sampled_keys(prog, 500, np.random.default_rng(9), labels, 6)
+            keys, _ = _sample(prog, 500, np.random.default_rng(9), labels, 6)
         finally:
             sys.setswitchinterval(interval)
         assert (keys == ref).all()
@@ -481,8 +487,8 @@ class TestWorkers:
 
         before = threading.active_count()
         monkeypatch.setattr(montecarlo, "_xor_hits", xoring)
-        montecarlo._sample(self.PROG, 256, np.random.default_rng(0),
-                           initial_labels(self.PROG, None), threads)
+        _sample(self.PROG, 256, np.random.default_rng(0), initial_labels(self.PROG, None),
+                threads)
         events = sum(step_kind(s).kernel is None for s in self.PROG.steps)
         assert threading.main_thread() not in drawn and len(drawn) == threads
         # each worker draws its m rows once per event; the ranges cover n
@@ -505,8 +511,8 @@ class TestWorkers:
         before = self._helpers()
         monkeypatch.setattr(errormap, "cnot_kernel", failing)
         with pytest.raises(error, match="kernel failed"):
-            montecarlo._sample(self.PROG, 256, np.random.default_rng(0),
-                               initial_labels(self.PROG, None), threads)
+            _sample(self.PROG, 256, np.random.default_rng(0),
+                    initial_labels(self.PROG, None), threads)
         assert threading.main_thread() not in calls
         assert self._helpers() == before
 
@@ -535,7 +541,7 @@ class TestWorkers:
         monkeypatch.setattr(errormap, "cnot_kernel", failing)
         monkeypatch.setattr(montecarlo, "_xor_hits", xoring)
         with pytest.raises(RuntimeError, match="kernel failed"):
-            montecarlo._sample(self.PROG, 256, np.random.default_rng(0),
-                               initial_labels(self.PROG, None), threads)
+            _sample(self.PROG, 256, np.random.default_rng(0),
+                    initial_labels(self.PROG, None), threads)
         # no worker ran a step after the failure
         assert raised.is_set() and not any(seen)

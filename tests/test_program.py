@@ -1,8 +1,10 @@
+import itertools
 import math
 from dataclasses import dataclass
 
 import pytest
 
+from paulitree import engine, montecarlo
 from paulitree.engine import run_analytical
 from paulitree.errormap import Thresholds
 from paulitree.montecarlo import run_mc
@@ -23,12 +25,11 @@ from paulitree.program import (
     VerifyReadout,
     build_basic_program,
     build_scaling_program,
+    checked_steps,
     parse_program,
     program_hash,
     scaling_phase_pairs,
     serialize_program,
-    step_kind,
-    step_operands,
 )
 
 QUIET = NoiseParams(
@@ -274,17 +275,11 @@ class TestSerialization:
         with pytest.raises(ProgramError, match="line 4: .*" + message):
             parse_program(text)
 
-    @pytest.mark.parametrize("line, step", [
-        ("cx 0 0", CNot(0, 0)),
-        ("e2 0 0 0.3", TwoQubitEvent(0, 0, 0.3)),
-        ("verify 3 0,1,2,3,4,5,6", VerifyReadout(tuple(range(7)), 3)),
-    ])
-    def test_rejects_repeated_operands(self, line, step):
+    @pytest.mark.parametrize("line", ["cx 0 0", "e2 0 0 0.3", "verify 3 0,1,2,3,4,5,6"])
+    def test_rejects_repeated_operands(self, line):
         text = "program t\nqubits 7\nset 0,1,2,3,4,5,6\n%s\n" % line
         with pytest.raises(ProgramError, match="line 4: .* repeats a qubit"):
             parse_program(text)
-        with pytest.raises(ProgramError, match="repeats a qubit"):
-            step_operands(step_kind(step), step, 7)
 
     def test_hash_is_stable_and_sensitive(self):
         a = build_basic_program(NoiseParams())
@@ -311,3 +306,53 @@ def test_unknown_step_kind_is_a_program_error():
     ):
         with pytest.raises(ProgramError, match="unknown step kind"):
             call()
+
+
+class TestCheckedSteps:
+    STEPS = (OneQubitEvent(0, 0.125), CNot(0, 1), Reset((1, 2)), TwoQubitEvent(2, 0, 1e-3))
+
+    @staticmethod
+    def program(steps):
+        return Program("t", 3, ((0, 1, 2),), tuple(steps), ((0, 1, 2),), 0, 0)
+
+    def test_yields_each_step_in_order_with_its_kind_and_operands(self):
+        assert list(checked_steps(self.program(self.STEPS))) == [
+            (STEP_KINDS[OneQubitEvent], self.STEPS[0], (0,)),
+            (STEP_KINDS[CNot], self.STEPS[1], (0, 1)),
+            (STEP_KINDS[Reset], self.STEPS[2], (1, 2)),
+            (STEP_KINDS[TwoQubitEvent], self.STEPS[3], (2, 0)),
+        ]
+
+    @pytest.mark.parametrize("step, error, message", [
+        (CNot(0, 0), ProgramError, "repeats a qubit"),
+        (TwoQubitEvent(1, 1, 0.3), ProgramError, "repeats a qubit"),
+        (VerifyReadout((0, 1, 2), 2), ProgramError, "repeats a qubit"),
+        (Hadamard(3), ProgramError, "undeclared qubit 3"),
+        (Reset((-1,)), ProgramError, "undeclared qubit -1"),
+        (OneQubitEvent(0, 1.5), ValueError, "event probability"),
+        (TwoQubitEvent(0, 1, float("nan")), ValueError, "event probability"),
+        (Teleport(0), ProgramError, "unknown step kind"),
+    ])
+    def test_yields_the_steps_before_a_faulty_third_step(self, step, error, message):
+        # lazy: a caller that keeps only some steps holds no list of them all
+        steps = checked_steps(self.program(self.STEPS[:2] + (step,) + self.STEPS[2:]))
+        assert [s for _, s, _ in itertools.islice(steps, 2)] == list(self.STEPS[:2])
+        with pytest.raises(error, match=message):
+            next(steps)
+
+    @pytest.mark.parametrize("module, run", [
+        (engine, lambda prog: run_analytical(prog, Thresholds())),
+        # three chunks
+        (montecarlo, lambda prog: run_mc(prog, 2 * montecarlo._CHUNK + 1, seed=0)),
+    ], ids=["analytical", "mc"])
+    def test_each_engine_checks_the_program_once_per_call(self, monkeypatch, module, run):
+        calls = []
+
+        def spy(prog):
+            calls.append(prog)
+            return checked_steps(prog)
+
+        monkeypatch.setattr(module, "checked_steps", spy)
+        prog = self.program(self.STEPS)
+        run(prog)
+        assert calls == [prog]
