@@ -93,18 +93,17 @@ A ``Reset`` that clears a whole set leaves its map at exactly
 {I: 1.0}, and the map's old total moves into a run-level factor that
 multiplies the retained and the surviving mass, one total at a time in
 step order.  The set is then *closed*, and so is every set later split
-off it.  Every later operation that touches only closed sets (such as
-the verifier after its own full-set reset) joins their *closed
-segment*, which ends just before the first operation that joins one of
-its sets with a set holding data history.  Its result depends only on
-its operations in local key positions and on the thresholds, so the
-plan keys each segment on them (:class:`Segment`), and :func:`execute`
-computes each key once per call: every later segment with that key
-installs copies of the cached maps under its own set IDs and adds the
-cached peak entries, ``event_kernel`` calls and reset totals.  A
-segment's operations run together where it ends; they touch no other
-set, so only the order of the calls moves.  On the basic program 22 of
-the 24 ancilla preparations are replayed.
+off it, until the first operation on a set that is not closed.  The
+operations on closed sets up to there make a *closed segment*, a
+contiguous run of the plan; a full-set reset of another set while it is
+open (such as the verifier's) closes that set too, as one of its inputs.
+Its result depends only on its operations in local key positions and on
+the thresholds, so the plan keys each segment on them (:class:`Segment`),
+and :func:`execute` computes each key once per call: every later segment
+with that key installs copies of the cached maps under its own set IDs
+and adds the cached peak entries, ``event_kernel`` calls and reset
+totals.  On the basic program 22 of the 24 ancilla preparations are
+replayed.
 
 At threshold 0 the deferral, the masks, the clears and the replay are
 exact.  With
@@ -123,12 +122,10 @@ and more under lossy merging, whose totals fall well below 1.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from collections.abc import Hashable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field, replace
-from operator import itemgetter
 
 import numpy as np
 
@@ -261,18 +258,6 @@ def _segment_key(widths: tuple[int, ...], body: tuple) -> Hashable:
     return widths, body
 
 
-def _join_kernels(ops: Iterable[tuple]) -> list:
-    """``ops`` with each run of adjacent APPLY operations on one set
-    joined into one, so that its map sorts its keys once for the run."""
-    out: list = []
-    for op in ops:
-        if op[0] == APPLY and out and out[-1][:2] == op[:2]:
-            out[-1] = op[:2] + (out[-1][2] + op[2],)
-        else:
-            out.append(op)
-    return out
-
-
 def _depolarizing(f: float) -> np.ndarray:
     """A one-qubit depolarizing event's probabilities, by label."""
     return np.array([1.0 - f, f / 3, f / 3, f / 3])
@@ -336,8 +321,9 @@ def _label_gather(spec: StepKind, step, positions: tuple[int, ...]) -> np.ndarra
 
 @dataclass
 class _Draft:
-    """A closed segment still being planned: its operations and input
-    sets, each numbered by emission, and its live sets."""
+    """The open closed segment: its operations so far, the (set ID,
+    width) of each input set, in the order of their full-set resets, and
+    every set it has held."""
 
     ops: list = field(default_factory=list)
     inputs: list = field(default_factory=list)
@@ -357,59 +343,50 @@ class _Planner:
         self.pending: dict[int, float] = {}  # qubit alone -> its deferred depolarizing f
         self.pairs: dict[int, _PairEvent] = {}  # pair member -> its deferred pair event
         self.gathers: dict[tuple, np.ndarray] = {}  # (step type, pair positions) -> gather
-        self.drafts: dict[int, _Draft] = {}  # closed set -> its segment
+        self.draft: _Draft | None = None  # the open closed segment
         self.shapes: dict[tuple, tuple] = {}  # equal segments share one body
-        self.counter = itertools.count()
 
     # -- emission and closed segments ----------------------------------
 
-    def emit(self, op: tuple, sid: int, other: int | None = None) -> None:
-        """Add ``op``, acting on set ``sid`` (and merging ``other`` into
-        it), to the segment of its closed sets, or to the plan.  Joining
-        a closed set with an open one first closes the segment."""
-        draft = self.drafts.get(sid)
-        if other is not None:
-            other_draft = self.drafts.get(other)
-            if draft is None or other_draft is None:
-                for d in (draft, other_draft):
-                    if d is not None:
-                        self.close(d)
-                draft = None
-            elif other_draft is not draft:
-                draft.ops += other_draft.ops
-                draft.inputs += other_draft.inputs
-                draft.sets |= other_draft.sets
-                for s in other_draft.sets:
-                    self.drafts[s] = draft
-        if draft is None:
-            self.ops.append(op)
+    def emit(self, op: tuple, *sids: int) -> None:
+        """Append ``op``, acting on the sets ``sids``, to the open segment
+        if they are all its sets, else to the plan, closing the segment
+        first.  An APPLY on the set of the APPLY before it joins that one,
+        so that the map sorts its keys once for the run."""
+        if self.draft is not None and not self.draft.sets.issuperset(sids):
+            self.close()
+        ops = self.ops if self.draft is None else self.draft.ops
+        if op[0] == APPLY and ops and ops[-1][:2] == op[:2]:
+            ops[-1] = op[:2] + (ops[-1][2] + op[2],)
         else:
-            draft.ops.append((next(self.counter), op))
+            ops.append(op)
+        if op[0] == SPLIT and self.draft is not None:
+            self.draft.sets.add(op[3])
 
     def reset(self, sid: int) -> None:
-        """Reset the whole set ``sid``: inside a segment if it is closed,
-        else as the start of a new one."""
-        draft = self.drafts.get(sid)
-        if draft is not None:
-            draft.ops.append((next(self.counter), (RESET, sid)))
+        """Reset the whole set ``sid``: inside the open segment if it is
+        one of its sets, else in the plan, making ``sid`` an input of the
+        open segment, which it opens if none is."""
+        draft = self.draft
+        if draft is not None and sid in draft.sets:
+            draft.ops.append((RESET, sid))
             return
         self.ops.append((RESET, sid))
-        draft = self.drafts[sid] = _Draft()
-        draft.inputs.append((next(self.counter), sid, len(self.part.members[sid])))
+        if draft is None:
+            draft = self.draft = _Draft()
+        draft.inputs.append((sid, len(self.part.members[sid])))
         draft.sets.add(sid)
 
-    def close(self, draft: _Draft) -> None:
-        """End a segment: add it to the plan, in local form, and open its
-        sets.  A segment with no operation leaves its fresh maps as they
-        are and adds nothing."""
-        for sid in draft.sets:
-            del self.drafts[sid]
+    def close(self) -> None:
+        """End the open segment: add it to the plan, in local form, and
+        open its sets.  A segment with no operation leaves its fresh maps
+        as they are and adds nothing."""
+        draft, self.draft = self.draft, None
         if not draft.ops:
             return
-        inputs = sorted(draft.inputs)
-        local = {sid: i for i, (_, sid, _) in enumerate(inputs)}
+        local = {sid: i for i, (sid, _) in enumerate(draft.inputs)}
         body = []
-        for _, op in sorted(draft.ops, key=itemgetter(0)):
+        for op in draft.ops:
             if op[0] == MERGE:
                 op = (MERGE, local[op[1]], local[op[2]])
             elif op[0] == SPLIT:
@@ -418,11 +395,13 @@ class _Planner:
             else:
                 op = (op[0], local[op[1]]) + op[2:]
             body.append(op)
-        shape = (tuple(width for _, _, width in inputs), tuple(_join_kernels(body)))
+        shape = (tuple(width for _, width in draft.inputs), tuple(body))
         shape = self.shapes.setdefault(shape, shape)
-        outputs = tuple(sorted((local[sid], self.part.members[sid]) for sid in draft.sets))
+        members = self.part.members
+        # the sets it merged away are gone from the partition
+        outputs = tuple((i, members[sid]) for sid, i in local.items() if sid in members)
         self.ops.append((SEGMENT, Segment(_segment_key(*shape), shape[1], tuple(local),
-                                          len(inputs), outputs)))
+                                          len(draft.inputs), outputs)))
 
     # -- set placement ---------------------------------------------------
 
@@ -434,9 +413,6 @@ class _Planner:
             sb = part.loc[q][0]
             if sb != sa:
                 self.emit((MERGE, sa, sb), sa, sb)
-                draft = self.drafts.pop(sb, None)
-                if draft is not None:
-                    draft.sets.discard(sb)
                 part.place(part.members[sa] + part.members.pop(sb), sa)
 
     def release(self, qubits: Sequence[int]) -> None:
@@ -449,10 +425,6 @@ class _Planner:
             part.place([q for i, q in enumerate(members) if i not in keep], sid)
             new = part.place([members[i] for i in keep])
             self.emit((SPLIT, sid, tuple(locals_), new), sid)
-            draft = self.drafts.get(sid)
-            if draft is not None:
-                draft.sets.add(new)
-                self.drafts[new] = draft
 
     # -- event deferral --------------------------------------------------
 
@@ -603,14 +575,14 @@ class _Planner:
         for block in prog.crash_blocks:
             self.flush(block)
             self.join(block)
-        while self.drafts:
-            self.close(next(iter(self.drafts.values())))
+        if self.draft is not None:
+            self.close()
         blocks: dict[int, list[list[int]]] = {}
         for block in prog.crash_blocks:
             sid, locals_ = part.locate(block)
             blocks.setdefault(sid, []).append(locals_)
         return Plan(tuple(tuple(g) for g in prog.initial_partition),
-                    tuple(_join_kernels(self.ops)), blocks, len(prog.steps))
+                    tuple(self.ops), blocks, len(prog.steps))
 
 
 def plan(prog: Program) -> Plan:

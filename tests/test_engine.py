@@ -286,11 +286,13 @@ class TestEventFusion:
           OneQubitEvent(2, 0.046875)],
          [(15, (1, 2, 6)), (3, fused(0.375, 0.1875, 0.09375)), (3, 0.046875)]),
         # the reset erases q0's run, so it is dropped unapplied; the reset
-        # clears q0's whole set and opens a closed segment, whose call runs
-        # where the segment ends, at the crash block's join, after q1's
+        # clears q0's whole set and opens a closed segment, which holds the
+        # crash block's flush of q0's later event.  The segment is a run of
+        # the plan built in step order, so its call comes first, and q1's
+        # flush, on a set that is not closed, ends it
         ([OneQubitEvent(0, 0.375), OneQubitEvent(1, 0.75), OneQubitEvent(0, 0.1875),
           OneQubitEvent(0, 0.09375), Reset((0,)), OneQubitEvent(0, 0.5625)],
-         [(3, 0.75), (3, 0.5625)]),
+         [(3, 0.5625), (3, 0.75)]),
         # q0's run composes into the two-qubit event's pair event
         ([OneQubitEvent(0, 0.375), OneQubitEvent(2, 0.046875), OneQubitEvent(0, 0.1875),
           OneQubitEvent(0, 0.09375), TwoQubitEvent(0, 1, 0.46875)],
@@ -378,9 +380,23 @@ class TestKernelRuns:
         branch = (engine.BRANCH, 0, (0,), 0.25, None)
         ops = [(engine.APPLY, 0, (a,)), (engine.APPLY, 0, (b,)), (engine.APPLY, 1, (c,)),
                branch, (engine.APPLY, 1, (d,)), (engine.APPLY, 0, (a,))]
-        assert engine._join_kernels(ops) == [
+        planner = engine._Planner([(0,), (1,)], [3, 3])
+        for op in ops:
+            planner.emit(op, op[1])
+        assert planner.ops == [
             (engine.APPLY, 0, (a, b)), (engine.APPLY, 1, (c,)), branch,
             (engine.APPLY, 1, (d,)), (engine.APPLY, 0, (a,))]
+
+    @pytest.mark.parametrize("build", [
+        build_basic_program, lambda p: build_scaling_program(2, p),
+    ], ids=["basic", "scaling-2"])
+    def test_no_two_adjacent_kernel_operations_share_a_set(self, build):
+        p = engine.plan(build(NoiseParams()))
+        assert p.segments
+        for ops in [p.ops] + [seg.body for seg in p.segments]:
+            assert any(op[0] == engine.APPLY for op in ops)
+            assert not any(x[0] == y[0] == engine.APPLY and x[1] == y[1]
+                           for x, y in zip(ops, ops[1:]))
 
     def test_a_run_of_gates_makes_one_apply_call_and_one_aggregation(self, monkeypatch):
         prog = toy([CNot(i % 3, (i + 1) % 3) for i in range(7)] + [OneQubitEvent(0, 0.375)],
@@ -637,18 +653,20 @@ class TestClosedSegments:
     """Closed segments are computed once per key and replayed after.
     Rates are dyadic as in :class:`TestEventFusion`."""
 
-    @pytest.mark.parametrize("scale, th", [
-        (1.0, Thresholds(1e-4, 1e-8)),
-        (100.0, Thresholds(1e-2, 1e-4)),
-        (100.0, Thresholds(1e-2, 1e-4, MergeMode.LOSSY)),
-    ], ids=["1x", "100x-preservation", "100x-lossy"])
-    def test_replay_is_bit_identical_to_computing_every_segment(self, monkeypatch, scale, th):
-        prog = build_basic_program(NoiseParams(global_scale=scale))
+    @pytest.mark.parametrize("build, scale, th, replayed", [
+        (build_basic_program, 1.0, Thresholds(1e-4, 1e-8), 22),
+        (build_basic_program, 100.0, Thresholds(1e-2, 1e-4), 22),
+        (build_basic_program, 100.0, Thresholds(1e-2, 1e-4, MergeMode.LOSSY), 22),
+        (lambda p: build_scaling_program(2, p), 1.0, Thresholds(1e-4, 1e-8), 10),
+    ], ids=["1x", "100x-preservation", "100x-lossy", "scaling-2"])
+    def test_replay_is_bit_identical_to_computing_every_segment(
+            self, monkeypatch, build, scale, th, replayed):
+        prog = build(NoiseParams(global_scale=scale))
         cached = run_analytical(prog, th)
         every_segment_misses(monkeypatch)
         computed = run_analytical(prog, th)
         assert report_fields(cached) == report_fields(computed)
-        assert (cached.segments_replayed, computed.segments_replayed) == (22, 0)
+        assert (cached.segments_replayed, computed.segments_replayed) == (replayed, 0)
 
     def test_a_second_identical_preparation_is_replayed(self, monkeypatch):
         prog = preparations(0.375)
@@ -660,10 +678,12 @@ class TestClosedSegments:
         rep = run_analytical(prog, TH0)
         assert_matches_oracle(prog, rep)
         assert report_fields(rep) == report_fields(computed)
-        # computed: the first preparation, the data pair (0, 1) flushed at
-        # the second CNOT onto the data, then the second preparation
-        assert len(missed) == 3 and missed[2] == missed[0]
-        assert calls == missed[:2]
+        # computed: the first preparation, the second, then the data pair
+        # (0, 1) flushed at the second CNOT onto the data.  That flush is
+        # on a set that is not closed, so it ends the second preparation's
+        # segment, whose call runs first; replayed, that call is not made
+        assert len(missed) == 3 and missed[1] == missed[0]
+        assert calls == [missed[0], missed[2]]
         assert (rep.segments_replayed, rep.branch_calls) == (1, 3)
 
     def test_preparations_that_differ_in_one_f_both_compute(self, monkeypatch):
@@ -675,11 +695,32 @@ class TestClosedSegments:
         assert rep.segments_replayed == 0
         assert rep.branch_calls == len(calls) == 3
 
+    @pytest.mark.parametrize("misses", [False, True], ids=["cached", "computed"])
+    def test_an_operation_on_an_open_set_ends_the_segment(self, monkeypatch, misses):
+        # the Hadamard on data qubit 0 falls inside the preparation of the
+        # pair (1, 2): it ends the segment, which holds the first CNOT
+        # alone, and the preparation's event and second CNOT follow it at
+        # top level, on a set that is no longer closed
+        prog = toy([OneQubitEvent(0, 0.375), Reset((1, 2)), CNot(1, 2), Hadamard(0),
+                    OneQubitEvent(1, 0.1875), CNot(1, 2), TwoQubitEvent(1, 2, 0.46875),
+                    CNot(0, 1)], num_qubits=3, blocks=((0, 1, 2),),
+                   partition=((0,), (1, 2)))
+        p = engine.plan(prog)
+        assert [op[0] if op[0] == engine.SEGMENT else op[:2] for op in p.ops[:5]] == [
+            (engine.RESET, 1), engine.SEGMENT, (engine.APPLY, 0), (engine.APPLY, 1),
+            (engine.BRANCH, 1)]
+        (seg,) = p.segments
+        assert [op[:2] for op in seg.body] == [(engine.APPLY, 0)]
+        if misses:
+            every_segment_misses(monkeypatch)
+        assert_matches_oracle(prog, run_analytical(prog, TH0))
+
     @pytest.mark.parametrize("build, segments", [
         (build_basic_program, 24),
         (lambda p: build_scaling_program(2, p), 12),
         (lambda p: build_scaling_program(4, p), 36),
-    ], ids=["basic", "scaling-2", "scaling-4"])
+        (lambda p: build_scaling_program(8, p), 84),
+    ], ids=["basic", "scaling-2", "scaling-4", "scaling-8"])
     def test_every_ancilla_preparation_is_a_segment_of_one_of_two_kinds(
             self, build, segments):
         # one segment per preparation and verification of an ancilla
