@@ -182,6 +182,13 @@ def _positive_floats(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok]
 
 
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % n)
+    return n
+
+
 def cmd_run(args) -> int:
     params = _load_noise(args)
     prog = _build_program(args, params)
@@ -304,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--merge-mode", type=lambda s: s.split(","),
                          default=["preservation", "lossy"],
                          help="comma-separated merge modes")
-    p_sweep.add_argument("--jobs", type=int, default=1,
+    p_sweep.add_argument("--jobs", type=_positive_int, default=1,
                          help="worker processes for the grid points")
     p_sweep.set_defaults(func=cmd_sweep)
 

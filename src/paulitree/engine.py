@@ -25,26 +25,22 @@ operation, after which the map sorts its keys once.
 
 The plan defers events, since a Pauli channel on some qubits commutes
 with every step that does not name them.  It keeps at most one pending
-event per qubit, and folds each new event on the qubit into it:
+event per qubit:
 
 - A one-qubit event is a depolarizing channel, and a run of them
   composes exactly into one, with 1 - 4f/3 multiplying, so a qubit alone
-  keeps one probability f.
-- A Clifford gate only relabels Pauli errors (the Pauli-frame argument),
-  so the gates marked ``permutes_labels`` in
-  :data:`~paulitree.program.STEP_KINDS` carry pending events through.  A
-  depolarizing event is invariant under a one-qubit Clifford gate, so a
-  Hadamard leaves it as it is.  A CNOT first applies any pair event that
-  reaches outside its two qubits, then turns the events on its operands
-  into one *pair event*: 16 probabilities over the pair's labels
-  (label_a, label_b), their tensor product (the identity for a qubit
-  with no event), conjugated by the gate.  A gate on a pair member
-  permutes the pair's labels by the permutation its own kernel gives on
-  the 16 label rows.
-- A one-qubit event on a pair member mixes along that member's labels.
-- A two-qubit event composes into the pair event on its qubits, built
-  as for a CNOT if there is none: w <- (1 - g) w + g/15 (sum w - w).
-  The pair event is then applied at once (see below).
+  keeps one probability f.  A Clifford gate only relabels Pauli errors
+  (the Pauli-frame argument), so the gates marked ``permutes_labels`` in
+  :data:`~paulitree.program.STEP_KINDS` carry lone events through: a
+  Hadamard leaves a depolarizing event as it is, and a CNOT turns its
+  operands' events into one *pair event*, 16 probabilities over the
+  pair's labels (label_a, label_b), their tensor product permuted as
+  its own kernel permutes the 16 label rows.
+- A pair event is held only until the next step that names a member.
+  If that is the two-qubit event on the pair, the event composes into
+  it, w <- (1 - g) w + g/15 (sum w - w), and the pair event is applied,
+  as is a two-qubit event composed into the tensor product of its
+  qubits' lone events.  Anything else applies the pair event first.
 
 Any other step applies (flushes) the pending events of the qubits it
 names on their current sets before its own sets are merged: a qubit
@@ -75,10 +71,9 @@ lumping them is exact.  The plan uses the pass twice:
   where it is flushed.  A lone event with only X (or only Z) live
   branches on that one outcome, with weight 2f/3, since X and Y (or Z
   and Y) flip the live bit alike; one with nothing live is dropped, as
-  are the lone events a ``Reset`` clears.  A pair event whose live
-  outcomes all leave one member at I branches on the other member
-  alone, without joining the first member's set.  The outcome weights a
-  mask leaves at 0 are not branched on.
+  are the lone events a ``Reset`` clears.  A pair event keeps its
+  fifteen outcomes; those a mask leaves at weight 0 are not branched
+  on, and one with every weight 0 is dropped.
 - Each kernel step's APPLY also clears the components of its operands
   that are dead after it (``errormap.clear_components_kernel``), except
   on qubits the step resets or releases, which are at I already.
@@ -106,18 +101,18 @@ totals.  On the basic program 22 of the 24 ancilla preparations are
 replayed.
 
 At threshold 0 the deferral, the masks, the clears and the replay are
-exact.  With
-thresholds set, order matters.  Fusing a qubit's run of one-qubit events
-prunes less, since the run is branched once rather than once per event.
-Holding a pair event past its two-qubit event prunes more: other events
-branch the same map meanwhile, so its entries shrink and more of them
-fall below the branch threshold.  Held until the next other step on a
-member, it cut the basic program's crash rate by 14% at 1x noise and
-thresholds (1e-4, 1e-8), and by 0.9% at 100x and (1e-4, 1e-6).  So a
-pair event is applied where its two-qubit event stands, as an unfused
-engine applies that event.  Restoring a reset set's total to exactly 1
-moves what is pruned a little too: by ulps under preservation merging,
-and more under lossy merging, whose totals fall well below 1.
+exact.  With thresholds set, order matters.  Fusing a qubit's run of
+one-qubit events prunes less, since the run is branched once rather
+than once per event.  Holding a pair event past its two-qubit event
+prunes more: other events branch the same map meanwhile, so its entries
+shrink and more of them fall below the branch threshold.  Held until
+the next other step on a member, it cut the basic program's crash rate
+by 14% at 1x noise and thresholds (1e-4, 1e-8), and by 0.9% at 100x
+and (1e-4, 1e-6).  So a pair event is applied where its two-qubit event
+stands, as an unfused engine applies that event.  Restoring a reset
+set's total to exactly 1 moves what is pruned a little too: by ulps
+under preservation merging, and more under lossy merging, whose totals
+fall well below 1.
 """
 
 from __future__ import annotations
@@ -308,13 +303,13 @@ class _PairEvent:
     w: np.ndarray
 
 
-def _label_gather(spec: StepKind, step, positions: tuple[int, ...]) -> np.ndarray:
+def _label_gather(spec: StepKind, step) -> np.ndarray:
     """Index array g with w[g] the pair event ``w`` conjugated by a
-    label-permuting step acting at the given pair positions (0 or 1).
-    Derived by running the step's own kernel on the 16 label rows."""
+    two-qubit label-permuting step on the pair, in its order.  Derived
+    by running the step's own kernel on the 16 label rows."""
     i = np.arange(16, dtype=np.uint64)
     rows = ((i >> np.uint64(2)) | ((i & np.uint64(3)) << np.uint64(2)))[:, None]
-    spec.function(rows, *spec.args(step, positions))
+    spec.function(rows, *spec.args(step, (0, 1)))
     image = ((rows[:, 0] & np.uint64(3)) << np.uint64(2)) | (rows[:, 0] >> np.uint64(2))
     return np.argsort(image.astype(np.intp))
 
@@ -341,8 +336,8 @@ class _Planner:
         self.live = live
         self.ops: list = []
         self.pending: dict[int, float] = {}  # qubit alone -> its deferred depolarizing f
-        self.pairs: dict[int, _PairEvent] = {}  # pair member -> its deferred pair event
-        self.gathers: dict[tuple, np.ndarray] = {}  # (step type, pair positions) -> gather
+        self.pairs: dict[int, _PairEvent] = {}  # pair member -> the pair event its CNOT made
+        self.gathers: dict[type, np.ndarray] = {}  # two-qubit step type -> gather
         self.draft: _Draft | None = None  # the open closed segment
         self.shapes: dict[tuple, tuple] = {}  # equal segments share one body
 
@@ -435,39 +430,21 @@ class _Planner:
         sid, locals_ = self.part.locate(qubits)
         self.emit((BRANCH, sid, tuple(locals_), f, weights), sid)
 
-    def branch_weighted(self, qubits: Sequence[int], weights: np.ndarray) -> None:
-        """Branch on an event with outcome ``weights``, unless all are 0."""
-        f = float(np.add.reduce(weights))
-        if f > 0.0:
-            # rounding can carry the sum of a certain event's weights past 1
-            self.branch(qubits, min(1.0, f), weights.tobytes())
-
-    def flush_pair(self, pair: _PairEvent) -> None:
-        """Apply and forget a pair event, masked to its members' live
-        components: on both members' joined sets, or on one member alone
-        if nothing of the other is live."""
-        a, b = pair.qubits
-        del self.pairs[a], self.pairs[b]
-        ma, mb = self.live[a], self.live[b]
-        if ma == mb == 3:
-            self.branch_weighted(pair.qubits, pair.w[1:])
-            return
-        w = np.bincount(_MASKED[ma, mb], weights=pair.w, minlength=16)
-        if not mb:
-            self.branch_weighted((a,), w[4::4])  # labels (1..3, I)
-        elif not ma:
-            self.branch_weighted((b,), w[1:4])  # labels (I, 1..3)
-        else:
-            self.branch_weighted(pair.qubits, w[1:])
-
     def flush(self, qubits: Sequence[int]) -> None:
         """Apply and forget the pending event of each of ``qubits``, masked
-        to its live components: a lone event with one component live
-        branches on that component alone, with weight 2f/3, and one with
-        none is dropped."""
+        to its live components: a pair event branches on its fifteen
+        outcomes, a lone event with one component live on that one, with
+        weight 2f/3.  An event with no weight left branches nothing."""
         for q in qubits:
-            if q in self.pairs:
-                self.flush_pair(self.pairs[q])
+            pair = self.pairs.get(q)
+            if pair is not None:
+                a, b = pair.qubits
+                del self.pairs[a], self.pairs[b]
+                w = np.bincount(_MASKED[self.live[a], self.live[b]], pair.w, 16)[1:]
+                f = float(np.add.reduce(w))
+                if f > 0.0:
+                    # rounding can carry the sum of a certain event's weights past 1
+                    self.branch(pair.qubits, min(1.0, f), w.tobytes())
             elif q in self.pending:
                 f, m = self.pending.pop(q), self.live[q]
                 if m == 3:
@@ -478,57 +455,48 @@ class _Planner:
                     weights = (w, 0.0, 0.0) if m == 1 else (0.0, w, 0.0)
                     self.branch((q,), w, np.array(weights).tobytes())
 
-    def pair_on(self, a: int, b: int) -> _PairEvent:
-        """The pair event on {a, b}: the pending one, or else the tensor
-        product of a's and b's pending events, not yet stored.  Any pair
-        event reaching outside {a, b} is flushed first."""
-        for q in (a, b):
-            pair = self.pairs.get(q)
-            if pair is not None and set(pair.qubits) != {a, b}:
-                self.flush_pair(pair)
-        pair = self.pairs.get(a)
-        if pair is None:
-            w = np.multiply.outer(_depolarizing(self.pending.pop(a, 0.0)),
-                                  _depolarizing(self.pending.pop(b, 0.0)))
-            pair = _PairEvent((a, b), w.ravel())
-        return pair
+    def flush_pairs(self, qubits: Sequence[int]) -> None:
+        """Apply the pair events held on any of ``qubits``."""
+        self.flush([q for q in qubits if q in self.pairs])
 
-    def keep(self, pair: _PairEvent) -> None:
-        """Store ``pair`` as its members' pending event unless it is the
-        identity (no event on either qubit, or only events with f = 0)."""
-        if pair.w[0] < 1.0:
-            for q in pair.qubits:
-                self.pairs[q] = pair
+    def pair_on(self, a: int, b: int) -> _PairEvent:
+        """A new pair event held on (a, b), the tensor product of their lone
+        events, once any pair event held on either is applied."""
+        self.flush_pairs((a, b))
+        w = np.multiply.outer(_depolarizing(self.pending.pop(a, 0.0)),
+                              _depolarizing(self.pending.pop(b, 0.0)))
+        pair = self.pairs[a] = self.pairs[b] = _PairEvent((a, b), w.ravel())
+        return pair
 
     def carry(self, spec: StepKind, step, qubits: Sequence[int]) -> None:
         """Carry the pending events on ``qubits`` through a label-permuting
-        step; a one-qubit step leaves a depolarizing event as it is."""
-        pair = self.pair_on(*qubits) if len(qubits) == 2 else self.pairs.get(qubits[0])
-        if pair is None:
+        step: a one-qubit step leaves a lone depolarizing event as it is,
+        and a two-qubit step turns its operands' into a pair event,
+        conjugated by it.  Either applies the pair events it meets."""
+        if len(qubits) == 1:
+            self.flush_pairs(qubits)
             return
-        positions = tuple(map(pair.qubits.index, qubits))
-        gather = self.gathers.get((type(step), positions))
-        if gather is None:
-            gather = self.gathers[type(step), positions] = _label_gather(spec, step, positions)
-        pair.w = pair.w[gather]
-        self.keep(pair)
+        pair = self.pair_on(*qubits)
+        if type(step) not in self.gathers:
+            self.gathers[type(step)] = _label_gather(spec, step)
+        pair.w = pair.w[self.gathers[type(step)]]
 
     def defer(self, qubits: Sequence[int], g: float) -> None:
         """Fold an event with probability g on ``qubits`` (one or two)
-        into their pending events."""
+        into their pending events.  A two-qubit event composes into the
+        pair event held on its qubits, or a new one, and applies it; a
+        one-qubit event applies a pair event held on its qubit first."""
         if len(qubits) == 2:
-            pair = self.pair_on(*qubits)
+            pair = self.pairs.get(qubits[0])
+            if pair is None or pair is not self.pairs.get(qubits[1]):
+                pair = self.pair_on(*qubits)
             pair.w = (1.0 - g) * pair.w + g / 15 * (pair.w.sum() - pair.w)
             # applied where the event stands: held longer, it prunes more
             # (see the module docstring)
-            self.keep(pair)
             self.flush(qubits)
-        elif qubits[0] in self.pairs:
-            pair = self.pairs[qubits[0]]
-            w = pair.w.reshape(4, 4)
-            side = w.sum(axis=pair.qubits.index(qubits[0]), keepdims=True)
-            pair.w = ((1.0 - g) * w + g / 3 * (side - w)).ravel()
         else:
+            if qubits[0] in self.pairs:
+                self.flush_pairs(qubits)
             f = self.pending.get(qubits[0])
             # depolarizing channels compose exactly: 1 - 4f/3 multiplies
             self.pending[qubits[0]] = g if f is None else g + f - 4 * g * f / 3

@@ -263,8 +263,8 @@ class StepKind:
     program (see :mod:`~paulitree.engine`).
     ``permutes_labels`` marks a Clifford gate whose kernel, given only the
     operands' positions, maps each Pauli label of its operands to one
-    Pauli label: the analytical engine carries deferred events through
-    it instead of applying them first.  ``clears`` marks a kind that
+    Pauli label: the analytical engine carries deferred one-qubit events
+    through it instead of applying them.  ``clears`` marks a kind that
     resets its operands to I: the analytical engine gives a set it
     clears whole a fresh map and adds no component clear after it (see
     :mod:`~paulitree.engine`).

@@ -290,3 +290,10 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv)
         assert build_parser().parse_args(["sweep", "--jobs", "2"]).jobs == 2
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_rejected(self, capsys, jobs):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--jobs", jobs])
+        assert exc.value.code == 2
+        assert "argument --jobs: must be at least 1, got %s" % jobs in capsys.readouterr().err

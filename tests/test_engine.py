@@ -253,12 +253,13 @@ def pair_f(prog, a, b, n=None):
 
 
 def assert_calls(calls, prog, expected):
-    """``calls`` match ``expected`` in order: (3, f) for a one-qubit
-    event, (15, (a, b)) or (15, (a, b, n)) for a pair event on a and b,
-    its f by :func:`pair_f`."""
+    """``calls`` match ``expected`` in order: (k, f) for an event with k
+    outcomes, or (15, (a, b)) or (15, (a, b, n)) for a pair event on a
+    and b, its f by :func:`pair_f`."""
     assert [k for k, _ in calls] == [k for k, _ in expected]
     for (_, f), (k, want) in zip(calls, expected):
-        assert f == pytest.approx(pair_f(prog, *want) if k == 15 else want, abs=1e-15)
+        assert f == pytest.approx(pair_f(prog, *want) if isinstance(want, tuple) else want,
+                                  abs=1e-15)
 
 
 def every_segment_misses(monkeypatch):
@@ -344,20 +345,27 @@ class TestEventFusion:
         with pytest.raises(ValueError, match=r"event probability must be in \[0, 1\]"):
             run_analytical(prog, TH0)
 
-    def test_basic_program_makes_one_call_per_run(self, monkeypatch):
+    @pytest.mark.parametrize("build, pairs, ones, lone_calls", [
+        (build_basic_program, 686, 26258, 886),
+        (lambda p: build_scaling_program(2, p), 343, 13406, 450),
+    ], ids=["basic", "scaling-2"])
+    def test_basic_program_makes_one_call_per_run(self, monkeypatch, build, pairs, ones,
+                                                  lone_calls):
         calls = spy_event_kernel(monkeypatch)
         every_segment_misses(monkeypatch)
-        prog = build_basic_program(NoiseParams())
+        prog = build(NoiseParams())
         rep = run_analytical(prog, Thresholds(1e-4, 1e-8))
         # each two-qubit event follows a CNOT on its pair and makes one
-        # pair-event call together with the CNOT's operands' events; the
-        # other one-qubit runs are flushed as 886 calls of their own, and
-        # 174 more runs are dropped by the resets that clear their qubits
-        assert sum(isinstance(s, TwoQubitEvent) for s in prog.steps) == 686
-        assert sum(isinstance(s, OneQubitEvent) for s in prog.steps) == 26258
-        assert sum(k == 15 for k, _ in calls) == 686
-        assert sum(k == 3 for k, _ in calls) == 886
-        assert rep.branch_calls == len(calls) == 1572
+        # pair-event call together with the CNOT's operands' events, so a
+        # pair that outlived its two-qubit event would add calls; the
+        # other one-qubit runs are flushed as calls of their own, and on
+        # the basic program 174 more runs are dropped by the resets that
+        # clear their qubits
+        assert sum(isinstance(s, TwoQubitEvent) for s in prog.steps) == pairs
+        assert sum(isinstance(s, OneQubitEvent) for s in prog.steps) == ones
+        assert sum(k == 15 for k, _ in calls) == pairs
+        assert sum(k == 3 for k, _ in calls) == lone_calls
+        assert rep.branch_calls == len(calls) == pairs + lone_calls
 
 
 def spy_apply(monkeypatch):
@@ -428,7 +436,9 @@ class TestKernelRuns:
 
 
 class TestCarriedEvents:
-    """Pending events carried through Hadamards and CNOTs.  Rates are
+    """Pending events carried through Hadamards and CNOTs.  A pair event
+    is held from its CNOT to the next step that names a member, which
+    applies it unless it is the two-qubit event on the pair.  Rates are
     dyadic as in :class:`TestEventFusion`, so 1e-15 measures the engine."""
 
     def run(self, monkeypatch, steps, num_qubits=3, blocks=((0, 1, 2),)):
@@ -457,12 +467,15 @@ class TestCarriedEvents:
             CNot(0, 1), event, OneQubitEvent(1, 0.5625)])
         assert_calls(calls, prog, [(15, (0, 1, 5)), (3, 0.5625), (3, 0.75)])
 
-    def test_an_idle_event_on_a_pair_member_composes_into_the_pair(self, monkeypatch):
+    def test_an_idle_event_on_a_pair_member_applies_the_pair_first(self, monkeypatch):
+        # the pair from the CNOT is applied at q1's event; the events
+        # after it fuse per qubit and compose into the two-qubit event
         prog, calls = self.run(monkeypatch, [
             OneQubitEvent(0, 0.375), CNot(0, 1), OneQubitEvent(1, 0.1875),
             OneQubitEvent(0, 0.09375), OneQubitEvent(1, 0.5625), TwoQubitEvent(0, 1, 0.234375),
             OneQubitEvent(0, 0.046875)])
-        assert_calls(calls, prog, [(15, (0, 1, 6)), (3, 0.046875)])
+        idle = dataclasses.replace(prog, steps=prog.steps[2:6])
+        assert_calls(calls, prog, [(15, (0, 1, 2)), (15, pair_f(idle, 0, 1)), (3, 0.046875)])
 
     def test_a_hadamard_carries_a_single_event(self, monkeypatch):
         prog, calls = self.run(monkeypatch, [
@@ -471,13 +484,14 @@ class TestCarriedEvents:
         assert_calls(calls, prog, [(3, fused(0.375, 0.1875)), (3, 0.75)])
 
     @pytest.mark.parametrize("target", [0, 1])
-    def test_a_hadamard_conjugates_a_pair(self, monkeypatch, target):
-        # X on the control spreads to the target, so the pair is not
-        # symmetric and a wrong axis would show
+    def test_a_hadamard_on_a_pair_member_applies_the_pair_first(self, monkeypatch, target):
+        # X on the control spreads to the target, so each pair is not
+        # symmetric and a wrong gather would show; the second pair holds
+        # q1's event alone, conjugated, so its f is q1's
         prog, calls = self.run(monkeypatch, [
             OneQubitEvent(0, 0.375), CNot(0, 1), Hadamard(target),
             OneQubitEvent(1, 0.1875), CNot(1, 0), Hadamard(1 - target)])
-        assert_calls(calls, prog, [(15, (0, 1))])
+        assert_calls(calls, prog, [(15, (0, 1, 2)), (15, 0.1875)])
 
     def test_a_cnot_onto_a_third_qubit_flushes_the_pair(self, monkeypatch):
         prog, calls = self.run(monkeypatch, [
@@ -490,13 +504,23 @@ class TestCarriedEvents:
                          (15, pytest.approx(0.75, abs=1e-15)), (3, 0.09375)]
 
     @pytest.mark.parametrize("member", [0, 1])
-    def test_a_reset_of_one_member_flushes_the_pair(self, monkeypatch, member):
-        # the reset kills both components of the member, so the pair is
-        # applied as the other member's marginal, a three-outcome event
+    def test_a_reset_of_one_member_applies_the_pair_on_its_masked_weights(
+            self, monkeypatch, member):
+        # the reset kills both components of the member, so the pair
+        # branches on its fifteen outcomes with only the other member's
+        # marginal left
         prog, calls = self.run(monkeypatch, [
-            OneQubitEvent(0, 0.375), CNot(0, 1), OneQubitEvent(1, 0.09375),
+            OneQubitEvent(0, 0.375), OneQubitEvent(1, 0.09375), CNot(0, 1),
             Reset((member,)), OneQubitEvent(member, 0.1875)])
-        assert_calls(calls, prog, [(3, event_f(prog, (1 - member,), 3)), (3, 0.1875)])
+        assert_calls(calls, prog, [(15, event_f(prog, (1 - member,), 3)), (3, 0.1875)])
+
+    def test_a_second_cnot_on_the_pair_applies_it_first(self, monkeypatch):
+        # the second CNOT starts a pair of its own, with no event, which
+        # the two-qubit event composes into
+        prog, calls = self.run(monkeypatch, [
+            OneQubitEvent(0, 0.375), OneQubitEvent(1, 0.1875), CNot(0, 1), CNot(1, 0),
+            TwoQubitEvent(0, 1, 0.46875)])
+        assert_calls(calls, prog, [(15, (0, 1, 3)), (15, 0.46875)])
 
     def test_a_readout_of_one_member_flushes_the_pair_first(self, monkeypatch):
         # the oracle has no readouts: check that the pair event is applied,
@@ -515,7 +539,7 @@ class TestCarriedEvents:
         monkeypatch.setattr(ErrorMap, "event_kernel", spy)
         monkeypatch.setattr(qecc, "verify_kernel", spy_readout)
         block = tuple(range(7))
-        prog = toy([OneQubitEvent(0, 0.375), CNot(0, 7), OneQubitEvent(7, 0.1875),
+        prog = toy([OneQubitEvent(0, 0.375), OneQubitEvent(7, 0.1875), CNot(0, 7),
                     VerifyReadout(block, 7)], num_qubits=8, blocks=(block,))
         rep = run_analytical(prog, TH0)
         assert log == [15, "verify"]
@@ -523,11 +547,12 @@ class TestCarriedEvents:
 
     def test_pairs_at_the_end_are_flushed_only_if_they_reach_a_crash_block(self, monkeypatch):
         # (0, 2) reaches the block (0, 1) through q0, and nothing reads
-        # q2, so it is applied on q0 alone; (3, 4) reaches none
+        # q2, so it branches on its fifteen outcomes with only q0's
+        # marginal left; (3, 4) reaches none
         prog, calls = self.run(monkeypatch, [
-            OneQubitEvent(0, 0.375), CNot(0, 2), OneQubitEvent(3, 0.1875), CNot(3, 4),
-            OneQubitEvent(4, 0.09375)], num_qubits=5, blocks=((0, 1),))
-        assert_calls(calls, prog, [(3, event_f(prog, (0,)))])
+            OneQubitEvent(0, 0.375), CNot(0, 2), OneQubitEvent(3, 0.1875),
+            OneQubitEvent(4, 0.09375), CNot(3, 4)], num_qubits=5, blocks=((0, 1),))
+        assert_calls(calls, prog, [(15, event_f(prog, (0,)))])
 
     def test_random_programs_match_the_oracle(self):
         # seeded sweep of 4-qubit programs: at most 5 events, at most 2 of

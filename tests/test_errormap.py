@@ -489,8 +489,8 @@ class TestOutcomeTable:
                     w = np.zeros(16)
                     w[4 * a + b] = 1.0
                     pair = engine._PairEvent((0, 1), w)
-                    planner.keep(pair)
-                    planner.flush_pair(pair)
+                    planner.pairs[0] = planner.pairs[1] = pair
+                    planner.flush((0,))
                     sets = {0: qset({"I": 1.0}, (0,)), 1: qset({"I": 1.0}, (1,))}
                     engine._Execution(TH0).run(planner.ops, sets)
                     (key, p), = sets[0].map.items()

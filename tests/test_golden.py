@@ -1,11 +1,11 @@
 """Bit-identity pins: program hashes, analytical floats and MC tallies.
 
-The literals below were recorded from the basic benchmark and are
-compared with ``==``.  A change that is meant to leave results alone
-(refactoring the kernels, the step dispatch or the text format) must
-keep every one of them; a change that alters the step stream, the
-arithmetic order or the use of random numbers on purpose re-records
-them and says why.
+The literals below were recorded from the basic benchmark and from the
+four-logical-qubit scaling program, and are compared with ``==``.  A
+change that is meant to leave results alone (refactoring the kernels,
+the step dispatch or the text format) must keep every one of them; a
+change that alters the step stream, the arithmetic order or the use of
+random numbers on purpose re-records them and says why.
 """
 
 import pytest
@@ -16,6 +16,7 @@ from paulitree import (
     Pauli,
     Thresholds,
     build_basic_program,
+    build_scaling_program,
     program_hash,
     run_analytical,
     run_mc,
@@ -34,6 +35,12 @@ ANALYTICAL = {
     (100.0, 1e-2, 1e-4, MergeMode.LOSSY):
         (0.520968412174614, 0.0, 0.479031587825386, 715),
 }
+
+# build_scaling_program(4) at 1x noise: its widest set holds 41 qubits, so
+# its keys take two words, where every key of the basic program fits in one
+HASH_SCALING_4 = "f948cc477831f3607454b581f7fb4516e3efe8edda925847a5e070c3e4589741"
+# (survival, crash, discarded, peak entries) at (1e-4, 1e-8, preservation)
+ANALYTICAL_SCALING_4 = (0.9999948240623427, 5.175937676349385e-06, 0.0, 2883)
 
 # crash tallies at 100x noise, 4,096 samples, seeds 0-3
 MC_100X_TALLIES = (1099, 1098, 1104, 1109)
@@ -57,6 +64,15 @@ def test_analytical_floats(programs, key):
     got = (rep.survival_probability, rep.crash_probability, rep.discarded_mass,
            rep.peak_error_map_entries)
     assert got == ANALYTICAL[key]
+
+
+def test_scaling_program_on_two_word_keys():
+    prog = build_scaling_program(4, NoiseParams())
+    assert program_hash(prog) == HASH_SCALING_4
+    rep = run_analytical(prog, Thresholds(1e-4, 1e-8, MergeMode.PRESERVATION))
+    got = (rep.survival_probability, rep.crash_probability, rep.discarded_mass,
+           rep.peak_error_map_entries)
+    assert got == ANALYTICAL_SCALING_4
 
 
 def test_mc_tallies(programs):
