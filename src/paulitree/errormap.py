@@ -11,8 +11,9 @@ Local qubit index i of a set lives in word i // 32 at bit offset
 :class:`~paulitree.pauli.PauliString`.
 
 A map always holds its keys sorted in numeric order and distinct: the
-constructor and :meth:`ErrorMap.apply` sum any two keys that coincide,
-and the other operations keep the order.  Whole keys move as records of
+constructor, :meth:`ErrorMap.apply` and inserts sort and sum any keys
+that coincide, :func:`merge` builds its pairs in key order, and the
+other operations keep the order.  Whole keys move as records of
 a 1-D record view (``_rows``), one element per key, so gathers, filters
 and inserts move a key as one element instead of fancy-indexing a 2-D
 array.  A 1-D sort view (``_sort_view``) orders the records for sorting
@@ -463,18 +464,18 @@ def _shift_rows(keys: np.ndarray, shift_bits: int, nwords_out: int) -> np.ndarra
     return out
 
 
-def _preserved(keys: np.ndarray, p: np.ndarray, p_other: np.ndarray, cut: np.ndarray,
-               tie: str) -> tuple[np.ndarray, np.ndarray]:
-    """Rows one side keeps in a preservation merge.  ``keys``, ``p`` (this
-    side) and ``p_other`` are sorted by descending probability; state i
-    pairs at or above the threshold with the first ``cut[i]`` other
-    states, and below it keeps each pair where it is the more probable
-    state (``tie``, a ``searchsorted`` side: "right" keeps equal pairs)."""
+def _collapsed(p: np.ndarray, p_other: np.ndarray, cut: np.ndarray, tie: str,
+               order: np.ndarray) -> np.ndarray:
+    """Mass each state of one side keeps in a preservation merge, in key
+    order.  ``p = probs[order]`` and ``p_other`` descend; state i pairs at
+    or above the threshold with the first ``cut[i]`` other states, and
+    below it keeps each pair where it is the more probable state
+    (``tie``, a ``searchsorted`` side: "right" keeps equal pairs)."""
     suffix = np.concatenate([np.cumsum(p_other[::-1])[::-1], [0.0]])
     tie_at = p_other.shape[0] - np.searchsorted(p_other[::-1], p, side=tie)
-    val = p * suffix[np.maximum(cut, tie_at)]
-    keep = val > 0.0
-    return keys[keep], val[keep]
+    val = np.empty_like(p)
+    val[order] = p * suffix[np.maximum(cut, tie_at)]
+    return val
 
 
 def merge(a: QubitSet, b: QubitSet, th: Thresholds) -> QubitSet:
@@ -490,45 +491,49 @@ def merge(a: QubitSet, b: QubitSet, th: Thresholds) -> QubitSet:
     emitted, and an empty input (a lossy merge can leave one) gives an
     empty map of the summed width.
 
-    Pairs at or above the threshold are emitted in one pass.  The
-    below-threshold pairs are collapsed per side without enumerating
-    them (:func:`_preserved`, once for each side), and one aggregation
-    over [pairs, preserved a-states, preserved b-states] sums the
-    preserved states onto the pairs they coincide with.
+    The pairs at or above the threshold are built in key order, with no
+    sort over them.  The below-threshold pairs are collapsed per side
+    without enumerating them (:func:`_collapsed`) and inserted, a's
+    before b's, so every key sums in the order pair, a-state, b-state.
     """
     if set(a.members) & set(b.members):
         raise ValueError("cannot merge overlapping QubitSets")
     width = a.map.width + b.map.width
     nw = _nwords(width)
 
-    order_a = np.argsort(-a.map._probs, kind="stable")
+    # by descending probability: only the sorted values matter, not ties
+    order_a = np.argsort(-a.map._probs)
     pa = a.map._probs[order_a]
-    ka = _shift_rows(a.map._keys.take(order_a, axis=0), 0, nw)
-    order_b = np.argsort(-b.map._probs, kind="stable")
+    order_b = np.argsort(-b.map._probs)
     pb = b.map._probs[order_b]
-    kb = _shift_rows(b.map._keys.take(order_b, axis=0), 2 * a.map.width, nw)
 
     # pairs (i, j < k[i]) are at or above the merge threshold; at
     # threshold 0 that is every pair
     k = pb.shape[0] - np.searchsorted(pb[::-1], th.merge / pa, side="left")
 
-    # Each side's keys are unique and the sides own disjoint bits, so the
-    # emitted pairs are distinct: they are emitted in one pass, and only
-    # the preserved rows below can collide with them.
-    i_idx = np.repeat(np.arange(pa.shape[0]), k)
-    j_idx = np.arange(i_idx.shape[0]) - np.repeat(np.cumsum(k) - k, k)
-    parts = [(ka.take(i_idx, axis=0) | kb.take(j_idx, axis=0), pa[i_idx] * pb[j_idx])]
+    # b's labels sit above a's, so pairs in (b key rank, a key rank)
+    # order are in key order, and distinct since each side's keys are
+    j_idx = np.arange(k.sum()) - np.repeat(np.cumsum(k) - k, k)
+    ranks = order_b.take(j_idx) * pa.shape[0] + np.repeat(order_a, k)
+    ranks.sort()
+    rb, ra = np.divmod(ranks, pa.shape[0])
+    ka = _shift_rows(a.map._keys, 0, nw)
+    kb = _shift_rows(b.map._keys, 2 * a.map.width, nw)
+    probs = a.map._probs.take(ra) * b.map._probs.take(rb)
+    keep = probs > 0.0  # products that underflow
+    out = ErrorMap(width)
+    out._replace(ka.take(ra[keep], axis=0) | kb.take(rb[keep], axis=0), probs[keep])
 
     if th.merge_mode is MergeMode.PRESERVATION:
         # transpose of k: #{i: k_i > j}; k is nonincreasing because pa
         # is sorted descending, so this matches the emission's
         # above/below classification bit for bit
         k_b = np.searchsorted(-k, -(np.arange(pb.shape[0]) + 1), side="right")
-        parts += [_preserved(ka, pa, pb, k, "right"), _preserved(kb, pb, pa, k_b, "left")]
+        for keys, val in ((ka, _collapsed(pa, pb, k, "right", order_a)),
+                          (kb, _collapsed(pb, pa, k_b, "left", order_b))):
+            live = val > 0.0
+            out._insert(keys[live], val[live])
     # lossy mode: below-threshold pairs are simply dropped
-
-    keys, probs = zip(*parts)
-    out = ErrorMap(width, np.vstack(keys), np.concatenate(probs))
     return QubitSet(a.members + b.members, out)
 
 

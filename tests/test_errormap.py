@@ -5,12 +5,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from paulitree import engine
+from paulitree import engine, errormap
 from paulitree.errormap import (
     ErrorMap,
     _aggregate,
     _int_from_row,
     _row_from_int,
+    _shift_rows,
     _sort_view,
     MergeMode,
     QubitSet,
@@ -834,3 +835,99 @@ def test_pruning_monotonicity():
         m.event_kernel(event_patterns(3, 1), 0.3, th)
         counts.append(len(m))
     assert counts == sorted(counts)
+
+
+def reference_merge(a, b, th):
+    """merge as one aggregation over [pairs, preserved a-states, preserved
+    b-states], the pairs emitted in probability order after stable
+    probability sorts."""
+    width = a.map.width + b.map.width
+    nw = (width + 31) // 32
+    order_a = np.argsort(-a.map._probs, kind="stable")
+    pa = a.map._probs[order_a]
+    ka = _shift_rows(a.map._keys[order_a], 0, nw)
+    order_b = np.argsort(-b.map._probs, kind="stable")
+    pb = b.map._probs[order_b]
+    kb = _shift_rows(b.map._keys[order_b], 2 * a.map.width, nw)
+    k = pb.shape[0] - np.searchsorted(pb[::-1], th.merge / pa, side="left")
+    i_idx = np.repeat(np.arange(pa.shape[0]), k)
+    j_idx = np.arange(i_idx.shape[0]) - np.repeat(np.cumsum(k) - k, k)
+    parts = [(ka[i_idx] | kb[j_idx], pa[i_idx] * pb[j_idx])]
+
+    def preserved(keys, p, p_other, cut, tie):
+        suffix = np.concatenate([np.cumsum(p_other[::-1])[::-1], [0.0]])
+        tie_at = p_other.shape[0] - np.searchsorted(p_other[::-1], p, side=tie)
+        val = p * suffix[np.maximum(cut, tie_at)]
+        return keys[val > 0.0], val[val > 0.0]
+
+    if th.merge_mode is MergeMode.PRESERVATION:
+        k_b = np.searchsorted(-k, -(np.arange(pb.shape[0]) + 1), side="right")
+        parts += [preserved(ka, pa, pb, k, "right"), preserved(kb, pb, pa, k_b, "left")]
+    keys, probs = zip(*parts)
+    return ErrorMap(width, np.vstack(keys), np.concatenate(probs))
+
+
+@st.composite
+def tied_side(draw, width):
+    """A map of ``width`` qubits whose non-dyadic probabilities come from a
+    pool of at most three values, so most of them tie, and which may hold
+    an entry near 1e-200 (two of them multiply to 0)."""
+    keys = draw(st.lists(st.integers(0, 4 ** width - 1), max_size=12, unique=True))
+    pool = draw(st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=3))
+    probs = [draw(st.sampled_from(pool)) for _ in keys]
+    if keys and draw(st.booleans()):
+        probs[draw(st.integers(0, len(keys) - 1))] = draw(st.floats(1e-201, 1e-199))
+    return sorted_map(width, keys, probs)
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=st.data(), mode=st.sampled_from(list(MergeMode)))
+def test_merge_is_bit_identical_to_one_aggregation_over_all_its_rows(data, mode):
+    width = data.draw(st.integers(2, 40))
+    na = data.draw(st.integers(1, width - 1))
+    a = QubitSet(tuple(range(na)), data.draw(tied_side(na)))
+    b = QubitSet(tuple(range(na, width)), data.draw(tied_side(width - na)))
+    products = [pa * pb for pa in a.map._probs for pb in b.map._probs] or [0.5]
+    # a drawn product puts some pairs exactly at the threshold
+    merge_th = data.draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+                         | st.sampled_from(products))
+    th = Thresholds(merge=merge_th, merge_mode=mode)
+    out, ref = merge(a, b, th), reference_merge(a, b, th)
+    assert out.members == tuple(range(width)) and out.map.width == width
+    assert out.map._keys.shape == ref._keys.shape
+    assert (out.map._keys == ref._keys).all() and (out.map._probs == ref._probs).all()
+    got = [_int_from_row(r) for r in out.map._keys]
+    assert all(x < y for x, y in zip(got, got[1:]))
+
+
+def test_the_all_identity_key_sums_pair_then_a_then_b():
+    # II is an emitted pair (0.7 * 0.6), and below the threshold the I of
+    # a keeps its pair with b's X, the I of b its pair with a's Y
+    a = qset({"I": 0.7, "X": 0.2, "Y": 0.1}, members=[0])
+    b = qset({"I": 0.6, "Z": 0.33, "X": 0.07}, members=[1])
+    out = merge(a, b, Thresholds(merge=0.08, merge_mode=MergeMode.PRESERVATION))
+    p_pair, x_a, y_b = 0.7 * 0.6, 0.7 * 0.07, 0.6 * 0.1
+    # the two other orders round differently
+    assert (p_pair + x_a) + y_b not in (p_pair + (x_a + y_b), (p_pair + y_b) + x_a)
+    assert as_strs(out.map)["II"] == (p_pair + x_a) + y_b
+
+
+@pytest.mark.parametrize("th", [0.0, 1e-4])
+@pytest.mark.parametrize("mode", list(MergeMode))
+def test_merge_aggregates_at_most_the_preserved_rows(monkeypatch, th, mode):
+    rows = []
+    aggregate = errormap._aggregate
+
+    def counted(keys, probs):
+        rows.append(keys.shape[0])
+        return aggregate(keys, probs)
+
+    rng = np.random.default_rng(7)
+    a, b = (QubitSet(tuple(range(lo, lo + w)),
+                     sorted_map(w, rng.choice(4 ** w, n, replace=False).tolist(),
+                                rng.dirichlet(np.ones(n)).tolist()))
+            for lo, w, n in ((0, 8, 300), (8, 6, 200)))
+    monkeypatch.setattr(errormap, "_aggregate", counted)
+    out = merge(a, b, Thresholds(merge=th, merge_mode=mode))
+    assert len(out.map) > len(a.map) + len(b.map)
+    assert sum(rows) <= len(a.map) + len(b.map)
