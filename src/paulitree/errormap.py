@@ -16,8 +16,11 @@ that coincide, :func:`merge` builds its pairs in key order, and the
 other operations keep the order.  Whole keys move as records of
 a 1-D record view (``_rows``), one element per key, so gathers, filters
 and inserts move a key as one element instead of fancy-indexing a 2-D
-array.  A 1-D sort view (``_sort_view``) orders the records for sorting
-and lookup.  A one-word key, a set of at most 32 qubits, is its own
+array.  An insert adds the batch's probabilities onto the keys already
+present and scatters the new keys, with the old ones around them, into
+fresh arrays, each new key at one destination index computed once.  A
+1-D sort view (``_sort_view``) orders the records for sorting and
+lookup.  A one-word key, a set of at most 32 qubits, is its own
 ``uint64`` column in both views; a wider key is a native-order void
 record and sorts as a big-endian void view, most significant word first.
 One outcome table, :func:`event_patterns`, defines the outcomes of every
@@ -32,7 +35,10 @@ deterministic steps and are shared by both engines: the analytical
 engine runs them on a map's keys through :meth:`ErrorMap.apply`, the
 Monte Carlo engine on its sampled rows.  ``clear_components_kernel``
 serves the analytical engine alone, which clears the components no
-later readout can see.  Only this module touches a map's arrays.
+later readout can see.  A kernel makes a few passes over whole key
+words: the gate kernels move a label bit with one shift and mask into
+one scratch column and XOR it in place.  Only this module touches a
+map's arrays.
 
 The tree evolves by four moves, each one code path: events through
 :meth:`ErrorMap.event_kernel`, key-permuting steps through
@@ -174,6 +180,16 @@ def _aggregate(keys: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndar
     return _unrows(rows, keys.shape[1]), probs
 
 
+def _scatter(base: np.ndarray, new: np.ndarray, dest: np.ndarray, old: np.ndarray
+             ) -> np.ndarray:
+    """A fresh array with ``new`` at the indices ``dest`` and ``base``, in
+    order, at the indices where the mask ``old`` is set."""
+    out = np.empty(old.shape[0], dtype=base.dtype)
+    out[dest] = new
+    out[old] = base
+    return out
+
+
 class ErrorMap:
     """Association from packed Pauli strings to probabilities for one set
     of qubits.
@@ -288,12 +304,17 @@ class ErrorMap:
             self._probs[pos[hit]] += probs[hit]
         miss = ~hit
         if miss.any():
-            where = pos[miss]
-            rows = np.insert(_rows(self._keys), where, _rows(keys)[miss])
+            # each new key's index in the result: where it lands, moved up
+            # by the new keys before it
+            dest = pos[miss]
+            dest += np.arange(dest.shape[0])
+            old = np.ones(base_v.shape[0] + dest.shape[0], dtype=bool)
+            old[dest] = False
+            rows = _scatter(_rows(self._keys), _rows(keys)[miss], dest, old)
             self._keys = _unrows(rows, keys.shape[1])
-            self._probs = np.insert(self._probs, where, probs[miss])
+            self._probs = _scatter(self._probs, probs[miss], dest, old)
             # a one-word map's view is its key column: nothing to keep
-            self._v = None if keys.shape[1] == 1 else np.insert(base_v, where, v[miss])
+            self._v = None if keys.shape[1] == 1 else _scatter(base_v, v[miss], dest, old)
 
     # -- evolution (in place) -----------------------------------------
 
@@ -355,15 +376,24 @@ class ErrorMap:
 # in an error map, global qubit IDs in a Monte Carlo sample.
 
 
+def _shift_into(out: np.ndarray, col: np.ndarray, by: int) -> np.ndarray:
+    """``col`` shifted left by ``by`` bits, right for a negative ``by``,
+    written into ``out``."""
+    if by >= 0:
+        return np.left_shift(col, _U64(by), out=out)
+    return np.right_shift(col, _U64(-by), out=out)
+
+
 def hadamard_kernel(keys: np.ndarray, q: int) -> None:
     """Conjugate by a Hadamard: X and Z swap, I and Y (HYH = -Y, phase
     discarded) are fixed, by flipping both component bits where they differ."""
     w, s = _slot(q)
     col = keys[:, w]
-    x = (col >> _U64(s)) & _U64(1)
-    z = (col >> _U64(s + 1)) & _U64(1)
-    d = x ^ z
-    keys[:, w] = col ^ ((d << _U64(s)) | (d << _U64(s + 1)))
+    d = col >> _U64(1)
+    d ^= col
+    d &= _U64(1) << _U64(s)  # x ^ z, at the X bit
+    d *= _U64(3)  # and at the Z bit
+    col ^= d
 
 
 def cnot_kernel(keys: np.ndarray, control: int, target: int) -> None:
@@ -371,10 +401,14 @@ def cnot_kernel(keys: np.ndarray, control: int, target: int) -> None:
     target and the target's Z component onto the control."""
     wc, sc = _slot(control)
     wt, st = _slot(target)
-    xc = (keys[:, wc] >> _U64(sc)) & _U64(1)
-    keys[:, wt] ^= xc << _U64(st)
-    zt = (keys[:, wt] >> _U64(st + 1)) & _U64(1)
-    keys[:, wc] ^= zt << _U64(sc + 1)
+    col_c, col_t = keys[:, wc], keys[:, wt]
+    moved = np.empty_like(col_c)
+    _shift_into(moved, col_c, st - sc)
+    moved &= _U64(1) << _U64(st)
+    col_t ^= moved
+    _shift_into(moved, col_t, sc - st)
+    moved &= _U64(2) << _U64(sc)
+    col_c ^= moved
 
 
 def clear_kernel(keys: np.ndarray, positions: Iterable[int]) -> None:

@@ -16,16 +16,22 @@ the readout tasks, written on packed (rows, words) key arrays like the
 gate kernels of :mod:`~paulitree.errormap`; ``correctable`` is the
 per-row crash observable.  Both engines share them: the analytical
 engine applies them to an error map's keys, the Monte Carlo engine to
-its sampled strings.
+its sampled strings.  They work on whole key words, not on one qubit of
+a row at a time: a parity check is a popcount (``np.bitwise_count``,
+numpy 2.0 or later) of each word under the check's mask, a decode is one
+lookup per word in a cached table (8 entries for a syndrome, 512 for the
+majority of three stored syndromes), and ``correctable`` counts a
+block's errored qubits with one popcount per word.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
-from .errormap import ErrorMap, _clear_mask, _slot
+from .errormap import ErrorMap, _shift_into, _slot, clear_components_kernel, clear_kernel
 from .pauli import Pauli
 
 _U64 = np.uint64
@@ -104,21 +110,78 @@ def count_nonfailing_states(code, max_weight: int | None = None) -> int:
 # Like the gate kernels these rewrite a (rows, words) packed key array in
 # place; block and qubit arguments are key positions.
 
+# word masks and decode tables kept, per argument tuple
+_TABLE_CACHE = 1024
 
-def _xbits(keys: np.ndarray, q: int, shift: int = 0) -> np.ndarray:
-    """Per-entry X component (bit 0 of the 2-bit label) at position q, or
-    the Z component (bit 1) with ``shift`` 1."""
-    w, s = _slot(q)
-    return (keys[:, w] >> _U64(s + shift)) & _U64(1)
+
+@lru_cache(maxsize=_TABLE_CACHE)
+def _word_masks(positions: tuple, bits: int) -> tuple:
+    """(word, mask) for each key word holding one of ``positions``: the
+    mask has the label bits ``bits`` (X 1, Z 2, both 3) of each."""
+    masks: dict[int, int] = {}
+    for q in positions:
+        w, s = _slot(q)
+        masks[w] = masks.get(w, 0) | bits << s
+    return tuple((w, _U64(m)) for w, m in masks.items())
+
+
+def _majority_decode() -> np.ndarray:
+    """Decoded position + 1 (0: none) of each 9-bit index holding three
+    stored 3-bit syndromes, v0 | v1 << 3 | v2 << 6: the majority vote,
+    with 0 where all three disagree."""
+    i = np.arange(512)
+    v0, v1, v2 = i & 7, i >> 3 & 7, i >> 6
+    return np.where((v0 == v1) | (v0 == v2), v0, np.where(v1 == v2, v1, 0))
+
+
+#: index -> decoded position + 1, per readout: a syndrome value names its
+#: position directly, a stored triple decodes by majority
+_DECODE = {"syndrome": np.arange(8), "majority": _majority_decode()}
+
+
+@lru_cache(maxsize=_TABLE_CACHE)
+def _label_tables(positions: tuple, label: int, decode: str) -> tuple:
+    """(word, table) for each key word holding one of ``positions``:
+    ``table[i]`` puts ``label`` on ``positions[j]`` where ``_DECODE[decode][i]``
+    is j + 1 and that position lies in the word, else holds 0."""
+    names = _DECODE[decode]
+    tables: dict[int, np.ndarray] = {}
+    for j, q in enumerate(positions):
+        w, s = _slot(q)
+        table = tables.setdefault(w, np.zeros(names.shape[0], dtype=_U64))
+        table[names == j + 1] |= _U64(label) << _U64(s)
+    for table in tables.values():
+        table.setflags(write=False)
+    return tuple(tables.items())
+
+
+def _gather_x(keys: np.ndarray, positions: tuple) -> np.ndarray:
+    """Per-entry index (``intp``) whose bit k is the X bit at ``positions[k]``."""
+    index = np.zeros(keys.shape[0], dtype=_U64)
+    moved = np.empty_like(index)
+    for k, q in enumerate(positions):
+        w, s = _slot(q)
+        _shift_into(moved, keys[:, w], k - s)
+        moved &= _U64(1 << k)
+        index |= moved
+    return index.view(np.intp)
+
+
+def _popcount(keys: np.ndarray, positions: tuple, bits: int) -> np.ndarray:
+    """Per-entry number of the label bits ``bits`` set at ``positions``:
+    a popcount of each key word that holds them."""
+    count = 0
+    for w, m in _word_masks(positions, bits):
+        count = count + np.bitwise_count(keys[:, w] & m)
+    return count
 
 
 def _parity_checks(keys: np.ndarray, block, shift: int = 0) -> list[np.ndarray]:
-    """Per-entry 3-bit syndrome of the block's X (or, shifted, Z) component."""
-    bits = [_xbits(keys, q, shift) for q in block]
-    return [
-        np.bitwise_xor.reduce([bits[j] for j in range(7) if CHECK_MATRIX[r, j]])
-        for r in range(3)
-    ]
+    """Per-entry 3-bit syndrome of the block's X (or, shifted, Z) component:
+    check r is the parity of the component bits under row r of the check
+    matrix."""
+    return [_popcount(keys, tuple(q for q, on in zip(block, row) if on), 1 << shift) & 1
+            for row in CHECK_MATRIX]
 
 
 def verify_kernel(keys: np.ndarray, block, verifier: int) -> None:
@@ -128,10 +191,12 @@ def verify_kernel(keys: np.ndarray, block, verifier: int) -> None:
     branch: their ancilla block is replaced by an error-free one (the
     retry-until-success model).  The verifier is cleared everywhere.
     """
-    detected = _xbits(keys, verifier) != 0
-    if detected.any():
-        keys[detected] &= _clear_mask(keys.shape[1], block)
-    keys &= _clear_mask(keys.shape[1], [verifier])
+    w, s = _slot(verifier)
+    # all ones where the verifier carries no X component, else 0
+    undetected = ((keys[:, w] >> _U64(s)) & _U64(1)) - _U64(1)
+    for w, m in _word_masks(tuple(block), 3):
+        keys[:, w] &= undetected | ~m
+    clear_kernel(keys, [verifier])
 
 
 def syndrome_kernel(keys: np.ndarray, block) -> None:
@@ -142,11 +207,11 @@ def syndrome_kernel(keys: np.ndarray, block) -> None:
     as X labels at the block's first three positions.  Positions 3-6 are
     left at I in every row.
     """
-    syndrome = _parity_checks(keys, block)
-    keys &= _clear_mask(keys.shape[1], block)
-    for r in range(3):
-        w, s = _slot(block[r])
-        keys[:, w] |= syndrome[r] << _U64(s)
+    checks = _parity_checks(keys, block)
+    clear_kernel(keys, block)
+    for q, check in zip(block, checks):
+        w, s = _slot(q)
+        keys[:, w] |= np.left_shift(check, _U64(s), dtype=_U64)
 
 
 def coset_reduce_kernel(keys: np.ndarray, block, basis: str) -> None:
@@ -166,40 +231,23 @@ def coset_reduce_kernel(keys: np.ndarray, block, basis: str) -> None:
         shift = 0
     else:
         raise ValueError("basis must be 'z' or 'x', got %r" % (basis,))
-    syndrome = _parity_checks(keys, block, shift)
-    value = (4 * syndrome[0] + 2 * syndrome[1] + syndrome[2]).astype(np.int64)
-    for j, q in enumerate(block):
-        w, s = _slot(q)
-        keys[:, w] &= ~(_U64(1) << _U64(s + shift))
-        hit = value == j + 1
-        if hit.any():
-            keys[hit, w] |= _U64(1) << _U64(s + shift)
-
-
-def _majority_syndrome(keys: np.ndarray, blocks) -> np.ndarray:
-    """Per-entry majority vote over the three stored 3-bit syndromes;
-    entries with three-way disagreement vote 0 (no correction)."""
-    vals = []
-    for block in blocks:
-        v = (
-            4 * _xbits(keys, block[0])
-            + 2 * _xbits(keys, block[1])
-            + _xbits(keys, block[2])
-        )
-        vals.append(v.astype(np.int64))
-    v0, v1, v2 = vals
-    return np.where(
-        (v0 == v1) | (v0 == v2), v0, np.where(v1 == v2, v1, 0)
-    )
+    block = tuple(block)
+    s0, s1, s2 = _parity_checks(keys, block, shift)
+    # the syndrome 4 s0 + 2 s1 + s2 names the errored position plus one
+    value = (s0 << 2 | s1 << 1 | s2).astype(np.intp)
+    clear_components_kernel(keys, block, (1 << shift,) * 7)
+    for w, table in _label_tables(block, 1 << shift, "syndrome"):
+        keys[:, w] |= table.take(value)
 
 
 def correct_kernel(keys: np.ndarray, data, ancilla_blocks, phase: str) -> None:
     """Decode and apply the voted correction.
 
     The correction composes an X (bit phase) or Z (phase phase) onto the
-    decoded data position of each entry.  Each of ``ancilla_blocks``
-    starts with the three slots holding a stored syndrome; the listed
-    positions are cleared for reuse.
+    decoded data position of each entry: the majority of the three
+    stored syndromes, none where all three disagree.  Each of
+    ``ancilla_blocks`` starts with the three slots holding a stored
+    syndrome; the listed positions are cleared for reuse.
     """
     if phase == "bit":
         label = int(Pauli.X)
@@ -207,25 +255,24 @@ def correct_kernel(keys: np.ndarray, data, ancilla_blocks, phase: str) -> None:
         label = int(Pauli.Z)
     else:
         raise ValueError("phase must be 'bit' or 'phase', got %r" % (phase,))
-    maj = _majority_syndrome(keys, ancilla_blocks)
-    for pos in range(7):
-        hit = maj == pos + 1
-        if hit.any():
-            w, s = _slot(data[pos])
-            keys[hit, w] ^= _U64(label) << _U64(s)
-    keys &= _clear_mask(keys.shape[1], [q for b in ancilla_blocks for q in b])
+    # the 9-bit index v0 | v1 << 3 | v2 << 6, with v_b = 4 x0 + 2 x1 + x2
+    # read from the X bits of block b's three slots
+    index = _gather_x(keys, tuple(b[2 - k % 3] for b in ancilla_blocks for k in range(3)))
+    flip = np.empty(index.shape[0], dtype=_U64)
+    for w, table in _label_tables(tuple(data), label, "majority"):
+        keys[:, w] ^= table.take(index, out=flip, mode="clip")
+    clear_kernel(keys, [q for b in ancilla_blocks for q in b])
 
 
 def correctable(keys: np.ndarray, blocks) -> np.ndarray:
     """Per-entry mask: every listed block carries at most one errored
     qubit, i.e. remains correctable.  Its complement is a crash."""
+    # bit 2i is set where qubit i of the word carries X, Z or Y
+    errored = keys >> _U64(1)
+    errored |= keys
     ok = np.ones(keys.shape[0], dtype=bool)
     for block in blocks:
-        weight = np.zeros(keys.shape[0], dtype=np.int64)
-        for q in block:
-            w, s = _slot(q)
-            weight += ((keys[:, w] >> _U64(s)) & _U64(3)) != 0
-        ok &= weight <= 1
+        ok &= _popcount(errored, tuple(block), 1) <= 1
     return ok
 
 

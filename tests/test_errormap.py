@@ -12,6 +12,7 @@ from paulitree.errormap import (
     _int_from_row,
     _row_from_int,
     _shift_rows,
+    _slot,
     _sort_view,
     MergeMode,
     QubitSet,
@@ -931,3 +932,148 @@ def test_merge_aggregates_at_most_the_preserved_rows(monkeypatch, th, mode):
     out = merge(a, b, Thresholds(merge=th, merge_mode=mode))
     assert len(out.map) > len(a.map) + len(b.map)
     assert sum(rows) <= len(a.map) + len(b.map)
+
+
+def reference_insert(m, keys, probs):
+    """ErrorMap._insert as it was written with two ``np.insert`` calls (and
+    a third for the sort view of wide keys)."""
+    keys, probs = _aggregate(keys, probs)
+    if keys.shape[0] == 0:
+        return
+    v = _sort_view(keys)
+    base_v = m._view()
+    pos = base_v.searchsorted(v)
+    if base_v.shape[0]:
+        hit = base_v.take(pos, mode="clip") == v
+    else:
+        hit = np.zeros(v.shape[0], dtype=bool)
+    if hit.any():
+        m._probs[pos[hit]] += probs[hit]
+    miss = ~hit
+    if miss.any():
+        where = pos[miss]
+        rows = np.insert(errormap._rows(m._keys), where, errormap._rows(keys)[miss])
+        m._keys = errormap._unrows(rows, keys.shape[1])
+        m._probs = np.insert(m._probs, where, probs[miss])
+        m._v = None if keys.shape[1] == 1 else np.insert(base_v, where, v[miss])
+
+
+def below_int(rng, n):
+    """A random int in [0, n), for n up to 2**128."""
+    return int.from_bytes(rng.bytes(16), "little") % n
+
+
+def insert_batch(rng, width, base, case):
+    """A batch of int keys, with repeats, for one edge case of ``_insert``
+    on a map holding the int keys ``base`` (all in the middle quarters of
+    the key range)."""
+    top = 4 ** width
+    below = [below_int(rng, top // 8) for _ in range(4)]
+    above = [top - 1 - below_int(rng, top // 8) for _ in range(4)]
+    old = [int(k) for k in rng.choice(base, 5)] if base else []
+    batch = {"empty map": below + above, "all hit": old,
+             "before the first key": below + old[:1], "after the last key": above + old[:1],
+             "mixed": below + old + above}[case]
+    return batch + batch[::2]
+
+
+@pytest.mark.parametrize("width", (5, 31, 33, 40))
+@pytest.mark.parametrize("case", ["empty map", "all hit", "before the first key",
+                                  "after the last key", "mixed"])
+def test_insert_equals_the_np_insert_reference_at_the_edges(width, case):
+    rng = np.random.default_rng(width)
+    top = 4 ** width
+    base = [] if case == "empty map" else sorted(
+        {top // 4 + below_int(rng, top // 2) for _ in range(12)})
+    # non-dyadic probabilities: sums round, so the order of every sum shows
+    m = sorted_map(width, base, (rng.random(len(base)) / 7).tolist())
+    ref = m.copy()
+    for _ in range(2):  # the second insert starts from the kept sort view
+        batch = insert_batch(rng, width, base, case)
+        probs = rng.random(len(batch)) / 3
+        m._insert(pack(width, batch), probs.copy())
+        reference_insert(ref, pack(width, batch), probs.copy())
+        assert m._keys.shape == ref._keys.shape and np.array_equal(m._keys, ref._keys)
+        assert np.array_equal(m._probs, ref._probs)
+        assert (m._view() == _sort_view(m._keys)).all()
+
+
+# -- key-array kernels against the per-position versions they replaced --
+#
+# Keys of widths on both sides of the 32-qubit word boundary, with the
+# kernel's positions drawn near the boundary, so that blocks and slots
+# straddle it; widths above 32 make 2-word keys.  Each kernel runs on a C
+# array and on a row slice ``buf[:n]`` of a larger buffer, the layout the
+# Monte Carlo engine runs them on.
+KERNEL_WIDTHS = (16, 31, 32, 33, 40, 64, 65)
+
+
+@st.composite
+def kernel_case(draw, n_positions):
+    """(distinct key positions, (rows, words) keys): rows with random
+    labels on every qubit, rows with a few labels on the positions alone,
+    and all-I rows."""
+    width = draw(st.sampled_from(KERNEL_WIDTHS))
+    hi = min(width, 38)
+    near = st.integers(hi - 12, hi - 1)
+    positions = draw(st.lists(st.integers(0, width - 1) | near, min_size=n_positions,
+                              max_size=n_positions, unique=True))
+    rows = draw(st.sampled_from((0, 1, 5, 48)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    nw = (width + 31) // 32
+    keys = rng.integers(0, 2 ** 64, (rows, nw), dtype=np.uint64)
+    keys[:, -1] &= np.uint64((1 << 2 * (width - 32 * (nw - 1))) - 1)
+    kind = rng.integers(0, 3, rows)
+    keys[kind > 0] = 0
+    for i in np.flatnonzero(kind == 1):
+        for q in rng.choice(positions, size=min(3, n_positions), replace=False):
+            w, s = _slot(int(q))
+            keys[i, w] |= np.uint64(int(rng.integers(1, 4)) << s)
+    return positions, keys
+
+
+def assert_kernel_matches(kernel, reference, keys, *args):
+    """``kernel`` gives ``reference``'s keys and result bit for bit, on a C
+    array and on a row slice of a buffer whose other rows it leaves alone."""
+    expected = keys.copy()
+    result = reference(expected, *args)
+    c_array = keys.copy()
+    buf = np.vstack([keys, ~keys[:3]])
+    tail = buf[keys.shape[0]:].copy()
+    for layout in (c_array, buf[:keys.shape[0]]):
+        got = kernel(layout, *args)
+        assert np.array_equal(layout, expected)
+        assert np.array_equal(got, result) if result is not None else got is None
+    assert np.array_equal(buf[keys.shape[0]:], tail)
+
+
+def reference_hadamard(keys, q):
+    w, s = _slot(q)
+    col = keys[:, w]
+    x = (col >> np.uint64(s)) & np.uint64(1)
+    z = (col >> np.uint64(s + 1)) & np.uint64(1)
+    d = x ^ z
+    keys[:, w] = col ^ ((d << np.uint64(s)) | (d << np.uint64(s + 1)))
+
+
+def reference_cnot(keys, control, target):
+    wc, sc = _slot(control)
+    wt, st_ = _slot(target)
+    xc = (keys[:, wc] >> np.uint64(sc)) & np.uint64(1)
+    keys[:, wt] ^= xc << np.uint64(st_)
+    zt = (keys[:, wt] >> np.uint64(st_ + 1)) & np.uint64(1)
+    keys[:, wc] ^= zt << np.uint64(sc + 1)
+
+
+@settings(deadline=None, max_examples=150)
+@given(case=kernel_case(1))
+def test_hadamard_kernel_matches_the_per_position_one(case):
+    (q,), keys = case
+    assert_kernel_matches(hadamard_kernel, reference_hadamard, keys, q)
+
+
+@settings(deadline=None, max_examples=150)
+@given(case=kernel_case(2))
+def test_cnot_kernel_matches_the_per_position_one(case):
+    (control, target), keys = case
+    assert_kernel_matches(cnot_kernel, reference_cnot, keys, control, target)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from paulitree.errormap import ErrorMap, _clear_mask, _slot, cnot_kernel
 from paulitree.noise import NoiseParams
@@ -31,6 +32,7 @@ from paulitree.qecc import (
     syndrome_kernel,
     verify_kernel,
 )
+from tests.test_errormap import assert_kernel_matches, kernel_case
 
 
 def emap(entries):
@@ -287,3 +289,123 @@ class TestObservables:
         assert correctable(keys, blocks).tolist() == [True, True, False, False, False]
         assert correctable(keys, []).all()
 
+
+
+# -- the readout kernels against the per-position versions they replaced
+#
+# The word-parallel kernels count a check's parity by popcount and decode
+# through cached tables; the references below read and write one key
+# position at a time.  Each comparison is bit for bit, on the widths,
+# positions and layouts of ``kernel_case`` (see tests/test_errormap.py).
+
+
+def reference_bits(keys, q, shift=0):
+    w, s = _slot(q)
+    return (keys[:, w] >> np.uint64(s + shift)) & np.uint64(1)
+
+
+def reference_checks(keys, block, shift=0):
+    bits = [reference_bits(keys, q, shift) for q in block]
+    return [
+        np.bitwise_xor.reduce([bits[j] for j in range(7) if CHECK_MATRIX[r, j]])
+        for r in range(3)
+    ]
+
+
+def reference_verify(keys, block, verifier):
+    detected = reference_bits(keys, verifier) != 0
+    if detected.any():
+        keys[detected] &= _clear_mask(keys.shape[1], block)
+    keys &= _clear_mask(keys.shape[1], [verifier])
+
+
+def reference_syndrome(keys, block):
+    syndrome = reference_checks(keys, block)
+    keys &= _clear_mask(keys.shape[1], block)
+    for r in range(3):
+        w, s = _slot(block[r])
+        keys[:, w] |= syndrome[r] << np.uint64(s)
+
+
+def reference_coset(keys, block, basis):
+    shift = {"z": 1, "x": 0}[basis]
+    syndrome = reference_checks(keys, block, shift)
+    value = (4 * syndrome[0] + 2 * syndrome[1] + syndrome[2]).astype(np.int64)
+    for j, q in enumerate(block):
+        w, s = _slot(q)
+        keys[:, w] &= ~(np.uint64(1) << np.uint64(s + shift))
+        hit = value == j + 1
+        if hit.any():
+            keys[hit, w] |= np.uint64(1) << np.uint64(s + shift)
+
+
+def reference_majority(keys, blocks):
+    v0, v1, v2 = [
+        (4 * reference_bits(keys, b[0]) + 2 * reference_bits(keys, b[1])
+         + reference_bits(keys, b[2])).astype(np.int64)
+        for b in blocks
+    ]
+    return np.where((v0 == v1) | (v0 == v2), v0, np.where(v1 == v2, v1, 0))
+
+
+def reference_correct(keys, data, ancilla_blocks, phase):
+    label = {"bit": int(Pauli.X), "phase": int(Pauli.Z)}[phase]
+    maj = reference_majority(keys, ancilla_blocks)
+    for pos in range(7):
+        hit = maj == pos + 1
+        if hit.any():
+            w, s = _slot(data[pos])
+            keys[hit, w] ^= np.uint64(label) << np.uint64(s)
+    keys &= _clear_mask(keys.shape[1], [q for b in ancilla_blocks for q in b])
+
+
+def reference_correctable(keys, blocks):
+    ok = np.ones(keys.shape[0], dtype=bool)
+    for block in blocks:
+        weight = np.zeros(keys.shape[0], dtype=np.int64)
+        for q in block:
+            w, s = _slot(q)
+            weight += ((keys[:, w] >> np.uint64(s)) & np.uint64(3)) != 0
+        ok &= weight <= 1
+    return ok
+
+
+@settings(deadline=None, max_examples=150)
+@given(case=kernel_case(8))
+def test_verify_kernel_matches_the_per_position_one(case):
+    positions, keys = case
+    assert_kernel_matches(verify_kernel, reference_verify, keys, positions[:7], positions[7])
+
+
+@settings(deadline=None, max_examples=150)
+@given(case=kernel_case(7))
+def test_syndrome_kernel_matches_the_per_position_one(case):
+    block, keys = case
+    assert_kernel_matches(syndrome_kernel, reference_syndrome, keys, block)
+
+
+@pytest.mark.parametrize("basis", ["z", "x"])
+@settings(deadline=None, max_examples=150)
+@given(case=kernel_case(7))
+def test_coset_reduce_kernel_matches_the_per_position_one(basis, case):
+    block, keys = case
+    assert_kernel_matches(coset_reduce_kernel, reference_coset, keys, block, basis)
+
+
+@pytest.mark.parametrize("phase", ["bit", "phase"])
+@settings(deadline=None, max_examples=150)
+@given(case=kernel_case(16))
+def test_correct_kernel_matches_the_per_position_one(phase, case):
+    positions, keys = case
+    # the data block, then three ancilla blocks of three syndrome slots
+    blocks = tuple(tuple(positions[i:i + 3]) for i in (7, 10, 13))
+    assert_kernel_matches(correct_kernel, reference_correct, keys, positions[:7], blocks,
+                          phase)
+
+
+@settings(deadline=None, max_examples=150)
+@given(case=kernel_case(14))
+def test_correctable_matches_the_per_position_one(case):
+    positions, keys = case
+    blocks = [positions[:7], positions[7:]]
+    assert_kernel_matches(correctable, reference_correctable, keys, blocks)
