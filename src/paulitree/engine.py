@@ -76,7 +76,9 @@ lumping them is exact.  The plan uses the pass twice:
   on, and one with every weight 0 is dropped.
 - Each kernel step's APPLY also clears the components of its operands
   that are dead after it (``errormap.clear_components_kernel``), except
-  on qubits the step resets or releases, which are at I already.
+  those its kind declares its kernel leaves at I (``zeroes`` in
+  :data:`~paulitree.program.STEP_KINDS`): a reset's operands, a
+  readout's released qubits, and a syndrome readout's Z bits.
 
 So keys that differ only in dead components merge, and the maps shrink:
 on the basic program the lumping cuts the peak entries by 30% at 1x and
@@ -121,6 +123,7 @@ import math
 import time
 from collections.abc import Hashable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -523,22 +526,21 @@ class _Planner:
             after = next(afters)
             for q, m in zip(qubits, after):
                 live[q] = m
-            releases = spec.releases(step)
             if spec.clears and len(part.members[sid]) == len(qubits):
                 self.reset(sid)
             else:
                 calls = ((spec.kernel, spec.args(step, tuple(locals_))),)
-                if min(after) < 3 and not spec.clears:
-                    # clear the components no later readout can see; a
-                    # released qubit is already at I
-                    released = {q for group in releases for q in group} if releases else ()
-                    dead = [(p, 3 ^ m) for q, p, m in zip(qubits, locals_, after)
-                            if m < 3 and q not in released]
+                if min(after) < 3:
+                    # clear the components no later readout can see, but
+                    # not those the kernel leaves at I
+                    zeroed = spec.zeroes(step) or repeat(0)
+                    dead = [(p, d) for p, m, z in zip(locals_, after, zeroed)
+                            if (d := 3 & ~(m | z))]
                     if dead:
                         calls += (((errormap, "clear_components_kernel"),
                                    tuple(zip(*dead))),)
                 self.emit((APPLY, sid, calls), sid)
-            for group in releases:
+            for group in spec.releases(step):
                 self.release(group)
         for block in prog.crash_blocks:
             self.flush(block)

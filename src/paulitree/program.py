@@ -29,6 +29,14 @@ program order.  Neither branches on the kind; all they need is read
 from the table.  The program holds no QubitSet structure: the
 analytical engine merges a step's sets and releases its groups itself.
 
+Steps are frozen, so a program holds one object per distinct step: the
+basic program's 28,166 steps are 564 objects.  :meth:`Schedule.emit`
+and :func:`parse_program` hand out the object already made for an equal
+step, but only where the two print alike (0.0 and -0.0, or 0 and 0.0,
+are equal yet keep their own objects), and :func:`serialize_program`
+formats each object once.  Sharing changes no result: a program built
+of fresh objects has the same text, hash and runs.
+
 The text serialization (see :func:`serialize_program`) is line oriented,
 one step per line, and round-trips exactly; its SHA-256 hash identifies
 the program's step stream in experiment reports.
@@ -38,7 +46,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from functools import lru_cache
 from types import ModuleType
 from typing import Any, Callable, Iterable, Iterator, Sequence, Union
 
@@ -181,15 +188,6 @@ def _parse_ids(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(",") if tok != "")
 
 
-_cached_repr = lru_cache(maxsize=64, typed=True)(repr)
-
-
-def _float_text(x: float) -> str:
-    """``repr(x)``, memoised: a program's events share a few probabilities.
-    Zero bypasses the cache, where 0.0 and -0.0 would share one entry."""
-    return _cached_repr(x) if x else repr(x)
-
-
 def _none(step) -> tuple:
     return ()
 
@@ -264,10 +262,13 @@ class StepKind:
     ``permutes_labels`` marks a Clifford gate whose kernel, given only the
     operands' positions, maps each Pauli label of its operands to one
     Pauli label: the analytical engine carries deferred one-qubit events
-    through it instead of applying them.  ``clears`` marks a kind that
-    resets its operands to I: the analytical engine gives a set it
-    clears whole a fresh map and adds no component clear after it (see
-    :mod:`~paulitree.engine`).
+    through it instead of applying them.  ``zeroes(step)`` gives, per
+    operand in order, the components (mask as for ``live``) its kernel
+    leaves at I in every key; a shorter tuple, none on the rest.  A
+    released operand is zeroed whole.  The analytical engine clears
+    only the dead components a kernel may leave set.  ``clears`` marks a
+    kind that resets its operands to I: the analytical engine gives a set
+    it clears whole a fresh map (see :mod:`~paulitree.engine`).
     """
 
     text: str
@@ -279,6 +280,7 @@ class StepKind:
     args: Callable[[Any, Sequence[int]], tuple] = _positions
     live: Callable[[Any, tuple[int, ...]], tuple[int, ...]] | None = None
     permutes_labels: bool = False
+    zeroes: Callable[[Any], tuple[int, ...]] = _none
     clears: bool = False
 
     @property
@@ -291,11 +293,11 @@ class StepKind:
 
 STEP_KINDS: dict[type, StepKind] = {
     OneQubitEvent: StepKind(
-        "e1 %d %s", lambda s: (s.qubit, _float_text(s.f)),
+        "e1 %d %s", lambda s: (s.qubit, repr(s.f)),
         lambda q, f: OneQubitEvent(int(q), float(f)),
         operands=lambda s: (s.qubit,)),
     TwoQubitEvent: StepKind(
-        "e2 %d %d %s", lambda s: (s.qubit_a, s.qubit_b, _float_text(s.f)),
+        "e2 %d %d %s", lambda s: (s.qubit_a, s.qubit_b, repr(s.f)),
         lambda a, b, f: TwoQubitEvent(int(a), int(b), float(f)),
         operands=lambda s: (s.qubit_a, s.qubit_b)),
     Hadamard: StepKind(
@@ -312,18 +314,19 @@ STEP_KINDS: dict[type, StepKind] = {
         "reset %s", lambda s: _ids(s.qubits), lambda ids: Reset(_parse_ids(ids)),
         operands=lambda s: s.qubits,
         kernel=(errormap, "clear_kernel"), args=lambda s, q: (q,),
-        live=lambda s, a: (0,) * len(a), clears=True),
+        live=lambda s, a: (0,) * len(a), zeroes=lambda s: (3,) * len(s.qubits), clears=True),
     VerifyReadout: StepKind(
         "verify %d %s", lambda s: (s.verifier, _ids(s.block)),
         lambda v, ids: VerifyReadout(_parse_ids(ids), int(v)),
         operands=lambda s: s.block + (s.verifier,),
         releases=lambda s: ((s.verifier,),),
         kernel=(qecc, "verify_kernel"), args=lambda s, q: (q[:-1], q[-1]),
-        live=_live_verify),
+        live=_live_verify, zeroes=lambda s: (0,) * len(s.block) + (3,)),
     SyndromeMeasure: StepKind(
         "synd %s", lambda s: _ids(s.block), lambda ids: SyndromeMeasure(_parse_ids(ids)),
         operands=lambda s: s.block, releases=lambda s: (s.block[3:],),
-        kernel=(qecc, "syndrome_kernel"), args=lambda s, q: (q,), live=_live_syndrome),
+        kernel=(qecc, "syndrome_kernel"), args=lambda s, q: (q,), live=_live_syndrome,
+        zeroes=lambda s: (2, 2, 2, 3, 3, 3, 3)),
     CosetReduce: StepKind(
         "coset %s %s", lambda s: (s.basis, _ids(s.block)),
         lambda basis, ids: CosetReduce(_parse_ids(ids), basis),
@@ -340,7 +343,7 @@ STEP_KINDS: dict[type, StepKind] = {
         kernel=(qecc, "correct_kernel"),
         args=lambda s, q: (q[:7], tuple(q[7 + 3 * k:10 + 3 * k]
                                         for k in range(len(s.ancilla_blocks))), s.phase),
-        live=_live_correct),
+        live=_live_correct, zeroes=lambda s: (0,) * 7 + (3,) * 9),
 }
 
 _KIND_BY_KEYWORD = {kind.text.split(" ", 1)[0]: kind for kind in STEP_KINDS.values()}
@@ -426,14 +429,39 @@ def initial_labels(prog: Program, initial_errors: dict | None) -> dict[int, Paul
     return labels
 
 
+def _spelling(args: tuple):
+    """What decides, beside equality, how equal ``args`` print: the type of
+    each (0 and 0.0, 1 and True print apart), or their repr where a zero's
+    sign or a tuple's items could differ too."""
+    types = tuple(map(type, args))
+    if tuple in types or 0 in args:
+        return repr(args)
+    return types
+
+
 class Schedule:
-    """Cycle-oriented step emitter shared by the program builders."""
+    """Cycle-oriented step emitter shared by the program builders.
+
+    Every step is made by :meth:`emit`, which hands out one object per
+    distinct step."""
 
     def __init__(self, num_qubits: int, params: NoiseParams):
         self.num_qubits = num_qubits
         self.params = params.scaled()
         self.steps: list[Step] = []
         self.num_cycles = 0
+        self._made: dict[tuple, Step] = {}
+        self._tails: dict[tuple, list[Step]] = {}
+
+    def emit(self, kind: type, *args) -> Step:
+        """Append the step ``kind(*args)`` and return it: the object made
+        for an earlier equal step that prints alike, if there is one."""
+        key = (kind, args, _spelling(args))
+        step = self._made.get(key)
+        if step is None:
+            step = self._made[key] = kind(*args)
+        self.steps.append(step)
+        return step
 
     def cycle(
         self,
@@ -449,36 +477,44 @@ class Schedule:
         imprecision events, measurement-error events, optional transport
         decoherence, then one decoherence event per machine qubit.
         """
-        p = self.params
+        p, emit = self.params, self.emit
         busy = set(hadamards).union(measures, resets, *cnots)  # both qubits of a CNOT
         if len(busy) != len(hadamards) + 2 * len(cnots) + len(measures) + len(resets):
             raise ProgramError("a qubit is operated twice in one cycle")
 
         if resets:
-            self.steps.append(Reset(tuple(sorted(resets))))
+            emit(Reset, tuple(sorted(resets)))
             for q in sorted(resets):
-                self.steps.append(OneQubitEvent(q, p.reset_error))
+                emit(OneQubitEvent, q, p.reset_error)
         for q in hadamards:
-            self.steps.append(Hadamard(q))
+            emit(Hadamard, q)
         for c, t in cnots:
-            self.steps.append(CNot(c, t))
+            emit(CNot, c, t)
         for q in hadamards:
-            self.steps.append(OneQubitEvent(q, p.one_qubit_op_error))
+            emit(OneQubitEvent, q, p.one_qubit_op_error)
         for c, t in cnots:
-            self.steps.append(TwoQubitEvent(c, t, p.two_qubit_op_error))
+            emit(TwoQubitEvent, c, t, p.two_qubit_op_error)
         for q in sorted(measures):
-            self.steps.append(OneQubitEvent(q, p.measurement_error))
+            emit(OneQubitEvent, q, p.measurement_error)
         if transport_um > 0.0:
             t_s = transport_um / p.movement_speed_um_per_us * 1e-6
             f_t = decoherence_prob(t_s, p.transport_decay_s)
             for q in sorted(busy):
-                self.steps.append(OneQubitEvent(q, f_t))
+                emit(OneQubitEvent, q, f_t)
 
-        duration_us = p.two_bit_op_time_us if cnots else p.one_bit_op_time_us
-        f_op = decoherence_prob(duration_us * 1e-6, p.operation_decay_s)
-        f_mem = decoherence_prob(duration_us * 1e-6, p.memory_decay_s)
-        for q in range(self.num_qubits):
-            self.steps.append(OneQubitEvent(q, f_op if q in busy else f_mem))
+        # the decoherence events depend only on the busy qubits and on
+        # whether a CNOT sets the duration: a cycle alike in both appends
+        # the objects the first such cycle emitted
+        tail_key = (frozenset(busy), bool(cnots))
+        tail = self._tails.get(tail_key)
+        if tail is None:
+            duration_us = p.two_bit_op_time_us if cnots else p.one_bit_op_time_us
+            f_op = decoherence_prob(duration_us * 1e-6, p.operation_decay_s)
+            f_mem = decoherence_prob(duration_us * 1e-6, p.memory_decay_s)
+            tail = self._tails[tail_key] = [emit(OneQubitEvent, q, f_op if q in busy else f_mem)
+                                            for q in range(self.num_qubits)]
+        else:
+            self.steps += tail
         self.num_cycles += 1
 
 
@@ -533,7 +569,7 @@ def verify_ancilla(sched: Schedule, block: tuple[int, ...], verifier: int,
             for q in checked:
                 sched.cycle(cnots=[(q, verifier)])
         sched.cycle(measures=[verifier])
-        sched.steps.append(VerifyReadout(tuple(block), verifier))
+        sched.emit(VerifyReadout, tuple(block), verifier)
 
 
 def extract_syndrome(sched: Schedule, data: tuple[int, ...],
@@ -548,16 +584,16 @@ def extract_syndrome(sched: Schedule, data: tuple[int, ...],
     block by the extraction CNOTs.
     """
     if phase == "bit":
-        sched.steps.append(CosetReduce(tuple(block), "z"))
+        sched.emit(CosetReduce, tuple(block), "z")
         sched.cycle(cnots=list(zip(data, block)))
     elif phase == "phase":
-        sched.steps.append(CosetReduce(tuple(block), "x"))
+        sched.emit(CosetReduce, tuple(block), "x")
         sched.cycle(cnots=list(zip(block, data)))
         sched.cycle(hadamards=block)
     else:
         raise ValueError("phase must be 'bit' or 'phase', got %r" % (phase,))
     sched.cycle(measures=block)
-    sched.steps.append(SyndromeMeasure(tuple(block)))
+    sched.emit(SyndromeMeasure, tuple(block))
 
 
 def build_recovery(sched: Schedule, data: tuple[int, ...],
@@ -575,8 +611,7 @@ def build_recovery(sched: Schedule, data: tuple[int, ...],
         # one cycle; the correction itself is modeled error-free (its
         # imprecision is far below the decoherence accrued while decoding)
         sched.cycle()
-        sched.steps.append(Correct(tuple(data), tuple(tuple(b[:3]) for b in ancilla_blocks),
-                                   phase))
+        sched.emit(Correct, tuple(data), tuple(tuple(b[:3]) for b in ancilla_blocks), phase)
 
 
 # -- benchmark program builders -----------------------------------------
@@ -668,10 +703,14 @@ def serialize_program(prog: Program) -> str:
         lines.append("set %s" % _ids(group))
     for block in prog.crash_blocks:
         lines.append("block %s" % _ids(block))
-    kinds = STEP_KINDS
+    # steps are frozen: each distinct object is formatted once
+    kinds, texts = STEP_KINDS, {}
     for step in prog.steps:
-        kind = kinds.get(type(step)) or step_kind(step)
-        lines.append(kind.text % kind.fields(step))
+        text = texts.get(id(step))
+        if text is None:
+            kind = kinds.get(type(step)) or step_kind(step)
+            text = texts[id(step)] = kind.text % kind.fields(step)
+        lines.append(text)
     return "\n".join(lines) + "\n"
 
 
@@ -680,9 +719,13 @@ def parse_program(text: str) -> Program:
     partition: list[tuple[int, ...]] = []
     blocks: list[tuple[int, ...]] = []
     steps: list[Step] = []
+    made: dict[str, Step] = {}  # one object per distinct step line
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
+            continue
+        if line in made:
+            steps.append(made[line])
             continue
         kw, _, rest = line.partition(" ")
         try:
@@ -705,6 +748,7 @@ def parse_program(text: str) -> Program:
                 if kind.kernel is None:
                     errormap.check_event_probability(step.f)
                 steps.append(step)
+                made[line] = step
             else:
                 raise ValueError("unknown keyword %r" % kw)
         except (ValueError, IndexError) as exc:

@@ -9,7 +9,7 @@ from paulitree.engine import Partition, run_analytical
 from paulitree.errormap import ErrorMap, MergeMode, Thresholds, merge, split
 from paulitree.montecarlo import run_mc
 from paulitree.noise import NoiseParams
-from paulitree.pauli import Pauli
+from paulitree.pauli import Pauli, PauliString
 from paulitree.program import (
     CNot,
     Correct,
@@ -430,9 +430,22 @@ class TestKernelRuns:
         runs = spy_apply(monkeypatch)
         rep = run_analytical(build_basic_program(NoiseParams()), Thresholds(1e-6, 1e-12))
         # 70 runs at top level and 25 and 20 in the two computed segments;
-        # 285 of their kernels clear components no later readout can see
-        assert (len(runs), sum(runs)) == (115, 652)
+        # 261 of their kernels clear components no later readout can see
+        assert (len(runs), sum(runs)) == (115, 628)
         assert (rep.segments_replayed, rep.branch_calls) == (22, 1572)
+
+    def test_no_component_clear_follows_a_syndrome_readout(self):
+        # the readout leaves the Z bits of its stored slots at I already
+        p = engine.plan(build_basic_program(NoiseParams()))
+        names = [[name for (_, name), _ in op[2]]
+                 for ops in [p.ops] + [seg.body for seg in p.segments]
+                 for op in ops if op[0] == engine.APPLY]
+        after = [run[i + 1] if i + 1 < len(run) else None
+                 for run in names for i, name in enumerate(run) if name == "syndrome_kernel"]
+        assert len(after) == 24
+        assert "clear_components_kernel" not in after
+        # other readouts still clear the components no later readout sees
+        assert any("clear_components_kernel" in run for run in names)
 
 
 class TestCarriedEvents:
@@ -653,6 +666,24 @@ class TestBasicProgram:
         corrects = [s for s in prog.steps if isinstance(s, Correct)]
         assert [g for g in released if len(g) == 3] == [
             b for s in corrects for b in s.ancilla_blocks]
+
+    @pytest.mark.parametrize("scale, th", [(1.0, (1e-6, 1e-12)), (100.0, (1e-4, 1e-6))],
+                             ids=["1x", "100x"])
+    def test_every_split_releases_a_single_all_i_entry(self, monkeypatch, scale, th):
+        # so a split drops no correlation between the two sides
+        released = []
+
+        def record_split(qs, keep):
+            kept, rest = split(qs, keep)
+            released.append((kept.map.width, dict(kept.map.items())))
+            return kept, rest
+
+        monkeypatch.setattr(engine, "split", record_split)
+        run_analytical(build_basic_program(NoiseParams(global_scale=scale)), Thresholds(*th))
+        # 54 computed splits; those in replayed segments are not called
+        assert len(released) == 54
+        assert all(entries == {PauliString.identity(width): 1.0}
+                   for width, entries in released)
 
 
 def report_fields(rep):

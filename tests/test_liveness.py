@@ -92,6 +92,32 @@ def test_dead_bits_before_do_not_reach_live_bits_after(step, words, data):
     assert ((out & seen) == (flipped & seen)).all()
 
 
+@settings(deadline=None, max_examples=60)
+@pytest.mark.parametrize("words", [1, 2])
+@pytest.mark.parametrize("step", EXAMPLES, ids=lambda s: "%s-%s" % (
+    type(s).__name__, getattr(s, "basis", getattr(s, "phase", ""))))
+@given(data=st.data())
+def test_the_bits_a_kind_declares_zeroed_are_at_i_after_its_kernel(step, words, data):
+    spec = STEP_KINDS[type(step)]
+    n = len(spec.operands(step))
+    zeroed = spec.zeroes(step)
+    assert len(zeroed) <= n and all(0 <= m <= 3 for m in zeroed)
+    positions = data.draw(st.permutations(range(32 * words)))[:n]
+    rows = data.draw(st.integers(1, 8))
+    word = st.integers(0, 2 ** 64 - 1)
+    keys = np.array(data.draw(st.lists(word, min_size=rows * words, max_size=rows * words)),
+                    dtype=np.uint64).reshape(rows, words)
+    spec.function(keys, *spec.args(step, tuple(positions)))
+    assert not (keys & _mask(words, positions, zeroed)).any()
+
+
+@pytest.mark.parametrize("step", EXAMPLES, ids=lambda s: type(s).__name__)
+def test_a_released_qubit_is_declared_zeroed_whole(step):
+    spec = STEP_KINDS[type(step)]
+    zeroed = dict(zip(spec.operands(step), spec.zeroes(step)))
+    assert all(zeroed.get(q) == 3 for group in spec.releases(step) for q in group)
+
+
 # -- threshold-0 exactness on programs whose liveness varies -------------
 
 

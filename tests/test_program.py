@@ -1,6 +1,6 @@
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import pytest
 
@@ -223,7 +223,7 @@ class TestSerialization:
         assert back.steps[0].f == prog.steps[0].f
 
     def test_equal_floats_keep_their_own_text(self):
-        # the event text is memoised; 0.0 == -0.0 but they print differently
+        # each step object is formatted once; 0.0 == -0.0 but they print apart
         fs = (0.001, 0.0, -0.0, 0.001, -0.0, 0.0)
         steps = tuple(OneQubitEvent(0, f) for f in fs) + tuple(
             TwoQubitEvent(0, 1, f) for f in fs)
@@ -288,6 +288,46 @@ class TestSerialization:
         assert program_hash(a) == program_hash(b)
         assert program_hash(a) != program_hash(c)
         assert len(program_hash(a)) == 64
+
+
+def objects(prog):
+    """How many distinct step objects ``prog`` holds."""
+    return len({id(step) for step in prog.steps})
+
+
+class TestOneObjectPerDistinctStep:
+    def test_basic_program_holds_one_object_per_distinct_step(self):
+        prog = build_basic_program(NoiseParams())
+        assert objects(prog) == len(set(prog.steps)) < 1000 < len(prog.steps)
+
+    def test_scaling_program_holds_few_step_objects(self):
+        prog = build_scaling_program(8, NoiseParams())
+        assert objects(prog) == len(set(prog.steps)) < 2000
+
+    @pytest.mark.parametrize("a, b", [(0.0, -0.0), (0, 0.0)])
+    def test_equal_steps_that_print_apart_stay_apart(self, a, b):
+        sched = Schedule(1, QUIET)
+        first = sched.emit(OneQubitEvent, 0, a)
+        assert sched.emit(OneQubitEvent, 0, b) is not first
+        assert sched.emit(OneQubitEvent, 0, a) is first
+        prog = Program("toy", 1, ((0,),), tuple(sched.steps), (), 0, 0)
+        text = serialize_program(prog)
+        assert [line.split()[-1] for line in text.splitlines()[-3:]] == [repr(a), repr(b), repr(a)]
+        back = parse_program(text)
+        assert back == prog and objects(back) == 2
+        assert [repr(s.f) for s in back.steps] == [repr(float(f)) for f in (a, b, a)]
+
+    def test_a_parsed_program_is_interned_and_hashes_the_same(self):
+        prog = build_basic_program(NoiseParams())
+        back = parse_program(serialize_program(prog))
+        assert back == prog and objects(back) == objects(prog)
+        assert program_hash(back) == program_hash(prog)
+
+    def test_fresh_step_objects_serialize_alike(self):
+        prog = build_basic_program(NoiseParams())
+        fresh = replace(prog, steps=tuple(replace(step) for step in prog.steps))
+        assert objects(fresh) == len(prog.steps)
+        assert serialize_program(fresh) == serialize_program(prog)
 
 
 @dataclass(frozen=True)
