@@ -53,10 +53,11 @@ lossy-merge discards accounted separately so survival + crash +
 discarded = 1.  Events still pending on qubits in no crash block are
 dropped: an event conserves mass and nothing live is left on them.
 
-Before the walk, a backward *liveness* pass runs over the program's
-kernel steps on global qubits, kept from one full read of
-:func:`~paulitree.program.checked_steps`: the run's one check of the
-program, so the walk reads the steps unchecked.  A qubit's X or Z
+The plan reads :func:`~paulitree.program.checked_steps` once, to the
+end, before anything else: the run's one check of the program, which
+checks each distinct step object once.  A backward *liveness* pass then
+runs over its kernel steps on global qubits, and the walk reads the
+same (kind, step, operands) tuples.  A qubit's X or Z
 component is live at a point if some later readout or the crash
 observable can read it.  Both components of every crash-block qubit are
 live at the end, and each kernel step's ``live`` rule in
@@ -123,14 +124,13 @@ import math
 import time
 from collections.abc import Hashable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field, replace
-from itertools import repeat
 
 import numpy as np
 
 from . import errormap, qecc
 from .pauli import Pauli, PauliString
 from .errormap import ErrorMap, MergeMode, QubitSet, Thresholds, event_patterns, merge, split
-from .program import STEP_KINDS, Program, StepKind, checked_steps, initial_labels
+from .program import Program, StepKind, checked_steps, initial_labels
 
 
 class Partition:
@@ -268,25 +268,19 @@ _MASKED = {(ma, mb): (_LABELS >> 2 & ma) << 2 | _LABELS & 3 & mb
            for ma in range(4) for mb in range(4)}
 
 
-def _liveness(prog: Program) -> tuple[list[int], list[tuple]]:
-    """The backward liveness pass over the kernel steps of ``prog``: the
-    live mask of every qubit at the start, and for each kernel step, in
-    program order, its operands' masks after it.  Both components of
-    every crash-block qubit are live at the end.  The pass keeps the
-    kernel steps of one full read of
-    :func:`~paulitree.program.checked_steps`, so the whole program is
-    checked, in order, before any mask is computed."""
-    # the steps alone: operand tuples kept from among the 28,166 dropped ones
-    # pin the allocator's pools, 0.5 MB of peak RSS on the basic program at 100x
-    kernels = [step for spec, step, _ in checked_steps(prog) if spec.kernel is not None]
+def _liveness(prog: Program, steps: Sequence[tuple]) -> tuple[list[int], list[tuple]]:
+    """The backward liveness pass over the kernel steps of ``steps``, the
+    (kind, step, operands) of ``prog`` read from
+    :func:`~paulitree.program.checked_steps`: the live mask of every
+    qubit at the start, and for each kernel step, in program order, its
+    operands' masks after it.  Both components of every crash-block qubit
+    are live at the end."""
     live = [0] * prog.num_qubits
     for block in prog.crash_blocks:
         for q in block:
             live[q] = 3
     afters, get = [], live.__getitem__
-    for step in reversed(kernels):
-        spec = STEP_KINDS[type(step)]
-        qubits = spec.operands(step)
+    for spec, step, qubits in reversed([t for t in steps if t[0].kernel is not None]):
         after = tuple(map(get, qubits))
         afters.append(after)
         for q, m in zip(qubits, spec.live(step, after)):
@@ -306,15 +300,41 @@ class _PairEvent:
     w: np.ndarray
 
 
-def _label_gather(spec: StepKind, step) -> np.ndarray:
-    """Index array g with w[g] the pair event ``w`` conjugated by a
-    two-qubit label-permuting step on the pair, in its order.  Derived
-    by running the step's own kernel on the 16 label rows."""
+# The pair-event algebra, each a function of its exact inputs, which the
+# planner computes once per plan for each distinct set of them (see
+# _Planner.algebra)
+
+def _product(fa: float, fb: float) -> np.ndarray:
+    """The pair event of two lone depolarizing events, their tensor
+    product."""
+    return np.multiply.outer(_depolarizing(fa), _depolarizing(fb)).ravel()
+
+
+def _conjugate(w: np.ndarray, spec: StepKind, step) -> np.ndarray:
+    """The pair event ``w`` conjugated by a two-qubit label-permuting step
+    on the pair, in its order: ``w`` gathered by the image of each label
+    under the step's own kernel, run on the 16 label rows."""
     i = np.arange(16, dtype=np.uint64)
     rows = ((i >> np.uint64(2)) | ((i & np.uint64(3)) << np.uint64(2)))[:, None]
     spec.function(rows, *spec.args(step, (0, 1)))
     image = ((rows[:, 0] & np.uint64(3)) << np.uint64(2)) | (rows[:, 0] >> np.uint64(2))
-    return np.argsort(image.astype(np.intp))
+    return w[np.argsort(image.astype(np.intp))]
+
+
+def _compose(w: np.ndarray, g: float) -> np.ndarray:
+    """The pair event ``w`` followed by a two-qubit event of probability
+    g on the pair."""
+    return (1.0 - g) * w + g / 15 * (w.sum() - w)
+
+
+def _pair_branch(w: np.ndarray, ma: int, mb: int) -> tuple[float, bytes | None]:
+    """The branch probability and weights (see the plan operations) of
+    the pair event ``w`` masked to the live masks ma and mb of its
+    qubits; probability 0.0 for an event with no weight left."""
+    w = np.bincount(_MASKED[ma, mb], w, 16)[1:]
+    f = float(np.add.reduce(w))
+    # rounding can carry the sum of a certain event's weights past 1
+    return (min(1.0, f), w.tobytes()) if f > 0.0 else (0.0, None)
 
 
 @dataclass
@@ -340,7 +360,7 @@ class _Planner:
         self.ops: list = []
         self.pending: dict[int, float] = {}  # qubit alone -> its deferred depolarizing f
         self.pairs: dict[int, _PairEvent] = {}  # pair member -> the pair event its CNOT made
-        self.gathers: dict[type, np.ndarray] = {}  # two-qubit step type -> gather
+        self.memo: dict[tuple, object] = {}  # (function, inputs) -> result; see algebra
         self.draft: _Draft | None = None  # the open closed segment
         self.shapes: dict[tuple, tuple] = {}  # equal segments share one body
 
@@ -433,6 +453,18 @@ class _Planner:
         sid, locals_ = self.part.locate(qubits)
         self.emit((BRANCH, sid, tuple(locals_), f, weights), sid)
 
+    def algebra(self, function, inputs: tuple, *args):
+        """``function(*args)``, computed once per plan for each distinct
+        ``inputs``: its exact arguments, each weight array by its bytes.
+        Floats are keyed by value, so 0.0 and -0.0 share a result; the
+        sign of a zero weight is all they can change, and the
+        ``np.bincount`` of :func:`_pair_branch`, summing from +0.0, drops it."""
+        key = function, inputs
+        value = self.memo.get(key)
+        if value is None:
+            value = self.memo[key] = function(*args)
+        return value
+
     def flush(self, qubits: Sequence[int]) -> None:
         """Apply and forget the pending event of each of ``qubits``, masked
         to its live components: a pair event branches on its fifteen
@@ -443,11 +475,11 @@ class _Planner:
             if pair is not None:
                 a, b = pair.qubits
                 del self.pairs[a], self.pairs[b]
-                w = np.bincount(_MASKED[self.live[a], self.live[b]], pair.w, 16)[1:]
-                f = float(np.add.reduce(w))
+                ma, mb = self.live[a], self.live[b]
+                f, weights = self.algebra(_pair_branch, (pair.w.tobytes(), ma, mb),
+                                          pair.w, ma, mb)
                 if f > 0.0:
-                    # rounding can carry the sum of a certain event's weights past 1
-                    self.branch(pair.qubits, min(1.0, f), w.tobytes())
+                    self.branch(pair.qubits, f, weights)
             elif q in self.pending:
                 f, m = self.pending.pop(q), self.live[q]
                 if m == 3:
@@ -466,9 +498,9 @@ class _Planner:
         """A new pair event held on (a, b), the tensor product of their lone
         events, once any pair event held on either is applied."""
         self.flush_pairs((a, b))
-        w = np.multiply.outer(_depolarizing(self.pending.pop(a, 0.0)),
-                              _depolarizing(self.pending.pop(b, 0.0)))
-        pair = self.pairs[a] = self.pairs[b] = _PairEvent((a, b), w.ravel())
+        fa, fb = self.pending.pop(a, 0.0), self.pending.pop(b, 0.0)
+        w = self.algebra(_product, (fa, fb), fa, fb)
+        pair = self.pairs[a] = self.pairs[b] = _PairEvent((a, b), w)
         return pair
 
     def carry(self, spec: StepKind, step, qubits: Sequence[int]) -> None:
@@ -480,43 +512,52 @@ class _Planner:
             self.flush_pairs(qubits)
             return
         pair = self.pair_on(*qubits)
-        if type(step) not in self.gathers:
-            self.gathers[type(step)] = _label_gather(spec, step)
-        pair.w = pair.w[self.gathers[type(step)]]
+        # the step's kind conjugates alike wherever its operands stand
+        pair.w = self.algebra(_conjugate, (pair.w.tobytes(), type(step)), pair.w, spec, step)
 
     def defer(self, qubits: Sequence[int], g: float) -> None:
-        """Fold an event with probability g on ``qubits`` (one or two)
-        into their pending events.  A two-qubit event composes into the
-        pair event held on its qubits, or a new one, and applies it; a
-        one-qubit event applies a pair event held on its qubit first."""
-        if len(qubits) == 2:
-            pair = self.pairs.get(qubits[0])
-            if pair is None or pair is not self.pairs.get(qubits[1]):
-                pair = self.pair_on(*qubits)
-            pair.w = (1.0 - g) * pair.w + g / 15 * (pair.w.sum() - pair.w)
-            # applied where the event stands: held longer, it prunes more
-            # (see the module docstring)
-            self.flush(qubits)
-        else:
-            if qubits[0] in self.pairs:
-                self.flush_pairs(qubits)
-            f = self.pending.get(qubits[0])
-            # depolarizing channels compose exactly: 1 - 4f/3 multiplies
-            self.pending[qubits[0]] = g if f is None else g + f - 4 * g * f / 3
+        """Compose a two-qubit event with probability g on ``qubits`` into
+        the pair event held on them, or a new one, and apply it.  (The
+        walk composes a one-qubit event into its qubit's lone event
+        itself.)"""
+        pair = self.pairs.get(qubits[0])
+        if pair is None or pair is not self.pairs.get(qubits[1]):
+            pair = self.pair_on(*qubits)
+        pair.w = self.algebra(_compose, (pair.w.tobytes(), g), pair.w, g)
+        # applied where the event stands: held longer, it prunes more
+        # (see the module docstring)
+        self.flush(qubits)
 
     # -- the walk ----------------------------------------------------------
 
-    def walk(self, prog: Program, afters: Iterable[tuple]) -> Plan:
-        """Plan every step of ``prog``, then its crash blocks; ``afters``
-        gives each kernel step's operand masks after it (see
-        :func:`_liveness`, which has checked every step)."""
+    def walk(self, prog: Program, steps: Iterable[tuple], afters: Iterable[tuple]) -> Plan:
+        """Plan ``steps``, the checked (kind, step, operands) of ``prog`` in
+        order, then its crash blocks; ``afters`` gives each kernel step's
+        operand masks after it (see :func:`_liveness`).  A one-qubit
+        event composes into its qubit's lone event here, once a pair
+        event held on the qubit is applied; what a kernel step reads of
+        its kind is read once per step object."""
         part, live, afters = self.part, self.live, iter(afters)
-        for step in prog.steps:
-            spec = STEP_KINDS[type(step)]
-            qubits = spec.operands(step)
+        pending, pairs = self.pending, self.pairs
+        kernel_steps: dict[int, tuple] = {}  # id(step) -> (releases, zeroes per operand)
+        for spec, step, qubits in steps:
             if spec.kernel is None:
-                self.defer(qubits, step.f)
+                if len(qubits) == 2:
+                    self.defer(qubits, step.f)
+                    continue
+                q = qubits[0]
+                if q in pairs:
+                    self.flush(qubits)
+                g, f = step.f, pending.get(q)
+                # depolarizing channels compose exactly: 1 - 4f/3 multiplies
+                pending[q] = g if f is None else g + f - 4 * g * f / 3
                 continue
+            read = kernel_steps.get(id(step))
+            if read is None:
+                zeroes = spec.zeroes(step)
+                read = kernel_steps[id(step)] = (
+                    spec.releases(step), zeroes + (0,) * (len(qubits) - len(zeroes)))
+            releases, zeroes = read
             if spec.permutes_labels:
                 self.carry(spec, step, qubits)
             else:
@@ -533,14 +574,13 @@ class _Planner:
                 if min(after) < 3:
                     # clear the components no later readout can see, but
                     # not those the kernel leaves at I
-                    zeroed = spec.zeroes(step) or repeat(0)
-                    dead = [(p, d) for p, m, z in zip(locals_, after, zeroed)
+                    dead = [(p, d) for p, m, z in zip(locals_, after, zeroes)
                             if (d := 3 & ~(m | z))]
                     if dead:
                         calls += (((errormap, "clear_components_kernel"),
                                    tuple(zip(*dead))),)
                 self.emit((APPLY, sid, calls), sid)
-            for group in spec.releases(step):
+            for group in releases:
                 self.release(group)
         for block in prog.crash_blocks:
             self.flush(block)
@@ -558,13 +598,14 @@ class _Planner:
 def plan(prog: Program) -> Plan:
     """The map operations of a run of ``prog``, in order: set placement,
     event deferral, fusion and masking, component clears, and closed
-    segments (see the module docstring).  The liveness pass checks the
-    program once, through :func:`~paulitree.program.checked_steps`,
-    before the walk: a step with a repeated or undeclared qubit raises
+    segments (see the module docstring).  It checks the program once,
+    through :func:`~paulitree.program.checked_steps`, before the liveness
+    pass and the walk: a step with a repeated or undeclared qubit raises
     :class:`~paulitree.program.ProgramError`, an event with a probability
     outside [0, 1] ValueError, the error of the first faulty step."""
-    live, afters = _liveness(prog)
-    return _Planner(prog.initial_partition, live).walk(prog, afters)
+    steps = list(checked_steps(prog))
+    live, afters = _liveness(prog, steps)
+    return _Planner(prog.initial_partition, live).walk(prog, steps, afters)
 
 
 class _Execution:

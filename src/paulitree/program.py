@@ -23,11 +23,12 @@ key-array kernel both engines apply and the liveness rule the
 analytical engine reads.  A kind with no kernel is an error
 event, which both engines branch or sample on the outcome table
 :func:`~paulitree.errormap.event_patterns` of its qubits.  Each engine
-checks a program once per call, before it runs a step, by reading
-:func:`checked_steps` to the end: the error of the first faulty step in
-program order.  Neither branches on the kind; all they need is read
-from the table.  The program holds no QubitSet structure: the
-analytical engine merges a step's sets and releases its groups itself.
+checks a program once per call, before it runs a step, through one read
+of :func:`checked_steps`, which checks each distinct step object once:
+the error of the first faulty step in program order.  Neither branches
+on the kind; all they need is read from the table.  The program holds
+no QubitSet structure: the analytical engine merges a step's sets and
+releases its groups itself.
 
 Steps are frozen, so a program holds one object per distinct step: the
 basic program's 28,166 steps are 564 objects.  :meth:`Schedule.emit`
@@ -397,23 +398,28 @@ def checked_steps(prog: Program) -> Iterator[tuple[StepKind, Step, tuple[int, ..
     """Each step of ``prog`` in order as (kind, step, operands), checked
     before it is yielded: ProgramError for an unknown kind or for a qubit
     outside the program or named twice, ValueError for an event
-    probability outside [0, 1].  A generator, so that a caller keeping
-    only some steps holds no list of them all."""
-    # operand tuples found good: 204 distinct ones in the basic program
-    kinds, n, good = STEP_KINDS, prog.num_qubits, set()
+    probability outside [0, 1].  Each distinct step object is checked at
+    its first occurrence, and every later occurrence yields the same
+    tuple.  A generator, so that a caller keeping only some steps holds
+    no list of them all."""
+    # keyed by id for the generator's life, while prog.steps holds every
+    # object: the basic program's 28,166 steps are 564 objects
+    kinds, n, seen = STEP_KINDS, prog.num_qubits, {}
+    get = seen.get
     for step in prog.steps:
-        kind = kinds.get(type(step)) or step_kind(step)
-        qubits = kind.operands(step)
-        if qubits not in good:
+        checked = get(id(step))
+        if checked is None:
+            kind = kinds.get(type(step)) or step_kind(step)
+            qubits = kind.operands(step)
             for q in qubits:
                 if not 0 <= q < n:
                     raise ProgramError("step %r references undeclared qubit %d" % (step, q))
             if len(set(qubits)) < len(qubits):
                 raise ProgramError("step %r repeats a qubit" % (step,))
-            good.add(qubits)
-        if kind.kernel is None and not 0.0 <= step.f <= 1.0:
-            errormap.check_event_probability(step.f)
-        yield kind, step, qubits
+            if kind.kernel is None and not 0.0 <= step.f <= 1.0:
+                errormap.check_event_probability(step.f)
+            checked = seen[id(step)] = (kind, step, qubits)
+        yield checked
 
 
 def initial_labels(prog: Program, initial_errors: dict | None) -> dict[int, Pauli]:

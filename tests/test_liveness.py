@@ -31,6 +31,7 @@ from paulitree.program import (
     VerifyReadout,
     build_basic_program,
     build_recovery,
+    checked_steps,
 )
 
 BLOCK = tuple(range(7))
@@ -175,7 +176,7 @@ def _enumerated_crash(prog, labels):
 def _events_on_dead_components(prog):
     """How many events act on a qubit with a component that the liveness
     pass calls dead where the event stands."""
-    live, afters = engine._liveness(prog)
+    live, afters = engine._liveness(prog, list(checked_steps(prog)))
     afters, count = iter(afters), 0
     for step in prog.steps:
         qubits = STEP_KINDS[type(step)].operands(step)

@@ -380,6 +380,29 @@ class TestCheckedSteps:
         with pytest.raises(error, match=message):
             next(steps)
 
+    def test_a_faulty_object_raises_at_its_first_occurrence(self):
+        bad = CNot(1, 1)
+        steps = checked_steps(self.program(self.STEPS[:2] + (bad,) + self.STEPS[2:] + (bad,)))
+        assert [s for _, s, _ in itertools.islice(steps, 2)] == list(self.STEPS[:2])
+        with pytest.raises(ProgramError, match="repeats a qubit"):
+            next(steps)
+
+    def test_each_distinct_object_is_checked_once(self, monkeypatch):
+        seen = []
+
+        def operands(step):
+            seen.append(step)
+            return (step.control, step.target)
+
+        monkeypatch.setitem(STEP_KINDS, CNot, replace(STEP_KINDS[CNot], operands=operands))
+        a, b = CNot(0, 1), CNot(1, 2)
+        steps = (a, self.STEPS[0], b, a, CNot(0, 1), b, a)
+        checked = list(checked_steps(self.program(steps)))
+        assert [s for _, s, _ in checked] == list(steps)
+        # CNot(0, 1) made twice is two objects, each checked once
+        assert [id(s) for s in seen] == [id(a), id(b), id(steps[4])]
+        assert checked[3] is checked[0] and checked[5] is checked[2]
+
     @pytest.mark.parametrize("module, run", [
         (engine, lambda prog: run_analytical(prog, Thresholds())),
         # three chunks
