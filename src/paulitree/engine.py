@@ -41,6 +41,10 @@ event per qubit:
   it, w <- (1 - g) w + g/15 (sum w - w), and the pair event is applied,
   as is a two-qubit event composed into the tensor product of its
   qubits' lone events.  Anything else applies the pair event first.
+- So a pair event is held as its recipe: its members' lone f's, the
+  class of the gate that made it or None, and the probability g of the
+  two-qubit event composed into it or None.  Its weights are computed
+  once per plan for each distinct recipe and live masks.
 
 Any other step applies (flushes) the pending events of the qubits it
 names on their current sets before its own sets are merged: a qubit
@@ -130,7 +134,7 @@ import numpy as np
 from . import errormap, qecc
 from .pauli import Pauli, PauliString
 from .errormap import ErrorMap, MergeMode, QubitSet, Thresholds, event_patterns, merge, split
-from .program import Program, StepKind, checked_steps, initial_labels
+from .program import STEP_KINDS, Program, checked_steps, initial_labels
 
 
 class Partition:
@@ -289,48 +293,28 @@ def _liveness(prog: Program, steps: Sequence[tuple]) -> tuple[list[int], list[tu
     return live, afters
 
 
-@dataclass
-class _PairEvent:
-    """A pending Pauli channel on two qubits: ``w[4 * a + b]`` is the
-    probability of labels a on ``qubits[0]`` and b on ``qubits[1]``, so
-    ``w[1:]`` weights the rows of
-    :func:`~paulitree.errormap.event_patterns` on the pair in order."""
-
-    qubits: tuple[int, int]
-    w: np.ndarray
-
-
-# The pair-event algebra, each a function of its exact inputs, which the
-# planner computes once per plan for each distinct set of them (see
-# _Planner.algebra)
-
-def _product(fa: float, fb: float) -> np.ndarray:
-    """The pair event of two lone depolarizing events, their tensor
-    product."""
-    return np.multiply.outer(_depolarizing(fa), _depolarizing(fb)).ravel()
-
-
-def _conjugate(w: np.ndarray, spec: StepKind, step) -> np.ndarray:
-    """The pair event ``w`` conjugated by a two-qubit label-permuting step
-    on the pair, in its order: ``w`` gathered by the image of each label
-    under the step's own kernel, run on the 16 label rows."""
-    i = np.arange(16, dtype=np.uint64)
-    rows = ((i >> np.uint64(2)) | ((i & np.uint64(3)) << np.uint64(2)))[:, None]
-    spec.function(rows, *spec.args(step, (0, 1)))
-    image = ((rows[:, 0] & np.uint64(3)) << np.uint64(2)) | (rows[:, 0] >> np.uint64(2))
-    return w[np.argsort(image.astype(np.intp))]
-
-
-def _compose(w: np.ndarray, g: float) -> np.ndarray:
-    """The pair event ``w`` followed by a two-qubit event of probability
-    g on the pair."""
-    return (1.0 - g) * w + g / 15 * (w.sum() - w)
-
-
-def _pair_branch(w: np.ndarray, ma: int, mb: int) -> tuple[float, bytes | None]:
+def _pair_branch(fa: float, fb: float, kind: type | None, g: float | None,
+                 ma: int, mb: int) -> tuple[float, bytes | None]:
     """The branch probability and weights (see the plan operations) of
-    the pair event ``w`` masked to the live masks ma and mb of its
-    qubits; probability 0.0 for an event with no weight left."""
+    the pair event with recipe (fa, fb, kind, g), masked to the live
+    masks ma and mb of its qubits; probability 0.0 for an event with no
+    weight left.  ``w[4 * a + b]`` is the probability of labels a and b
+    on the pair, so ``w[1:]`` weights the rows of
+    :func:`~paulitree.errormap.event_patterns` on it in order: the tensor
+    product of lone depolarizing events fa and fb, conjugated by a
+    two-qubit step of class ``kind`` on the pair, in its order, then
+    followed by a two-qubit event of probability g on the pair."""
+    w = np.multiply.outer(_depolarizing(fa), _depolarizing(fb)).ravel()
+    if kind is not None:
+        # gather w by the image of each label under the kind's own
+        # kernel, run on the 16 label rows
+        i = np.arange(16, dtype=np.uint64)
+        rows = ((i >> np.uint64(2)) | ((i & np.uint64(3)) << np.uint64(2)))[:, None]
+        STEP_KINDS[kind].function(rows, 0, 1)
+        image = ((rows[:, 0] & np.uint64(3)) << np.uint64(2)) | (rows[:, 0] >> np.uint64(2))
+        w = w[np.argsort(image.astype(np.intp))]
+    if g is not None:
+        w = (1.0 - g) * w + g / 15 * (w.sum() - w)
     w = np.bincount(_MASKED[ma, mb], w, 16)[1:]
     f = float(np.add.reduce(w))
     # rounding can carry the sum of a certain event's weights past 1
@@ -359,8 +343,9 @@ class _Planner:
         self.live = live
         self.ops: list = []
         self.pending: dict[int, float] = {}  # qubit alone -> its deferred depolarizing f
-        self.pairs: dict[int, _PairEvent] = {}  # pair member -> the pair event its CNOT made
-        self.memo: dict[tuple, object] = {}  # (function, inputs) -> result; see algebra
+        # pair member -> ((a, b), the recipe (fa, fb, kind, g) of the pair event held on it)
+        self.pairs: dict[int, tuple] = {}
+        self.branches: dict[tuple, tuple] = {}  # recipe + masks -> _pair_branch's result
         self.draft: _Draft | None = None  # the open closed segment
         self.shapes: dict[tuple, tuple] = {}  # equal segments share one body
 
@@ -453,33 +438,27 @@ class _Planner:
         sid, locals_ = self.part.locate(qubits)
         self.emit((BRANCH, sid, tuple(locals_), f, weights), sid)
 
-    def algebra(self, function, inputs: tuple, *args):
-        """``function(*args)``, computed once per plan for each distinct
-        ``inputs``: its exact arguments, each weight array by its bytes.
-        Floats are keyed by value, so 0.0 and -0.0 share a result; the
-        sign of a zero weight is all they can change, and the
-        ``np.bincount`` of :func:`_pair_branch`, summing from +0.0, drops it."""
-        key = function, inputs
-        value = self.memo.get(key)
-        if value is None:
-            value = self.memo[key] = function(*args)
-        return value
-
     def flush(self, qubits: Sequence[int]) -> None:
         """Apply and forget the pending event of each of ``qubits``, masked
         to its live components: a pair event branches on its fifteen
         outcomes, a lone event with one component live on that one, with
-        weight 2f/3.  An event with no weight left branches nothing."""
+        weight 2f/3.  An event with no weight left branches nothing.
+        Each distinct recipe and masks make one :func:`_pair_branch` call
+        per plan; floats key by value, so 0.0 and -0.0 share a result,
+        which differs only in the sign of a zero weight, and the
+        ``np.bincount`` there, summing from +0.0, drops that sign."""
         for q in qubits:
-            pair = self.pairs.get(q)
-            if pair is not None:
-                a, b = pair.qubits
+            held = self.pairs.get(q)
+            if held is not None:
+                (a, b), recipe = held
                 del self.pairs[a], self.pairs[b]
-                ma, mb = self.live[a], self.live[b]
-                f, weights = self.algebra(_pair_branch, (pair.w.tobytes(), ma, mb),
-                                          pair.w, ma, mb)
+                key = recipe + (self.live[a], self.live[b])
+                value = self.branches.get(key)
+                if value is None:
+                    value = self.branches[key] = _pair_branch(*key)
+                f, weights = value
                 if f > 0.0:
-                    self.branch(pair.qubits, f, weights)
+                    self.branch((a, b), f, weights)
             elif q in self.pending:
                 f, m = self.pending.pop(q), self.live[q]
                 if m == 3:
@@ -490,60 +469,43 @@ class _Planner:
                     weights = (w, 0.0, 0.0) if m == 1 else (0.0, w, 0.0)
                     self.branch((q,), w, np.array(weights).tobytes())
 
-    def flush_pairs(self, qubits: Sequence[int]) -> None:
-        """Apply the pair events held on any of ``qubits``."""
-        self.flush([q for q in qubits if q in self.pairs])
-
-    def pair_on(self, a: int, b: int) -> _PairEvent:
-        """A new pair event held on (a, b), the tensor product of their lone
-        events, once any pair event held on either is applied."""
-        self.flush_pairs((a, b))
-        fa, fb = self.pending.pop(a, 0.0), self.pending.pop(b, 0.0)
-        w = self.algebra(_product, (fa, fb), fa, fb)
-        pair = self.pairs[a] = self.pairs[b] = _PairEvent((a, b), w)
-        return pair
-
-    def carry(self, spec: StepKind, step, qubits: Sequence[int]) -> None:
-        """Carry the pending events on ``qubits`` through a label-permuting
-        step: a one-qubit step leaves a lone depolarizing event as it is,
-        and a two-qubit step turns its operands' into a pair event,
-        conjugated by it.  Either applies the pair events it meets."""
-        if len(qubits) == 1:
-            self.flush_pairs(qubits)
-            return
-        pair = self.pair_on(*qubits)
-        # the step's kind conjugates alike wherever its operands stand
-        pair.w = self.algebra(_conjugate, (pair.w.tobytes(), type(step)), pair.w, spec, step)
-
-    def defer(self, qubits: Sequence[int], g: float) -> None:
-        """Compose a two-qubit event with probability g on ``qubits`` into
-        the pair event held on them, or a new one, and apply it.  (The
-        walk composes a one-qubit event into its qubit's lone event
-        itself.)"""
-        pair = self.pairs.get(qubits[0])
-        if pair is None or pair is not self.pairs.get(qubits[1]):
-            pair = self.pair_on(*qubits)
-        pair.w = self.algebra(_compose, (pair.w.tobytes(), g), pair.w, g)
-        # applied where the event stands: held longer, it prunes more
-        # (see the module docstring)
-        self.flush(qubits)
+    def hold(self, a: int, b: int, kind: type | None, g: float | None) -> None:
+        """Hold a new pair event on (a, b), made of their lone events, once
+        the pair events held on either are applied: its recipe is their
+        lone f's, the class of the label-permuting step that made it, or
+        None, and the probability of a two-qubit event composed into it,
+        or None."""
+        self.flush([q for q in (a, b) if q in self.pairs])
+        recipe = (self.pending.pop(a, 0.0), self.pending.pop(b, 0.0), kind, g)
+        self.pairs[a] = self.pairs[b] = ((a, b), recipe)
 
     # -- the walk ----------------------------------------------------------
 
     def walk(self, prog: Program, steps: Iterable[tuple], afters: Iterable[tuple]) -> Plan:
         """Plan ``steps``, the checked (kind, step, operands) of ``prog`` in
         order, then its crash blocks; ``afters`` gives each kernel step's
-        operand masks after it (see :func:`_liveness`).  A one-qubit
-        event composes into its qubit's lone event here, once a pair
-        event held on the qubit is applied; what a kernel step reads of
-        its kind is read once per step object."""
+        operand masks after it (see :func:`_liveness`).  An event
+        composes into its qubit's lone event, or its pair's held event,
+        here: a one-qubit event once a pair event held on the qubit is
+        applied, and a two-qubit event into the pair event held on its
+        qubits, or a new one, which it then applies where it stands
+        (held longer, it prunes more; see the module docstring).  What a
+        kernel step reads of its kind is read once per step object."""
         part, live, afters = self.part, self.live, iter(afters)
         pending, pairs = self.pending, self.pairs
         kernel_steps: dict[int, tuple] = {}  # id(step) -> (releases, zeroes per operand)
         for spec, step, qubits in steps:
             if spec.kernel is None:
                 if len(qubits) == 2:
-                    self.defer(qubits, step.f)
+                    held = pairs.get(qubits[0])
+                    if held is not None and held is pairs.get(qubits[1]):
+                        # composition with a two-qubit event is symmetric
+                        # in the pair's order
+                        pairs[qubits[0]] = pairs[qubits[1]] = (
+                            held[0], held[1][:3] + (step.f,))
+                    else:
+                        self.hold(*qubits, None, step.f)
+                    self.flush(qubits)
                     continue
                 q = qubits[0]
                 if q in pairs:
@@ -558,8 +520,12 @@ class _Planner:
                 read = kernel_steps[id(step)] = (
                     spec.releases(step), zeroes + (0,) * (len(qubits) - len(zeroes)))
             releases, zeroes = read
-            if spec.permutes_labels:
-                self.carry(spec, step, qubits)
+            if spec.permutes_labels and len(qubits) == 2:
+                # the step's kind conjugates alike wherever its operands stand
+                self.hold(*qubits, type(step), None)
+            elif spec.permutes_labels:
+                # a one-qubit Clifford leaves a depolarizing event as it is
+                self.flush([q for q in qubits if q in pairs])
             else:
                 self.flush(qubits)
             self.join(qubits)

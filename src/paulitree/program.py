@@ -263,13 +263,16 @@ class StepKind:
     ``permutes_labels`` marks a Clifford gate whose kernel, given only the
     operands' positions, maps each Pauli label of its operands to one
     Pauli label: the analytical engine carries deferred one-qubit events
-    through it instead of applying them.  ``zeroes(step)`` gives, per
-    operand in order, the components (mask as for ``live``) its kernel
-    leaves at I in every key; a shorter tuple, none on the rest.  A
-    released operand is zeroed whole.  The analytical engine clears
-    only the dead components a kernel may leave set.  ``clears`` marks a
-    kind that resets its operands to I: the analytical engine gives a set
-    it clears whole a fresh map (see :mod:`~paulitree.engine`).
+    through it instead of applying them, and holds the pair event a
+    two-qubit one makes as a recipe that names the kind, whose kernel
+    it runs on the 16 label rows at positions (0, 1).
+    ``zeroes(step)`` gives, per operand in order, the components (mask
+    as for ``live``) its kernel leaves at I in every key; a shorter
+    tuple, none on the rest.  A released operand is zeroed whole.  The
+    analytical engine clears only the dead components a kernel may
+    leave set.  ``clears`` marks a kind that resets its operands to I:
+    the analytical engine gives a set it clears whole a fresh map (see
+    :mod:`~paulitree.engine`).
     """
 
     text: str

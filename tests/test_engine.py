@@ -2,7 +2,10 @@ import dataclasses
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paulitree import engine, errormap, qecc
 from paulitree.engine import Partition, run_analytical
@@ -18,6 +21,7 @@ from paulitree.program import (
     Program,
     ProgramError,
     Reset,
+    STEP_KINDS,
     SyndromeMeasure,
     TwoQubitEvent,
     VerifyReadout,
@@ -597,6 +601,77 @@ class TestCarriedEvents:
 # rates whose third (one-qubit) or fifteenth (two-qubit) and complement are dyadic
 DYADIC_ONE = (0.75, 0.375, 0.1875, 0.09375, 0.5625, 0.046875)
 DYADIC_TWO = (0.9375, 0.46875, 0.234375)
+
+
+def reference_pair_branch(fa, fb, kind, g, ma, mb):
+    """:func:`engine._pair_branch` by brute force: each of the 16 label
+    pairs pushed through ``errormap.cnot_kernel`` on a packed row, g as
+    the uniform channel on the 15 non-identity label pairs, then the
+    weights summed by masked label; the 15 weights after I."""
+    one = [[1.0 - f, f / 3, f / 3, f / 3] for f in (fa, fb)]
+    w = np.zeros(16)
+    for a in range(4):
+        for b in range(4):
+            row = np.array([[a | b << 2]], dtype=np.uint64)
+            if kind is not None:
+                errormap.cnot_kernel(row, 0, 1)
+            label = int(row[0, 0])
+            w[4 * (label & 3) + (label >> 2)] += one[0][a] * one[1][b]
+    if g is not None:
+        # the index packs label a above label b, so XOR composes both
+        w = (1.0 - g) * w + sum(g / 15 * w[np.arange(16) ^ d] for d in range(1, 16))
+    masked = np.zeros(16)
+    for i in range(16):
+        masked[4 * (i >> 2 & ma) + (i & 3 & mb)] += w[i]
+    return masked[1:]
+
+
+class TestPairBranch:
+    """A pair event is held as its recipe (fa, fb, kind, g), and
+    :func:`engine._pair_branch` computes its masked branch once per plan
+    for each distinct recipe and live masks."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(0.0, 0.75), st.floats(0.0, 0.75), st.sampled_from([None, CNot]),
+           st.none() | st.floats(0.0, 1.0), st.integers(0, 3), st.integers(0, 3))
+    def test_matches_the_brute_force_channel(self, fa, fb, kind, g, ma, mb):
+        want = reference_pair_branch(fa, fb, kind, g, ma, mb)
+        f, weights = engine._pair_branch(fa, fb, kind, g, ma, mb)
+        if not want.any():
+            assert (f, weights) == (0.0, None)
+            return
+        assert np.frombuffer(weights) == pytest.approx(want, abs=1e-15)
+        assert f == pytest.approx(min(1.0, want.sum()), abs=1e-15)
+
+    def test_label_permuting_kernels_take_only_their_operands_positions(self):
+        # _pair_branch runs a kind's kernel on the label rows as
+        # function(rows, 0, 1), with no step to read arguments from
+        steps = {Hadamard: Hadamard(3), CNot: CNot(3, 5)}
+        assert {k for k, spec in STEP_KINDS.items() if spec.permutes_labels} == set(steps)
+        for kind, step in steps.items():
+            spec = STEP_KINDS[kind]
+            n = len(spec.operands(step))
+            for q in ((0, 1)[:n], (7, 2)[:n]):
+                assert spec.args(step, q) is q
+
+    @pytest.mark.parametrize("scale", [1.0, 100.0])
+    def test_each_distinct_pair_event_is_computed_once_per_plan(self, monkeypatch, scale):
+        made = []
+        pair_branch = engine._pair_branch
+
+        def spy(*key):
+            made.append(key)
+            return pair_branch(*key)
+
+        monkeypatch.setattr(engine, "_pair_branch", spy)
+        prog = build_basic_program(NoiseParams(global_scale=scale))
+        p = engine.plan(prog)
+        pairs = [op for ops in [p.ops] + [seg.body for seg in p.segments]
+                 for op in ops if op[0] == engine.BRANCH and len(op[2]) == 2]
+        assert (len(made), len(set(made)), len(pairs)) == (27, 27, 686)
+        # a second plan makes its own calls: nothing is kept across calls
+        assert engine.plan(prog) == p
+        assert len(made) == 2 * 27
 
 
 class TestBasicProgram:

@@ -479,24 +479,29 @@ class TestOutcomeTable:
                 event_patterns(width, q1, q1)
 
     def test_row_4a_plus_b_minus_1_is_the_pair_event_outcome_a_b(self):
-        # the planner weights row 4a + b - 1 with _PairEvent.w[4a + b],
-        # the probability of label a on its first qubit and b on its second
+        # the planner weights row 4a + b - 1 with the probability of label
+        # a on the pair's first qubit and b on its second: a recipe that
+        # loads only the first qubit (fb = 0) weights rows 4a - 1 alone,
+        # and one that loads only the second (fa = 0) rows b - 1 alone
         # (both qubits fully live, so nothing is masked)
         pats = event_patterns(2, 0, 1)
         for a in range(4):
             for b in range(4):
                 if a or b:
                     assert int(pats[4 * a + b - 1, 0]) == a | b << 2
-                    planner = engine._Planner([(0,), (1,)], [3, 3])
-                    w = np.zeros(16)
-                    w[4 * a + b] = 1.0
-                    pair = engine._PairEvent((0, 1), w)
-                    planner.pairs[0] = planner.pairs[1] = pair
-                    planner.flush((0,))
-                    sets = {0: qset({"I": 1.0}, (0,)), 1: qset({"I": 1.0}, (1,))}
-                    engine._Execution(TH0).run(planner.ops, sets)
-                    (key, p), = sets[0].map.items()
-                    assert (key.bits, p) == (a | b << 2, 1.0)
+        for loaded, rows in ((0, [3, 7, 11]), (1, [0, 1, 2])):
+            planner = engine._Planner([(0,), (1,)], [3, 3])
+            planner.pending[loaded] = 0.75
+            planner.hold(0, 1, None, None)
+            planner.flush((0,))
+            op = planner.ops[-1]
+            assert op[:4] == (engine.BRANCH, 0, (0, 1), 0.75)
+            assert np.flatnonzero(np.frombuffer(op[4])).tolist() == rows
+            sets = {0: qset({"I": 1.0}, (0,)), 1: qset({"I": 1.0}, (1,))}
+            engine._Execution(TH0).run(planner.ops, sets)
+            # each label on the loaded qubit, the other at I, at 0.25
+            assert {k.bits: p for k, p in sets[0].map.items()} == {
+                label << 2 * loaded: 0.25 for label in range(4)}
 
 
 # Keys on both sides of the 32-qubit word boundary, against dict oracles.
