@@ -29,15 +29,17 @@ event's positions, the analytical engine branches on every row and Monte
 Carlo XORs in one row per faulted sample.
 
 The ``*_kernel`` functions rewrite a packed key array in place: the gate
-conjugations and ``clear_kernel`` here, the code readouts in
+conjugations and ``clear_components_kernel`` here, the code readouts in
 :mod:`~paulitree.qecc`.  They are the only implementation of the
 deterministic steps and are shared by both engines: the analytical
 engine runs them on a map's keys through :meth:`ErrorMap.apply`, the
-Monte Carlo engine on its sampled rows.  ``clear_components_kernel``
-serves the analytical engine alone, which clears the components no
-later readout can see.  A kernel makes a few passes over whole key
-words: the gate kernels move a label bit with one shift and mask into
-one scratch column and XOR it in place.  Only this module touches a
+Monte Carlo engine on its sampled rows.  ``clear_components_kernel`` is
+the one clear: a ``Reset``, the readouts, and the analytical engine's
+clears of the components no later readout can see.  A kernel makes a
+few passes over whole key words: the gate kernels move a label bit with
+one shift and mask into one scratch column and XOR it in place, and
+every clear, parity count and verifier mask reads its per-word masks
+from one cached table (``_word_masks``).  Only this module touches a
 map's arrays.
 
 The tree evolves by four moves, each one code path: events through
@@ -70,6 +72,9 @@ from .pauli import PauliString
 _U64 = np.uint64
 # event pattern arrays kept, per (width, positions)
 _PATTERN_CACHE = 8192
+# word masks kept, per (positions, bits), and the readout decode tables of
+# :mod:`~paulitree.qecc`, per argument tuple
+_TABLE_CACHE = 1024
 
 
 class MergeMode(Enum):
@@ -105,15 +110,16 @@ def _slot(q: int) -> tuple[int, int]:
     return q // 32, 2 * (q % 32)
 
 
-def _clear_mask(nwords: int, positions: Iterable[int], bits: Iterable[int] | None = None
-                ) -> np.ndarray:
-    """Word mask that is 0 at the label bits of every listed position: both
-    bits, or with ``bits`` the X (1), Z (2) or both (3) at each position."""
-    mask = np.full(nwords, ~_U64(0), dtype=_U64)
-    for q, b in zip(positions, bits or itertools.repeat(3)):
-        w, s = _slot(q)
-        mask[w] &= ~(_U64(b) << _U64(s))
-    return mask
+@lru_cache(maxsize=_TABLE_CACHE)
+def _word_masks(positions: tuple, bits: int | tuple = 3) -> tuple:
+    """(word, mask) for each key word holding one of ``positions``: the
+    mask has the label bits ``bits`` (X 1, Z 2, both 3) of each, one value
+    for every position or, as a tuple, one per position."""
+    masks: dict[int, int] = {}
+    for q, b in zip(positions, itertools.repeat(bits) if isinstance(bits, int) else bits):
+        w, s = _slot(int(q))
+        masks[w] = masks.get(w, 0) | int(b) << s
+    return tuple((w, _U64(m)) for w, m in masks.items())
 
 
 def _row_from_int(bits: int, nwords: int) -> np.ndarray:
@@ -411,18 +417,17 @@ def cnot_kernel(keys: np.ndarray, control: int, target: int) -> None:
     col_c ^= moved
 
 
-def clear_kernel(keys: np.ndarray, positions: Iterable[int]) -> None:
-    """Project the given positions to I (measurement/reset bookkeeping)."""
-    keys &= _clear_mask(keys.shape[1], positions)
-
-
 def clear_components_kernel(keys: np.ndarray, positions: Iterable[int],
-                            bits: Iterable[int]) -> None:
+                            bits: int | Iterable[int] = 3) -> None:
     """Clear one or both components at each position: its X bit where
-    ``bits`` has 1, its Z bit where it has 2.  The analytical engine
+    ``bits`` has 1, its Z bit where it has 2, both by default.  ``bits`` is
+    one value for every position or one per position.  Resets and the
+    readouts project positions to I with it, and the analytical engine
     clears the components no later readout can see (see
-    :mod:`~paulitree.engine`)."""
-    keys &= _clear_mask(keys.shape[1], positions, bits)
+    :mod:`~paulitree.engine`).  Only the key words that hold a position
+    are touched."""
+    for w, m in _word_masks(tuple(positions), bits if isinstance(bits, int) else tuple(bits)):
+        keys[:, w] &= ~m
 
 
 def _check_positions(width: int, *qubits: int) -> None:
@@ -482,22 +487,6 @@ class QubitSet:
             )
 
 
-def _shift_rows(keys: np.ndarray, shift_bits: int, nwords_out: int) -> np.ndarray:
-    """Shift packed keys left by shift_bits into a wider word layout."""
-    m, win = keys.shape
-    out = np.zeros((m, nwords_out), dtype=_U64)
-    q, r = divmod(shift_bits, 64)
-    for w in range(win):
-        if w + q < nwords_out:
-            if r:
-                out[:, w + q] |= keys[:, w] << _U64(r)
-            else:
-                out[:, w + q] |= keys[:, w]
-        if r and w + q + 1 < nwords_out:
-            out[:, w + q + 1] |= keys[:, w] >> _U64(64 - r)
-    return out
-
-
 def _collapsed(p: np.ndarray, p_other: np.ndarray, cut: np.ndarray, tie: str,
                order: np.ndarray) -> np.ndarray:
     """Mass each state of one side keeps in a preservation merge, in key
@@ -533,7 +522,6 @@ def merge(a: QubitSet, b: QubitSet, th: Thresholds) -> QubitSet:
     if set(a.members) & set(b.members):
         raise ValueError("cannot merge overlapping QubitSets")
     width = a.map.width + b.map.width
-    nw = _nwords(width)
 
     # by descending probability: only the sorted values matter, not ties
     order_a = np.argsort(-a.map._probs)
@@ -551,8 +539,8 @@ def merge(a: QubitSet, b: QubitSet, th: Thresholds) -> QubitSet:
     ranks = order_b.take(j_idx) * pa.shape[0] + np.repeat(order_a, k)
     ranks.sort()
     rb, ra = np.divmod(ranks, pa.shape[0])
-    ka = _shift_rows(a.map._keys, 0, nw)
-    kb = _shift_rows(b.map._keys, 2 * a.map.width, nw)
+    ka = _gather_positions(a.map._keys, range(a.map.width), width)
+    kb = _gather_positions(b.map._keys, range(b.map.width), width, a.map.width)
     probs = a.map._probs.take(ra) * b.map._probs.take(rb)
     keep = probs > 0.0  # products that underflow
     out = ErrorMap(width)
@@ -571,13 +559,16 @@ def merge(a: QubitSet, b: QubitSet, th: Thresholds) -> QubitSet:
     return QubitSet(a.members + b.members, out)
 
 
-def _gather_positions(keys: np.ndarray, positions: list[int], width_out: int) -> np.ndarray:
-    """Keys reduced to ``positions``: the label at ``positions[j]`` moves
-    to position j of a ``width_out`` key.  Each run of consecutive
-    positions inside one source word and one output word moves with one
-    mask and one shift."""
+def _gather_positions(keys: np.ndarray, positions: Iterable[int], width_out: int,
+                      offset: int = 0) -> np.ndarray:
+    """Keys moved to new positions: the label at ``positions[j]`` moves to
+    position ``offset + j`` of a ``width_out`` key, all others are I.
+    :func:`split` reduces keys to a subset of their positions with it and
+    :func:`merge` places each side's keys in the merged layout.  Each run
+    of consecutive positions inside one source word and one output word
+    moves with one mask and one shift."""
     runs = []  # [first position, first output index, length]
-    for j, q in enumerate(positions):
+    for j, q in enumerate(positions, offset):
         if runs and q == runs[-1][0] + runs[-1][2] and q % 32 and j % 32:
             runs[-1][2] += 1
         else:

@@ -317,7 +317,7 @@ STEP_KINDS: dict[type, StepKind] = {
     Reset: StepKind(
         "reset %s", lambda s: _ids(s.qubits), lambda ids: Reset(_parse_ids(ids)),
         operands=lambda s: s.qubits,
-        kernel=(errormap, "clear_kernel"), args=lambda s, q: (q,),
+        kernel=(errormap, "clear_components_kernel"), args=lambda s, q: (q,),
         live=lambda s, a: (0,) * len(a), zeroes=lambda s: (3,) * len(s.qubits), clears=True),
     VerifyReadout: StepKind(
         "verify %d %s", lambda s: (s.verifier, _ids(s.block)),

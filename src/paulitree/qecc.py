@@ -21,7 +21,10 @@ a row at a time: a parity check is a popcount (``np.bitwise_count``,
 numpy 2.0 or later) of each word under the check's mask, a decode is one
 lookup per word in a cached table (8 entries for a syndrome, 512 for the
 majority of three stored syndromes), and ``correctable`` counts a
-block's errored qubits with one popcount per word.
+block's errored qubits with one popcount per word.  The word masks come
+from the one table of :mod:`~paulitree.errormap` (``_word_masks``), and
+every readout clears its positions with
+:func:`~paulitree.errormap.clear_components_kernel`.
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errormap import ErrorMap, _shift_into, _slot, clear_components_kernel, clear_kernel
+from .errormap import (_TABLE_CACHE, ErrorMap, _shift_into, _slot, _word_masks,
+                       clear_components_kernel)
 from .pauli import Pauli
 
 _U64 = np.uint64
@@ -110,20 +114,6 @@ def count_nonfailing_states(code, max_weight: int | None = None) -> int:
 # Like the gate kernels these rewrite a (rows, words) packed key array in
 # place; block and qubit arguments are key positions.
 
-# word masks and decode tables kept, per argument tuple
-_TABLE_CACHE = 1024
-
-
-@lru_cache(maxsize=_TABLE_CACHE)
-def _word_masks(positions: tuple, bits: int) -> tuple:
-    """(word, mask) for each key word holding one of ``positions``: the
-    mask has the label bits ``bits`` (X 1, Z 2, both 3) of each."""
-    masks: dict[int, int] = {}
-    for q in positions:
-        w, s = _slot(q)
-        masks[w] = masks.get(w, 0) | bits << s
-    return tuple((w, _U64(m)) for w, m in masks.items())
-
 
 def _majority_decode() -> np.ndarray:
     """Decoded position + 1 (0: none) of each 9-bit index holding three
@@ -196,7 +186,7 @@ def verify_kernel(keys: np.ndarray, block, verifier: int) -> None:
     undetected = ((keys[:, w] >> _U64(s)) & _U64(1)) - _U64(1)
     for w, m in _word_masks(tuple(block), 3):
         keys[:, w] &= undetected | ~m
-    clear_kernel(keys, [verifier])
+    clear_components_kernel(keys, (verifier,))
 
 
 def syndrome_kernel(keys: np.ndarray, block) -> None:
@@ -208,7 +198,7 @@ def syndrome_kernel(keys: np.ndarray, block) -> None:
     left at I in every row.
     """
     checks = _parity_checks(keys, block)
-    clear_kernel(keys, block)
+    clear_components_kernel(keys, block)
     for q, check in zip(block, checks):
         w, s = _slot(q)
         keys[:, w] |= np.left_shift(check, _U64(s), dtype=_U64)
@@ -235,7 +225,7 @@ def coset_reduce_kernel(keys: np.ndarray, block, basis: str) -> None:
     s0, s1, s2 = _parity_checks(keys, block, shift)
     # the syndrome 4 s0 + 2 s1 + s2 names the errored position plus one
     value = (s0 << 2 | s1 << 1 | s2).astype(np.intp)
-    clear_components_kernel(keys, block, (1 << shift,) * 7)
+    clear_components_kernel(keys, block, 1 << shift)
     for w, table in _label_tables(block, 1 << shift, "syndrome"):
         keys[:, w] |= table.take(value)
 
@@ -261,7 +251,7 @@ def correct_kernel(keys: np.ndarray, data, ancilla_blocks, phase: str) -> None:
     flip = np.empty(index.shape[0], dtype=_U64)
     for w, table in _label_tables(tuple(data), label, "majority"):
         keys[:, w] ^= table.take(index, out=flip, mode="clip")
-    clear_kernel(keys, [q for b in ancilla_blocks for q in b])
+    clear_components_kernel(keys, [q for b in ancilla_blocks for q in b])
 
 
 def correctable(keys: np.ndarray, blocks) -> np.ndarray:

@@ -11,13 +11,12 @@ from paulitree.errormap import (
     _aggregate,
     _int_from_row,
     _row_from_int,
-    _shift_rows,
     _slot,
     _sort_view,
     MergeMode,
     QubitSet,
     Thresholds,
-    clear_kernel,
+    clear_components_kernel,
     cnot_kernel,
     hadamard_kernel,
     event_patterns,
@@ -597,7 +596,7 @@ def test_operations_on_a_copy_leave_the_source_map_unchanged(width, data):
     keys, probs = m._keys.copy(), m._probs.copy()
     c = m.copy()
     q = min(31, width - 1)
-    c.apply((hadamard_kernel, q), (clear_kernel, [0]))
+    c.apply((hadamard_kernel, q), (clear_components_kernel, [0]))
     c.event_kernel(event_patterns(width, q), 0.75, 0.0)
     assert (m._keys == keys).all() and (m._probs == probs).all()
 
@@ -632,7 +631,7 @@ def test_every_operation_leaves_the_keys_sorted_and_unique(width, data):
     # a run of kernels that maps keys onto each other: the readouts clear
     # the block and the verifier, so many keys collide
     q = min(31, width - 1)
-    calls = [(hadamard_kernel, q), (clear_kernel, [q])]
+    calls = [(hadamard_kernel, q), (clear_components_kernel, [q])]
     if width >= 8:
         block = list(range(width - 8, width - 1))
         calls += [(verify_kernel, block, width - 1), (syndrome_kernel, block)]
@@ -843,6 +842,22 @@ def test_pruning_monotonicity():
     assert counts == sorted(counts)
 
 
+def shift_rows(keys, shift_bits, nwords_out):
+    """Packed keys shifted left by ``shift_bits`` into a wider word layout."""
+    m, win = keys.shape
+    out = np.zeros((m, nwords_out), dtype=np.uint64)
+    q, r = divmod(shift_bits, 64)
+    for w in range(win):
+        if w + q < nwords_out:
+            if r:
+                out[:, w + q] |= keys[:, w] << np.uint64(r)
+            else:
+                out[:, w + q] |= keys[:, w]
+        if r and w + q + 1 < nwords_out:
+            out[:, w + q + 1] |= keys[:, w] >> np.uint64(64 - r)
+    return out
+
+
 def reference_merge(a, b, th):
     """merge as one aggregation over [pairs, preserved a-states, preserved
     b-states], the pairs emitted in probability order after stable
@@ -851,10 +866,10 @@ def reference_merge(a, b, th):
     nw = (width + 31) // 32
     order_a = np.argsort(-a.map._probs, kind="stable")
     pa = a.map._probs[order_a]
-    ka = _shift_rows(a.map._keys[order_a], 0, nw)
+    ka = shift_rows(a.map._keys[order_a], 0, nw)
     order_b = np.argsort(-b.map._probs, kind="stable")
     pb = b.map._probs[order_b]
-    kb = _shift_rows(b.map._keys[order_b], 2 * a.map.width, nw)
+    kb = shift_rows(b.map._keys[order_b], 2 * a.map.width, nw)
     k = pb.shape[0] - np.searchsorted(pb[::-1], th.merge / pa, side="left")
     i_idx = np.repeat(np.arange(pa.shape[0]), k)
     j_idx = np.arange(i_idx.shape[0]) - np.repeat(np.cumsum(k) - k, k)
@@ -1082,3 +1097,40 @@ def test_hadamard_kernel_matches_the_per_position_one(case):
 def test_cnot_kernel_matches_the_per_position_one(case):
     (control, target), keys = case
     assert_kernel_matches(cnot_kernel, reference_cnot, keys, control, target)
+
+
+def reference_clear(keys, positions, bits=3):
+    for q, b in zip(positions, [bits] * len(positions) if isinstance(bits, int) else bits):
+        w, s = _slot(q)
+        keys[:, w] &= ~(np.uint64(b) << np.uint64(s))
+
+
+def assert_clear_matches(keys, positions, *bits):
+    """The clear matches the reference, and leaves every key word that
+    holds none of the positions as it was."""
+    assert_kernel_matches(clear_components_kernel, reference_clear, keys, positions, *bits)
+    cleared = keys.copy()
+    clear_components_kernel(cleared, positions, *bits)
+    other = sorted(set(range(keys.shape[1])) - {q // 32 for q in positions})
+    assert np.array_equal(cleared[:, other], keys[:, other])
+
+
+@settings(deadline=None, max_examples=200)
+@given(data=st.data(), n=st.integers(1, 8), form=st.sampled_from(("default", "one", "each")))
+def test_clear_components_kernel_matches_the_per_position_one(data, n, form):
+    positions, keys = data.draw(kernel_case(n))
+    bits = {"default": (), "one": (data.draw(st.integers(0, 3)),),
+            "each": (data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)),)}[form]
+    assert_clear_matches(keys, positions, *bits)
+
+
+@pytest.mark.parametrize("width, positions", [
+    (33, (31, 32)), (64, (31, 32, 63)), (65, (63, 64)), (65, (0, 31)), (65, (32, 33)),
+    (65, (64,)), (96, (31, 32, 63, 64))])
+@pytest.mark.parametrize("form", ["default", "one", "each"])
+def test_clear_components_kernel_at_the_word_boundaries(width, positions, form):
+    nw = (width + 31) // 32
+    keys = np.random.default_rng(width).integers(0, 2 ** 64, (9, nw), dtype=np.uint64)
+    keys[:, -1] &= np.uint64((1 << 2 * (width - 32 * (nw - 1))) - 1)
+    bits = {"default": (), "one": (2,), "each": ([(1 + i) % 4 for i in range(len(positions))],)}
+    assert_clear_matches(keys, list(positions), *bits[form])

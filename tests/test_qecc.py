@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from paulitree.errormap import ErrorMap, _clear_mask, _slot, cnot_kernel
+from paulitree.errormap import ErrorMap, _slot, cnot_kernel
 from paulitree.noise import NoiseParams
 from paulitree.pauli import Pauli, PauliString
 from paulitree.program import (
@@ -185,7 +185,7 @@ class TestSyndromeKernel:
         block = [int(q) for q in rng.choice(32 * nwords, 7, replace=False)]
         before = keys.copy()
         syndrome_kernel(keys, block)
-        outside = _clear_mask(nwords, block)
+        outside = clear_mask(nwords, block)
         assert np.array_equal(keys & outside, before & outside)
         for q in block[3:]:
             w, s = _slot(q)
@@ -299,6 +299,15 @@ class TestObservables:
 # positions and layouts of ``kernel_case`` (see tests/test_errormap.py).
 
 
+def clear_mask(nwords, positions):
+    """Word mask that is 0 at both label bits of every listed position."""
+    mask = np.full(nwords, ~np.uint64(0), dtype=np.uint64)
+    for q in positions:
+        w, s = _slot(q)
+        mask[w] &= ~(np.uint64(3) << np.uint64(s))
+    return mask
+
+
 def reference_bits(keys, q, shift=0):
     w, s = _slot(q)
     return (keys[:, w] >> np.uint64(s + shift)) & np.uint64(1)
@@ -315,13 +324,13 @@ def reference_checks(keys, block, shift=0):
 def reference_verify(keys, block, verifier):
     detected = reference_bits(keys, verifier) != 0
     if detected.any():
-        keys[detected] &= _clear_mask(keys.shape[1], block)
-    keys &= _clear_mask(keys.shape[1], [verifier])
+        keys[detected] &= clear_mask(keys.shape[1], block)
+    keys &= clear_mask(keys.shape[1], [verifier])
 
 
 def reference_syndrome(keys, block):
     syndrome = reference_checks(keys, block)
-    keys &= _clear_mask(keys.shape[1], block)
+    keys &= clear_mask(keys.shape[1], block)
     for r in range(3):
         w, s = _slot(block[r])
         keys[:, w] |= syndrome[r] << np.uint64(s)
@@ -356,7 +365,7 @@ def reference_correct(keys, data, ancilla_blocks, phase):
         if hit.any():
             w, s = _slot(data[pos])
             keys[hit, w] ^= np.uint64(label) << np.uint64(s)
-    keys &= _clear_mask(keys.shape[1], [q for b in ancilla_blocks for q in b])
+    keys &= clear_mask(keys.shape[1], [q for b in ancilla_blocks for q in b])
 
 
 def reference_correctable(keys, blocks):
