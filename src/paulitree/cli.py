@@ -178,7 +178,7 @@ def _write_rows(rows: list[dict], args) -> None:
         sys.stdout.write(text)
 
 
-def _positive_floats(text: str) -> list[float]:
+def _floats(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok]
 
 
@@ -272,9 +272,12 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=["csv", "json"], default="csv")
 
 
+_EXACT = "; 0 is exact and may not finish on the basic program"
+
+
 def _add_single_thresholds(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--event-th", type=float, default=0.0)
-    p.add_argument("--merge-th", type=float, default=0.0)
+    p.add_argument("--event-th", type=float, default=0.0, help="event branch threshold" + _EXACT)
+    p.add_argument("--merge-th", type=float, default=0.0, help="merge threshold" + _EXACT)
     p.add_argument("--merge-mode", choices=["preservation", "lossy"],
                    default="preservation")
 
@@ -302,12 +305,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="analytical threshold grid sweep")
     _add_common(p_sweep)
-    p_sweep.add_argument("--event-th", type=_positive_floats,
+    p_sweep.add_argument("--event-th", type=_floats,
                          default=[1e-5, 1e-6, 1e-7],
-                         help="comma-separated event branch thresholds")
-    p_sweep.add_argument("--merge-th", type=_positive_floats,
+                         help="comma-separated event branch thresholds" + _EXACT)
+    p_sweep.add_argument("--merge-th", type=_floats,
                          default=[1e-10, 1e-12, 1e-14, 1e-16],
-                         help="comma-separated merge thresholds")
+                         help="comma-separated merge thresholds" + _EXACT)
     p_sweep.add_argument("--merge-mode", type=lambda s: s.split(","),
                          default=["preservation", "lossy"],
                          help="comma-separated merge modes")

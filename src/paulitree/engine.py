@@ -91,21 +91,22 @@ on the basic program the lumping cuts the peak entries by 30% at 1x and
 clears are operations of the plan, so a closed segment's key (below)
 holds them.
 
-A ``Reset`` that clears a whole set leaves its map at exactly
-{I: 1.0}, and the map's old total moves into a run-level factor that
-multiplies the retained and the surviving mass, one total at a time in
-step order.  The set is then *closed*, and so is every set later split
+A kernel step whose kind zeroes both components of every operand (a
+``Reset``) on a set that holds just its operands leaves its map at
+exactly {I: 1.0}, and the map's old total moves into a run-level factor
+that multiplies the retained and the surviving mass, one total at a time
+in step order.  The set is then *closed*, and so is every set later split
 off it, until the first operation on a set that is not closed.  The
 operations on closed sets up to there make a *closed segment*, a
 contiguous run of the plan; a full-set reset of another set while it is
 open (such as the verifier's) closes that set too, as one of its inputs.
 Its result depends only on its operations in local key positions and on
 the thresholds, so the plan keys each segment on them (:class:`Segment`),
-and :func:`execute` computes each key once per call: every later segment
-with that key installs copies of the cached maps under its own set IDs
-and adds the cached peak entries, ``event_kernel`` calls and reset
-totals.  On the basic program 22 of the 24 ancilla preparations are
-replayed.
+and :func:`execute` computes each key once per call and caches the
+result: every segment with that key, the first too, installs copies of
+the cached maps under its own set IDs and adds the cached peak entries,
+``event_kernel`` calls and reset totals.  On the basic program 22 of the
+24 ancilla preparations are replayed.
 
 At threshold 0 the deferral, the masks, the clears and the replay are
 exact.  With thresholds set, order matters.  Fusing a qubit's run of
@@ -347,7 +348,6 @@ class _Planner:
         self.pairs: dict[int, tuple] = {}
         self.branches: dict[tuple, tuple] = {}  # recipe + masks -> _pair_branch's result
         self.draft: _Draft | None = None  # the open closed segment
-        self.shapes: dict[tuple, tuple] = {}  # equal segments share one body
 
     # -- emission and closed segments ----------------------------------
 
@@ -398,12 +398,12 @@ class _Planner:
             else:
                 op = (op[0], local[op[1]]) + op[2:]
             body.append(op)
-        shape = (tuple(width for _, width in draft.inputs), tuple(body))
-        shape = self.shapes.setdefault(shape, shape)
+        body = tuple(body)
+        widths = tuple(width for _, width in draft.inputs)
         members = self.part.members
         # the sets it merged away are gone from the partition
         outputs = tuple((i, members[sid]) for sid, i in local.items() if sid in members)
-        self.ops.append((SEGMENT, Segment(_segment_key(*shape), shape[1], tuple(local),
+        self.ops.append((SEGMENT, Segment(_segment_key(widths, body), body, tuple(local),
                                           len(draft.inputs), outputs)))
 
     # -- set placement ---------------------------------------------------
@@ -489,11 +489,11 @@ class _Planner:
         here: a one-qubit event once a pair event held on the qubit is
         applied, and a two-qubit event into the pair event held on its
         qubits, or a new one, which it then applies where it stands
-        (held longer, it prunes more; see the module docstring).  What a
-        kernel step reads of its kind is read once per step object."""
+        (held longer, it prunes more; see the module docstring).  A kernel
+        step that zeroes both components of every operand, on a set that
+        holds just its operands, resets that set whole."""
         part, live, afters = self.part, self.live, iter(afters)
         pending, pairs = self.pending, self.pairs
-        kernel_steps: dict[int, tuple] = {}  # id(step) -> (releases, zeroes per operand)
         for spec, step, qubits in steps:
             if spec.kernel is None:
                 if len(qubits) == 2:
@@ -514,12 +514,8 @@ class _Planner:
                 # depolarizing channels compose exactly: 1 - 4f/3 multiplies
                 pending[q] = g if f is None else g + f - 4 * g * f / 3
                 continue
-            read = kernel_steps.get(id(step))
-            if read is None:
-                zeroes = spec.zeroes(step)
-                read = kernel_steps[id(step)] = (
-                    spec.releases(step), zeroes + (0,) * (len(qubits) - len(zeroes)))
-            releases, zeroes = read
+            zeroes = spec.zeroes(step)
+            zeroes += (0,) * (len(qubits) - len(zeroes))
             if spec.permutes_labels and len(qubits) == 2:
                 # the step's kind conjugates alike wherever its operands stand
                 self.hold(*qubits, type(step), None)
@@ -533,7 +529,7 @@ class _Planner:
             after = next(afters)
             for q, m in zip(qubits, after):
                 live[q] = m
-            if spec.clears and len(part.members[sid]) == len(qubits):
+            if min(zeroes) == 3 and len(part.members[sid]) == len(qubits):
                 self.reset(sid)
             else:
                 calls = ((spec.kernel, spec.args(step, tuple(locals_))),)
@@ -546,7 +542,7 @@ class _Planner:
                         calls += (((errormap, "clear_components_kernel"),
                                    tuple(zip(*dead))),)
                 self.emit((APPLY, sid, calls), sid)
-            for group in releases:
+            for group in spec.releases(step):
                 self.release(group)
         for block in prog.crash_blocks:
             self.flush(block)
@@ -616,26 +612,22 @@ class _Execution:
                 self.segment(op[1], sets)
 
     def segment(self, seg: Segment, sets: dict[int, QubitSet]) -> None:
-        """Compute a closed segment, or install the result of an earlier
-        one with the same key."""
+        """Install a closed segment's result, computed on first use of its
+        key in a child run: every use, the first too, installs copies of
+        the cached output maps under its own set IDs."""
         local = {i: sets.pop(sid) for i, sid in enumerate(seg.sids[:seg.inputs])}
         cached = self.cache.get(seg.key)
         if cached is None:
-            peak, calls, start = self.peak, self.calls, len(self.totals)
-            self.peak = 0
-            self.run(seg.body, local)
+            child = _Execution(self.th)
+            child.run(seg.body, local)
             cached = self.cache[seg.key] = (
-                self.peak, self.calls - calls, self.totals[start:],
-                [local[i].map.copy() for i, _ in seg.outputs])
-            self.peak = max(peak, self.peak)
-            for i, _ in seg.outputs:
-                sets[seg.sids[i]] = local[i]
-            return
+                child.peak, child.calls, child.totals, [local[i].map for i, _ in seg.outputs])
+        else:
+            self.replayed += 1
         peak, calls, totals, maps = cached
         self.peak = max(self.peak, peak)
         self.calls += calls
         self.totals += totals
-        self.replayed += 1
         for (i, members), m in zip(seg.outputs, maps):
             sets[seg.sids[i]] = QubitSet(members, m.copy())
 

@@ -270,9 +270,9 @@ class StepKind:
     as for ``live``) its kernel leaves at I in every key; a shorter
     tuple, none on the rest.  A released operand is zeroed whole.  The
     analytical engine clears only the dead components a kernel may
-    leave set.  ``clears`` marks a kind that resets its operands to I:
-    the analytical engine gives a set it clears whole a fresh map (see
-    :mod:`~paulitree.engine`).
+    leave set, and a step that zeroes both components (3) of every
+    operand, on a set that holds just its operands, gives that set a
+    fresh map (see :mod:`~paulitree.engine`).
     """
 
     text: str
@@ -285,7 +285,6 @@ class StepKind:
     live: Callable[[Any, tuple[int, ...]], tuple[int, ...]] | None = None
     permutes_labels: bool = False
     zeroes: Callable[[Any], tuple[int, ...]] = _none
-    clears: bool = False
 
     @property
     def function(self) -> Callable[..., None]:
@@ -318,7 +317,7 @@ STEP_KINDS: dict[type, StepKind] = {
         "reset %s", lambda s: _ids(s.qubits), lambda ids: Reset(_parse_ids(ids)),
         operands=lambda s: s.qubits,
         kernel=(errormap, "clear_components_kernel"), args=lambda s, q: (q,),
-        live=lambda s, a: (0,) * len(a), zeroes=lambda s: (3,) * len(s.qubits), clears=True),
+        live=lambda s, a: (0,) * len(a), zeroes=lambda s: (3,) * len(s.qubits)),
     VerifyReadout: StepKind(
         "verify %d %s", lambda s: (s.verifier, _ids(s.block)),
         lambda v, ids: VerifyReadout(_parse_ids(ids), int(v)),

@@ -452,6 +452,35 @@ class TestKernelRuns:
         assert any("clear_components_kernel" in run for run in names)
 
 
+class TestResets:
+    """A kernel step whose kind zeroes every operand whole, on a set that
+    holds just its operands, becomes a RESET."""
+
+    def test_every_basic_reset_clears_a_whole_set(self):
+        prog = build_basic_program(NoiseParams())
+        p = engine.plan(prog)
+        runs = [p.ops] + [seg.body for seg in p.segments]
+        resets = [sum(op[0] == engine.RESET for op in ops) for ops in runs]
+        assert sum(isinstance(step, Reset) for step in prog.steps) == 96
+        # each ancilla preparation's segment starts with the resets of its
+        # block and of its verifier, and holds the verifier's two later ones
+        assert (resets[0], sum(resets[1:])) == (48, 48)
+        # no Reset stays an APPLY: its clear takes the positions alone, a
+        # clear of dead components takes (positions, bits)
+        assert not any(name == "clear_components_kernel" and len(args) == 1
+                       for ops in runs for op in ops if op[0] == engine.APPLY
+                       for (_, name), args in op[2])
+
+    def test_a_reset_of_part_of_a_set_applies_the_clear_kernel(self):
+        prog = toy([OneQubitEvent(0, 0.375), CNot(0, 2), Reset((0, 1)),
+                    OneQubitEvent(1, 0.1875)], num_qubits=3, blocks=((0, 1, 2),))
+        p = engine.plan(prog)
+        assert not any(op[0] in (engine.RESET, engine.SEGMENT) for op in p.ops)
+        calls = [call for op in p.ops if op[0] == engine.APPLY for call in op[2]]
+        assert calls[-1] == ((errormap, "clear_components_kernel"), ((0, 1),))
+        assert_matches_oracle(prog, run_analytical(prog, TH0))
+
+
 class TestCarriedEvents:
     """Pending events carried through Hadamards and CNOTs.  A pair event
     is held from its CNOT to the next step that names a member, which
@@ -859,6 +888,31 @@ class TestClosedSegments:
         segs = engine.plan(build(NoiseParams())).segments
         assert len(segs) == segments
         assert len({seg.key for seg in segs}) == 2
+
+    @pytest.mark.parametrize("misses", [False, True], ids=["cached", "computed"])
+    def test_installed_outputs_share_no_array(self, monkeypatch, misses):
+        # each segment's output maps, computed or replayed, are copies:
+        # neither the cached maps nor views of another set's arrays
+        installed = []
+        segment = engine._Execution.segment
+
+        def spy(self, seg, sets):
+            segment(self, seg, sets)
+            cached = [m for _, _, _, maps in self.cache.values() for m in maps]
+            outputs = [sets[seg.sids[i]].map for i, _ in seg.outputs]
+            installed.append(len(outputs))
+            for m in outputs:
+                assert not any(m is c for c in cached)
+                others = [qs.map for qs in sets.values() if qs.map is not m] + cached
+                assert not any(np.shares_memory(m._keys, o._keys)
+                               or np.shares_memory(m._probs, o._probs) for o in others)
+
+        monkeypatch.setattr(engine._Execution, "segment", spy)
+        if misses:
+            every_segment_misses(monkeypatch)
+        rep = run_analytical(build_basic_program(NoiseParams()), Thresholds(1e-4, 1e-8))
+        assert len(installed) == 24 and all(installed)
+        assert rep.segments_replayed == (0 if misses else 22)
 
     def test_no_state_is_kept_across_calls(self, monkeypatch):
         calls = spy_event_kernel(monkeypatch)
