@@ -20,8 +20,12 @@ error map, and ``segments_replayed``, the number of closed segments
 (ancilla preparations) it installed from an earlier identical one
 instead of computing them (both blank on a Monte Carlo row).  A Monte
 Carlo row also gives its Wilson score 95% interval, ``mc_faulted_rows``,
-the samples its kernels ran on (those an event hit), and the number of
+the samples its kernels ran on (those a *live* event hit: an event on
+qubits with no live component is not drawn, though it keeps its stream
+positions, so the tally is that of drawing it), and the number of
 threads its samples are split across, which does not change its tally.
+``run`` and ``compare`` default to thresholds (1e-6, 1e-12); 0 is
+exact and may not finish on the basic program.
 ``sweep --jobs`` runs the grid points in that many worker processes,
 each handed the program once.
 When ``--output`` is a bare file name it is placed under
@@ -276,8 +280,11 @@ _EXACT = "; 0 is exact and may not finish on the basic program"
 
 
 def _add_single_thresholds(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--event-th", type=float, default=0.0, help="event branch threshold" + _EXACT)
-    p.add_argument("--merge-th", type=float, default=0.0, help="merge threshold" + _EXACT)
+    # the defaults are perfbench's basic-1x point
+    p.add_argument("--event-th", type=float, default=1e-6,
+                   help="event branch threshold (default %(default)s)" + _EXACT)
+    p.add_argument("--merge-th", type=float, default=1e-12,
+                   help="merge threshold (default %(default)s)" + _EXACT)
     p.add_argument("--merge-mode", choices=["preservation", "lossy"],
                    default="preservation")
 

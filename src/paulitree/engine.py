@@ -59,9 +59,10 @@ dropped: an event conserves mass and nothing live is left on them.
 
 The plan reads :func:`~paulitree.program.checked_steps` once, to the
 end, before anything else: the run's one check of the program, which
-checks each distinct step object once.  A backward *liveness* pass then
-runs over its kernel steps on global qubits, and the walk reads the
-same (kind, step, operands) tuples.  A qubit's X or Z
+checks each distinct step object once.  The backward *liveness* pass,
+:func:`~paulitree.program.liveness`, then runs over its kernel steps on
+global qubits, and the walk reads the same (kind, step, operands)
+tuples.  A qubit's X or Z
 component is live at a point if some later readout or the crash
 observable can read it.  Both components of every crash-block qubit are
 live at the end, and each kernel step's ``live`` rule in
@@ -135,7 +136,7 @@ import numpy as np
 from . import errormap, qecc
 from .pauli import Pauli, PauliString
 from .errormap import ErrorMap, MergeMode, QubitSet, Thresholds, event_patterns, merge, split
-from .program import STEP_KINDS, Program, checked_steps, initial_labels
+from .program import STEP_KINDS, Program, checked_steps, initial_labels, liveness
 
 
 class Partition:
@@ -273,27 +274,6 @@ _MASKED = {(ma, mb): (_LABELS >> 2 & ma) << 2 | _LABELS & 3 & mb
            for ma in range(4) for mb in range(4)}
 
 
-def _liveness(prog: Program, steps: Sequence[tuple]) -> tuple[list[int], list[tuple]]:
-    """The backward liveness pass over the kernel steps of ``steps``, the
-    (kind, step, operands) of ``prog`` read from
-    :func:`~paulitree.program.checked_steps`: the live mask of every
-    qubit at the start, and for each kernel step, in program order, its
-    operands' masks after it.  Both components of every crash-block qubit
-    are live at the end."""
-    live = [0] * prog.num_qubits
-    for block in prog.crash_blocks:
-        for q in block:
-            live[q] = 3
-    afters, get = [], live.__getitem__
-    for spec, step, qubits in reversed([t for t in steps if t[0].kernel is not None]):
-        after = tuple(map(get, qubits))
-        afters.append(after)
-        for q, m in zip(qubits, spec.live(step, after)):
-            live[q] = m
-    afters.reverse()
-    return live, afters
-
-
 def _pair_branch(fa: float, fb: float, kind: type | None, g: float | None,
                  ma: int, mb: int) -> tuple[float, bytes | None]:
     """The branch probability and weights (see the plan operations) of
@@ -336,8 +316,8 @@ class _Draft:
 class _Planner:
     """Builds a :class:`Plan`: set placement, event deferral and closed
     segments, with no error map.  ``live`` holds each qubit's live mask
-    (see :func:`_liveness`) where the walk stands, which masks the events
-    it flushes."""
+    (see :func:`~paulitree.program.liveness`) where the walk stands,
+    which masks the events it flushes."""
 
     def __init__(self, groups: Iterable[Iterable[int]], live: list[int]):
         self.part = Partition(groups)
@@ -484,10 +464,10 @@ class _Planner:
     def walk(self, prog: Program, steps: Iterable[tuple], afters: Iterable[tuple]) -> Plan:
         """Plan ``steps``, the checked (kind, step, operands) of ``prog`` in
         order, then its crash blocks; ``afters`` gives each kernel step's
-        operand masks after it (see :func:`_liveness`).  An event
-        composes into its qubit's lone event, or its pair's held event,
-        here: a one-qubit event once a pair event held on the qubit is
-        applied, and a two-qubit event into the pair event held on its
+        operand masks after it (see :func:`~paulitree.program.liveness`).
+        An event composes into its qubit's lone event, or its pair's held
+        event, here: a one-qubit event once a pair event held on the qubit
+        is applied, and a two-qubit event into the pair event held on its
         qubits, or a new one, which it then applies where it stands
         (held longer, it prunes more; see the module docstring).  A kernel
         step that zeroes both components of every operand, on a set that
@@ -566,7 +546,7 @@ def plan(prog: Program) -> Plan:
     :class:`~paulitree.program.ProgramError`, an event with a probability
     outside [0, 1] ValueError, the error of the first faulty step."""
     steps = list(checked_steps(prog))
-    live, afters = _liveness(prog, steps)
+    live, afters = liveness(prog, steps)
     return _Planner(prog.initial_partition, live).walk(prog, steps, afters)
 
 

@@ -19,16 +19,16 @@ to the operations themselves.
 
 Every step kind has one entry in :data:`STEP_KINDS`: its text form, its
 qubits, the qubit groups it releases, and for a deterministic kind the
-key-array kernel both engines apply and the liveness rule the
-analytical engine reads.  A kind with no kernel is an error
-event, which both engines branch or sample on the outcome table
-:func:`~paulitree.errormap.event_patterns` of its qubits.  Each engine
-checks a program once per call, before it runs a step, through one read
-of :func:`checked_steps`, which checks each distinct step object once:
-the error of the first faulty step in program order.  Neither branches
-on the kind; all they need is read from the table.  The program holds
-no QubitSet structure: the analytical engine merges a step's sets and
-releases its groups itself.
+key-array kernel both engines apply and the liveness rule that
+:func:`liveness` runs backward over a program for both engines.  A kind
+with no kernel is an error event, which both engines branch or sample
+on the outcome table :func:`~paulitree.errormap.event_patterns` of its
+qubits.  Each engine checks a program once per call, before it runs a
+step, through one read of :func:`checked_steps`, which checks each
+distinct step object once: the error of the first faulty step in
+program order.  Neither branches on the kind; all they need is read
+from the table.  The program holds no QubitSet structure: the
+analytical engine merges a step's sets and releases its groups itself.
 
 Steps are frozen, so a program holds one object per distinct step: the
 basic program's 28,166 steps are 564 objects.  :meth:`Schedule.emit`
@@ -258,8 +258,11 @@ class StepKind:
     component, 2 for its Z, 3 for both), the masks before it.  A bit is
     live if some later readout or the crash observable can read it; the
     kernel's output on live-after bits must depend on live-before bits
-    only.  The analytical engine runs these rules backward over the
-    program (see :mod:`~paulitree.engine`).
+    only.  :func:`liveness` runs these rules backward over the program:
+    the analytical engine masks events and clears components with the
+    masks (see :mod:`~paulitree.engine`), and the Monte Carlo engine
+    skips the draws of events on qubits with nothing live (see
+    :mod:`~paulitree.montecarlo`).
     ``permutes_labels`` marks a Clifford gate whose kernel, given only the
     operands' positions, maps each Pauli label of its operands to one
     Pauli label: the analytical engine carries deferred one-qubit events
@@ -422,6 +425,29 @@ def checked_steps(prog: Program) -> Iterator[tuple[StepKind, Step, tuple[int, ..
                 errormap.check_event_probability(step.f)
             checked = seen[id(step)] = (kind, step, qubits)
         yield checked
+
+
+def liveness(prog: Program, steps: Sequence[tuple]) -> tuple[list[int], list[tuple]]:
+    """The backward liveness pass over the kernel steps of ``steps``, the
+    (kind, step, operands) of ``prog`` read from :func:`checked_steps`:
+    the live mask of every qubit at the start, and for each kernel step,
+    in program order, its operands' masks after it, by the ``live`` rules
+    of :data:`STEP_KINDS`.  Both components of every crash-block qubit
+    are live at the end.  Walked forward, setting each kernel step's
+    operands to their masks after it, the list holds at every point the
+    mask of each qubit there; an event acts there on those masks."""
+    live = [0] * prog.num_qubits
+    for block in prog.crash_blocks:
+        for q in block:
+            live[q] = 3
+    afters, get = [], live.__getitem__
+    for spec, step, qubits in reversed([t for t in steps if t[0].kernel is not None]):
+        after = tuple(map(get, qubits))
+        afters.append(after)
+        for q, m in zip(qubits, spec.live(step, after)):
+            live[q] = m
+    afters.reverse()
+    return live, afters
 
 
 def initial_labels(prog: Program, initial_errors: dict | None) -> dict[int, Pauli]:

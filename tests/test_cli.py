@@ -90,6 +90,18 @@ class TestRun:
         # at 100x noise a few hundred iterations see crashes
         assert float(row["crash"]) > 0.0
 
+    def test_bare_run_is_the_basic_1x_point(self, capsys):
+        # exact thresholds (0) would not finish on the basic program
+        code, out, _ = run_cli(capsys, "run")
+        assert code == 0
+        (row,) = parse_csv(out)
+        assert row["engine"] == "analytical" and row["error"] == ""
+        assert (row["event_threshold"], row["merge_threshold"]) == ("1e-06", "1e-12")
+        assert 3.8e-5 < float(row["crash"]) < 4.0e-5
+        for command in ("run", "compare"):
+            args = build_parser().parse_args([command])
+            assert (args.event_th, args.merge_th) == (1e-6, 1e-12)
+
     def test_json_mirrors_csv_fields(self, capsys):
         code, out, _ = run_cli(capsys, "run", "--format", "json", *FAST)
         assert code == 0

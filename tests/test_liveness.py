@@ -32,6 +32,7 @@ from paulitree.program import (
     build_basic_program,
     build_recovery,
     checked_steps,
+    liveness,
 )
 
 BLOCK = tuple(range(7))
@@ -176,7 +177,7 @@ def _enumerated_crash(prog, labels):
 def _events_on_dead_components(prog):
     """How many events act on a qubit with a component that the liveness
     pass calls dead where the event stands."""
-    live, afters = engine._liveness(prog, list(checked_steps(prog)))
+    live, afters = liveness(prog, list(checked_steps(prog)))
     afters, count = iter(afters), 0
     for step in prog.steps:
         qubits = STEP_KINDS[type(step)].operands(step)

@@ -5,6 +5,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paulitree import errormap, montecarlo, qecc
 from paulitree.engine import run_analytical
@@ -27,6 +29,7 @@ from paulitree.program import (
     ProgramError,
     Reset,
     TwoQubitEvent,
+    VerifyReadout,
     build_basic_program,
     checked_steps,
     initial_labels,
@@ -304,7 +307,37 @@ def _random_events(count, num_qubits, seed, rates=(1e-3, 0.05)):
 
 
 FOUR = dict(num_qubits=4, blocks=((0, 1), (2, 3)))
+# the blocks of FOUR and two qubits in none, which only a reset or a
+# readout leaves clean
+SIX = dict(num_qubits=6, blocks=((0, 1), (2, 3)))
 _cnot = errormap.cnot_kernel
+
+
+def _cleared_next(rounds, seed):
+    """``rounds`` rounds in which qubits 4 and 5 are reset, carry data
+    faults to a verification readout and a CNot, and are hit again until
+    the next reset: the events between the verifier's readout and the
+    reset act on qubits with nothing live, but for one pair event that
+    also hits data qubit 1, and the reset clears what they flip."""
+    rng = np.random.default_rng(seed)
+    steps = []
+    for _ in range(rounds):
+        f = [float(x) for x in rng.uniform(0.01, 0.2, size=8)]
+        steps += [OneQubitEvent(4, f[0]), TwoQubitEvent(4, 5, f[1]), Reset((4, 5)),
+                  OneQubitEvent(4, f[2]), OneQubitEvent(5, f[3]), CNot(0, 4),
+                  Hadamard(5), CNot(5, 2), OneQubitEvent(4, f[4]),
+                  VerifyReadout((0, 1), 4), TwoQubitEvent(1, 4, f[5]),
+                  OneQubitEvent(4, f[6]), TwoQubitEvent(5, 4, f[7])]
+    return steps + [Reset((4, 5))]
+
+
+def _drawn_and_skipped(prog):
+    """The events with f > 0 ``_prepare`` draws per row, and those it
+    skips."""
+    ops, _ = montecarlo._prepare(prog, {})
+    events = [args for function, args in ops if function is None]
+    runs = [c for c in events if type(c) is int]
+    return len(events) - len(runs), sum(runs)
 
 
 class TestStreamIdentity:
@@ -329,6 +362,9 @@ class TestStreamIdentity:
         "never-hit": toy([OneQubitEvent(0, 0.0), CNot(0, 1), OneQubitEvent(1, 1e-15),
                           Hadamard(1), TwoQubitEvent(2, 3, 1e-15), Reset((0, 2))]
                          * 50, **FOUR),
+        # events on qubits that a reset or a readout clears next are not
+        # drawn; the serial reference draws them and the clear undoes them
+        "cleared-next": toy(_cleared_next(20, seed=12), **SIX),
     }
     # the cases that start from no injected fault
     CLEAN = ("buffer-grows", "never-hit")
@@ -411,8 +447,83 @@ class TestStreamIdentity:
         assert (keys == ref).all()
 
 
+class TestDeadEvents:
+    """An event on qubits with no live component is not drawn; its stream
+    positions are skipped, so each row's crash, the tally and the
+    generator state are those of drawing every event."""
+
+    def test_the_cleared_next_case_skips_runs_of_events(self):
+        prog = TestStreamIdentity.CASES["cleared-next"]
+        # of each round's eight events, the two before its reset and the
+        # last two after its readout are skipped: one run of two at the
+        # start and at the end, and one of four between rounds
+        assert _drawn_and_skipped(prog) == (4 * 20, 4 * 20)
+        ops, _ = montecarlo._prepare(prog, {})
+        assert [a for f, a in ops if f is None and type(a) is int] == [2] + [4] * 19 + [2]
+
+    def test_basic_program_draws_70_percent_of_its_events(self):
+        prog = build_basic_program(NoiseParams())
+        events = sum(step_kind(s).kernel is None and s.f > 0.0 for s in prog.steps)
+        assert events == 26944
+        assert _drawn_and_skipped(prog) == (18926, 8018)
+
+    @settings(deadline=None, max_examples=60)
+    @given(data=st.data())
+    def test_random_programs_crash_as_the_serial_draws(self, data):
+        """Random steps on SIX, with resets and verification readouts:
+        each row crashes as under the serial reference, which draws every
+        event, and the generator ends where the reference's does."""
+        qubits = st.integers(0, 5)
+        f = st.sampled_from([0.0, 1e-3, 0.05, 0.3, 1.0])
+        pair = st.lists(qubits, min_size=2, max_size=2, unique=True)
+        one = st.builds(OneQubitEvent, qubits, f)
+        two = pair.flatmap(lambda q: st.builds(TwoQubitEvent, st.just(q[0]), st.just(q[1]), f))
+        # events are half the steps
+        step = st.one_of(
+            one, two, one, two,
+            st.builds(Hadamard, qubits),
+            pair.map(lambda q: CNot(*q)),
+            st.lists(qubits, min_size=1, max_size=3, unique=True).map(
+                lambda q: Reset(tuple(q))),
+            st.lists(qubits, min_size=2, max_size=4, unique=True).map(
+                lambda q: VerifyReadout(tuple(q[1:]), q[0])),
+        )
+        prog = toy(data.draw(st.lists(step, min_size=4, max_size=40)), **SIX)
+        faults = data.draw(st.dictionaries(qubits, st.sampled_from(list(Pauli)), max_size=2))
+        labels = initial_labels(prog, faults)
+        n = data.draw(st.integers(1, 300))
+        threads = data.draw(st.integers(1, 3))
+        seed = data.draw(st.integers(0, 2 ** 32))
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        keys, _ = _sample(prog, n, ours, labels, threads)
+        expected = _reference_keys(prog, n, ref, labels)
+        crashed = ~qecc.correctable(keys, prog.crash_blocks)
+        assert (crashed == ~qecc.correctable(expected, prog.crash_blocks)).all()
+        assert _crashes(prog, keys) == _crashes(prog, expected)
+        assert ours.bit_generator.state == ref.bit_generator.state
+
+    def test_run_mc_tallies_as_the_serial_draws(self):
+        prog = TestStreamIdentity.CASES["cleared-next"]
+        child = np.random.SeedSequence(4).spawn(1)[0]
+        rep = run_mc(prog, 3000, seed=4)
+        assert rep.crashes == _reference_shard(prog, 3000, child, initial_labels(prog, None))[0]
+
+
 class TestFaultedRows:
     """``MCReport.faulted_rows`` counts the rows the kernels ran on."""
+
+    def test_a_row_hit_only_by_dead_events_is_not_counted(self):
+        # the certain event on qubit 2 hits every row, but only the reset
+        # reads qubit 2 after it; the event on qubit 0 is live
+        prog = toy([OneQubitEvent(2, 1.0), Reset((2,)), OneQubitEvent(0, 0.01),
+                    OneQubitEvent(2, 1.0)], num_qubits=3)
+        assert _drawn_and_skipped(prog) == (1, 2)
+        rep = run_mc(prog, 4000, seed=6)
+        rng = np.random.default_rng(np.random.SeedSequence(6).spawn(1)[0])
+        rng.random(4000)  # the first event's positions
+        hits = int(np.count_nonzero(rng.random(4000) < 0.01))
+        assert 0 < rep.faulted_rows == hits < 100
+        assert rep.crashes == 0
 
     def test_counts_the_rows_some_event_hit(self):
         prog = toy(_random_events(40, 4, seed=11, rates=(1e-4, 1e-3)), **FOUR)
