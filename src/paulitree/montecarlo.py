@@ -10,45 +10,44 @@ same 3 (or 15) rows the analytical engine branches on; every other step
 applies the key-array kernel the analytical engine applies; the crash
 count uses the same ``correctable`` mask.  A sample is always global, so
 the QubitSets the analytical engine merges and splits play no part here.
-This module holds only what is specific to sampling: drawing the events,
-the rows they hit, and chunking.
+This module holds only what is specific to sampling: drawing the hits,
+walking the rows they hit, and chunking.
+
+Sampling is two parts.  :func:`_draw` reads the stream and gives, for
+each drawn event, the rows it hits and their outcomes; it alone knows
+the stream, and its docstring states which double each row reads.
+:func:`evaluate` takes hits from any source and walks the op list once
+on the rows they touch; it never reads the stream.  The single-fault
+census of the tests hands it one row per (event, outcome) instead.
 
 Iterations are vectorized in fixed-size chunks drawn from one PCG64
 stream, spawned from the seed's sequence, so results for a given
-(program, iterations, seed) are bit-for-bit reproducible.
-
-Within a chunk of n rows, row r of the e-th event with f > 0 reads the
-double at position e*n + r of the stream, counted from the chunk's
-start, one 64-bit draw per double.  Since ``PCG64.advance`` reaches any
-position in O(log d) steps, the rows are cut into W contiguous ranges
-run at once on a thread pool: the worker for rows [r0, r0 + m) starts
-from its own copy of the generator advanced to r0, and after each event
-with f > 0 draws its m uniforms into one array and skips the other
-n - m.  The caller then advances its generator past the chunk's draws,
-so the tally and the generator state after a chunk are those of drawing
-every event in turn, for any W.  W is the number of CPUs this process
-may run on, capped at n and at :data:`_THREADS`; it is not an option,
-since it cannot change a result.
+(program, iterations, seed) are bit-for-bit reproducible.  A chunk's
+rows are cut into W contiguous ranges run at once on a thread pool,
+each worker streaming its own :func:`_draw` into its own
+:func:`evaluate`.  The caller then advances its generator past the
+chunk's draws, so the tally and the generator state after a chunk are
+those of drawing every event in turn, for any W.  W is the number of
+CPUs this process may run on, capped at n and at :data:`_THREADS`; it
+is not an option, since it cannot change a result.
 
 An event whose qubits have no live component where it stands, by the
 liveness pass :func:`~paulitree.program.liveness` walked forward, is not
 drawn: its hits could only flip components that no later readout or the
-crash observable reads.  It keeps its stream positions, which the
-worker skips, so every drawn event reads the doubles it would read if
-all were drawn, and the crash of each row, the tally and the generator
-state are those of drawing every event.  The keys agree on the live
-components.  On the basic program 8,018 of the 26,944 events with f > 0
-(30%) are skipped, nearly all idle decoherence on ancilla and verifier
-qubits waiting for their next ``Reset``.
+crash observable reads.  It keeps its stream positions, which the draw
+skips, so the crash of each row, the tally and the generator state are
+those of drawing every event.  The keys agree on the live components.
+On the basic program 8,018 of the 26,944 events with f > 0 (30%) are
+skipped, nearly all idle decoherence on ancilla and verifier qubits
+waiting for their next ``Reset``.
 
 Kernels run only on the rows a drawn event has hit.  Every kernel maps
 the zero key to itself and the zero key is correctable, so a row no
-drawn event has hit needs no kernel and cannot crash.  Each worker keeps
+drawn event has hit needs no kernel and cannot crash.  Each walk keeps
 a :class:`_RowBuffer` of its faulted rows: a row joins it, with the zero
 key, when a drawn event first hits it, and every kernel runs on the
 buffer's keys alone.  At 1x noise about 9% of rows ever join; injected
-faults put every row in from the start.  The draws do not depend on the
-buffer.
+faults put every row in from the start.
 
 Once per call, before any row runs, one read of
 :func:`~paulitree.program.checked_steps` checks every step in order, so
@@ -57,9 +56,9 @@ builds the op list every chunk's workers walk: (kernel, args) for a
 kernel step, (None, (patterns, f)) for a drawn event and (None, c) for a
 run of c skipped ones.  The kernels are read from their modules then,
 so a wrapper put in a kernel's place before the call sees every call.
-Once a worker fails, the others stop before their next op.  The pool is
-shut down within each chunk, so no thread is alive when the crash mask
-is computed.
+Once a worker fails, the others' draws stop before their next op, and
+so do their walks.  The pool is shut down within each chunk, so no
+thread is alive when the crash mask is computed.
 """
 
 from __future__ import annotations
@@ -158,60 +157,63 @@ class _RowBuffer:
             end = self.count + new.size
             if end > self.keys.shape[0]:
                 capacity = min(max(end, 2 * self.keys.shape[0]), self.slot.size)
-                keys = np.zeros((capacity, self.keys.shape[1]), dtype=_U64)
-                keys[:self.count] = self.keys[:self.count]
-                self.keys = keys
+                self.keys = np.pad(self.keys[:self.count], ((0, capacity - self.count), (0, 0)))
             slots[fresh] = self.slot[new] = np.arange(self.count, end)
             self.count = end
         return slots
 
 
-def _xor_hits(buffer: _RowBuffer, patterns: np.ndarray, f: float, u: np.ndarray) -> None:
-    """Error event on the rows of ``buffer``'s range whose uniform in ``u``
-    falls below f: each joins the buffer if not yet in and XORs in pattern
-    i = min(floor(u * k / f), k - 1) of the k outcome patterns, reusing
-    its triggering uniform u to pick among the outcomes uniformly."""
-    rows = np.flatnonzero(u < f)
-    if rows.size == 0:
-        return
-    k = patterns.shape[0]
-    pick = np.minimum((u[rows] * (k / f)).astype(np.int64), k - 1)
-    slots = buffer.join(rows)
-    keys = buffer.keys
-    for w in range(keys.shape[1]):  # by column: a 2-D row scatter is slower
-        keys[slots, w] ^= patterns[pick, w]
+def _draw(ops: list, gen, n: int, m: int, failed):
+    """The hits of rows [r0, r0 + m) of a chunk of n, one item per op of
+    ``ops``, with ``gen`` at row r0's position of the chunk's stream.
 
-
-def _stream_at(rng, delta: int):
-    """A generator on a copy of ``rng``'s PCG64 stream, ``delta`` draws on."""
-    return np.random.Generator(copy.deepcopy(rng.bit_generator).advance(delta))
-
-
-def _run_rows(ops: list, buffer: _RowBuffer, gen, n: int, failed) -> None:
-    """Walk the op list on ``buffer``'s m consecutive rows of a chunk of
-    n, with ``gen`` at the first one's position of the chunk's stream:
-    each drawn event reads the m uniforms of these rows and skips the
-    other n - m, a run of c skipped events skips c * n; each kernel runs
-    on the buffer's keys.  Stops before an op once the ``failed`` event
-    is set, and sets it when an op raises."""
-    u = np.empty(buffer.slot.size)
-    skip = n - u.size
+    Row r of the e-th event with f > 0 reads the double at position
+    e * n + r of the stream, counted from the chunk's start, one 64-bit
+    draw per double: a drawn event reads the m uniforms of these rows
+    and skips the other n - m, a run of c skipped events skips c * n.
+    Since ``PCG64.advance`` reaches any position in O(log d) steps, any
+    range of rows can be drawn on its own.  A row whose uniform u falls
+    below f is hit, by outcome i = min(floor(u * k / f), k - 1) of the
+    event's k, so its triggering uniform picks among the outcomes
+    uniformly.  The item of a drawn event that hits a row is its hit
+    rows, counted from r0, and their outcomes; every other item is None.
+    Stops before an op once the ``failed`` event is set."""
+    u = np.empty(m)
     advance = gen.bit_generator.advance
-    try:
-        for function, args in ops:
-            if failed.is_set():
-                return
-            if function is not None:
-                if buffer.count:
-                    function(buffer.keys[:buffer.count], *args)
-            elif type(args) is int:
-                advance(args * n)
-            else:
-                _xor_hits(buffer, *args, gen.random(out=u))
-                advance(skip)
-    except BaseException:
-        failed.set()
-        raise
+    for function, args in ops:
+        if failed.is_set():
+            return
+        hit = None
+        if type(args) is int:
+            advance(args * n)
+        elif function is None:
+            patterns, f = args
+            gen.random(out=u)
+            advance(n - m)
+            rows = np.flatnonzero(u < f)
+            if rows.size:
+                k = patterns.shape[0]
+                hit = rows, np.minimum((u[rows] * (k / f)).astype(np.int64), k - 1)
+        yield hit
+
+
+def evaluate(ops: list, hits, buffer: _RowBuffer) -> None:
+    """Walk ``ops`` once on ``buffer``'s rows with the ``hits`` of
+    :func:`_draw`'s form, one item per op; stops where ``hits`` ends.
+    At a drawn event op, an item (rows, picks) names distinct rows of the
+    buffer's range, counted from its first: row rows[j] joins the buffer
+    if not yet in and XORs in outcome pattern picks[j].  Each kernel runs
+    on the joined rows alone.
+    """
+    for (function, args), hit in zip(ops, hits):
+        if function is not None:
+            if buffer.count:
+                function(buffer.keys[:buffer.count], *args)
+        elif hit is not None:
+            rows, picks = hit
+            slots = buffer.join(rows)
+            for w in range(buffer.keys.shape[1]):  # by column: a 2-D row scatter is slower
+                buffer.keys[slots, w] ^= args[0][picks, w]
 
 
 def _prepare(prog: Program, labels: dict) -> tuple[list, np.ndarray]:
@@ -253,7 +255,8 @@ def _prepare(prog: Program, labels: dict) -> tuple[list, np.ndarray]:
 def _sample(ops: list, start: np.ndarray, n: int, rng, threads: int) -> list[_RowBuffer]:
     """The row buffers of ``n`` rows run from key ``start`` through
     ``ops``, one per range, with rows counted from the chunk's start.
-    The rows are cut into ``threads`` ranges (at most n) run at once;
+    The rows are cut into ``threads`` ranges (at most n) run at once,
+    each drawn by its own :func:`_draw` into its own :func:`evaluate`;
     leaves ``rng`` after the chunk's draws."""
     # imported here, so that the analytical engine never loads it
     from concurrent.futures import ThreadPoolExecutor
@@ -262,10 +265,18 @@ def _sample(ops: list, start: np.ndarray, n: int, rng, threads: int) -> list[_Ro
     cuts = [n * i // threads for i in range(threads + 1)]
     buffers = [_RowBuffer(r0, r1 - r0, start) for r0, r1 in zip(cuts, cuts[1:])]
     failed = threading.Event()
+
+    def work(buffer: _RowBuffer) -> None:
+        try:
+            # a copy of the chunk's stream, advanced to the range's first row
+            gen = np.random.Generator(copy.deepcopy(rng.bit_generator).advance(buffer.first))
+            evaluate(ops, _draw(ops, gen, n, buffer.slot.size, failed), buffer)
+        except BaseException:
+            failed.set()
+            raise
+
     with ThreadPoolExecutor(threads) as pool:
-        runs = [pool.submit(_run_rows, ops, buffer, _stream_at(rng, buffer.first), n, failed)
-                for buffer in buffers]
-        for run in runs:
+        for run in [pool.submit(work, buffer) for buffer in buffers]:
             run.result()
     events = sum(args if type(args) is int else 1 for function, args in ops if function is None)
     rng.bit_generator.advance(events * n)

@@ -17,17 +17,19 @@ from paulitree.errormap import (
     _slot,
     event_patterns,
 )
-from paulitree.montecarlo import _CHUNK, _RowBuffer, _wilson95, _xor_hits, run_mc
+from paulitree.montecarlo import _CHUNK, _draw, _RowBuffer, _wilson95, evaluate, run_mc
 from paulitree.noise import NoiseParams
 from paulitree.pauli import Pauli
 from paulitree.program import (
     STEP_KINDS,
     CNot,
     Correct,
+    CosetReduce,
     Hadamard,
     OneQubitEvent,
     ProgramError,
     Reset,
+    SyndromeMeasure,
     TwoQubitEvent,
     VerifyReadout,
     build_basic_program,
@@ -186,6 +188,23 @@ class TestValidationAndInjection:
         assert crashed.crashes == 64  # a same-block pair never is
 
 
+class _Uniforms:
+    """A stand-in for a generator that draws the given uniforms, for
+    ``_draw``: its stream has no other positions to skip."""
+
+    def __init__(self, u):
+        self.u = np.array(u)
+        self.bit_generator = self
+
+    def random(self, out):
+        out[:] = self.u
+        return out
+
+    def advance(self, delta):
+        assert delta == 0
+        return self
+
+
 class TestSharedOutcomes:
     """Monte Carlo draws outcome i of an event as the i-th row of the
     pattern array the analytical engine branches on."""
@@ -204,17 +223,18 @@ class TestSharedOutcomes:
         u = [(i + 0.5) * f / k for i in range(k)] + [f, 0.99]
         rng = np.random.default_rng(4)
         start = rng.integers(0, 2 ** 63, size=(k + 2, 2), dtype=np.uint64)
+        ops = [(None, (patterns, f))]
         # a non-zero start key puts every row in the buffer, in row order
         full = _RowBuffer(0, k + 2, start[0])
         full.keys[:] = start
-        _xor_hits(full, patterns, f, np.array(u))
+        evaluate(ops, _draw(ops, _Uniforms(u), k + 2, k + 2, threading.Event()), full)
         keys = full.keys
         for i in range(k):
             assert (keys[i] == start[i] ^ patterns[i]).all()
         assert (keys[k:] == start[k:]).all()
         # from an empty buffer, the rows hit join with the zero key
         empty = _RowBuffer(0, k + 2, np.zeros(2, dtype=np.uint64))
-        _xor_hits(empty, patterns, f, np.array(u))
+        evaluate(ops, _draw(ops, _Uniforms(u), k + 2, k + 2, threading.Event()), empty)
         assert empty.count == k
         assert (empty.keys[:k] == patterns).all()
         assert empty.slot.tolist() == list(range(k)) + [-1, -1]
@@ -226,6 +246,77 @@ class TestSharedOutcomes:
             assert labels == [(Pauli.X,), (Pauli.Z,), (Pauli.Y,)]
         else:
             assert labels == [divmod(i + 1, 4) for i in range(15)]
+
+
+class TestEvaluate:
+    """``evaluate`` alone, on explicit hits: each row's key is that of
+    XORing the same hits into every row from the start key and running
+    every kernel on every row."""
+
+    @staticmethod
+    def _steps(width):
+        """Steps of every kind on qubits [0, width); a Correct takes 16."""
+        qubits = st.integers(0, width - 1)
+        f = st.sampled_from([0.0, 1e-3, 0.3, 1.0])
+
+        def distinct(n):
+            return st.lists(qubits, min_size=n, max_size=n, unique=True)
+
+        # one-qubit events are drawn twice as often as any other kind
+        return st.one_of(
+            st.builds(OneQubitEvent, qubits, f),
+            distinct(2).flatmap(lambda q: st.builds(TwoQubitEvent, st.just(q[0]),
+                                                    st.just(q[1]), f)),
+            st.builds(OneQubitEvent, qubits, f),
+            st.builds(Hadamard, qubits),
+            distinct(2).map(lambda q: CNot(*q)),
+            st.lists(qubits, min_size=1, max_size=3, unique=True).map(
+                lambda q: Reset(tuple(q))),
+            distinct(8).map(lambda q: VerifyReadout(tuple(q[1:]), q[0])),
+            distinct(7).map(lambda q: SyndromeMeasure(tuple(q))),
+            st.builds(lambda q, basis: CosetReduce(tuple(q), basis), distinct(7),
+                      st.sampled_from("zx")),
+            st.builds(lambda q, phase: Correct(tuple(q[:7]), (tuple(q[7:10]), tuple(q[10:13]),
+                                                             tuple(q[13:])), phase),
+                      distinct(16), st.sampled_from(["bit", "phase"])),
+        )
+
+    @settings(deadline=None, max_examples=80)
+    @given(data=st.data())
+    def test_keys_match_every_kernel_on_every_row(self, data):
+        words = data.draw(st.integers(1, 3))
+        width = data.draw(st.integers(max(16, 32 * words - 31), 32 * words))
+        steps = data.draw(st.lists(self._steps(width), min_size=1, max_size=30))
+        prog = toy(steps, num_qubits=width, blocks=(tuple(range(7)),))
+        faults = data.draw(st.dictionaries(st.integers(0, width - 1),
+                                           st.sampled_from(list(Pauli)), max_size=2))
+        ops, start = montecarlo._prepare(prog, initial_labels(prog, faults))
+        assert start.size == words
+        n = data.draw(st.integers(1, 40))
+        hits = []
+        for function, args in ops:
+            # a drawn event hits distinct rows, each with an outcome pick
+            picks = {}
+            if function is None and type(args) is not int:
+                picks = data.draw(st.dictionaries(st.integers(0, n - 1),
+                                                  st.integers(0, args[0].shape[0] - 1)))
+            hits.append((np.array(list(picks)), np.array(list(picks.values())))
+                        if picks else None)
+        buffer = _RowBuffer(0, n, start)
+        evaluate(ops, hits, buffer)
+        expected = np.tile(start, (n, 1))
+        for (function, args), hit in zip(ops, hits):
+            if function is not None:
+                function(expected, *args)
+            elif hit is not None:
+                expected[hit[0]] ^= args[0][hit[1]]
+        joined = np.flatnonzero(buffer.slot >= 0)
+        keys = np.zeros_like(expected)
+        keys[joined] = buffer.keys[buffer.slot[joined]]
+        assert (keys == expected).all()
+        # a row joins once, when first hit, or from the start with a fault
+        hit_rows = {int(r) for hit in hits if hit is not None for r in hit[0]}
+        assert buffer.count == joined.size == (n if start.any() else len(hit_rows))
 
 
 def _reference_keys(prog, n, rng, labels):
@@ -588,20 +679,35 @@ class TestWorkers:
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_each_worker_draws_only_its_rows(self, monkeypatch, threads):
-        xor, drawn, counts = montecarlo._xor_hits, {}, []
+        draw, walk, drawn, walked, counts = montecarlo._draw, montecarlo.evaluate, {}, {}, []
 
-        def xoring(buffer, patterns, f, u):
-            assert u.size == buffer.slot.size
-            drawn.setdefault(threading.current_thread(), []).append(u.size)
-            counts.append(threading.active_count())
-            xor(buffer, patterns, f, u)
+        class Recorded:
+            """The worker's generator, recording the size of each draw."""
+
+            def __init__(self, gen):
+                self.gen, self.bit_generator = gen, gen.bit_generator
+
+            def random(self, out):
+                drawn.setdefault(threading.current_thread(), []).append(out.size)
+                counts.append(threading.active_count())
+                return self.gen.random(out=out)
+
+        def drawing(ops, gen, n, m, failed):
+            return draw(ops, Recorded(gen), n, m, failed)
+
+        def walking(ops, hits, buffer):
+            walked[threading.current_thread()] = buffer.slot.size
+            walk(ops, hits, buffer)
 
         before = threading.active_count()
-        monkeypatch.setattr(montecarlo, "_xor_hits", xoring)
+        monkeypatch.setattr(montecarlo, "_draw", drawing)
+        monkeypatch.setattr(montecarlo, "evaluate", walking)
         _sample(self.PROG, 256, np.random.default_rng(0), initial_labels(self.PROG, None),
                 threads)
         events = sum(step_kind(s).kernel is None for s in self.PROG.steps)
         assert threading.main_thread() not in drawn and len(drawn) == threads
+        # a worker draws its own buffer's rows, and walks the hits it drew
+        assert all(set(sizes) == {walked[t]} for t, sizes in drawn.items())
         # each worker draws its m rows once per event; the ranges cover n
         assert sorted(len(sizes) for sizes in drawn.values()) == [events] * threads
         assert sum(sizes[0] for sizes in drawn.values()) == 256
@@ -630,7 +736,7 @@ class TestWorkers:
     def test_other_workers_stop_after_a_failure(self, monkeypatch):
         threads = 3
         started, raised = threading.Barrier(threads, timeout=10), threading.Event()
-        xor, seen, cnots = montecarlo._xor_hits, [], []
+        draw, seen, cnots = montecarlo._draw, [], []
 
         def failing(keys, c, t):
             seen.append(raised.is_set())
@@ -645,12 +751,14 @@ class TestWorkers:
             assert raised.wait(10)
             time.sleep(0.05)
 
-        def xoring(*args):
-            seen.append(raised.is_set())
-            xor(*args)
+        def drawing(*args):
+            # one item per op, drawn just before the walk runs that op
+            for hit in draw(*args):
+                seen.append(raised.is_set())
+                yield hit
 
         monkeypatch.setattr(errormap, "cnot_kernel", failing)
-        monkeypatch.setattr(montecarlo, "_xor_hits", xoring)
+        monkeypatch.setattr(montecarlo, "_draw", drawing)
         with pytest.raises(RuntimeError, match="kernel failed"):
             _sample(self.PROG, 256, np.random.default_rng(0),
                     initial_labels(self.PROG, None), threads)
