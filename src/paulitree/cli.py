@@ -22,8 +22,9 @@ instead of computing them (both blank on a Monte Carlo row).  A Monte
 Carlo row also gives its Wilson score 95% interval, ``mc_faulted_rows``,
 the samples its kernels ran on (those a *live* event hit: an event on
 qubits with no live component is not drawn, though it keeps its stream
-positions, so the tally is that of drawing it), and the number of
-threads its samples are split across, which does not change its tally.
+positions, so the tally is that of drawing it).  A Monte Carlo row's
+numbers depend on the program, ``--mc-iterations`` and ``--seed`` alone,
+never on the host it ran on (its wall time aside).
 ``run`` and ``compare`` default to thresholds (1e-6, 1e-12); 0 is
 exact and may not finish on the basic program.
 ``sweep --jobs`` runs the grid points in that many worker processes,
@@ -73,7 +74,6 @@ COLUMNS = [
     "mc_ci95_high",
     "mc_faulted_rows",
     "seed",
-    "threads",
     "program_hash",
     "inaccuracy",
     "speedup",
@@ -152,7 +152,6 @@ def _mc_row(base: dict, args, prog: Program) -> dict:
         mc_ci95_high=rep.ci95_high,
         mc_faulted_rows=rep.faulted_rows,
         seed=rep.seed,
-        threads=rep.threads,
         wall_time_ms=rep.wall_time_s * 1e3,
     )
     return row
@@ -290,7 +289,7 @@ def _add_single_thresholds(p: argparse.ArgumentParser) -> None:
 
 
 def _add_mc(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--mc-iterations", type=int, default=100000)
+    p.add_argument("--mc-iterations", type=_positive_int, default=100000)
     p.add_argument("--seed", type=int, default=0)
 
 

@@ -27,9 +27,9 @@ rows are cut into W contiguous ranges run at once on a thread pool,
 each worker streaming its own :func:`_draw` into its own
 :func:`evaluate`.  The caller then advances its generator past the
 chunk's draws, so the tally and the generator state after a chunk are
-those of drawing every event in turn, for any W.  W is the number of
-CPUs this process may run on, capped at n and at :data:`_THREADS`; it
-is not an option, since it cannot change a result.
+those of drawing every event in turn, for any W.  W is :data:`_THREADS`,
+capped at n, on every host: the cut depends on the inputs alone.  It is
+not an option, since it cannot change a result.
 
 An event whose qubits have no live component where it stands, by the
 liveness pass :func:`~paulitree.program.liveness` walked forward, is not
@@ -65,7 +65,6 @@ from __future__ import annotations
 
 import copy
 import math
-import os
 import threading
 import time
 from dataclasses import dataclass
@@ -78,16 +77,17 @@ from .program import Program, checked_steps, initial_labels, liveness
 
 _U64 = np.uint64
 _CHUNK = 1 << 16
-# Slots a worker's row buffer starts with, before it first doubles.
-_FIRST_SLOTS = 64
 _Z95 = 1.96
-# Most threads a chunk's rows are cut across.  Every worker walks the
-# whole op list in Python and holds the GIL to do so, so that part grows
-# with W while the drawing shrinks.  On 2 vCPUs, a 65,536-row chunk of
-# the basic program at 1x took 6.6-8.2 s on one thread, 4.2-4.6 s on two
-# and 5.6-6.3 s on four; the op walk alone (one row a worker, the op list
-# built once) took 0.13, 0.54-0.59 and 1.2-1.3 s.  Eight threads took
-# 11 s before the row buffers.  No host with more CPUs was measured.
+# Threads a chunk's rows are cut across on every host (fewer only when
+# the chunk has fewer rows).  Every worker walks the whole op list in
+# Python and holds the GIL to do so, so that part grows with W while the
+# drawing shrinks.  On 2 vCPUs, a 65,536-row chunk of the basic program
+# at 1x took 6.6-8.2 s on one thread, 4.2-4.6 s on two and 5.6-6.3 s on
+# four; the op walk alone (one row a worker, the op list built once)
+# took 0.13, 0.54-0.59 and 1.2-1.3 s.  Eight threads took 11 s before
+# the row buffers.  Pinned to one CPU, two threads took a median 3.92 s
+# against one thread's 3.39 s at 1x, and 3.98 s against 4.45 s at 100x.
+# No host with more CPUs was measured.
 _THREADS = 2
 
 
@@ -95,13 +95,12 @@ _THREADS = 2
 class MCReport:
     """Outcome of one Monte Carlo run with a Wilson score 95% interval.
 
-    ``threads`` is the number of threads the rows of a chunk are split
-    across; it does not change the tally.  ``faulted_rows`` counts the
-    iterations the kernels ran on: those some *live* event hit, or every
-    one when ``initial_errors`` inject a fault.  An event on qubits with
-    no live component is not drawn (its stream positions are skipped, so
-    the tally is that of drawing it), and a row it alone hits is not
-    counted."""
+    ``faulted_rows`` counts the iterations the kernels ran on: those some
+    *live* event hit, or every one when ``initial_errors`` inject a
+    fault.  An event on qubits with no live component is not drawn (its
+    stream positions are skipped, so the tally is that of drawing it),
+    and a row it alone hits is not counted.  Every field but
+    ``wall_time_s`` depends on the inputs alone, on any host."""
 
     iterations: int
     crashes: int
@@ -109,7 +108,6 @@ class MCReport:
     ci95_low: float
     ci95_high: float
     seed: int
-    threads: int
     faulted_rows: int
     wall_time_s: float
 
@@ -129,11 +127,13 @@ class _RowBuffer:
 
     ``slot[r]`` is the slot in ``keys`` of row first + r, or -1 while no
     event has hit it; the rows hold slots 0 to count - 1 in the order they
-    joined, and any other row holds the zero key.  A row joins with the
-    zero key, so joining copies nothing, and ``keys`` doubles its capacity
-    when full.  If the ``start`` key every row begins from is not zero,
-    every row starts in.  ``slot`` is int32, half the memory of an intp
-    array, since a chunk has at most :data:`_CHUNK` rows.
+    joined, and any other row holds the zero key.  ``keys`` has a slot for
+    each of the m rows from the start, zeroed, so a row joins with the
+    zero key and joining copies nothing; the kernels touch only the first
+    count slots, and the rest are never written.  If the ``start`` key
+    every row begins from is not zero, every row starts in.  ``slot`` is
+    int32, half the memory of an intp array, since a chunk has at most
+    :data:`_CHUNK` rows.
     """
 
     def __init__(self, first: int, m: int, start: np.ndarray):
@@ -144,7 +144,7 @@ class _RowBuffer:
             self.count = m
         else:
             self.slot = np.full(m, -1, dtype=np.int32)
-            self.keys = np.zeros((min(m, _FIRST_SLOTS), start.size), dtype=_U64)
+            self.keys = np.zeros((m, start.size), dtype=_U64)
             self.count = 0
 
     def join(self, rows: np.ndarray) -> np.ndarray:
@@ -154,12 +154,8 @@ class _RowBuffer:
         fresh = slots < 0
         new = rows[fresh]
         if new.size:
-            end = self.count + new.size
-            if end > self.keys.shape[0]:
-                capacity = min(max(end, 2 * self.keys.shape[0]), self.slot.size)
-                self.keys = np.pad(self.keys[:self.count], ((0, capacity - self.count), (0, 0)))
-            slots[fresh] = self.slot[new] = np.arange(self.count, end)
-            self.count = end
+            slots[fresh] = self.slot[new] = np.arange(self.count, self.count + new.size)
+            self.count += new.size
         return slots
 
 
@@ -283,19 +279,12 @@ def _sample(ops: list, start: np.ndarray, n: int, rng, threads: int) -> list[_Ro
     return buffers
 
 
-def _cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def run_mc(prog: Program, iterations: int, seed: int,
            initial_errors: dict | None = None) -> MCReport:
     """Monte Carlo run of ``iterations`` samples on the first spawned
-    child of the seed's sequence; the tally does not depend on the number
-    of threads the rows are split across (the CPUs this process may run
-    on, at most :data:`_THREADS`).  ``initial_errors`` is checked as in
+    child of the seed's sequence, each chunk's rows split across
+    :data:`_THREADS` threads on every host (fewer only for a chunk with
+    fewer rows); the tally would be the same for any split.  ``initial_errors`` is checked as in
     :func:`run_analytical`, by :func:`~paulitree.program.initial_labels`.
     """
     if iterations < 1:
@@ -304,10 +293,9 @@ def run_mc(prog: Program, iterations: int, seed: int,
     began = time.perf_counter()
     ops, start = _prepare(prog, labels)
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    threads = min(_cpus(), _THREADS, iterations)
     blocks, crashes, faulted = prog.crash_blocks, 0, 0
     for done in range(0, iterations, _CHUNK):
-        for buffer in _sample(ops, start, min(_CHUNK, iterations - done), rng, threads):
+        for buffer in _sample(ops, start, min(_CHUNK, iterations - done), rng, _THREADS):
             keys = buffer.keys[:buffer.count]
             faulted += buffer.count
             crashes += buffer.count - int(np.count_nonzero(qecc.correctable(keys, blocks)))
@@ -319,7 +307,6 @@ def run_mc(prog: Program, iterations: int, seed: int,
         ci95_low=low,
         ci95_high=high,
         seed=seed,
-        threads=threads,
         faulted_rows=faulted,
         wall_time_s=time.perf_counter() - began,
     )

@@ -54,8 +54,8 @@ class TestRun:
         assert a["program_hash"] == m["program_hash"]
         assert m["mc_iterations"] == "500"
         assert m["seed"] == "3"
-        assert "shards" not in m
-        assert int(m["threads"]) >= 1
+        # nothing host-dependent: no thread count
+        assert "shards" not in m and "threads" not in m and "threads" not in COLUMNS
         assert float(m["mc_ci95_low"]) <= float(m["crash"]) <= float(m["mc_ci95_high"])
         # the rows an event hit, about 9% at 1x
         assert 0 < int(m["mc_faulted_rows"]) < 500
@@ -309,3 +309,12 @@ class TestParser:
             main(["sweep", "--jobs", jobs])
         assert exc.value.code == 2
         assert "argument --jobs: must be at least 1, got %s" % jobs in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["run", "--mode", "both"], ["compare"]])
+    def test_mc_iterations_below_one_rejected_before_any_engine(self, capsys, monkeypatch,
+                                                                argv):
+        monkeypatch.setattr(cli, "build_basic_program", None)  # never reached
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--mc-iterations", "0"])
+        assert exc.value.code == 2
+        assert "argument --mc-iterations: must be at least 1, got 0" in capsys.readouterr().err

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import os
 import sys
 import threading
 import time
@@ -100,40 +102,52 @@ class TestReproducibility:
         counts = {run_mc(self.PROG, 65536, seed=s).crashes for s in range(4)}
         assert len(counts) > 1
 
+    def _chunk_cuts(self, monkeypatch, iterations):
+        """The report of ``run_mc`` and how many ranges each of its chunks
+        was cut into."""
+        cuts, sample = [], montecarlo._sample
+
+        def counted(*args):
+            buffers = sample(*args)
+            cuts.append(len(buffers))
+            return buffers
+
+        monkeypatch.setattr(montecarlo, "_sample", counted)
+        rep = run_mc(self.PROG, iterations, seed=11)
+        monkeypatch.setattr(montecarlo, "_sample", sample)
+        return rep, cuts
+
     def test_thread_count_does_not_change_the_tally(self, monkeypatch):
         tallies = set()
-        monkeypatch.setattr(montecarlo, "_THREADS", 5)
-        for cpus in (1, 2, 5):
-            monkeypatch.setattr(montecarlo, "_cpus", lambda: cpus)
+        for threads in (1, 2, 5):
+            monkeypatch.setattr(montecarlo, "_THREADS", threads)
             tallies.add(run_mc(self.PROG, 8000, seed=9).crashes)
         assert len(tallies) == 1
 
     def test_fewer_iterations_than_threads(self, monkeypatch):
-        monkeypatch.setattr(montecarlo, "_cpus", lambda: 16)
         monkeypatch.setattr(montecarlo, "_THREADS", 16)
-        rep = run_mc(self.PROG, 10, seed=0)
-        assert rep.iterations == 10 and rep.threads == 10
+        rep, cuts = self._chunk_cuts(monkeypatch, 10)
+        assert rep.iterations == 10 and cuts == [10]
         assert 0 <= rep.crashes <= 10
 
-    def test_threads_are_capped(self, monkeypatch):
-        monkeypatch.setattr(montecarlo, "_cpus", lambda: 16)
-        assert run_mc(self.PROG, 4096, seed=0).threads == montecarlo._THREADS
-        assert run_mc(self.PROG, 1, seed=0).threads == 1
+    @pytest.mark.parametrize("n", [1, 4096])
+    def test_threads_are_capped(self, monkeypatch, n):
+        assert self._chunk_cuts(monkeypatch, n)[1] == [min(montecarlo._THREADS, n)]
+
+    def test_one_cpu_host_cuts_and_reports_the_same(self, monkeypatch):
+        free = {n: self._chunk_cuts(monkeypatch, n) for n in (1, 4096)}
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        for n, (rep, cuts) in free.items():
+            pinned, pinned_cuts = self._chunk_cuts(monkeypatch, n)
+            assert pinned_cuts == cuts == [min(montecarlo._THREADS, n)]
+            assert dataclasses.replace(pinned, wall_time_s=rep.wall_time_s) == rep
 
     def test_run_reads_the_first_spawned_child(self):
         child = np.random.SeedSequence(11).spawn(1)[0]
         rep = run_mc(self.PROG, 4096, seed=11)
         labels = initial_labels(self.PROG, None)
         assert rep.crashes == _reference_shard(self.PROG, 4096, child, labels)[0]
-
-    def test_report_names_its_drawing_threads(self, monkeypatch):
-        rep = run_mc(self.PROG, 4096, seed=11)
-        assert rep.threads >= 1
-        monkeypatch.setattr(montecarlo, "_cpus", lambda: 3)
-        monkeypatch.setattr(montecarlo, "_THREADS", 3)
-        three = run_mc(self.PROG, 4096, seed=11)
-        assert three.threads == 3
-        assert three.crashes == rep.crashes
 
 
 class TestValidationAndInjection:
@@ -446,8 +460,8 @@ class TestStreamIdentity:
                          + [OneQubitEvent(2, 1.0)], **FOUR),
         "few-events": toy(_random_events(40, 4, seed=4, rates=(0.01, 0.2)), **FOUR),
         # with no injected fault the row buffers start empty; about half
-        # the rows join them, one event at a time, so with one thread the
-        # buffer doubles from 64 slots three times
+        # the rows join them, one event at a time, into slots allocated
+        # before the first event
         "buffer-grows": toy(_random_events(120, 4, seed=10, rates=(1e-3, 1e-2)), **FOUR),
         # events draw but never hit a row, so no kernel runs
         "never-hit": toy([OneQubitEvent(0, 0.0), CNot(0, 1), OneQubitEvent(1, 1e-15),
@@ -472,10 +486,20 @@ class TestStreamIdentity:
             kernels.append(keys.shape[0])
             _cnot(keys, *args)
 
+        starts = []
+
+        def walk(ops, hits, buffer):
+            starts.append((buffer.first, buffer.slot.size, buffer.keys.shape[0]))
+            evaluate(ops, hits, buffer)
+
         monkeypatch.setattr(errormap, "cnot_kernel", cnot)
+        monkeypatch.setattr(montecarlo, "evaluate", walk)
         ours, ref = np.random.default_rng(7), np.random.default_rng(7)
         keys, _ = _sample(prog, 1000, ours, labels, threads)
         assert (keys == _reference_keys(prog, 1000, ref, labels)).all()
+        # each buffer holds a key for every row of its range from the start
+        cuts = [1000 * i // threads for i in range(threads + 1)]
+        assert sorted(starts) == [(r0, r1 - r0, r1 - r0) for r0, r1 in zip(cuts, cuts[1:])]
         assert ours.bit_generator.state == ref.bit_generator.state
         # both generators now stand at the next chunk's start
         faulted = _hit_rows(prog, 1000, ref)
@@ -490,8 +514,6 @@ class TestStreamIdentity:
         # every row once a fault is injected
         assert rows == (faulted if case in self.CLEAN else 1000)
         assert max(kernels, default=0) <= rows
-        if case == "buffer-grows":
-            assert rows > 4 * montecarlo._FIRST_SLOTS
 
     @pytest.mark.parametrize("n, threads", [(5, 7), (1, 2), (3, 3)])
     def test_more_threads_than_rows(self, n, threads):
@@ -518,10 +540,8 @@ class TestStreamIdentity:
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_run_mc_matches_serial_draws(self, monkeypatch, threads):
         prog = self.CASES["many-events"]
-        monkeypatch.setattr(montecarlo, "_cpus", lambda: threads)
         monkeypatch.setattr(montecarlo, "_THREADS", threads)
         rep = run_mc(prog, 3000, seed=8)
-        assert rep.threads == threads
         child = np.random.SeedSequence(8).spawn(1)[0]
         assert rep.crashes == _reference_shard(prog, 3000, child, initial_labels(prog, None))[0]
 
